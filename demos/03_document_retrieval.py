@@ -48,12 +48,6 @@ def main():
     for r in engine.query_documents(corpus, query, top_n=4):
         print(f"  {r.rank}. {r.doc_id}  {r.score:.6f}")
 
-    if engine.concept_cache is not None:
-        print(
-            f"\nconcept-pair cache: {len(engine.concept_cache)} entries, "
-            f"{engine.concept_cache.hits} hits, {engine.concept_cache.misses} misses"
-        )
-
 
 if __name__ == "__main__":
     main()

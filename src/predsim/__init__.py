@@ -12,7 +12,6 @@ from .corpus import (
     Corpus,
     CorpusStats,
     GoldStandard,
-    SimCache,
     load_corpus,
     load_gold,
     load_gold_file,
@@ -64,7 +63,6 @@ __all__ = [
     "RankedDocument",
     "RankedPredication",
     "RetrievalEngine",
-    "SimCache",
     "SimConfig",
     "SimWeights",
     "UnknownDocumentError",

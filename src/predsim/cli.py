@@ -91,8 +91,6 @@ def _build_parser() -> _Parser:
                         help="object weight (default 1)")
     tuning.add_argument("--threshold", type=float, default=0.0, metavar="T",
                         help="zero out best-match pairs scoring below T (default 0)")
-    common.add_argument("--workers", type=_positive_int, default=1, metavar="N",
-                        help="scoring worker threads; never changes output")
     common.add_argument("--output", metavar="PATH",
                         help="write results to PATH instead of standard output")
 
@@ -156,7 +154,7 @@ def _load_inputs(args):
     if corpus.skipped:
         summary += f", {len(corpus.skipped)} empty documents skipped"
     print(summary, file=sys.stderr)
-    engine = RetrievalEngine(concepts, relations, config, workers=args.workers)
+    engine = RetrievalEngine(concepts, relations, config)
     return engine, corpus
 
 

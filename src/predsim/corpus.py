@@ -1,7 +1,7 @@
-"""Corpus and gold-standard ingestion plus pairwise score memoization.
+"""Corpus and gold-standard ingestion.
 
-File formats (UTF-8 text, ``#`` comments and blank lines ignored,
-order-insensitive):
+File formats (UTF-8 text, a leading byte-order mark ignored, ``#``
+comments and blank lines ignored, order-insensitive):
 
 - predications: one ``doc_id<TAB>subject<TAB>relation<TAB>object`` per line
 - gold standard: one ``seed_id<TAB>related_id<TAB>rank`` per line
@@ -14,7 +14,6 @@ list instead of failing the load.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable, Mapping
 from pathlib import Path
 from types import MappingProxyType
@@ -67,7 +66,6 @@ class Corpus:
         self.docs: Mapping[str, PredicationSet] = MappingProxyType(kept)
         self.skipped: tuple[str, ...] = tuple(skipped)
         self.source = source
-        self.loaded_at = time.time()
         self.stats = CorpusStats(
             documents=len(kept),
             predications=sum(len(s) for s in kept.values()),
@@ -98,7 +96,9 @@ class Corpus:
 def _group_into_corpus(
     positioned: Iterable[tuple[str, tuple[str, str, str, str]]], source: str
 ) -> Corpus:
-    grouped: dict[str, list[Predication]] = {}
+    # Per-document buckets are insertion-ordered dicts used as sets, so
+    # the duplicate check is constant time however large a document grows.
+    grouped: dict[str, dict[Predication, None]] = {}
     duplicates = 0
     for where, (doc_id, subject, relation, obj) in positioned:
         _check_id(doc_id, "document id", where)
@@ -106,11 +106,11 @@ def _group_into_corpus(
             pred = Predication(subject, relation, obj)
         except LoadError as err:
             raise LoadError(f"{where}: {err}") from None
-        bucket = grouped.setdefault(doc_id, [])
+        bucket = grouped.setdefault(doc_id, {})
         if pred in bucket:
             duplicates += 1
         else:
-            bucket.append(pred)
+            bucket[pred] = None
     if not grouped:
         raise LoadError(f"{source}: no predication records; corpus would be empty")
     docs = {doc_id: PredicationSet.from_iterable(ps) for doc_id, ps in grouped.items()}
@@ -151,7 +151,7 @@ def parse_predications(lines: Iterable[str], source: str = "<memory>") -> Corpus
 
 def load_predications_file(path: str | Path) -> Corpus:
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_predications(handle, source=str(path))
 
 
@@ -257,38 +257,6 @@ def parse_gold(lines: Iterable[str], source: str = "<memory>") -> GoldStandard:
 
 def load_gold_file(path: str | Path) -> GoldStandard:
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_gold(handle, source=str(path))
 
-
-class SimCache:
-    """Order-independent memo of pairwise similarity scores.
-
-    The key for (a, b) and (b, a) is identical, so a score computed in one
-    orientation is served for both.  Concurrent lookup-or-compute is safe:
-    a duplicated computation stores the same deterministic value.  The
-    hit/miss counters are diagnostics and best-effort under concurrency.
-    """
-
-    def __init__(self):
-        self._entries: dict[tuple[str, str], float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(a: str, b: str) -> tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup_or_compute(self, a: str, b: str, compute) -> float:
-        key = self.key(a, b)
-        score = self._entries.get(key)
-        if score is None:
-            score = compute(a, b)
-            self._entries[key] = score
-            self.misses += 1
-        else:
-            self.hits += 1
-        return score

@@ -15,8 +15,9 @@ non-increasing in tau.
 
 The m+n best-match terms are totalled with ``math.fsum``, whose result
 does not depend on summation order, so the score is exactly symmetric in
-its two arguments and bit-identical across runs regardless of caching or
-worker parallelism upstream.
+its two arguments and bit-identical across runs.  This function is the
+scalar definition of the document score; the columnar kernel in
+``retrieval`` reproduces it bit for bit when ranking a corpus.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from .predication import (
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Weights, pair threshold, and cache policy for similarity scoring."""
+    """Weights and pair threshold for similarity scoring."""
 
     weights: SimWeights = field(default_factory=SimWeights)
     pair_threshold: float = 0.0
-    use_cache: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.pair_threshold <= 1.0:

@@ -176,5 +176,5 @@ def parse_hierarchy(lines: Iterable[str], source: str = "<memory>") -> Hierarchy
 
 def load_hierarchy_file(path: str | Path) -> Hierarchy:
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_hierarchy(handle, source=str(path))

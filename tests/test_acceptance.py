@@ -12,8 +12,8 @@ per check.  The checks are, in order:
 4. document ranking against a brute-force reimplementation of the whole
    cascade on 200 random corpora (scores to 1e-12, exact order);
 5. invariant suites: range/symmetry/identity at all three levels, weight
-   scaling, threshold monotonicity, seed exclusion, top-n prefix, cache
-   transparency, worker-count determinism;
+   scaling, threshold monotonicity, seed exclusion, top-n prefix, block
+   size transparency, index reuse determinism;
 6. end-to-end synthetic evaluation sweeps (perfect gold -> 1.0000,
    unreachable gold -> 0.0000, byte-identical CSV across runs);
 7. exact unit checks for the precision/recall/F arithmetic.
@@ -36,6 +36,7 @@ from predsim import (
     predication_similarity,
     recall_at,
     run_eval,
+    retrieval,
     set_similarity,
 )
 
@@ -223,27 +224,34 @@ class TestInvariantSuites:
             for n in range(1, len(full) + 1):
                 assert engine.related_documents(small_corpus, seed, n) == full[:n]
 
-    def test_cache_transparency_bit_identical(self, small_corpus):
-        def render(engine):
-            out = []
-            for seed in small_corpus.doc_ids():
-                for r in engine.related_documents(small_corpus, seed, 10):
-                    out.append(f"{r.rank}\t{r.doc_id}\t{r.score!r}")
-            return "\n".join(out)
+    @staticmethod
+    def _render(engine_for_seed, corpus):
+        out = []
+        for seed in corpus.doc_ids():
+            for r in engine_for_seed(seed).related_documents(corpus, seed, 10):
+                out.append(f"{r.rank}\t{r.doc_id}\t{r.score!r}")
+        return "\n".join(out)
 
-        cached = render(fixture_engine(config=SimConfig(use_cache=True)))
-        uncached = render(fixture_engine(config=SimConfig(use_cache=False)))
-        assert cached == uncached
+    def test_block_size_transparency_bit_identical(self, small_corpus, monkeypatch):
+        engine = fixture_engine()
+        default = self._render(lambda seed: engine, small_corpus)
+        monkeypatch.setattr(retrieval, "BLOCK_ELEMENTS", 1)
+        engine = fixture_engine()
+        assert self._render(lambda seed: engine, small_corpus) == default
 
-    def test_worker_count_determinism(self, small_corpus):
-        renders = []
-        for workers in (1, 2, 8):
-            engine = fixture_engine(workers=workers)
-            out = []
-            for seed in small_corpus.doc_ids():
-                for r in engine.related_documents(small_corpus, seed, 10):
-                    out.append(f"{r.rank}\t{r.doc_id}\t{r.score!r}")
-            renders.append("\n".join(out))
+    def test_index_reuse_determinism(self, small_corpus):
+        shared = fixture_engine()
+        other = load_corpus([("e1", "C2", "CAUSES", "OB"), ("e2", "C1", "TREATS", "OA")])
+
+        def switching(seed):
+            shared.query_documents(other, small_corpus[seed], 1)  # evicts the index
+            return shared
+
+        renders = [
+            self._render(lambda seed: fixture_engine(), small_corpus),
+            self._render(lambda seed: shared, small_corpus),
+            self._render(switching, small_corpus),
+        ]
         assert renders[0] == renders[1] == renders[2]
 
 

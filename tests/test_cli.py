@@ -217,16 +217,6 @@ class TestFlagsAndDeterminism:
         assert code == 0
         assert "related" in out
 
-    def test_workers_do_not_change_output(self, files, capsys):
-        outputs = []
-        for workers in ("1", "2", "8"):
-            code = main(["related", *files["base"], "--seed", "d1",
-                         "--workers", workers])
-            out, _ = capsys.readouterr()
-            assert code == EXIT_OK
-            outputs.append(out)
-        assert outputs[0] == outputs[1] == outputs[2]
-
     def test_repeated_invocations_byte_identical(self, files, capsys):
         outputs = []
         for _ in range(2):

@@ -5,7 +5,6 @@ from predsim import (
     LoadError,
     Predication,
     PredicationSet,
-    SimCache,
     load_corpus,
     load_gold,
     load_gold_file,
@@ -96,6 +95,19 @@ class TestPredicationsFile:
         assert again == corpus
         assert again.stats.duplicates_dropped == 0
 
+    def test_load_file_ignores_byte_order_mark(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_text("\ufeff" + self.CONTENT, encoding="utf-8")
+        assert load_predications_file(path) == parse_predications(
+            self.CONTENT.splitlines(keepends=True)
+        )
+
+    def test_large_document_duplicates_counted(self):
+        records = [("big", f"s{i}", "r", "o") for i in range(5000)] * 2
+        corpus = load_corpus(records)
+        assert len(corpus["big"]) == 5000
+        assert corpus.stats.duplicates_dropped == 5000
+
 
 class TestGoldStandard:
     def test_basic(self):
@@ -136,51 +148,8 @@ class TestGoldStandard:
         gold = load_gold_file(path)
         assert gold.seeds() == ("s1", "s2")
 
+    def test_load_file_ignores_byte_order_mark(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        path.write_text("\ufeffs1\td2\t1\n", encoding="utf-8")
+        assert load_gold_file(path).seeds() == ("s1",)
 
-class TestSimCache:
-    def test_miss_then_hit_skips_recompute(self):
-        cache = SimCache()
-        calls = []
-
-        def compute(a, b):
-            calls.append((a, b))
-            return 0.25
-
-        assert cache.lookup_or_compute("C1", "C2", compute) == 0.25
-        assert cache.lookup_or_compute("C1", "C2", compute) == 0.25
-        assert calls == [("C1", "C2")]
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_key_is_order_independent(self):
-        cache = SimCache()
-        cache.lookup_or_compute("C1", "C2", lambda a, b: 0.75)
-        hit = cache.lookup_or_compute("C2", "C1", lambda a, b: 0.0)
-        assert hit == 0.75
-        assert len(cache) == 1
-
-    def test_zero_score_is_cached(self):
-        cache = SimCache()
-        calls = []
-
-        def compute(a, b):
-            calls.append(1)
-            return 0.0
-
-        cache.lookup_or_compute("a", "b", compute)
-        cache.lookup_or_compute("a", "b", compute)
-        assert len(calls) == 1
-
-    def test_concurrent_lookup_or_compute(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        cache = SimCache()
-        pairs = [(f"x{i % 7}", f"y{i % 5}") for i in range(500)]
-
-        def score(pair):
-            return cache.lookup_or_compute(*pair, lambda a, b: float(len(a + b)))
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(score, pairs))
-        for (a, b), got in zip(pairs, results):
-            assert got == float(len(a + b))
-        assert len(cache) == len({SimCache.key(a, b) for a, b in pairs})

@@ -43,7 +43,6 @@ class TestConfig:
         cfg = SimConfig()
         assert cfg.weights == SimWeights()
         assert cfg.pair_threshold == 0.0
-        assert cfg.use_cache
 
     @pytest.mark.parametrize("tau", [-0.1, 1.5])
     def test_threshold_out_of_range(self, tau):

@@ -53,6 +53,13 @@ class TestLoading:
         assert h.nodes == {"A", "R"}
         assert h.source == str(path)
 
+    def test_load_file_ignores_byte_order_mark(self, tmp_path):
+        path = tmp_path / "h.tsv"
+        path.write_text("\ufeffA\tP\nB\tP\nP\tR\n", encoding="utf-8")
+        h = load_hierarchy_file(path)
+        assert h.nodes == {"A", "B", "P", "R"}
+        assert h.similarity("A", "B") == 0.5
+
 
 class TestAncestors:
     def test_chain(self):

@@ -14,6 +14,7 @@ from predsim import (
     format_predication,
     load_corpus,
     load_hierarchy,
+    retrieval,
 )
 
 from oracles import (
@@ -180,36 +181,41 @@ class TestDeterminismAndTransparency:
         ]
         assert runs[0] == runs[1]
 
-    def test_worker_counts_do_not_change_output(self, concept_h, relation_h, small_corpus):
-        outputs = []
-        for workers in (1, 2, 8):
-            engine = RetrievalEngine(concept_h, relation_h, workers=workers)
+    def test_block_size_does_not_change_output(
+        self, concept_h, relation_h, small_corpus, monkeypatch
+    ):
+        def run():
+            engine = RetrievalEngine(concept_h, relation_h)
             docs = engine.related_documents(small_corpus, "d1", 10)
             preds = engine.related_predications(
                 small_corpus, PredicationPattern(None, "TREATS", "OA"), 10
             )
-            outputs.append((docs, preds))
-        assert outputs[0] == outputs[1] == outputs[2]
+            return docs, preds
 
-    def test_cache_transparency(self, concept_h, relation_h, small_corpus):
-        cached = RetrievalEngine(
-            concept_h, relation_h, SimConfig(use_cache=True)
-        )
-        uncached = RetrievalEngine(
-            concept_h, relation_h, SimConfig(use_cache=False)
-        )
-        assert cached.concept_cache is not None
-        assert uncached.concept_cache is None
-        for seed in ("d1", "d3", "d4"):
-            a = cached.related_documents(small_corpus, seed, 10)
-            b = uncached.related_documents(small_corpus, seed, 10)
-            assert a == b
+        default = run()
+        monkeypatch.setattr(retrieval, "BLOCK_ELEMENTS", 1)
+        assert run() == default
 
-    def test_cache_actually_fills(self, concept_h, relation_h, small_corpus):
+    def test_index_reuse_transparency(self, concept_h, relation_h, small_corpus):
+        other = load_corpus([("e1", "C2", "CAUSES", "OB"), ("e2", "C1", "TREATS", "OA")])
+        shared = RetrievalEngine(concept_h, relation_h)
+        for seed, corpus in (("d1", small_corpus), ("e1", other), ("d3", small_corpus)):
+            fresh = RetrievalEngine(concept_h, relation_h)
+            assert shared.related_documents(corpus, seed, 10) == fresh.related_documents(
+                corpus, seed, 10
+            )
+
+    def test_index_kept_for_last_corpus_only(self, concept_h, relation_h, small_corpus):
         engine = RetrievalEngine(concept_h, relation_h)
+        assert engine._index is None  # built on the first query, not at construction
         engine.related_documents(small_corpus, "d1", 10)
-        assert len(engine.concept_cache) > 0
-        assert engine.concept_cache.hits > 0
+        first = engine._index
+        assert first.corpus is small_corpus
+        engine.query_documents(small_corpus, small_corpus["d3"], 10)
+        assert engine._index is first
+        other = load_corpus([("e1", "C2", "CAUSES", "OB")])
+        engine.query_documents(other, small_corpus["d3"], 10)
+        assert engine._index.corpus is other
 
 
 class TestOracleEquivalence:
