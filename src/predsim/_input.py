@@ -1,0 +1,81 @@
+"""Input checks shared by the loaders: one identifier validator, one line
+reader and its counterpart for in-memory records.
+
+Both readers yield ``(number, fields)`` pairs, counting from 1, and raise
+the only error they can locate themselves, a wrong field count.  A caller
+that rejects a record builds the ``"{source}: line N"`` (or ``record N``)
+prefix then, from the number, so the valid path formats no location text.
+"""
+
+from __future__ import annotations
+
+import re
+from collections.abc import Iterable, Iterator, Sequence
+
+from .errors import LoadError
+
+WILDCARD = "?"
+
+_TAB_OR_NEWLINE = re.compile(r"[\t\n\r]").search
+_FORBIDDEN_IN_LITERAL = re.compile(r"[\t\n\r|]").search
+
+
+def check_identifier(
+    value: str, what: str, where: str | None = None, literal: bool = False
+) -> None:
+    """Raise :class:`LoadError` unless ``value`` is a valid identifier.
+
+    Every identifier is non-empty and free of tabs and line breaks.  An
+    identifier that fills a predication slot (``literal=True``) may not
+    contain ``|`` either, nor be the wildcard token.  The message reads
+    ``"{where}: {problem}"``, or just the problem when ``where`` is None.
+    """
+    if literal:
+        if value and value != WILDCARD and _FORBIDDEN_IN_LITERAL(value) is None:
+            return
+        if not value:
+            problem = f"empty {what}"
+        elif value == WILDCARD:
+            problem = f"{what} may not be the reserved token {WILDCARD!r}"
+        else:
+            problem = f"{what} contains a forbidden character"
+    elif value and _TAB_OR_NEWLINE(value) is None:
+        return
+    elif not value:
+        problem = f"empty {what}"
+    else:
+        problem = f"{what} contains tab or newline"
+    raise LoadError(problem if where is None else f"{where}: {problem}")
+
+
+def line_records(
+    lines: Iterable[str], n_fields: int, source: str
+) -> Iterator[tuple[int, list[str]]]:
+    """Tab-separated fields of each data line, with its line number.
+
+    The line break (``\\n`` or ``\\r\\n``) is stripped; blank lines and lines
+    whose first non-blank character is ``#`` are skipped.
+    """
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        head = line.lstrip()
+        if not head or head[0] == "#":
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise LoadError(
+                f"{source}: line {lineno}: expected {n_fields} fields, got {len(fields)}"
+            )
+        yield lineno, fields
+
+
+def tuple_records(
+    records: Iterable[Sequence], n_fields: int, source: str
+) -> Iterator[tuple[int, Sequence]]:
+    """Each in-memory record with its record number, checking its length."""
+    for number, record in enumerate(records, start=1):
+        if len(record) != n_fields:
+            raise LoadError(
+                f"{source}: record {number}: expected {n_fields} fields, got {len(record)}"
+            )
+        yield number, record

@@ -14,35 +14,23 @@ list instead of failing the load.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
+from ._input import check_identifier, line_records, tuple_records
 from .errors import LoadError
 from .predication import Predication, PredicationSet
 
 
-def _check_id(value: str, what: str, where: str) -> None:
-    if not value:
-        raise LoadError(f"{where}: empty {what}")
-    if "\t" in value or "\n" in value or "\r" in value:
-        raise LoadError(f"{where}: {what} contains tab or newline")
-
-
+@dataclass(frozen=True)
 class CorpusStats:
     """Load diagnostics: document/predication counts and drops."""
 
-    def __init__(self, documents: int, predications: int, duplicates_dropped: int):
-        self.documents = documents
-        self.predications = predications
-        self.duplicates_dropped = duplicates_dropped
-
-    def __repr__(self) -> str:
-        return (
-            f"CorpusStats(documents={self.documents}, "
-            f"predications={self.predications}, "
-            f"duplicates_dropped={self.duplicates_dropped})"
-        )
+    documents: int
+    predications: int
+    duplicates_dropped: int
 
 
 class Corpus:
@@ -57,7 +45,7 @@ class Corpus:
         kept: dict[str, PredicationSet] = {}
         skipped: list[str] = []
         for doc_id in sorted(docs):
-            _check_id(doc_id, "document id", source)
+            check_identifier(doc_id, "document id", source)
             pset = docs[doc_id]
             if len(pset) == 0:
                 skipped.append(doc_id)
@@ -94,25 +82,26 @@ class Corpus:
 
 
 def _group_into_corpus(
-    positioned: Iterable[tuple[str, tuple[str, str, str, str]]], source: str
+    numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str
 ) -> Corpus:
     # Per-document buckets are insertion-ordered dicts used as sets, so
-    # the duplicate check is constant time however large a document grows.
+    # adding to one is constant time however large a document grows.
     grouped: dict[str, dict[Predication, None]] = {}
-    duplicates = 0
-    for where, (doc_id, subject, relation, obj) in positioned:
-        _check_id(doc_id, "document id", where)
+    records = 0
+    for number, (doc_id, subject, relation, obj) in numbered:
         try:
+            check_identifier(doc_id, "document id")
             pred = Predication(subject, relation, obj)
         except LoadError as err:
-            raise LoadError(f"{where}: {err}") from None
-        bucket = grouped.setdefault(doc_id, {})
-        if pred in bucket:
-            duplicates += 1
-        else:
-            bucket[pred] = None
+            raise LoadError(f"{source}: {unit} {number}: {err}") from None
+        bucket = grouped.get(doc_id)
+        if bucket is None:
+            bucket = grouped[doc_id] = {}
+        bucket[pred] = None
+        records += 1
     if not grouped:
         raise LoadError(f"{source}: no predication records; corpus would be empty")
+    duplicates = records - sum(map(len, grouped.values()))
     docs = {doc_id: PredicationSet.from_iterable(ps) for doc_id, ps in grouped.items()}
     return Corpus(docs, source=source, duplicates_dropped=duplicates)
 
@@ -121,32 +110,12 @@ def load_corpus(
     records: Iterable[tuple[str, str, str, str]], source: str = "<records>"
 ) -> Corpus:
     """Group (doc_id, subject, relation, object) records into a corpus."""
-
-    def positioned():
-        for i, record in enumerate(records, start=1):
-            where = f"{source}: record {i}"
-            if len(record) != 4:
-                raise LoadError(f"{where}: expected 4 fields, got {len(record)}")
-            yield where, tuple(record)
-
-    return _group_into_corpus(positioned(), source)
+    return _group_into_corpus(tuple_records(records, 4, source), source, "record")
 
 
 def parse_predications(lines: Iterable[str], source: str = "<memory>") -> Corpus:
     """Parse ``doc<TAB>subject<TAB>relation<TAB>object`` lines."""
-
-    def positioned():
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            where = f"{source}: line {lineno}"
-            if len(fields) != 4:
-                raise LoadError(f"{where}: expected 4 fields, got {len(fields)}")
-            yield where, tuple(fields)
-
-    return _group_into_corpus(positioned(), source)
+    return _group_into_corpus(line_records(lines, 4, source), source, "line")
 
 
 def load_predications_file(path: str | Path) -> Corpus:
@@ -159,15 +128,21 @@ def write_predications_file(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus back out in the predications file format.
 
     Documents and members are emitted in canonical order, so the output
-    is deterministic and reloads to an equal corpus.
+    is deterministic and reloads to an equal corpus.  Raises ValueError,
+    before writing anything, for a line that would not read back as
+    written: one that starts with a byte-order mark, or that is blank or
+    a ``#`` comment to the reader.
     """
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        for doc_id in corpus.doc_ids():
-            for pred in corpus[doc_id]:
-                handle.write(
-                    f"{doc_id}\t{pred.subject}\t{pred.relation}\t{pred.object}\n"
-                )
+    lines = [
+        f"{doc_id}\t{pred.subject}\t{pred.relation}\t{pred.object}\n"
+        for doc_id in corpus.doc_ids()
+        for pred in corpus[doc_id]
+    ]
+    for line in lines:
+        head = line.lstrip()
+        if not head or head[0] == "#" or line.startswith("\ufeff"):
+            raise ValueError(f"line {line!r} would not read back as written")
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 class GoldStandard:
@@ -192,19 +167,31 @@ class GoldStandard:
 
 
 def _build_gold(
-    positioned: Iterable[tuple[str, str, str, int]], source: str
+    numbered: Iterator[tuple[int, Sequence]], source: str, unit: str, rank_text: bool
 ) -> GoldStandard:
+    """Group numbered (seed, related, rank) fields by seed.  The rank is an
+    int, or with ``rank_text`` the text of one."""
     by_seed: dict[str, dict[int, str]] = {}
-    for where, seed, related, rank in positioned:
-        _check_id(seed, "seed id", where)
-        _check_id(related, "related id", where)
-        if rank < 1:
-            raise LoadError(f"{where}: rank must be a positive integer, got {rank}")
-        if seed == related:
-            raise LoadError(f"{where}: seed {seed!r} appears in its own related list")
-        ranks = by_seed.setdefault(seed, {})
-        if rank in ranks:
-            raise LoadError(f"{where}: duplicate rank {rank} for seed {seed!r}")
+    for number, (seed, related, rank) in numbered:
+        try:
+            if rank_text:
+                try:
+                    rank = int(rank)
+                except ValueError:
+                    pass
+            if not isinstance(rank, int):
+                raise LoadError(f"rank must be an integer, got {rank!r}")
+            check_identifier(seed, "seed id")
+            check_identifier(related, "related id")
+            if rank < 1:
+                raise LoadError(f"rank must be a positive integer, got {rank}")
+            if seed == related:
+                raise LoadError(f"seed {seed!r} appears in its own related list")
+            ranks = by_seed.setdefault(seed, {})
+            if rank in ranks:
+                raise LoadError(f"duplicate rank {rank} for seed {seed!r}")
+        except LoadError as err:
+            raise LoadError(f"{source}: {unit} {number}: {err}") from None
         ranks[rank] = related
     if not by_seed:
         raise LoadError(f"{source}: no gold records")
@@ -217,42 +204,12 @@ def load_gold(
     records: Iterable[tuple[str, str, int]], source: str = "<records>"
 ) -> GoldStandard:
     """Build a gold standard from (seed, related, rank) records."""
-
-    def positioned():
-        for i, record in enumerate(records, start=1):
-            where = f"{source}: record {i}"
-            if len(record) != 3:
-                raise LoadError(f"{where}: expected 3 fields, got {len(record)}")
-            seed, related, rank = record
-            if not isinstance(rank, int):
-                raise LoadError(f"{where}: rank must be an integer, got {rank!r}")
-            yield where, seed, related, rank
-
-    return _build_gold(positioned(), source)
+    return _build_gold(tuple_records(records, 3, source), source, "record", rank_text=False)
 
 
 def parse_gold(lines: Iterable[str], source: str = "<memory>") -> GoldStandard:
     """Parse ``seed<TAB>related<TAB>rank`` lines."""
-
-    def positioned():
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            where = f"{source}: line {lineno}"
-            if len(fields) != 3:
-                raise LoadError(f"{where}: expected 3 fields, got {len(fields)}")
-            seed, related, rank_text = fields
-            try:
-                rank = int(rank_text)
-            except ValueError:
-                raise LoadError(
-                    f"{where}: rank must be an integer, got {rank_text!r}"
-                ) from None
-            yield where, seed, related, rank
-
-    return _build_gold(positioned(), source)
+    return _build_gold(line_records(lines, 3, source), source, "line", rank_text=True)
 
 
 def load_gold_file(path: str | Path) -> GoldStandard:

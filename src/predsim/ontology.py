@@ -24,21 +24,25 @@ load time, since well-formed hierarchies are expected to be acyclic.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
+from ._input import check_identifier, line_records, tuple_records
 from .errors import LoadError
 
 
-def _check_token(token: str, what: str, where: str) -> None:
-    if not token:
-        raise LoadError(f"{where}: empty {what}")
-    if "\t" in token or "\n" in token or "\r" in token:
-        raise LoadError(f"{where}: {what} contains tab or newline")
-
-
 class Hierarchy:
-    """Immutable child->parent graph with memoized ancestor sets."""
+    """Immutable child->parent graph with memoized ancestor sets.
+
+    Every edge is checked here: both identifiers must be non-empty and
+    free of tabs and line breaks, and self-loops are rejected.  The file
+    and record loaders re-raise these errors with the line or record
+    number of the edge.
+
+    An ancestor set is memoized when it is asked for, and a new set takes
+    the memoized sets of its ancestors whole instead of walking past them
+    (see :meth:`ancestors`); :meth:`ancestor_sets` asks parents first.
+    """
 
     def __init__(
         self,
@@ -46,27 +50,32 @@ class Hierarchy:
         isolated: Iterable[str] = (),
         source: str = "<memory>",
     ):
-        edge_set: set[tuple[str, str]] = set()
         parents: dict[str, set[str]] = {}
         nodes: set[str] = set(isolated)
         for child, parent in edges:
-            if child == parent:
-                raise LoadError(f"{source}: self-loop edge {child!r} -> {parent!r}")
-            if (child, parent) in edge_set:
-                continue
-            edge_set.add((child, parent))
+            try:
+                check_identifier(child, "child identifier")
+                check_identifier(parent, "parent identifier")
+                if child == parent:
+                    raise LoadError(f"self-loop edge {child!r} -> {parent!r}")
+            except LoadError as err:
+                raise LoadError(f"{source}: {err}") from None
             parents.setdefault(child, set()).add(parent)
             nodes.add(child)
             nodes.add(parent)
         self.source = source
-        self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
+        self.edges: frozenset[tuple[str, str]] = frozenset(
+            (child, parent) for child, ps in parents.items() for parent in ps
+        )
         self.nodes: frozenset[str] = frozenset(nodes)
         self._parents: dict[str, frozenset[str]] = {
             child: frozenset(ps) for child, ps in parents.items()
         }
         self._ancestor_memo: dict[str, frozenset[str]] = {}
-        cyclic = self._cycle_members()
-        if cyclic:
+        peeled = self._leaves_first()
+        self._roots_first: list[str] = peeled[::-1]
+        if len(peeled) < len(self.nodes):
+            cyclic = self.nodes.difference(peeled)
             sample = ", ".join(sorted(cyclic)[:5])
             warnings.warn(
                 f"{source}: hierarchy contains a cycle "
@@ -87,45 +96,74 @@ class Hierarchy:
     def parents_of(self, node: str) -> frozenset[str]:
         return self._parents.get(node, frozenset())
 
-    def _cycle_members(self) -> frozenset[str]:
-        # Kahn peeling over child->parent arcs; whatever survives sits on
-        # (or feeds into) a cycle.
-        indegree = {n: 0 for n in self.nodes}
+    def _leaves_first(self) -> list[str]:
+        # Kahn peeling over child->parent arcs: each node comes after all
+        # of its children.  The nodes on a cycle, and every node above one,
+        # never come.
+        indegree = dict.fromkeys(self.nodes, 0)
         for _, parent in self.edges:
             indegree[parent] += 1
         ready = [n for n, d in indegree.items() if d == 0]
-        remaining = len(indegree)
+        order = []
         while ready:
             node = ready.pop()
-            remaining -= 1
+            order.append(node)
             for parent in self._parents.get(node, ()):
                 indegree[parent] -= 1
                 if indegree[parent] == 0:
                     ready.append(parent)
-        if remaining == 0:
-            return frozenset()
-        return frozenset(n for n, d in indegree.items() if d > 0)
+        return order
 
     def ancestors(self, node: str) -> frozenset[str]:
         """Self-inclusive ancestor set of ``node``.
 
-        Unknown identifiers yield ``{node}``.  Results are memoized; the
-        memo is safe under concurrent lookups because duplicate
-        computations of the same set are identical.
+        Unknown identifiers yield ``{node}``.  Results are memoized.  A
+        set is built by an iterative walk up from ``node`` (so depth is
+        not bounded by the recursion limit) that does not pass an ancestor
+        whose set is already memoized: it takes that whole set in one
+        union instead.  A memoized set is closed under parents, so this is
+        exact on cycles too, with no special case.  Only requested sets
+        are memoized, never the intermediate ones, so memory stays linear
+        in what is asked for even on a deep chain; :meth:`ancestor_sets`
+        orders a batch so that each set is built from its parents' sets.
+
+        The memo is safe under concurrent lookups: it only ever holds
+        finished sets, and two computations of one set are equal.
         """
-        cached = self._ancestor_memo.get(node)
-        if cached is not None:
-            return cached
+        memo = self._ancestor_memo
+        known = memo.get(node)
+        if known is not None:
+            return known
         seen = {node}
         stack = [node]
         while stack:
             for parent in self._parents.get(stack.pop(), ()):
                 if parent not in seen:
-                    seen.add(parent)
-                    stack.append(parent)
+                    known = memo.get(parent)
+                    if known is None:
+                        seen.add(parent)
+                        stack.append(parent)
+                    else:
+                        seen |= known
         result = frozenset(seen)
-        self._ancestor_memo[node] = result
+        memo[node] = result
         return result
+
+    def ancestor_sets(self, names: Sequence[str]) -> list[frozenset[str]]:
+        """``[self.ancestors(name) for name in names]``, built parents first.
+
+        The missing sets are computed in reverse peeling order, parents
+        before children, so a name whose parents are among ``names`` gets
+        its set as ``{name}`` united with their memoized sets.  Names on or
+        above a cycle, and unknown names, come last.
+        """
+        memo = self._ancestor_memo
+        missing = set(names).difference(memo)
+        if missing:
+            for node in self._roots_first:
+                if node in missing:
+                    self.ancestors(node)
+        return [memo.get(name) or self.ancestors(name) for name in names]
 
     def similarity(self, a: str, b: str) -> float:
         """Jaccard overlap of the two self-inclusive ancestor sets."""
@@ -136,42 +174,36 @@ class Hierarchy:
         return shared / total
 
 
+def _build(numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str) -> Hierarchy:
+    """A hierarchy of numbered (child, parent) fields; an edge that
+    :class:`Hierarchy` rejects is re-raised with its line or record number."""
+    at = None  # number of the edge being built, None while reading
+
+    def edges():
+        nonlocal at
+        for at, fields in numbered:
+            yield fields
+            at = None
+
+    try:
+        return Hierarchy(edges(), source=source)
+    except LoadError as err:
+        if at is None:  # a reader error, located already
+            raise
+        problem = str(err).removeprefix(f"{source}: ")
+        raise LoadError(f"{source}: {unit} {at}: {problem}") from None
+
+
 def load_hierarchy(
     records: Iterable[tuple[str, str]], source: str = "<records>"
 ) -> Hierarchy:
     """Build a hierarchy from (child, parent) records, validating each."""
-    checked: list[tuple[str, str]] = []
-    for i, record in enumerate(records, start=1):
-        where = f"{source}: record {i}"
-        if len(record) != 2:
-            raise LoadError(f"{where}: expected 2 fields, got {len(record)}")
-        child, parent = record
-        _check_token(child, "child identifier", where)
-        _check_token(parent, "parent identifier", where)
-        if child == parent:
-            raise LoadError(f"{where}: self-loop edge {child!r} -> {parent!r}")
-        checked.append((child, parent))
-    return Hierarchy(checked, source=source)
+    return _build(tuple_records(records, 2, source), source, "record")
 
 
 def parse_hierarchy(lines: Iterable[str], source: str = "<memory>") -> Hierarchy:
     """Parse ``child<TAB>parent`` lines; ``#`` comments and blanks ignored."""
-    edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        where = f"{source}: line {lineno}"
-        if len(fields) != 2:
-            raise LoadError(f"{where}: expected 2 fields, got {len(fields)}")
-        child, parent = fields
-        _check_token(child, "child identifier", where)
-        _check_token(parent, "parent identifier", where)
-        if child == parent:
-            raise LoadError(f"{where}: self-loop edge {child!r} -> {parent!r}")
-        edges.append((child, parent))
-    return Hierarchy(edges, source=source)
+    return _build(line_records(lines, 2, source), source, "line")
 
 
 def load_hierarchy_file(path: str | Path) -> Hierarchy:

@@ -27,34 +27,28 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
+from ._input import WILDCARD, check_identifier
 from .errors import LoadError
-
-WILDCARD = "?"
 
 SimilarityFn = Callable[[str, str], float]
 
 
-def _check_slot(value: str, slot: str, where: str) -> None:
-    if not value:
-        raise LoadError(f"{where}: empty {slot}")
-    if any(c in value for c in "\t\n\r|"):
-        raise LoadError(f"{where}: {slot} contains a forbidden character")
-    if value == WILDCARD:
-        raise LoadError(f"{where}: {slot} may not be the reserved token {WILDCARD!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Predication:
-    """A fully bound subject-relation-object triple."""
+    """A fully bound subject-relation-object triple.
+
+    Instances have ``__slots__``: no ``__dict__``, and no attributes
+    beyond the three slots.
+    """
 
     subject: str
     relation: str
     object: str
 
     def __post_init__(self):
-        _check_slot(self.subject, "subject", "predication")
-        _check_slot(self.relation, "relation", "predication")
-        _check_slot(self.object, "object", "predication")
+        check_identifier(self.subject, "subject", "predication", literal=True)
+        check_identifier(self.relation, "relation", "predication", literal=True)
+        check_identifier(self.object, "object", "predication", literal=True)
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,7 @@ class PredicationPattern:
             (self.object, "object"),
         ):
             if value is not None:
-                _check_slot(value, slot, "pattern")
+                check_identifier(value, slot, "pattern", literal=True)
 
     @property
     def is_fully_bound(self) -> bool:
@@ -124,7 +118,7 @@ def parse_predication(text: str) -> Predication:
     for field, slot in zip(fields, ("subject", "relation", "object")):
         if field == WILDCARD:
             raise LoadError(f"{where}: wildcard {slot} not allowed here")
-        _check_slot(field, slot, where)
+        check_identifier(field, slot, where, literal=True)
     return Predication(*fields)
 
 
@@ -139,7 +133,7 @@ def parse_pattern(text: str) -> PredicationPattern:
         raise LoadError(f"{where}: at least one slot must be bound")
     for value, slot in zip(slots, ("subject", "relation", "object")):
         if value is not None:
-            _check_slot(value, slot, where)
+            check_identifier(value, slot, where, literal=True)
     return PredicationPattern(*slots)
 
 

@@ -93,7 +93,7 @@ class _Vocabulary:
     def __init__(self, hierarchy: Hierarchy, names: list[str]):
         self.hierarchy = hierarchy
         self.ids, self.codes = _intern(names)
-        ancestor_sets = [hierarchy.ancestors(name) for name in self.ids]
+        ancestor_sets = hierarchy.ancestor_sets(list(self.ids))
         self.nodes, self.flat = _intern([a for s in ancestor_sets for a in s])
         self.sizes = np.fromiter(map(len, ancestor_sets), dtype=np.int64)
         self.starts = _offsets(self.sizes)[:-1]

@@ -122,3 +122,21 @@ def random_corpus(
             triples.add((s, r, o))
         docs[f"d{d:02d}"] = sorted(triples)
     return docs
+
+
+def random_cyclic_graph(
+    rng: np.random.Generator, max_nodes: int = 20, max_edges: int = 40
+):
+    """Random child->parent graph with at least one cycle and a chain of
+    two nodes hanging below it; other arcs point either way."""
+    n = int(rng.integers(3, max_nodes + 1))
+    names = [f"n{i:02d}" for i in range(n)]
+    edges = set()
+    for _ in range(int(rng.integers(0, max_edges + 1))):
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            edges.add((names[int(i)], names[int(j)]))
+    ring = [names[int(i)] for i in rng.permutation(n)[: int(rng.integers(2, min(n, 5) + 1))]]
+    edges.update(zip(ring, ring[1:] + ring[:1]))
+    edges.update([("below1", "below0"), ("below0", ring[0])])
+    return names + ["below0", "below1"], sorted(edges)

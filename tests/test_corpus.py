@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from predsim import (
     Corpus,
+    CorpusStats,
     LoadError,
     Predication,
     PredicationSet,
@@ -55,6 +58,19 @@ class TestCorpusLoading:
     def test_doc_ids_sorted(self, small_corpus):
         assert small_corpus.doc_ids() == ("d1", "d2", "d3", "d4")
 
+    def test_stats_is_a_frozen_value(self, small_corpus):
+        stats = small_corpus.stats
+        assert repr(stats) == "CorpusStats(documents=4, predications=6, duplicates_dropped=0)"
+        assert stats == CorpusStats(documents=4, predications=6, duplicates_dropped=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.documents = 5
+
+    def test_bad_record_names_record(self):
+        with pytest.raises(LoadError, match=r"^<records>: record 2: predication: empty object$"):
+            load_corpus([("d1", "a", "r", "b"), ("d1", "a", "r", "")])
+        with pytest.raises(LoadError, match=r"^<records>: record 1: empty document id$"):
+            load_corpus([("", "a", "r", "b")])
+
 
 class TestPredicationsFile:
     CONTENT = (
@@ -74,6 +90,34 @@ class TestPredicationsFile:
         lines = ["# header\n"] * 6 + ["d1\ta\tr\n"]
         with pytest.raises(LoadError, match="line 7: expected 4 fields"):
             parse_predications(lines)
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("d1\ta|b\tr\tc\n", "predication: subject contains a forbidden character"),
+            ("d1\ta\t?\tc\n", "predication: relation may not be the reserved token '?'"),
+            ("d\r1\ta\tr\tc\n", "document id contains tab or newline"),
+        ],
+    )
+    def test_bad_identifier_names_line(self, line, problem):
+        with pytest.raises(LoadError) as raised:
+            parse_predications(["d0\ta\tr\tc\n", "\n", line], source="p.tsv")
+        assert str(raised.value) == f"p.tsv: line 3: {problem}"
+
+    def test_unreadable_lines_are_not_written(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        records = [
+            ("#d", "a", "r", "b"),
+            (" #d", "a", "r", "b"),
+            (" ", "#s", "r", "b"),
+            (" ", " ", " ", " "),
+            ("\ufeffd", "a", "r", "b"),
+        ]
+        for record in records:
+            corpus = load_corpus([record])
+            with pytest.raises(ValueError, match="would not read back"):
+                write_predications_file(corpus, path)
+            assert not path.exists()
 
     def test_load_determinism(self, tmp_path):
         path = tmp_path / "p.tsv"
@@ -141,6 +185,16 @@ class TestGoldStandard:
     def test_parse_bad_rank(self):
         with pytest.raises(LoadError, match="line 1: rank must be an integer"):
             parse_gold(["s1\td2\tfirst\n"])
+
+    def test_record_rank_must_be_an_int(self):
+        with pytest.raises(LoadError, match=r"^<records>: record 1: rank must be an integer, got '1'$"):
+            load_gold([("s1", "d2", "1")])
+
+    def test_parse_errors_name_line(self):
+        with pytest.raises(LoadError, match=r"^g: line 3: duplicate rank 1 for seed 's1'$"):
+            parse_gold(["s1\td2\t1\n", "# c\n", "s1\td3\t1\n"], source="g")
+        with pytest.raises(LoadError, match=r"^g: line 1: empty related id$"):
+            parse_gold(["s1\t\t1\n"], source="g")
 
     def test_load_file(self, tmp_path):
         path = tmp_path / "gold.tsv"

@@ -1,0 +1,238 @@
+"""Property tests for the three file formats.
+
+Round trips: a corpus written by ``write_predications_file`` reloads to an
+equal corpus.  Adversarial lines: text built from CRLF and LF endings, a
+byte-order mark, ``#`` comments, blank lines and identifiers holding a
+tab, ``|``, ``\\r`` or ``?`` must either load to the records that the
+format's rules below give, or raise ``LoadError`` naming the line where
+those rules first fail.  The rules are written out here independently of
+the loaders.
+"""
+
+import re
+import warnings
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from predsim import (
+    LoadError,
+    load_corpus,
+    load_gold_file,
+    load_hierarchy_file,
+    load_predications_file,
+    parse_gold,
+    parse_hierarchy,
+    parse_predications,
+    write_predications_file,
+)
+
+SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# -- the format rules -------------------------------------------------------
+
+
+class Rejected(Exception):
+    """The rules reject line ``lineno`` (None: no data line at all)."""
+
+    def __init__(self, lineno):
+        self.lineno = lineno
+
+
+def _plain_id(value: str) -> bool:
+    return value != "" and not set(value) & set("\t\r\n")
+
+
+def _slot_id(value: str) -> bool:
+    return _plain_id(value) and "|" not in value and value != "?"
+
+
+def data_lines(lines):
+    """(line number, fields) of every line that is not blank or a comment."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if line.strip() == "" or line.lstrip().startswith("#"):
+            continue
+        yield lineno, line.split("\t")
+
+
+def predication_rules(lines):
+    docs = {}
+    for lineno, fields in data_lines(lines):
+        if len(fields) != 4:
+            raise Rejected(lineno)
+        doc, *slots = fields
+        if not _plain_id(doc) or not all(map(_slot_id, slots)):
+            raise Rejected(lineno)
+        docs.setdefault(doc, set()).add(tuple(slots))
+    if not docs:
+        raise Rejected(None)
+    return docs
+
+
+def hierarchy_rules(lines):
+    edges = set()
+    for lineno, fields in data_lines(lines):
+        if len(fields) != 2 or not all(map(_plain_id, fields)) or fields[0] == fields[1]:
+            raise Rejected(lineno)
+        edges.add(tuple(fields))
+    return edges
+
+
+def gold_rules(lines):
+    ranked = {}
+    for lineno, fields in data_lines(lines):
+        if len(fields) != 3:
+            raise Rejected(lineno)
+        seed, related, rank_text = fields
+        try:
+            rank = int(rank_text)
+        except ValueError:
+            raise Rejected(lineno) from None
+        ranks = ranked.setdefault(seed, {})
+        if not (_plain_id(seed) and _plain_id(related)) or rank < 1 or seed == related:
+            raise Rejected(lineno)
+        if rank in ranks:
+            raise Rejected(lineno)
+        ranks[rank] = related
+    if not ranked:
+        raise Rejected(None)
+    return {seed: tuple(r[k] for k in sorted(r)) for seed, r in ranked.items()}
+
+
+# -- what the loaders give, in the same terms --------------------------------
+
+
+def corpus_records(corpus):
+    return {
+        doc: {(p.subject, p.relation, p.object) for p in corpus[doc]}
+        for doc in corpus.doc_ids()
+    }
+
+
+def quiet(load):
+    def run(arg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # cycles are allowed
+            return load(arg)
+
+    return run
+
+
+FORMATS = {
+    "predications": (4, predication_rules, parse_predications, load_predications_file,
+                     corpus_records),
+    "hierarchy": (2, hierarchy_rules, quiet(parse_hierarchy), quiet(load_hierarchy_file),
+                  lambda h: set(h.edges)),
+    "gold": (3, gold_rules, parse_gold, load_gold_file, lambda g: dict(g.related)),
+}
+
+LINE_NUMBER = re.compile(r": line (\d+): ")
+
+
+def outcome(load, arg, view):
+    """The loaded records, or the line number the LoadError names."""
+    try:
+        return "loaded", view(load(arg))
+    except LoadError as err:
+        found = LINE_NUMBER.search(str(err))
+        return "rejected", int(found.group(1)) if found else None
+
+
+def expected(rules, lines):
+    try:
+        return "loaded", rules(lines)
+    except Rejected as rejected:
+        return "rejected", rejected.lineno
+
+
+# -- strategies ---------------------------------------------------------------
+
+PLAIN = ["a", "b", "c", "A1", "x y", "1", "2", "#x", " a"]
+ADVERSARIAL = ["", "?", "a|b", "a\tb", "a\rb", "|", "0", "-1", "\ufeffa"]
+fields = st.sampled_from(PLAIN + ADVERSARIAL)
+ENDINGS = st.sampled_from(["\n", "\r\n"])
+
+
+def record_lines(n_fields):
+    record = st.integers(n_fields - 1, n_fields + 1).flatmap(
+        lambda k: st.lists(fields, min_size=k, max_size=k).map("\t".join)
+    )
+    clean = st.lists(st.sampled_from(PLAIN), min_size=n_fields, max_size=n_fields).map(
+        "\t".join
+    )
+    filler = st.sampled_from(["", "  ", "\t", "# comment", "  # indented\tcomment", "#"])
+    return st.lists(
+        st.tuples(st.one_of(clean, clean, record, filler), ENDINGS), max_size=12
+    ).map(lambda pairs: [line + end for line, end in pairs])
+
+
+# -- tests ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_adversarial_lines_follow_the_format_rules(name, tmp_path):
+    n_fields, rules, parse, load_file, view = FORMATS[name]
+    path = tmp_path / f"{name}.tsv"
+
+    @SETTINGS
+    @given(record_lines(n_fields), st.booleans())
+    def check(lines, bom):
+        # Given as lines, every character stays where it is, a BOM too.
+        assert outcome(parse, lines, view) == expected(rules, lines)
+        # Read from a file, one leading BOM is dropped and a lone \r ends
+        # a line, as in any text file read with universal newlines.
+        text = ("\ufeff" if bom else "") + "".join(lines)
+        path.write_bytes(text.encode("utf-8"))
+        parts = re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff"))
+        file_lines = [part + "\n" for part in parts]
+        assert outcome(load_file, path, view) == expected(rules, file_lines)
+
+    check()
+
+
+IDENTIFIERS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r|"),
+    min_size=1,
+    max_size=6,
+)
+# the sampled lists start lines that read back as blank, as a comment or
+# without their BOM
+DOC_IDS = st.one_of(IDENTIFIERS, st.sampled_from(["#d", " #d", "\ufeffd", " ", "\x0b"]))
+SLOTS = st.one_of(IDENTIFIERS, st.sampled_from(["#s", " "])).filter(lambda s: s != "?")
+
+
+def reads_back(line: str) -> bool:
+    head = line.lstrip()
+    return head != "" and not head.startswith("#") and not line.startswith("\ufeff")
+
+
+@SETTINGS
+@given(
+    st.dictionaries(
+        DOC_IDS,
+        st.lists(st.tuples(SLOTS, SLOTS, SLOTS), min_size=1, max_size=5),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_write_then_parse_round_trips(tmp_path, docs):
+    records = [(doc, *triple) for doc, triples in docs.items() for triple in triples]
+    corpus = load_corpus(records)
+    path = tmp_path / "round.tsv"
+    if not all(reads_back("\t".join(record)) for record in records):
+        with pytest.raises(ValueError, match="would not read back"):
+            write_predications_file(corpus, path)
+        return
+    write_predications_file(corpus, path)
+    again = load_predications_file(path)
+    assert again == corpus
+    assert corpus_records(again) == {doc: set(triples) for doc, triples in docs.items()}
+    assert again.stats.duplicates_dropped == 0
+    with open(path, encoding="utf-8") as handle:
+        assert parse_predications(handle) == corpus

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from predsim import Hierarchy, LoadError, load_hierarchy, load_hierarchy_file, parse_hierarchy
 
-from oracles import make_identifier_sim, random_dag
+from oracles import closure_ancestor_sets, make_identifier_sim, random_cyclic_graph, random_dag
 
 
 class TestLoading:
@@ -19,6 +21,24 @@ class TestLoading:
     def test_self_loop_rejected(self):
         with pytest.raises(LoadError, match="self-loop"):
             load_hierarchy([("A", "A")])
+
+    def test_self_loop_names_line(self):
+        with pytest.raises(LoadError, match=r"^h\.tsv: line 3: self-loop edge 'C' -> 'C'$"):
+            parse_hierarchy(["A\tR\n", "# c\n", "C\tC\n"], source="h.tsv")
+
+    def test_self_loop_names_record(self):
+        with pytest.raises(LoadError, match=r"^<records>: record 2: self-loop edge"):
+            load_hierarchy([("A", "R"), ("B", "B")])
+
+    def test_self_loop_rejected_by_constructor(self):
+        with pytest.raises(LoadError, match=r"^<memory>: self-loop edge 'A' -> 'A'$"):
+            Hierarchy([("A", "R"), ("A", "A")])
+
+    def test_bad_identifier_names_line(self):
+        with pytest.raises(LoadError, match=r"^h: line 2: child identifier contains tab or newline$"):
+            parse_hierarchy(["A\tR\n", "B\rX\tR\n"], source="h")
+        with pytest.raises(LoadError, match=r"^h: line 1: empty parent identifier$"):
+            parse_hierarchy(["A\t\n"], source="h")
 
     def test_wrong_field_count_names_record(self):
         with pytest.raises(LoadError, match="record 2: expected 2 fields"):
@@ -87,6 +107,21 @@ class TestAncestors:
         edges = [(f"n{i}", f"n{i + 1}") for i in range(5000)]
         h = load_hierarchy(edges)
         assert len(h.ancestors("n0")) == 5001
+
+    def test_deep_chain_leaf_first_then_root(self):
+        # only requested sets are memoized: memoizing every intermediate
+        # set of this chain would take about 1.25e9 set entries
+        n = 50_000
+        h = load_hierarchy([(f"n{i}", f"n{i + 1}") for i in range(n)])
+        assert len(h.ancestors("n0")) == n + 1
+        assert h.ancestors(f"n{n}") == {f"n{n}"}
+        assert len(h.ancestors(f"n{n - 10}")) == 11
+        assert len(h.ancestors("n1")) == n
+
+    def test_ancestor_sets_equal_single_lookups(self, concept_h):
+        names = sorted(concept_h.nodes) + ["ghost", "C1"]
+        fresh = Hierarchy(list(concept_h.edges))
+        assert fresh.ancestor_sets(names) == [concept_h.ancestors(n) for n in names]
 
 
 class TestSimilarity:
@@ -159,6 +194,12 @@ class TestCycles:
         load_hierarchy([("A", "B"), ("B", "C")])
         assert not recwarn.list
 
+    def test_nodes_below_a_cycle_reach_all_of_it(self):
+        with pytest.warns(UserWarning, match="3 nodes involved"):
+            h = load_hierarchy([("A", "B"), ("B", "C"), ("C", "B"), ("C", "TOP"), ("L", "A")])
+        assert h.ancestors("L") == {"L", "A", "B", "C", "TOP"}
+        assert h.ancestors("B") == {"B", "C", "TOP"}
+
 
 class TestConcurrentReads:
     def test_parallel_ancestor_lookups_agree(self, concept_h):
@@ -174,6 +215,32 @@ class TestConcurrentReads:
 
 
 class TestOracleEquivalence:
+    def test_random_cyclic_graphs_match_closure(self):
+        # every node, asked in a random order so memoized sets are met at
+        # varying points of the walk, then all at once on a fresh hierarchy
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            nodes, edges = random_cyclic_graph(rng)
+            expected = closure_ancestor_sets(nodes, edges)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                h = load_hierarchy(edges)
+                fresh = load_hierarchy(edges)
+            for k in rng.permutation(len(nodes)):
+                assert h.ancestors(nodes[k]) == expected[nodes[k]]
+            order = [nodes[k] for k in rng.permutation(len(nodes))]
+            assert fresh.ancestor_sets(order) == [expected[n] for n in order]
+
+    def test_random_dags_match_closure_in_batches(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            nodes, edges = random_dag(rng)
+            expected = closure_ancestor_sets(nodes, edges)
+            h = load_hierarchy(edges)
+            half = [nodes[k] for k in rng.permutation(len(nodes))[: len(nodes) // 2]]
+            assert h.ancestor_sets(half) == [expected[n] for n in half]
+            assert h.ancestor_sets(nodes) == [expected[n] for n in nodes]
+
     def test_random_dags_match_bruteforce(self):
         # nodes the random DAG leaves edgeless are absent from the loaded
         # hierarchy; both sides then give them the ancestor set {self}

@@ -31,10 +31,16 @@ class TestPredicationType:
         with pytest.raises(LoadError, match="empty"):
             Predication("", "TREATS", "HEADACHE")
 
-    @pytest.mark.parametrize("bad", ["a|b", "a\tb", "a\nb", "?"])
+    @pytest.mark.parametrize("bad", ["a|b", "a\tb", "a\nb", "a\rb", "?"])
     def test_forbidden_tokens_rejected(self, bad):
         with pytest.raises(LoadError):
             Predication("ASPIRIN", "TREATS", bad)
+
+    def test_instances_are_slotted(self):
+        p = Predication("ASPIRIN", "TREATS", "HEADACHE")
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(p, "note", "x")
 
 
 class TestLiterals:
