@@ -187,22 +187,36 @@ def pattern_similarity(
 ) -> float:
     """Weighted average over the pattern's bound slots only.
 
-    Raises ValueError when every bound slot carries zero weight, because
-    the renormalized average is then undefined.
+    Raises ValueError when every bound slot carries zero weight (see
+    ``bound_weight``).
     """
+    denominator = bound_weight(pattern, weights)
     numerator = 0.0
-    denominator = 0.0
     if pattern.subject is not None:
         numerator += weights.ws * concept_sim(pattern.subject, p.subject)
-        denominator += weights.ws
     if pattern.relation is not None:
         numerator += weights.wr * relation_sim(pattern.relation, p.relation)
-        denominator += weights.wr
     if pattern.object is not None:
         numerator += weights.wo * concept_sim(pattern.object, p.object)
-        denominator += weights.wo
-    if denominator <= 0:
+    return numerator / denominator
+
+
+def bound_weight(pattern: PredicationPattern, weights: SimWeights) -> float:
+    """The weights of the pattern's bound slots, summed in subject,
+    relation, object order.
+
+    Raises ValueError when the sum is zero, because the renormalized
+    average of ``pattern_similarity`` is then undefined.
+    """
+    total = 0.0
+    if pattern.subject is not None:
+        total += weights.ws
+    if pattern.relation is not None:
+        total += weights.wr
+    if pattern.object is not None:
+        total += weights.wo
+    if total <= 0:
         raise ValueError(
             f"pattern {format_pattern(pattern)!r}: every bound slot has zero weight"
         )
-    return numerator / denominator
+    return total

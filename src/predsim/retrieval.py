@@ -11,8 +11,8 @@ surfaces:
 - ``related_predications``: rank every distinct predication in the corpus
   against a (possibly wildcard) pattern.
 
-Scoring is exhaustive and columnar.  On the first query against a corpus
-the engine builds an index of it: concepts and relations are interned to
+Scoring is columnar.  On the first query against a corpus the engine
+builds an index of it: concepts and relations are interned to
 ints, each document's predications become flat subject, relation and
 object id arrays with per-document offsets, and each interned id's
 self-inclusive ancestor set is stored flat (CSR form).  The engine keeps
@@ -21,12 +21,23 @@ the index of the last corpus it saw only.
 A query turns each query identifier into one row of Jaccard scores
 against every interned id, gathers the weighted slot sums of all
 query-by-corpus predication pairs in blocks of at most ``BLOCK_ELEMENTS``
-elements, and reduces each block to best-match terms per document.  Each
-score is built from the same IEEE operations, in the same order, as the
-scalar cascade (``Hierarchy.similarity``, ``predication_similarity`` or
-``pattern_similarity``, ``set_similarity``), so results are bit-identical
-to it.  Ties are broken by document id (ascending) or by the
-predication's pipe-delimited literal (ascending).
+elements, and reduces each block to best-match terms per document.
+
+Only the documents that can still rank among the top ``n`` get an exact
+score.  Each document's naive numpy sum of its terms, widened by the
+error bound of floating-point summation (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 4.2), bounds its score from below
+and above.  A document whose upper bound falls short of the ``n``-th
+largest lower bound cannot rank; the others get ``math.fsum`` of their
+terms.  ``related_predications`` selects the same way, with its exact
+scores as both bounds.
+
+Each returned score is built from the same IEEE operations, in the same
+order, as the scalar cascade (``Hierarchy.similarity``,
+``predication_similarity`` or ``pattern_similarity``,
+``set_similarity``), so results are bit-identical to it, at every ``n``.
+Ties are broken by document id (ascending) or by the predication's
+pipe-delimited literal (ascending).
 """
 
 from __future__ import annotations
@@ -45,13 +56,13 @@ from .predication import (
     Predication,
     PredicationPattern,
     PredicationSet,
+    bound_weight,
     format_predication,
     predication_similarity,
 )
 
-# Upper bound on the elements of one query-by-corpus block and of one
-# batch of best-match terms; a block holds at least one query row and a
-# batch at least one document.
+# Upper bound on the elements of one query-by-corpus block; a block holds
+# at least one query row.
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -167,14 +178,71 @@ class _Index:
     def distinct(self) -> _Distinct:
         return _Distinct(self)
 
+    @cached_property
+    def doc_number(self) -> dict[str, int]:
+        return {doc_id: d for d, doc_id in enumerate(self.doc_ids)}
 
-def _top(scores: np.ndarray, top: int, skip: int | None = None) -> list[int]:
-    """Positions of the ``top`` highest scores, leaving out ``skip``; ties
-    keep position order."""
-    order = np.argsort(-scores, kind="stable")
+
+def _select(lo: np.ndarray, hi: np.ndarray, top: int) -> np.ndarray:
+    """Ascending positions of every score that may rank among the ``top``
+    highest, given ``lo <= score <= hi`` at each position.
+
+    At least ``top`` positions score at least ``bar``, the ``top``-th
+    largest ``lo``.  A position with ``hi < bar`` scores strictly below
+    each of them, so it cannot rank among the ``top`` whatever the
+    tie-break.  A position masked with ``lo = hi = -inf`` is left out as
+    long as ``top`` does not exceed the number of unmasked positions.
+    """
+    if top < 1:
+        return np.empty(0, dtype=np.intp)
+    kth = len(lo) - top
+    bar = np.partition(lo, kth)[kth]
+    return np.flatnonzero(hi >= bar)
+
+
+def _ranked(
+    kept: np.ndarray, scores: np.ndarray, top: int
+) -> tuple[list[int], list[float]]:
+    """The ``top`` best of the ascending positions ``kept`` and their
+    ``scores``: score descending, then position ascending."""
+    order = np.argsort(-scores, kind="stable")[:top]
+    return kept[order].tolist(), scores[order].tolist()
+
+
+def _top_documents(
+    pred_terms: np.ndarray,
+    query_terms: np.ndarray,
+    offsets: np.ndarray,
+    top: int,
+    skip: int | None = None,
+) -> tuple[list[int], list[float]]:
+    """The ``top`` documents by ``math.fsum(terms) / len(terms)`` and their
+    scores, best first, ties by document number, leaving out ``skip``.
+
+    The terms of document ``d``, all ``>= 0``, are
+    ``pred_terms[offsets[d]:offsets[d + 1]]`` (at least one) and
+    ``query_terms[:, d]``.  Their naive sum makes ``k - 1`` roundings for
+    ``k`` terms, so it is within a relative ``(k - 1) * 2**-53`` (to first
+    order) of the exact sum S; ``err`` is at least eight times that.  ``math.fsum`` returns S rounded,
+    and rounding and division by ``k`` are monotone, so ``lo <= score <=
+    hi``.  Only the documents that ``_select`` keeps are summed exactly.
+    """
+    sizes = np.diff(offsets) + len(query_terms)
+    naive = np.add.reduceat(pred_terms, offsets[:-1]) + query_terms.sum(axis=0)
+    err = naive * sizes * 2.0**-50
+    lo = (naive - err) / sizes
+    hi = (naive + err) / sizes
+    eligible = len(sizes)
     if skip is not None:
-        order = order[order != skip]
-    return order[:top].tolist()
+        lo[skip] = hi[skip] = -np.inf
+        eligible -= 1
+    top = min(top, eligible)
+    kept = _select(lo, hi, top)
+    sums = [
+        math.fsum(pred_terms[a:b].tolist() + query_terms[:, d].tolist())
+        for d, a, b in zip(kept.tolist(), offsets[kept].tolist(), offsets[kept + 1].tolist())
+    ]
+    return _ranked(kept, np.array(sums) / sizes[kept], top)
 
 
 class RetrievalEngine:
@@ -218,8 +286,12 @@ class RetrievalEngine:
             index = self._index = _Index(corpus, self.concepts, self.relations)
         return index
 
-    def _document_scores(self, index: _Index, query: PredicationSet) -> np.ndarray:
-        """``set_similarity(document, query)`` for every indexed document."""
+    def _document_terms(
+        self, index: _Index, query: PredicationSet
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The best-match terms of every indexed document against the query,
+        thresholded: one per corpus predication, and one per query member
+        and document (rows follow the query's members)."""
         weights = self.config.weights
         members = query.members
         n = len(members)
@@ -245,31 +317,11 @@ class RetrievalEngine:
             np.maximum(best_of_pred, block.max(axis=0), out=best_of_pred)
             del block  # free it before the next block is gathered
 
-        best_in_doc /= weights.total
-        best_of_pred /= weights.total
-
-        # Lay out each document's m + n best-match terms as one run (its m
-        # terms, then its n query-side ones), runs in document order, so
-        # that run d is terms[runs[d]:runs[d + 1]].  Batches of whole
-        # documents bound the list that the sums read.
         tau = self.config.pair_threshold
-        offsets = index.doc_offsets
-        runs = offsets + n * np.arange(len(offsets))
-        sums = np.empty(len(index.doc_ids))
-        d0 = 0
-        while d0 < len(sums):
-            d1 = np.searchsorted(runs, runs[d0] + BLOCK_ELEMENTS, side="right") - 1
-            d1 = max(d0 + 1, int(d1))
-            terms = np.insert(
-                best_of_pred[offsets[d0]:offsets[d1]],
-                np.repeat(offsets[d0 + 1:d1 + 1] - offsets[d0], n),
-                best_in_doc[:, d0:d1].T.ravel(),
-            )
-            terms = np.where(terms >= tau, terms, 0.0).tolist()
-            bounds = (runs[d0:d1 + 1] - runs[d0]).tolist()
-            sums[d0:d1] = [math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
-            d0 = d1
-        return sums / (index.doc_sizes + n)
+        for terms in (best_of_pred, best_in_doc):
+            terms /= weights.total
+            np.putmask(terms, terms < tau, 0.0)
+        return best_of_pred, best_in_doc
 
     # -- ranking ------------------------------------------------------------
 
@@ -279,12 +331,12 @@ class RetrievalEngine:
         if top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {top_n}")
         index = self._index_for(corpus)
-        scores = self._document_scores(index, query)
-        skip = None if seed is None else index.doc_ids.index(seed)
-        top = _top(scores, top_n, skip)
+        pred_terms, query_terms = self._document_terms(index, query)
+        skip = None if seed is None else index.doc_number[seed]
+        top, scores = _top_documents(pred_terms, query_terms, index.doc_offsets, top_n, skip)
         return [
             RankedDocument(index.doc_ids[d], score, rank)
-            for rank, (d, score) in enumerate(zip(top, scores[top].tolist()), start=1)
+            for rank, (d, score) in enumerate(zip(top, scores), start=1)
         ]
 
     def related_documents(
@@ -317,18 +369,7 @@ class RetrievalEngine:
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
         weights = self.config.weights
-        bound_weight = 0.0
-        if pattern.subject is not None:
-            bound_weight += weights.ws
-        if pattern.relation is not None:
-            bound_weight += weights.wr
-        if pattern.object is not None:
-            bound_weight += weights.wo
-        if bound_weight <= 0:
-            raise ValueError(
-                "every bound slot of the pattern has zero weight; "
-                "similarity is undefined"
-            )
+        denominator = bound_weight(pattern, weights)
         index = self._index_for(corpus)
         distinct = index.distinct
         numerator = 0.0
@@ -340,8 +381,9 @@ class RetrievalEngine:
             if name is not None:
                 sims = vocab.similarity_rows([name])[0]
                 numerator = numerator + np.take(weight * sims, codes)
-        scores = numerator / bound_weight
-        top = _top(scores, top_k)
+        scores = numerator / denominator
+        kept = _select(scores, scores, min(top_k, len(scores)))
+        top, top_scores = _ranked(kept, scores[kept], top_k)
         offsets = distinct.offsets
         return [
             RankedPredication(
@@ -353,5 +395,5 @@ class RetrievalEngine:
                     for d in distinct.docs[offsets[u]:offsets[u + 1]].tolist()
                 ),
             )
-            for rank, (u, score) in enumerate(zip(top, scores[top].tolist()), start=1)
+            for rank, (u, score) in enumerate(zip(top, top_scores), start=1)
         ]

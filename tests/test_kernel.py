@@ -7,7 +7,13 @@ of the scores.  Every ranked score must equal the scalar one exactly
 hierarchies, corpora, slot weights (including zero weights) and pair
 thresholds, and for identifiers that neither the hierarchy nor the
 corpus knows.
+
+The engine sums exactly only the documents whose score bounds let them
+reach the top ``n``, so a ranking at any ``n`` must also be the
+length-``n`` prefix of the exhaustive one, ties included.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -167,3 +173,141 @@ class TestKernelExactness:
         default = run()
         monkeypatch.setattr(retrieval, "BLOCK_ELEMENTS", 1)
         assert run() == default
+
+
+def _with_copies(rng, corpus):
+    """The corpus plus copies of some of its documents under new ids, so
+    that documents tie exactly."""
+    records = [
+        (d, p.subject, p.relation, p.object) for d in corpus.doc_ids() for p in corpus[d]
+    ]
+    for d in corpus.doc_ids():
+        for copy in range(int(rng.integers(0, 3))):
+            records += [(f"{d}c{copy}", p.subject, p.relation, p.object) for p in corpus[d]]
+    return load_corpus(records)
+
+
+def _check_prefixes(engine, corpus, concepts, relations, rng):
+    """Every ranking at every ``n`` is the prefix of the exhaustive one.
+
+    The query and the pattern of unknown identifiers score everything 0,
+    an exact tie."""
+    everything = len(corpus) + 1
+    for seed in corpus.doc_ids():
+        full = engine.related_documents(corpus, seed, everything)
+        for n in range(1, everything + 1):
+            assert engine.related_documents(corpus, seed, n) == full[:n]
+    unknown = PredicationSet.from_iterable(
+        [Predication(UNKNOWN_CONCEPT, UNKNOWN_RELATION, UNKNOWN_CONCEPT)]
+    )
+    for query in (unknown, *(_random_query(rng, concepts, relations) for _ in range(2))):
+        full = engine.query_documents(corpus, query, everything)
+        for n in range(1, everything + 1):
+            assert engine.query_documents(corpus, query, n) == full[:n]
+    distinct = len({p for d in corpus.doc_ids() for p in corpus[d]})
+    patterns = [PredicationPattern(UNKNOWN_CONCEPT, None, None)]
+    patterns += [_random_pattern(rng, concepts, relations) for _ in range(3)]
+    for pattern in patterns:
+        try:
+            full = engine.related_predications(corpus, pattern, distinct + 1)
+        except ValueError:  # every bound slot has zero weight
+            continue
+        for k in range(1, distinct + 2):
+            assert engine.related_predications(corpus, pattern, k) == full[:k]
+
+
+class TestTopPrefixes:
+    def test_random_cases(self):
+        rng = np.random.default_rng(2016)
+        for _ in range(200):
+            engine, corpus, concepts, relations = _random_case(rng)
+            _check_prefixes(engine, corpus, concepts, relations, rng)
+
+    def test_exact_ties_from_copied_documents(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            engine, corpus, concepts, relations = _random_case(rng)
+            corpus = _with_copies(rng, corpus)
+            _check_case(engine, corpus, concepts, relations, rng)
+            _check_prefixes(engine, corpus, concepts, relations, rng)
+
+    def test_lone_seed_has_no_related_documents(self):
+        corpus = load_corpus([("only", "X", "R", "Y")])
+        engine = RetrievalEngine(load_hierarchy([("X", "Z")]), load_hierarchy([("R", "S")]))
+        assert engine.related_documents(corpus, "only", 3) == []
+        assert [r.doc_id for r in engine.query_documents(corpus, corpus["only"], 3)] == ["only"]
+
+
+def _fsum_ranking(pred_terms, query_terms, offsets, top, skip):
+    """The ranking ``retrieval._top_documents`` must return, from the exact
+    score of every document."""
+    scores = [
+        math.fsum([*pred_terms[offsets[d]:offsets[d + 1]], *query_terms[:, d]])
+        / (offsets[d + 1] - offsets[d] + len(query_terms))
+        for d in range(len(offsets) - 1)
+    ]
+    order = sorted((d for d in range(len(scores)) if d != skip), key=lambda d: (-scores[d], d))
+    return order[:top], [scores[d] for d in order[:top]]
+
+
+def _terms_case(rows):
+    """Terms laid out as ``_top_documents`` takes them: each row is one
+    document's terms, the last ``n`` of them query-side."""
+    n = 1 if len(rows[0]) < 3 else 2
+    pred = [row[:-n] for row in rows]
+    offsets = np.concatenate(([0], np.cumsum([len(p) for p in pred])))
+    pred_terms = np.array([t for p in pred for t in p], dtype=float)
+    query_terms = np.array([row[-n:] for row in rows], dtype=float).T.copy()
+    return pred_terms, query_terms, offsets
+
+
+class TestSelectionHelper:
+    """``_top_documents`` on synthetic terms, against math.fsum of all."""
+
+    MULTISETS = (
+        [0.1, 0.2, 0.3],
+        [0.1, 0.2, 0.3, 0.7, 1 / 3, 0.9, 0.6],
+        [1e-300, 3e-308, 5e-324, 0.0],
+        [5e-324, 5e-324, 1e-323],
+        [1.0, 1.0, 1.0, 1.0, 1.0],
+        [0.0, 0.0, 0.0],
+        [2 / 3, 0.1, 1e-17, 0.3, 0.3, 1e-16],
+        # Long sums: naive sums of permutations drift several ulps apart.
+        [0.1] * 40 + [0.7] * 40,
+        np.random.default_rng(0).uniform(0.0, 1.0, 300).tolist(),
+    )
+
+    def _check(self, pred_terms, query_terms, offsets):
+        documents = len(offsets) - 1
+        for skip in (None, *range(documents)):
+            for top in range(1, documents + 2):
+                got = retrieval._top_documents(pred_terms, query_terms, offsets, top, skip)
+                want = _fsum_ranking(pred_terms, query_terms, offsets, top, skip)
+                assert got == want
+                assert all(type(score) is float for score in got[1])
+
+    def test_naive_sums_one_ulp_apart(self):
+        case = _terms_case([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+        pred_terms, query_terms, offsets = case
+        naive = np.add.reduceat(pred_terms, offsets[:-1]) + query_terms.sum(axis=0)
+        assert naive[0] < naive[1]  # but both fsum to 0.6
+        self._check(*case)
+
+    def test_permutations_of_one_multiset(self):
+        rng = np.random.default_rng(3)
+        for values in self.MULTISETS:
+            for _ in range(20):
+                rows = [list(rng.permutation(values)) for _ in range(int(rng.integers(2, 7)))]
+                self._check(*_terms_case(rows))
+
+    def test_mixed_multisets_of_one_size(self):
+        rng = np.random.default_rng(4)
+        pool = [0.1, 0.2, 0.3, 0.7, 1 / 3, 1.0, 1e-300, 5e-324, 0.0]
+        for _ in range(200):
+            size = int(rng.integers(2, 6))
+            bases = [list(rng.choice(pool, size)) for _ in range(2)]
+            rows = [
+                list(rng.permutation(bases[int(rng.integers(0, 2))]))
+                for _ in range(int(rng.integers(2, 8)))
+            ]
+            self._check(*_terms_case(rows))
