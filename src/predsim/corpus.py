@@ -89,14 +89,14 @@ def _group_into_corpus(
     grouped: dict[str, dict[Predication, None]] = {}
     records = 0
     for number, (doc_id, subject, relation, obj) in numbered:
+        bucket = grouped.get(doc_id)
         try:
-            check_identifier(doc_id, "document id")
+            if bucket is None:  # an id is checked at its first record only
+                check_identifier(doc_id, "document id")
+                bucket = grouped[doc_id] = {}
             pred = Predication(subject, relation, obj)
         except LoadError as err:
             raise LoadError(f"{source}: {unit} {number}: {err}") from None
-        bucket = grouped.get(doc_id)
-        if bucket is None:
-            bucket = grouped[doc_id] = {}
         bucket[pred] = None
         records += 1
     if not grouped:

@@ -144,7 +144,10 @@ class PredicationSet:
     members: tuple[Predication, ...]
 
     def __post_init__(self):
-        canonical = tuple(sorted(set(self.members), key=format_predication))
+        # Literals are distinct exactly when predications are, so the
+        # literal-keyed dict both deduplicates and gives the sort keys.
+        by_literal = dict(zip(map(format_predication, self.members), self.members))
+        canonical = tuple(map(by_literal.__getitem__, sorted(by_literal)))
         if canonical != self.members:
             object.__setattr__(self, "members", canonical)
 

@@ -12,16 +12,19 @@ surfaces:
   against a (possibly wildcard) pattern.
 
 Scoring is columnar.  On the first query against a corpus the engine
-builds an index of it: concepts and relations are interned to
-ints, each document's predications become flat subject, relation and
-object id arrays with per-document offsets, and each interned id's
-self-inclusive ancestor set is stored flat (CSR form).  The engine keeps
-the index of the last corpus it saw only.
+builds an index of it: concepts and relations are interned to ints, and
+each document's predications become flat subject, relation and object id
+arrays with per-document offsets.  The interned ids' self-inclusive
+ancestor sets are stored inverted, per ancestor node: the ascending ids
+whose set holds the node (CSR form), beside each set's size.  The engine
+keeps the index of the last corpus it saw only.
 
 A query turns each query identifier into one row of Jaccard scores
-against every interned id, gathers the weighted slot sums of all
-query-by-corpus predication pairs in blocks of at most ``BLOCK_ELEMENTS``
-elements, and reduces each block to best-match terms per document.
+against every interned id, counting shared ancestors from the holder
+lists of the identifier's own ancestors only.  It gathers the weighted
+slot sums of all query-by-corpus predication pairs in blocks of at most
+``BLOCK_ELEMENTS`` elements, and reduces each block to best-match terms
+per document.
 
 Only the documents that can still rank among the top ``n`` get an exact
 score.  Each document's naive numpy sum of its terms, widened by the
@@ -57,7 +60,6 @@ from .predication import (
     PredicationPattern,
     PredicationSet,
     bound_weight,
-    format_predication,
     predication_similarity,
 )
 
@@ -96,37 +98,62 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
 class _Vocabulary:
     """The identifiers of one hierarchy that a corpus uses, interned.
 
-    ``codes`` holds the number of each name passed in.  The ancestor set
-    of the identifier numbered ``i`` is ``flat[starts[i]:][:sizes[i]]``,
-    in node numbers; ``nodes`` numbers every identifier of those sets.
+    ``codes`` holds the number of each name passed in.  ``nodes`` numbers
+    every identifier of the interned ids' self-inclusive ancestor sets,
+    and the sets are stored inverted, per node: with ``o =
+    holder_offsets``, the ids whose set holds node ``n``, ascending, are
+    ``holders[o[n]:o[n + 1]]``.  ``sizes[i]`` is the size of id ``i``'s set.
     """
 
     def __init__(self, hierarchy: Hierarchy, names: list[str]):
         self.hierarchy = hierarchy
         self.ids, self.codes = _intern(names)
         ancestor_sets = hierarchy.ancestor_sets(list(self.ids))
-        self.nodes, self.flat = _intern([a for s in ancestor_sets for a in s])
-        self.sizes = np.fromiter(map(len, ancestor_sets), dtype=np.int64)
-        self.starts = _offsets(self.sizes)[:-1]
+        self.nodes, flat = _intern([a for s in ancestor_sets for a in s])
+        self.sizes = np.fromiter(map(len, ancestor_sets), dtype=np.int64, count=len(self.ids))
+        # Every node occurs in ``flat``.  A list: slicing with Python ints
+        # is faster than with numpy scalars.
+        self.holder_offsets = _offsets(np.bincount(flat)).tolist()
+        # Sorting the distinct keys node * V + id, in place, groups the ids
+        # by node, ascending within each; V * len(nodes) is far below 2**63.
+        flat *= len(self.ids)
+        flat += np.repeat(np.arange(len(self.ids)), self.sizes)
+        flat.sort()
+        flat %= len(self.ids)
+        self.holders = flat
 
     def similarity_rows(self, names: list[str]) -> np.ndarray:
         """Jaccard of each name's ancestor set with every interned id's.
 
         Row ``k`` equals ``hierarchy.similarity(names[k], v)`` for every
         interned ``v``: the integer counts are the same, and so is the
-        one division.
+        one division.  Only the holders of the name's own ancestors are
+        counted.
         """
         distinct = {name: k for k, name in enumerate(dict.fromkeys(names))}
         rows = np.empty((len(distinct), len(self.ids)))
-        mark = np.zeros(len(self.nodes), dtype=np.int64)
+        nodes, holders, offsets = self.nodes, self.holders, self.holder_offsets
         for name, k in distinct.items():
             ancestors = self.hierarchy.ancestors(name)
-            hits = [self.nodes[a] for a in ancestors if a in self.nodes]
-            mark[hits] = 1
-            shared = np.add.reduceat(mark[self.flat], self.starts)
+            spans = [
+                holders[offsets[n]:offsets[n + 1]]
+                for n in map(nodes.get, ancestors)
+                if n is not None
+            ]
+            if spans:
+                shared = np.bincount(np.concatenate(spans), minlength=len(self.ids))
+            else:
+                shared = np.zeros(len(self.ids), dtype=np.int64)
             rows[k] = shared / (len(ancestors) + self.sizes - shared)
-            mark[hits] = 0
         return rows[[distinct[name] for name in names]]
+
+
+def _literal_ranks(ids: dict[str, int], suffix: str) -> np.ndarray:
+    """Rank of each interned id by ``name + suffix``, in id order."""
+    keys = [name + suffix for name in ids]
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return ranks
 
 
 class _Distinct:
@@ -135,14 +162,26 @@ class _Distinct:
     Distinct predication ``u`` first occurs at corpus position
     ``first[u]``; the numbers of the documents holding it, ascending, are
     ``docs[offsets[u]:offsets[u + 1]]``.
+
+    No literal is formatted.  ``|`` occurs in no identifier, so
+    ``s|r|o`` sorts as the triple ``(s + "|", r + "|", o)`` does: the
+    positions are sorted by one integer key built from the ranks of those
+    three strings.
     """
 
     def __init__(self, index: _Index):
-        literals = [format_predication(p) for p in index.predications]
-        rank = {literal: u for u, literal in enumerate(sorted(set(literals)))}
-        distinct = np.fromiter(map(rank.__getitem__, literals), dtype=np.intp)
-        grouped = np.argsort(distinct, kind="stable")
-        self.offsets = _offsets(np.bincount(distinct, minlength=len(rank)))
+        concepts, relations = index.concept_vocab.ids, index.relation_vocab.ids
+        if len(concepts) ** 2 * len(relations) > np.iinfo(np.int64).max:
+            raise OverflowError("too many distinct identifiers for an int64 sort key")
+        key = _literal_ranks(concepts, "|")[index.subjects] * len(relations)
+        key += _literal_ranks(relations, "|")[index.relations]
+        key *= len(concepts)
+        key += _literal_ranks(concepts, "")[index.objects]
+        grouped = np.argsort(key, kind="stable")  # equal predications by position
+        ordered = key[grouped]
+        starts = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        self.offsets = np.append(np.flatnonzero(starts), len(ordered))
         self.first = grouped[self.offsets[:-1]]
         self.docs = index.doc_of[grouped]
         self.subjects = index.subjects[self.first]

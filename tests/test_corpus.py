@@ -104,6 +104,13 @@ class TestPredicationsFile:
             parse_predications(["d0\ta\tr\tc\n", "\n", line], source="p.tsv")
         assert str(raised.value) == f"p.tsv: line 3: {problem}"
 
+    def test_bad_document_id_fails_at_its_first_record(self):
+        lines = ["d0\ta\tr\tc\n", "d1\ta\tr\tc\n", "d\r2\ta\tr\tc\n", "d1\tb\tr\tc\n",
+                 "d\r2\tb\tr\tc\n"]
+        with pytest.raises(LoadError) as raised:
+            parse_predications(lines, source="p.tsv")
+        assert str(raised.value) == "p.tsv: line 3: document id contains tab or newline"
+
     def test_unreadable_lines_are_not_written(self, tmp_path):
         path = tmp_path / "out.tsv"
         records = [

@@ -11,14 +11,20 @@ corpus knows.
 The engine sums exactly only the documents whose score bounds let them
 reach the top ``n``, so a ranking at any ``n`` must also be the
 length-``n`` prefix of the exhaustive one, ties included.
+
+Below the engine, each Jaccard row built from the inverted ancestor index
+must equal ``Hierarchy.similarity`` exactly, and ``related_predications``
+must order tied predications by their literals.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from predsim import (
+    Corpus,
     Predication,
     PredicationPattern,
     PredicationSet,
@@ -32,7 +38,7 @@ from predsim import (
     retrieval,
 )
 
-from oracles import random_corpus, random_dag
+from oracles import random_corpus, random_cyclic_graph, random_dag
 
 THRESHOLDS = (0.0, 0.2, 0.37, 0.5, 0.9)
 UNKNOWN_CONCEPT = "nowhere"
@@ -311,3 +317,75 @@ class TestSelectionHelper:
                 for _ in range(int(rng.integers(2, 8)))
             ]
             self._check(*_terms_case(rows))
+
+
+class TestSimilarityRows:
+    """``_Vocabulary.similarity_rows`` against ``Hierarchy.similarity``, for
+    names that are interned, known to the hierarchy only, known to neither,
+    and repeated."""
+
+    def _check(self, rng, nodes, edges):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # cycles are reported with a warning
+            hierarchy = load_hierarchy(edges)
+        names = nodes + ["ghost"]  # "ghost" is in the corpus, not the hierarchy
+        interned = [_pick(rng, names) for _ in range(int(rng.integers(1, 2 * len(names))))]
+        vocab = retrieval._Vocabulary(hierarchy, interned)
+        outside = [n for n in names if n not in vocab.ids] + [UNKNOWN_CONCEPT]
+        queries = [_pick(rng, interned) for _ in range(3)] + [_pick(rng, outside) for _ in range(3)]
+        queries += queries[:2]
+        rows = vocab.similarity_rows(queries)
+        assert rows.shape == (len(queries), len(vocab.ids))
+        for name, row in zip(queries, rows.tolist()):
+            assert row == [hierarchy.similarity(name, v) for v in vocab.ids]
+
+    def test_random_dags(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            self._check(rng, *random_dag(rng))
+
+    def test_random_cyclic_graphs(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            self._check(rng, *random_cyclic_graph(rng))
+
+
+class TestFindTieOrder:
+    """A pattern of unknown identifiers scores every predication 0, so the
+    ranking is the literal order.  The identifiers are prefixes of one
+    another and end in characters below (``0``, ``!``) and above (``}``,
+    ``~``, ``é``) the ``|`` that joins a literal."""
+
+    CONCEPTS = ("C1", "C10", "C1~", "C1}", "C1é", "C1!", "C")
+    RELATIONS = ("R", "R0", "R~", "Ré")
+
+    def test_every_top_k_follows_literal_order(self):
+        rng = np.random.default_rng(8)
+        records = [
+            (f"d{int(rng.integers(0, 6))}", s, r, o)
+            for s in self.CONCEPTS
+            for r in self.RELATIONS
+            for o in self.CONCEPTS
+            if rng.random() < 0.4
+        ]
+        # some predications in several documents
+        records += [(f"d{int(rng.integers(0, 6))}", *record[1:]) for record in records[::5]]
+        corpus = load_corpus(records)
+        engine = RetrievalEngine(
+            load_hierarchy([("C1", "C"), ("C10", "C1")]), load_hierarchy([("R0", "R")])
+        )
+        literals = sorted({"|".join(record[1:]) for record in records})
+        pattern = PredicationPattern(UNKNOWN_CONCEPT, None, None)
+        for k in range(1, len(literals) + 2):
+            found = engine.related_predications(corpus, pattern, k)
+            assert [format_predication(r.predication) for r in found] == literals[:k]
+            assert all(r.score == 0.0 for r in found)
+            for r in found:
+                assert list(r.documents) == [
+                    d for d in corpus.doc_ids() if r.predication in corpus[d]
+                ]
+
+    def test_corpus_without_predications(self):
+        corpus = Corpus({"empty": PredicationSet(())})
+        engine = RetrievalEngine(load_hierarchy([("C1", "C")]), load_hierarchy([("R0", "R")]))
+        assert engine.related_predications(corpus, PredicationPattern("C1", None, None), 3) == []
