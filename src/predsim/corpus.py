@@ -6,18 +6,31 @@ comments and blank lines ignored, order-insensitive):
 - predications: one ``doc_id<TAB>subject<TAB>relation<TAB>object`` per line
 - gold standard: one ``seed_id<TAB>related_id<TAB>rank`` per line
 
-Documents are stored as deduplicated predication sets.  Documents that end
-up with zero predications (possible only through programmatic
-construction) are excluded from retrieval and listed in the corpus skip
-list instead of failing the load.
+A :class:`Corpus` is held as columns from the start.  The loader interns
+document, concept and relation identifiers as it reads them and checks
+each distinct identifier once, where it first occurs, taking the fields of
+a record in document, subject, relation, object order; an identifier that
+fails never enters a table, so every occurrence of it is checked and the
+error names the first bad record and field.  Duplicates are dropped by
+their integer codes, and each document's members are ordered by literal
+from sort ranks of their identifiers, without formatting a literal.
+``corpus[doc_id]`` and ``corpus.docs`` build a :class:`PredicationSet` on
+each access; ``Corpus(mapping)`` encodes a mapping into the same columns.
+
+Documents that end up with zero predications (possible only through
+programmatic construction) are excluded from retrieval and listed in the
+corpus skip list instead of failing the load.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from array import array
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
+
+import numpy as np
 
 from ._input import check_identifier, line_records, tuple_records
 from .errors import LoadError
@@ -33,8 +46,83 @@ class CorpusStats:
     duplicates_dropped: int
 
 
+def _literal_ranks(names: Iterable[str], suffix: str) -> np.ndarray:
+    """Rank of each ``name + suffix`` among them all, in the order given."""
+    keys = [name + suffix for name in names]
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return ranks
+
+
+def _literal_keys(
+    concept_names: Collection[str],
+    relation_names: Collection[str],
+    subjects: np.ndarray,
+    relations: np.ndarray,
+    objects: np.ndarray,
+) -> np.ndarray:
+    """One int64 per coded predication that sorts as its literal does.
+
+    ``|`` occurs in no identifier, so ``s|r|o`` sorts as the triple
+    ``(s + "|", r + "|", o)`` does: the key is built from the ranks of
+    those three strings.  Equal keys are equal predications.
+    """
+    if len(concept_names) ** 2 * len(relation_names) > np.iinfo(np.int64).max:
+        raise OverflowError("too many distinct identifiers for an int64 sort key")
+    key = _literal_ranks(concept_names, "|")[subjects] * len(relation_names)
+    key += _literal_ranks(relation_names, "|")[relations]
+    key *= len(concept_names)
+    key += _literal_ranks(concept_names, "")[objects]
+    return key
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Start offset of each segment, then the total."""
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+class _Documents(Mapping):
+    """Read-only view of a corpus as a mapping from document id to its
+    predication set, built on each access."""
+
+    def __init__(self, corpus: Corpus):
+        self._corpus = corpus
+
+    def __getitem__(self, doc_id: str) -> PredicationSet:
+        return self._corpus[doc_id]
+
+    def __contains__(self, doc_id) -> bool:
+        return doc_id in self._corpus
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._corpus.doc_ids())
+
+    def __len__(self) -> int:
+        return len(self._corpus)
+
+
 class Corpus:
-    """Immutable map from document id to its predication set."""
+    """Immutable map from document id to its predication set, held as
+    columns of interned identifiers.
+
+    ``concept_names`` and ``relation_names`` number the identifiers the
+    documents use.  Corpus position ``i`` is the ``i``-th predication when
+    documents are taken in id order and each document's members in
+    literal order; its identifiers are numbered ``subjects[i]``,
+    ``relations[i]`` and ``objects[i]``.  Document number ``d``, its place
+    in :meth:`doc_ids`, owns positions ``doc_offsets[d]`` to
+    ``doc_offsets[d + 1]``.  The arrays are read-only.
+
+    ``Corpus(docs)`` encodes a mapping from document id to predication set
+    into these columns; documents with no predications are left out and
+    listed in ``skipped``.  ``corpus[doc_id]`` and the lazy ``docs``
+    mapping build a :class:`PredicationSet` on each access.
+    """
 
     def __init__(
         self,
@@ -42,68 +130,142 @@ class Corpus:
         source: str = "<memory>",
         duplicates_dropped: int = 0,
     ):
-        kept: dict[str, PredicationSet] = {}
+        kept: list[str] = []
         skipped: list[str] = []
         for doc_id in sorted(docs):
             check_identifier(doc_id, "document id", source)
-            pset = docs[doc_id]
-            if len(pset) == 0:
-                skipped.append(doc_id)
-            else:
-                kept[doc_id] = pset
-        self.docs: Mapping[str, PredicationSet] = MappingProxyType(kept)
-        self.skipped: tuple[str, ...] = tuple(skipped)
-        self.source = source
-        self.stats = CorpusStats(
-            documents=len(kept),
-            predications=sum(len(s) for s in kept.values()),
-            duplicates_dropped=duplicates_dropped,
+            (kept if len(docs[doc_id]) else skipped).append(doc_id)
+        records = (
+            (doc_id, p.subject, p.relation, p.object) for doc_id in kept for p in docs[doc_id]
         )
+        self._fill(enumerate(records, start=1), source, "record")
+        self.skipped: tuple[str, ...] = tuple(skipped)
+        self.stats = CorpusStats(len(kept), len(self.subjects), duplicates_dropped)
+
+    def _fill(
+        self, numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str
+    ) -> int:
+        """Build the columns from numbered (doc, subject, relation, object)
+        records; return the number of records."""
+        docs: dict[str, int] = {}
+        concepts: dict[str, int] = {}
+        relations: dict[str, int] = {}
+        columns = array("q"), array("q"), array("q"), array("q")
+        add_doc, add_subject, add_relation, add_object = (c.append for c in columns)
+        doc_code, concept_code, relation_code = docs.get, concepts.get, relations.get
+        for number, (doc_id, subject, relation, obj) in numbered:
+            d = doc_code(doc_id)
+            s = concept_code(subject)
+            r = relation_code(relation)
+            o = concept_code(obj)
+            if d is None or s is None or r is None or o is None:
+                try:
+                    if d is None:
+                        check_identifier(doc_id, "document id")
+                        d = docs[doc_id] = len(docs)
+                    if s is None:
+                        check_identifier(subject, "subject", "predication", literal=True)
+                        s = concepts[subject] = len(concepts)
+                    if r is None:
+                        check_identifier(relation, "relation", "predication", literal=True)
+                        r = relations[relation] = len(relations)
+                    if o is None:
+                        o = concept_code(obj)  # the subject may be the same identifier
+                    if o is None:
+                        check_identifier(obj, "object", "predication", literal=True)
+                        o = concepts[obj] = len(concepts)
+                except LoadError as err:
+                    raise LoadError(f"{source}: {unit} {number}: {err}") from None
+            add_doc(d)
+            add_subject(s)
+            add_relation(r)
+            add_object(o)
+        doc_codes, subjects, relation_codes, objects = (
+            np.frombuffer(c, dtype=np.int64) for c in columns
+        )
+        # Number the distinct triples in literal order, then sort the
+        # distinct (document rank, triple number) keys: duplicates go, and
+        # each document's members come out in literal order.
+        triples, triple = np.unique(
+            _literal_keys(concepts, relations, subjects, relation_codes, objects),
+            return_inverse=True,
+        )
+        keys = np.unique(_literal_ranks(docs, "")[doc_codes] * len(triples) + triple)
+        some_record = np.empty(len(triples), dtype=np.intp)
+        some_record[triple] = np.arange(len(triple))
+        kept = some_record[keys % len(triples)]
+
+        self.source = source
+        self._doc_ids: tuple[str, ...] = tuple(sorted(docs))
+        self._doc_number = {doc_id: d for d, doc_id in enumerate(self._doc_ids)}
+        self.concept_names: tuple[str, ...] = tuple(concepts)
+        self.relation_names: tuple[str, ...] = tuple(relations)
+        self.subjects = _read_only(subjects[kept])
+        self.relations = _read_only(relation_codes[kept])
+        self.objects = _read_only(objects[kept])
+        sizes = np.bincount(keys // len(triples), minlength=len(docs))
+        self.doc_offsets = _read_only(_offsets(sizes))
+        return len(doc_codes)
+
+    @property
+    def docs(self) -> Mapping[str, PredicationSet]:
+        return _Documents(self)
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self._doc_ids)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.docs
+        return doc_id in self._doc_number
 
     def __getitem__(self, doc_id: str) -> PredicationSet:
-        return self.docs[doc_id]
+        d = self._doc_number[doc_id]
+        start, stop = self.doc_offsets[d:d + 2].tolist()
+        return PredicationSet(tuple(self.predications_at(slice(start, stop))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return dict(self.docs) == dict(other.docs) and self.skipped == other.skipped
+        return (
+            self._doc_ids == other._doc_ids
+            and self.skipped == other.skipped
+            and np.array_equal(self.doc_offsets, other.doc_offsets)
+            and self.predications_at(slice(None)) == other.predications_at(slice(None))
+        )
 
     def __repr__(self) -> str:
-        return f"Corpus({len(self.docs)} documents from {self.source!r})"
+        return f"Corpus({len(self)} documents from {self.source!r})"
 
     def doc_ids(self) -> tuple[str, ...]:
-        return tuple(self.docs)
+        return self._doc_ids
+
+    def doc_number(self, doc_id: str) -> int:
+        """The place of ``doc_id`` in :meth:`doc_ids`; KeyError if absent."""
+        return self._doc_number[doc_id]
+
+    def predications_at(self, positions: slice | np.ndarray) -> list[Predication]:
+        """The predications at the given corpus positions, in that order."""
+        concepts, relations = self.concept_names, self.relation_names
+        return [
+            Predication(concepts[s], relations[r], concepts[o])
+            for s, r, o in zip(
+                self.subjects[positions].tolist(),
+                self.relations[positions].tolist(),
+                self.objects[positions].tolist(),
+            )
+        ]
 
 
 def _group_into_corpus(
     numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str
 ) -> Corpus:
-    # Per-document buckets are insertion-ordered dicts used as sets, so
-    # adding to one is constant time however large a document grows.
-    grouped: dict[str, dict[Predication, None]] = {}
-    records = 0
-    for number, (doc_id, subject, relation, obj) in numbered:
-        bucket = grouped.get(doc_id)
-        try:
-            if bucket is None:  # an id is checked at its first record only
-                check_identifier(doc_id, "document id")
-                bucket = grouped[doc_id] = {}
-            pred = Predication(subject, relation, obj)
-        except LoadError as err:
-            raise LoadError(f"{source}: {unit} {number}: {err}") from None
-        bucket[pred] = None
-        records += 1
-    if not grouped:
+    corpus = Corpus.__new__(Corpus)
+    records = corpus._fill(numbered, source, unit)
+    if not records:
         raise LoadError(f"{source}: no predication records; corpus would be empty")
-    duplicates = records - sum(map(len, grouped.values()))
-    docs = {doc_id: PredicationSet.from_iterable(ps) for doc_id, ps in grouped.items()}
-    return Corpus(docs, source=source, duplicates_dropped=duplicates)
+    corpus.skipped = ()
+    predications = len(corpus.subjects)
+    corpus.stats = CorpusStats(len(corpus), predications, records - predications)
+    return corpus
 
 
 def load_corpus(

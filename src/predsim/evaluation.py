@@ -111,7 +111,7 @@ def run_eval(
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"cutoffs must be positive integers, got {n!r}")
     seeds = gold.seeds()
-    missing = [s for s in seeds if s not in corpus.docs]
+    missing = [s for s in seeds if s not in corpus]
     if missing:
         raise UnknownDocumentError(
             f"gold seeds missing from corpus: {', '.join(missing)}"
@@ -121,8 +121,8 @@ def run_eval(
     skipped: list[str] = []
     for seed in seeds:
         gold_list = gold[seed]
-        relevant = {d for d in gold_list if d in corpus.docs}
-        absent = [d for d in gold_list if d not in corpus.docs]
+        relevant = {d for d in gold_list if d in corpus}
+        absent = [d for d in gold_list if d not in corpus]
         if absent:
             warnings.warn(
                 f"seed {seed!r}: {len(absent)} gold documents absent from corpus "

@@ -93,9 +93,6 @@ class Hierarchy:
     def __repr__(self) -> str:
         return f"Hierarchy({len(self.nodes)} nodes, {len(self.edges)} edges)"
 
-    def parents_of(self, node: str) -> frozenset[str]:
-        return self._parents.get(node, frozenset())
-
     def _leaves_first(self) -> list[str]:
         # Kahn peeling over child->parent arcs: each node comes after all
         # of its children.  The nodes on a cycle, and every node above one,

@@ -32,6 +32,8 @@ from .errors import LoadError
 
 SimilarityFn = Callable[[str, str], float]
 
+_SLOTS = ("subject", "relation", "object")
+
 
 @dataclass(frozen=True, slots=True)
 class Predication:
@@ -115,11 +117,15 @@ def parse_predication(text: str) -> Predication:
     where = f"predication literal {text!r}"
     if len(fields) != 3:
         raise LoadError(f"{where}: expected 3 fields, got {len(fields)}")
-    for field, slot in zip(fields, ("subject", "relation", "object")):
-        if field == WILDCARD:
-            raise LoadError(f"{where}: wildcard {slot} not allowed here")
-        check_identifier(field, slot, where, literal=True)
-    return Predication(*fields)
+    if WILDCARD in fields:
+        wild = fields.index(WILDCARD)
+        for field, slot in zip(fields[:wild], _SLOTS):  # a bad slot before it comes first
+            check_identifier(field, slot, where, literal=True)
+        raise LoadError(f"{where}: wildcard {_SLOTS[wild]} not allowed here")
+    try:
+        return Predication(*fields)
+    except LoadError as err:
+        raise LoadError(f"{where}: {str(err).removeprefix('predication: ')}") from None
 
 
 def parse_pattern(text: str) -> PredicationPattern:
@@ -131,10 +137,10 @@ def parse_pattern(text: str) -> PredicationPattern:
     slots = [None if f == WILDCARD else f for f in fields]
     if slots == [None, None, None]:
         raise LoadError(f"{where}: at least one slot must be bound")
-    for value, slot in zip(slots, ("subject", "relation", "object")):
-        if value is not None:
-            check_identifier(value, slot, where, literal=True)
-    return PredicationPattern(*slots)
+    try:
+        return PredicationPattern(*slots)
+    except LoadError as err:
+        raise LoadError(f"{where}: {str(err).removeprefix('pattern: ')}") from None
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,15 @@ surfaces:
 - ``related_predications``: rank every distinct predication in the corpus
   against a (possibly wildcard) pattern.
 
-Scoring is columnar.  On the first query against a corpus the engine
-builds an index of it: concepts and relations are interned to ints, and
-each document's predications become flat subject, relation and object id
-arrays with per-document offsets.  The interned ids' self-inclusive
+Scoring is columnar.  A :class:`~predsim.corpus.Corpus` already holds
+its predications as interned subject, relation and object codes with
+per-document offsets.  On the first query against a corpus the engine
+builds an index of it over those codes: the interned ids' self-inclusive
 ancestor sets are stored inverted, per ancestor node: the ascending ids
 whose set holds the node (CSR form), beside each set's size.  The engine
-keeps the index of the last corpus it saw only.
+keeps the index of the last corpus it saw only.  A seed document's query
+rows come straight from the corpus columns, and ``find`` builds
+:class:`Predication` objects for its top-k results only.
 
 A query turns each query identifier into one row of Jaccard scores
 against every interned id, counting shared ancestors from the holder
@@ -46,12 +48,13 @@ pipe-delimited literal (ascending).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _literal_keys, _offsets
 from .docsim import SimConfig, set_similarity
 from .errors import EmptySetError, UnknownDocumentError
 from .ontology import Hierarchy
@@ -90,24 +93,20 @@ def _intern(names: list[str]) -> tuple[dict[str, int], np.ndarray]:
     return ids, np.fromiter(map(ids.__getitem__, names), dtype=np.intp, count=len(names))
 
 
-def _offsets(sizes: np.ndarray) -> np.ndarray:
-    """Start offset of each segment, then the total."""
-    return np.concatenate(([0], np.cumsum(sizes)))
-
-
 class _Vocabulary:
     """The identifiers of one hierarchy that a corpus uses, interned.
 
-    ``codes`` holds the number of each name passed in.  ``nodes`` numbers
-    every identifier of the interned ids' self-inclusive ancestor sets,
-    and the sets are stored inverted, per node: with ``o =
+    ``ids`` numbers the distinct names passed in, in first-seen order; a
+    corpus passes its identifier table, so the numbers are its codes.
+    ``nodes`` numbers every identifier of the interned ids' self-inclusive
+    ancestor sets, and the sets are stored inverted, per node: with ``o =
     holder_offsets``, the ids whose set holds node ``n``, ascending, are
     ``holders[o[n]:o[n + 1]]``.  ``sizes[i]`` is the size of id ``i``'s set.
     """
 
-    def __init__(self, hierarchy: Hierarchy, names: list[str]):
+    def __init__(self, hierarchy: Hierarchy, names: Iterable[str]):
         self.hierarchy = hierarchy
-        self.ids, self.codes = _intern(names)
+        self.ids = {name: i for i, name in enumerate(dict.fromkeys(names))}
         ancestor_sets = hierarchy.ancestor_sets(list(self.ids))
         self.nodes, flat = _intern([a for s in ancestor_sets for a in s])
         self.sizes = np.fromiter(map(len, ancestor_sets), dtype=np.int64, count=len(self.ids))
@@ -148,78 +147,43 @@ class _Vocabulary:
         return rows[[distinct[name] for name in names]]
 
 
-def _literal_ranks(ids: dict[str, int], suffix: str) -> np.ndarray:
-    """Rank of each interned id by ``name + suffix``, in id order."""
-    keys = [name + suffix for name in ids]
-    ranks = np.empty(len(keys), dtype=np.int64)
-    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-    return ranks
-
-
 class _Distinct:
     """The corpus's distinct predications, sorted by literal.
 
     Distinct predication ``u`` first occurs at corpus position
     ``first[u]``; the numbers of the documents holding it, ascending, are
     ``docs[offsets[u]:offsets[u + 1]]``.
-
-    No literal is formatted.  ``|`` occurs in no identifier, so
-    ``s|r|o`` sorts as the triple ``(s + "|", r + "|", o)`` does: the
-    positions are sorted by one integer key built from the ranks of those
-    three strings.
     """
 
-    def __init__(self, index: _Index):
-        concepts, relations = index.concept_vocab.ids, index.relation_vocab.ids
-        if len(concepts) ** 2 * len(relations) > np.iinfo(np.int64).max:
-            raise OverflowError("too many distinct identifiers for an int64 sort key")
-        key = _literal_ranks(concepts, "|")[index.subjects] * len(relations)
-        key += _literal_ranks(relations, "|")[index.relations]
-        key *= len(concepts)
-        key += _literal_ranks(concepts, "")[index.objects]
+    def __init__(self, corpus: Corpus):
+        key = _literal_keys(
+            corpus.concept_names, corpus.relation_names,
+            corpus.subjects, corpus.relations, corpus.objects,
+        )
         grouped = np.argsort(key, kind="stable")  # equal predications by position
         ordered = key[grouped]
         starts = np.ones(len(ordered), dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
         self.offsets = np.append(np.flatnonzero(starts), len(ordered))
         self.first = grouped[self.offsets[:-1]]
-        self.docs = index.doc_of[grouped]
-        self.subjects = index.subjects[self.first]
-        self.relations = index.relations[self.first]
-        self.objects = index.objects[self.first]
+        doc_of = np.repeat(np.arange(len(corpus)), np.diff(corpus.doc_offsets))
+        self.docs = doc_of[grouped]
+        self.subjects = corpus.subjects[self.first]
+        self.relations = corpus.relations[self.first]
+        self.objects = corpus.objects[self.first]
 
 
 class _Index:
-    """Columnar form of one corpus over interned identifiers.
-
-    Corpus position ``i`` is the ``i``-th predication when documents are
-    taken in id order; document number ``d`` owns positions
-    ``doc_offsets[d]`` to ``doc_offsets[d + 1]``.
-    """
+    """One corpus's interned identifiers against the engine's hierarchies."""
 
     def __init__(self, corpus: Corpus, concepts: Hierarchy, relations: Hierarchy):
         self.corpus = corpus
-        self.doc_ids = corpus.doc_ids()
-        self.predications = [p for doc_id in self.doc_ids for p in corpus[doc_id]]
-        preds = self.predications
-        self.doc_sizes = np.array([len(corpus[d]) for d in self.doc_ids], dtype=np.int64)
-        self.doc_offsets = _offsets(self.doc_sizes)
-        self.doc_of = np.repeat(np.arange(len(self.doc_ids)), self.doc_sizes)
-        self.concept_vocab = _Vocabulary(
-            concepts, [p.subject for p in preds] + [p.object for p in preds]
-        )
-        self.relation_vocab = _Vocabulary(relations, [p.relation for p in preds])
-        self.subjects = self.concept_vocab.codes[:len(preds)]
-        self.objects = self.concept_vocab.codes[len(preds):]
-        self.relations = self.relation_vocab.codes
+        self.concept_vocab = _Vocabulary(concepts, corpus.concept_names)
+        self.relation_vocab = _Vocabulary(relations, corpus.relation_names)
 
     @cached_property
     def distinct(self) -> _Distinct:
-        return _Distinct(self)
-
-    @cached_property
-    def doc_number(self) -> dict[str, int]:
-        return {doc_id: d for d, doc_id in enumerate(self.doc_ids)}
+        return _Distinct(self.corpus)
 
 
 def _select(lo: np.ndarray, hi: np.ndarray, top: int) -> np.ndarray:
@@ -326,33 +290,31 @@ class RetrievalEngine:
         return index
 
     def _document_terms(
-        self, index: _Index, query: PredicationSet
+        self, index: _Index, subjects: list[str], relations: list[str], objects: list[str]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The best-match terms of every indexed document against the query,
-        thresholded: one per corpus predication, and one per query member
-        and document (rows follow the query's members)."""
+        """The best-match terms of every document against the query whose
+        members have the given slot identifiers, thresholded: one per
+        corpus predication, and one per query member and document (rows
+        follow the query's members)."""
+        corpus = index.corpus
         weights = self.config.weights
-        members = query.members
-        n = len(members)
+        n = len(subjects)
         # best_in_doc[j, d]: best weighted slot sum of query member j in
         # document d; best_of_pred[i]: best of corpus predication i over
         # the query.  Both are divided by the weight total only at the end,
         # which gives the same maxima because rounding is monotone.
-        best_in_doc = np.empty((n, len(index.doc_ids)))
-        best_of_pred = np.zeros(len(index.predications))
-        rows = max(1, BLOCK_ELEMENTS // len(index.predications))
+        best_in_doc = np.empty((n, len(corpus)))
+        best_of_pred = np.zeros(len(corpus.subjects))
+        rows = max(1, BLOCK_ELEMENTS // len(corpus.subjects))
         for lo in range(0, n, rows):
-            chunk = members[lo:lo + rows]
-            concept_sims = index.concept_vocab.similarity_rows(
-                [p.subject for p in chunk] + [p.object for p in chunk]
-            )
-            relation_sims = index.relation_vocab.similarity_rows([p.relation for p in chunk])
-            block = np.take(weights.ws * concept_sims[:len(chunk)], index.subjects, axis=1)
-            block += np.take(weights.wr * relation_sims, index.relations, axis=1)
-            block += np.take(weights.wo * concept_sims[len(chunk):], index.objects, axis=1)
-            best_in_doc[lo:lo + rows] = np.maximum.reduceat(
-                block, index.doc_offsets[:-1], axis=1
-            )
+            hi = lo + rows
+            concept_sims = index.concept_vocab.similarity_rows(subjects[lo:hi] + objects[lo:hi])
+            relation_sims = index.relation_vocab.similarity_rows(relations[lo:hi])
+            size = len(relation_sims)
+            block = np.take(weights.ws * concept_sims[:size], corpus.subjects, axis=1)
+            block += np.take(weights.wr * relation_sims, corpus.relations, axis=1)
+            block += np.take(weights.wo * concept_sims[size:], corpus.objects, axis=1)
+            best_in_doc[lo:hi] = np.maximum.reduceat(block, corpus.doc_offsets[:-1], axis=1)
             np.maximum(best_of_pred, block.max(axis=0), out=best_of_pred)
             del block  # free it before the next block is gathered
 
@@ -365,16 +327,24 @@ class RetrievalEngine:
     # -- ranking ------------------------------------------------------------
 
     def _rank_documents(
-        self, corpus: Corpus, query: PredicationSet, top_n: int, seed: str | None = None
+        self,
+        corpus: Corpus,
+        query: tuple[list[str], list[str], list[str]],
+        top_n: int,
+        skip: int | None = None,
     ) -> list[RankedDocument]:
+        """Rank the documents against the query's subject, relation and
+        object identifiers, leaving out document number ``skip``."""
         if top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {top_n}")
+        if len(corpus) == 0:  # every document was empty
+            return []
         index = self._index_for(corpus)
-        pred_terms, query_terms = self._document_terms(index, query)
-        skip = None if seed is None else index.doc_number[seed]
-        top, scores = _top_documents(pred_terms, query_terms, index.doc_offsets, top_n, skip)
+        pred_terms, query_terms = self._document_terms(index, *query)
+        top, scores = _top_documents(pred_terms, query_terms, corpus.doc_offsets, top_n, skip)
+        doc_ids = corpus.doc_ids()
         return [
-            RankedDocument(index.doc_ids[d], score, rank)
+            RankedDocument(doc_ids[d], score, rank)
             for rank, (d, score) in enumerate(zip(top, scores), start=1)
         ]
 
@@ -382,11 +352,19 @@ class RetrievalEngine:
         self, corpus: Corpus, seed: str, top_n: int
     ) -> list[RankedDocument]:
         """Rank all other documents against the seed's predication set."""
-        if seed not in corpus.docs:
+        if seed not in corpus:
             if seed in corpus.skipped:
                 raise EmptySetError(f"seed document {seed!r} has no predications")
             raise UnknownDocumentError(f"unknown seed document {seed!r}")
-        return self._rank_documents(corpus, corpus[seed], top_n, seed)
+        d = corpus.doc_number(seed)
+        members = slice(*corpus.doc_offsets[d:d + 2].tolist())
+        concepts, relations = corpus.concept_names, corpus.relation_names
+        query = (
+            [concepts[c] for c in corpus.subjects[members].tolist()],
+            [relations[c] for c in corpus.relations[members].tolist()],
+            [concepts[c] for c in corpus.objects[members].tolist()],
+        )
+        return self._rank_documents(corpus, query, top_n, d)
 
     def query_documents(
         self, corpus: Corpus, query: PredicationSet, top_n: int
@@ -394,7 +372,13 @@ class RetrievalEngine:
         """Rank every document against an ad-hoc predication set."""
         if len(query) == 0:
             raise EmptySetError("query predication set is empty")
-        return self._rank_documents(corpus, query, top_n)
+        members = query.members
+        slots = (
+            [p.subject for p in members],
+            [p.relation for p in members],
+            [p.object for p in members],
+        )
+        return self._rank_documents(corpus, slots, top_n)
 
     def related_predications(
         self, corpus: Corpus, pattern: PredicationPattern, top_k: int
@@ -423,16 +407,16 @@ class RetrievalEngine:
         scores = numerator / denominator
         kept = _select(scores, scores, min(top_k, len(scores)))
         top, top_scores = _ranked(kept, scores[kept], top_k)
-        offsets = distinct.offsets
+        predications = corpus.predications_at(distinct.first[top])
+        doc_ids, offsets = corpus.doc_ids(), distinct.offsets
         return [
             RankedPredication(
-                index.predications[distinct.first[u]],
+                predication,
                 score,
                 rank,
-                tuple(
-                    index.doc_ids[d]
-                    for d in distinct.docs[offsets[u]:offsets[u + 1]].tolist()
-                ),
+                tuple(doc_ids[d] for d in distinct.docs[offsets[u]:offsets[u + 1]].tolist()),
             )
-            for rank, (u, score) in enumerate(zip(top, top_scores), start=1)
+            for rank, (predication, u, score) in enumerate(
+                zip(predications, top, top_scores), start=1
+            )
         ]

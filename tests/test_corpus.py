@@ -1,5 +1,7 @@
 import dataclasses
+import random
 
+import numpy as np
 import pytest
 
 from predsim import (
@@ -8,6 +10,7 @@ from predsim import (
     LoadError,
     Predication,
     PredicationSet,
+    format_predication,
     load_corpus,
     load_gold,
     load_gold_file,
@@ -104,6 +107,15 @@ class TestPredicationsFile:
             parse_predications(["d0\ta\tr\tc\n", "\n", line], source="p.tsv")
         assert str(raised.value) == f"p.tsv: line 3: {problem}"
 
+    def test_bad_identifier_fails_where_it_first_occurs(self):
+        lines = ["d0\ta\tr\tc\n", "d1\ta\tr\tc\n", "d1\ta\tr\tb|x\n", "d1\tb\tr\tc\n",
+                 "d2\tb|x\tr\tc\n"]
+        with pytest.raises(LoadError) as raised:
+            parse_predications(lines, source="p.tsv")
+        assert str(raised.value) == (
+            "p.tsv: line 3: predication: object contains a forbidden character"
+        )
+
     def test_bad_document_id_fails_at_its_first_record(self):
         lines = ["d0\ta\tr\tc\n", "d1\ta\tr\tc\n", "d\r2\ta\tr\tc\n", "d1\tb\tr\tc\n",
                  "d\r2\tb\tr\tc\n"]
@@ -158,6 +170,106 @@ class TestPredicationsFile:
         corpus = load_corpus(records)
         assert len(corpus["big"]) == 5000
         assert corpus.stats.duplicates_dropped == 5000
+
+
+class TestMemberOrder:
+    """The three ways into a corpus agree, and each document's members
+    come out deduplicated in literal order, whatever the record order."""
+
+    CONCEPTS = ("C1", "C10", "C1~", "C1}", "C1é", "C1!", "C")
+    RELATIONS = ("R", "R0", "R~", "Ré")
+
+    def _records(self, seed):
+        rng = random.Random(seed)
+        records = [
+            (f"d{rng.randrange(6)}", s, r, o)
+            for s in self.CONCEPTS
+            for r in self.RELATIONS
+            for o in self.CONCEPTS
+            if rng.random() < 0.3
+        ]
+        records += rng.sample(records, len(records) // 4)  # duplicates within documents
+        records += [(f"d{rng.randrange(6)}", *record[1:]) for record in records[::7]]
+        rng.shuffle(records)
+        return records
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_loaders_and_constructor_agree(self, seed):
+        records = self._records(seed)
+        distinct = set(records)
+        duplicates = len(records) - len(distinct)
+        loaded = load_corpus(records)
+        parsed = parse_predications(["\t".join(record) + "\n" for record in records])
+        by_doc = {}
+        for doc_id, *slots in records:
+            by_doc.setdefault(doc_id, []).append(Predication(*slots))
+        built = Corpus(
+            {d: PredicationSet.from_iterable(ps) for d, ps in by_doc.items()},
+            duplicates_dropped=duplicates,
+        )
+        assert loaded == parsed == built
+        stats = CorpusStats(len(by_doc), len(distinct), duplicates)
+        assert loaded.stats == parsed.stats == built.stats == stats
+        for corpus in (loaded, parsed, built):
+            assert corpus.doc_ids() == tuple(sorted(by_doc))
+            offsets = corpus.doc_offsets.tolist()
+            for doc_id, preds in by_doc.items():
+                want = sorted(set(preds), key=format_predication)
+                assert list(corpus[doc_id]) == want
+                assert list(corpus.docs[doc_id]) == want
+                d = corpus.doc_number(doc_id)
+                assert corpus.predications_at(slice(offsets[d], offsets[d + 1])) == want
+
+    def test_equality_sees_members(self):
+        one = load_corpus([("d", "C1", "R", "C10"), ("d", "C1!", "R", "C")])
+        other = load_corpus([("d", "C1", "R", "C10"), ("d", "C1!", "R", "C1")])
+        assert one != other
+        assert one == load_corpus([("d", "C1!", "R", "C"), ("d", "C1", "R", "C10")])
+
+
+class TestCorpusColumns:
+    def test_docs_is_a_read_only_lazy_mapping(self, small_corpus):
+        docs = small_corpus.docs
+        assert list(docs) == list(small_corpus.doc_ids())
+        assert len(docs) == len(small_corpus) == 4
+        assert "d1" in docs and "d9" not in docs
+        assert docs["d3"] == small_corpus["d3"]
+        assert dict(docs) == {d: small_corpus[d] for d in small_corpus.doc_ids()}
+        with pytest.raises(TypeError):
+            docs["d5"] = small_corpus["d1"]
+        with pytest.raises(KeyError):
+            small_corpus["d9"]
+
+    def test_columns_encode_the_members(self, small_corpus):
+        concepts, relations = small_corpus.concept_names, small_corpus.relation_names
+        rows = [
+            (concepts[s], relations[r], concepts[o])
+            for s, r, o in zip(
+                small_corpus.subjects.tolist(),
+                small_corpus.relations.tolist(),
+                small_corpus.objects.tolist(),
+            )
+        ]
+        offsets = small_corpus.doc_offsets.tolist()
+        for d, doc_id in enumerate(small_corpus.doc_ids()):
+            members = [(p.subject, p.relation, p.object) for p in small_corpus[doc_id]]
+            assert rows[offsets[d]:offsets[d + 1]] == members
+            assert small_corpus.doc_number(doc_id) == d
+        assert offsets[-1] == small_corpus.stats.predications
+
+    def test_columns_are_read_only(self, small_corpus):
+        for column in (small_corpus.subjects, small_corpus.relations, small_corpus.objects,
+                       small_corpus.doc_offsets):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_no_documents(self):
+        corpus = Corpus({"a": PredicationSet(()), "b": PredicationSet(())})
+        assert len(corpus) == 0 and corpus.doc_ids() == ()
+        assert corpus.skipped == ("a", "b")
+        assert corpus.stats == CorpusStats(0, 0, 0)
+        assert "a" not in corpus
+        assert np.array_equal(corpus.doc_offsets, [0])
 
 
 class TestGoldStandard:

@@ -1,0 +1,29 @@
+"""Every demo script runs to completion and prints something."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_runs(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, str(script)], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -66,6 +66,30 @@ class TestLiterals:
         with pytest.raises(LoadError, match="at least one slot"):
             parse_pattern("?|?|?")
 
+    @pytest.mark.parametrize(
+        "text, predication_problem, pattern_problem",
+        [
+            ("a||?", "empty relation", "empty relation"),
+            ("|r|?", "empty subject", "empty subject"),
+            ("?|r|", "wildcard subject not allowed here", "empty object"),
+            ("a|?|", "wildcard relation not allowed here", "empty object"),
+            ("a|b\tc|?", "relation contains a forbidden character",
+             "relation contains a forbidden character"),
+            ("\r|?|?", "subject contains a forbidden character",
+             "subject contains a forbidden character"),
+            ("a|r|", "empty object", "empty object"),
+        ],
+    )
+    def test_first_bad_slot_is_reported(self, text, predication_problem, pattern_problem):
+        """Slots are checked in subject, relation, object order; a wildcard
+        counts as a bad slot of a predication literal only."""
+        with pytest.raises(LoadError) as raised:
+            parse_predication(text)
+        assert str(raised.value) == f"predication literal {text!r}: {predication_problem}"
+        with pytest.raises(LoadError) as raised:
+            parse_pattern(text)
+        assert str(raised.value) == f"pattern literal {text!r}: {pattern_problem}"
+
     def test_fully_bound_pattern(self):
         pat = parse_pattern("ASPIRIN|TREATS|HEADACHE")
         assert pat.is_fully_bound

@@ -134,6 +134,13 @@ class TestQueryDocuments:
         with pytest.raises(EmptySetError):
             engine.query_documents(small_corpus, PredicationSet(()), 5)
 
+    def test_corpus_without_predications_ranks_nothing(self, engine):
+        corpus = Corpus({"d": PredicationSet(())})
+        query = PredicationSet.from_iterable([Predication("C1", "TREATS", "OA")])
+        assert engine.query_documents(corpus, query, 5) == []
+        with pytest.raises(ValueError, match="top_n"):
+            engine.query_documents(corpus, query, 0)
+
 
 class TestRelatedPredications:
     def test_exact_pattern_tops_ranking(self, engine, small_corpus):
