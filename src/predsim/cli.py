@@ -148,12 +148,8 @@ def _load_inputs(args):
     print(f"# relations: {len(relations.nodes)} nodes, {len(relations.edges)} edges",
           file=sys.stderr)
     stats = corpus.stats
-    summary = (f"# corpus: {stats.documents} documents, "
-               f"{stats.predications} predications, "
-               f"{stats.duplicates_dropped} duplicates dropped")
-    if corpus.skipped:
-        summary += f", {len(corpus.skipped)} empty documents skipped"
-    print(summary, file=sys.stderr)
+    print(f"# corpus: {stats.documents} documents, {stats.predications} predications, "
+          f"{stats.duplicates_dropped} duplicates dropped", file=sys.stderr)
     engine = RetrievalEngine(concepts, relations, config)
     return engine, corpus
 

@@ -13,9 +13,13 @@ a record in document, subject, relation, object order; an identifier that
 fails never enters a table, so every occurrence of it is checked and the
 error names the first bad record and field.  Duplicates are dropped by
 their integer codes, and each document's members are ordered by literal
-from sort ranks of their identifiers, without formatting a literal.
-``corpus[doc_id]`` and ``corpus.docs`` build a :class:`PredicationSet` on
-each access; ``Corpus(mapping)`` encodes a mapping into the same columns.
+from sort ranks of their identifiers, without formatting a literal.  The
+literal-order number of each distinct predication is kept as a column,
+so this module alone decides predication identity and order.
+``Corpus`` is itself the read-only mapping from document id to
+predication set: ``corpus[doc_id]`` builds a :class:`PredicationSet` on
+each access, and ``Corpus(mapping)`` encodes a mapping into the same
+columns through the same builder as the loaders.
 
 Documents that end up with zero predications (possible only through
 programmatic construction) are excluded from retrieval and listed in the
@@ -86,27 +90,7 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-class _Documents(Mapping):
-    """Read-only view of a corpus as a mapping from document id to its
-    predication set, built on each access."""
-
-    def __init__(self, corpus: Corpus):
-        self._corpus = corpus
-
-    def __getitem__(self, doc_id: str) -> PredicationSet:
-        return self._corpus[doc_id]
-
-    def __contains__(self, doc_id) -> bool:
-        return doc_id in self._corpus
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._corpus.doc_ids())
-
-    def __len__(self) -> int:
-        return len(self._corpus)
-
-
-class Corpus:
+class Corpus(Mapping):
     """Immutable map from document id to its predication set, held as
     columns of interned identifiers.
 
@@ -114,39 +98,35 @@ class Corpus:
     documents use.  Corpus position ``i`` is the ``i``-th predication when
     documents are taken in id order and each document's members in
     literal order; its identifiers are numbered ``subjects[i]``,
-    ``relations[i]`` and ``objects[i]``.  Document number ``d``, its place
+    ``relations[i]`` and ``objects[i]``, and ``predication_codes[i]`` is
+    the place of its literal among the corpus's distinct literals, so
+    equal codes are equal predications.  Document number ``d``, its place
     in :meth:`doc_ids`, owns positions ``doc_offsets[d]`` to
     ``doc_offsets[d + 1]``.  The arrays are read-only.
 
     ``Corpus(docs)`` encodes a mapping from document id to predication set
     into these columns; documents with no predications are left out and
-    listed in ``skipped``.  ``corpus[doc_id]`` and the lazy ``docs``
-    mapping build a :class:`PredicationSet` on each access.
+    listed in ``skipped``.  ``corpus[doc_id]`` builds a
+    :class:`PredicationSet` on each access.
     """
 
-    def __init__(
-        self,
-        docs: Mapping[str, PredicationSet],
-        source: str = "<memory>",
-        duplicates_dropped: int = 0,
-    ):
+    def __init__(self, docs: Mapping[str, PredicationSet]):
         kept: list[str] = []
         skipped: list[str] = []
         for doc_id in sorted(docs):
-            check_identifier(doc_id, "document id", source)
+            check_identifier(doc_id, "document id", "<memory>")
             (kept if len(docs[doc_id]) else skipped).append(doc_id)
         records = (
             (doc_id, p.subject, p.relation, p.object) for doc_id in kept for p in docs[doc_id]
         )
-        self._fill(enumerate(records, start=1), source, "record")
-        self.skipped: tuple[str, ...] = tuple(skipped)
-        self.stats = CorpusStats(len(kept), len(self.subjects), duplicates_dropped)
+        self._fill(enumerate(records, start=1), "<memory>", "record")
+        self.skipped = tuple(skipped)
 
     def _fill(
         self, numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str
-    ) -> int:
-        """Build the columns from numbered (doc, subject, relation, object)
-        records; return the number of records."""
+    ) -> None:
+        """Build every attribute from numbered (doc, subject, relation,
+        object) records."""
         docs: dict[str, int] = {}
         concepts: dict[str, int] = {}
         relations: dict[str, int] = {}
@@ -191,9 +171,10 @@ class Corpus:
             return_inverse=True,
         )
         keys = np.unique(_literal_ranks(docs, "")[doc_codes] * len(triples) + triple)
+        codes = keys % len(triples)
         some_record = np.empty(len(triples), dtype=np.intp)
         some_record[triple] = np.arange(len(triple))
-        kept = some_record[keys % len(triples)]
+        kept = some_record[codes]
 
         self.source = source
         self._doc_ids: tuple[str, ...] = tuple(sorted(docs))
@@ -203,16 +184,17 @@ class Corpus:
         self.subjects = _read_only(subjects[kept])
         self.relations = _read_only(relation_codes[kept])
         self.objects = _read_only(objects[kept])
+        self.predication_codes = _read_only(codes)
         sizes = np.bincount(keys // len(triples), minlength=len(docs))
         self.doc_offsets = _read_only(_offsets(sizes))
-        return len(doc_codes)
-
-    @property
-    def docs(self) -> Mapping[str, PredicationSet]:
-        return _Documents(self)
+        self.skipped: tuple[str, ...] = ()
+        self.stats = CorpusStats(len(docs), len(keys), len(doc_codes) - len(keys))
 
     def __len__(self) -> int:
         return len(self._doc_ids)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._doc_ids)
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._doc_number
@@ -259,12 +241,9 @@ def _group_into_corpus(
     numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str
 ) -> Corpus:
     corpus = Corpus.__new__(Corpus)
-    records = corpus._fill(numbered, source, unit)
-    if not records:
+    corpus._fill(numbered, source, unit)
+    if not corpus.stats.predications:
         raise LoadError(f"{source}: no predication records; corpus would be empty")
-    corpus.skipped = ()
-    predications = len(corpus.subjects)
-    corpus.stats = CorpusStats(len(corpus), predications, records - predications)
     return corpus
 
 

@@ -18,8 +18,10 @@ builds an index of it over those codes: the interned ids' self-inclusive
 ancestor sets are stored inverted, per ancestor node: the ascending ids
 whose set holds the node (CSR form), beside each set's size.  The engine
 keeps the index of the last corpus it saw only.  A seed document's query
-rows come straight from the corpus columns, and ``find`` builds
-:class:`Predication` objects for its top-k results only.
+rows come straight from the corpus columns.  ``find`` groups the
+corpus positions by the corpus's predication codes, which number the
+distinct predications in literal order, and builds :class:`Predication`
+objects for its top-k results only.
 
 A query turns each query identifier into one row of Jaccard scores
 against every interned id, counting shared ancestors from the holder
@@ -54,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import Corpus, _literal_keys, _offsets
+from .corpus import Corpus, _offsets
 from .docsim import SimConfig, set_similarity
 from .errors import EmptySetError, UnknownDocumentError
 from .ontology import Hierarchy
@@ -148,23 +150,18 @@ class _Vocabulary:
 
 
 class _Distinct:
-    """The corpus's distinct predications, sorted by literal.
+    """The corpus's distinct predications, sorted by literal: a regrouping
+    of ``corpus.predication_codes``.
 
-    Distinct predication ``u`` first occurs at corpus position
-    ``first[u]``; the numbers of the documents holding it, ascending, are
-    ``docs[offsets[u]:offsets[u + 1]]``.
+    Distinct predication ``u``, the one coded ``u``, first occurs at
+    corpus position ``first[u]``; the numbers of the documents holding
+    it, ascending, are ``docs[offsets[u]:offsets[u + 1]]``.
     """
 
     def __init__(self, corpus: Corpus):
-        key = _literal_keys(
-            corpus.concept_names, corpus.relation_names,
-            corpus.subjects, corpus.relations, corpus.objects,
-        )
-        grouped = np.argsort(key, kind="stable")  # equal predications by position
-        ordered = key[grouped]
-        starts = np.ones(len(ordered), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-        self.offsets = np.append(np.flatnonzero(starts), len(ordered))
+        codes = corpus.predication_codes
+        grouped = np.argsort(codes, kind="stable")  # equal predications by position
+        self.offsets = _offsets(np.bincount(codes))
         self.first = grouped[self.offsets[:-1]]
         doc_of = np.repeat(np.arange(len(corpus)), np.diff(corpus.doc_offsets))
         self.docs = doc_of[grouped]

@@ -203,22 +203,22 @@ class TestMemberOrder:
         by_doc = {}
         for doc_id, *slots in records:
             by_doc.setdefault(doc_id, []).append(Predication(*slots))
-        built = Corpus(
-            {d: PredicationSet.from_iterable(ps) for d, ps in by_doc.items()},
-            duplicates_dropped=duplicates,
-        )
+        built = Corpus({d: PredicationSet.from_iterable(ps) for d, ps in by_doc.items()})
         assert loaded == parsed == built
         stats = CorpusStats(len(by_doc), len(distinct), duplicates)
-        assert loaded.stats == parsed.stats == built.stats == stats
+        assert loaded.stats == parsed.stats == stats
+        assert built.stats == dataclasses.replace(stats, duplicates_dropped=0)
         for corpus in (loaded, parsed, built):
             assert corpus.doc_ids() == tuple(sorted(by_doc))
             offsets = corpus.doc_offsets.tolist()
             for doc_id, preds in by_doc.items():
                 want = sorted(set(preds), key=format_predication)
                 assert list(corpus[doc_id]) == want
-                assert list(corpus.docs[doc_id]) == want
                 d = corpus.doc_number(doc_id)
                 assert corpus.predications_at(slice(offsets[d], offsets[d + 1])) == want
+            literals = list(map(format_predication, corpus.predications_at(slice(None))))
+            rank = {literal: u for u, literal in enumerate(sorted(set(literals)))}
+            assert corpus.predication_codes.tolist() == [rank[lit] for lit in literals]
 
     def test_equality_sees_members(self):
         one = load_corpus([("d", "C1", "R", "C10"), ("d", "C1!", "R", "C")])
@@ -228,15 +228,16 @@ class TestMemberOrder:
 
 
 class TestCorpusColumns:
-    def test_docs_is_a_read_only_lazy_mapping(self, small_corpus):
-        docs = small_corpus.docs
-        assert list(docs) == list(small_corpus.doc_ids())
-        assert len(docs) == len(small_corpus) == 4
-        assert "d1" in docs and "d9" not in docs
-        assert docs["d3"] == small_corpus["d3"]
-        assert dict(docs) == {d: small_corpus[d] for d in small_corpus.doc_ids()}
+    def test_corpus_is_a_read_only_mapping(self, small_corpus):
+        assert list(small_corpus) == list(small_corpus.doc_ids())
+        assert list(small_corpus.keys()) == list(small_corpus.doc_ids())
+        assert len(small_corpus) == 4
+        assert "d1" in small_corpus and "d9" not in small_corpus
+        assert small_corpus.get("d9") is None
+        assert small_corpus.get("d3") == small_corpus["d3"]
+        assert dict(small_corpus) == {d: small_corpus[d] for d in small_corpus.doc_ids()}
         with pytest.raises(TypeError):
-            docs["d5"] = small_corpus["d1"]
+            small_corpus["d5"] = small_corpus["d1"]
         with pytest.raises(KeyError):
             small_corpus["d9"]
 
@@ -259,7 +260,7 @@ class TestCorpusColumns:
 
     def test_columns_are_read_only(self, small_corpus):
         for column in (small_corpus.subjects, small_corpus.relations, small_corpus.objects,
-                       small_corpus.doc_offsets):
+                       small_corpus.predication_codes, small_corpus.doc_offsets):
             with pytest.raises(ValueError):
                 column[0] = 1
 
