@@ -19,7 +19,8 @@ so this module alone decides predication identity and order.
 ``Corpus`` is itself the read-only mapping from document id to
 predication set: ``corpus[doc_id]`` builds a :class:`PredicationSet` on
 each access, and ``Corpus(mapping)`` encodes a mapping into the same
-columns through the same builder as the loaders.
+columns through the same builder as the loaders.  :class:`GoldStandard`
+is built the same way, and is the read-only mapping from seed to ranked ids.
 
 Documents that end up with zero predications (possible only through
 programmatic construction) are excluded from retrieval and listed in the
@@ -211,7 +212,7 @@ class Corpus(Mapping):
             self._doc_ids == other._doc_ids
             and self.skipped == other.skipped
             and np.array_equal(self.doc_offsets, other.doc_offsets)
-            and self.predications_at(slice(None)) == other.predications_at(slice(None))
+            and self._names_at(slice(None)) == other._names_at(slice(None))
         )
 
     def __repr__(self) -> str:
@@ -226,15 +227,15 @@ class Corpus(Mapping):
 
     def predications_at(self, positions: slice | np.ndarray) -> list[Predication]:
         """The predications at the given corpus positions, in that order."""
-        concepts, relations = self.concept_names, self.relation_names
-        return [
-            Predication(concepts[s], relations[r], concepts[o])
-            for s, r, o in zip(
-                self.subjects[positions].tolist(),
-                self.relations[positions].tolist(),
-                self.objects[positions].tolist(),
-            )
-        ]
+        return list(map(Predication, *self._names_at(positions)))
+
+    def _names_at(self, positions: slice | np.ndarray) -> tuple[list[str], ...]:
+        """Subject, relation and object identifiers at the given positions."""
+        tables = self.concept_names, self.relation_names, self.concept_names
+        columns = self.subjects, self.relations, self.objects
+        return tuple(
+            list(map(t.__getitem__, c[positions].tolist())) for t, c in zip(tables, columns)
+        )
 
 
 def _group_into_corpus(
@@ -274,11 +275,9 @@ def write_predications_file(corpus: Corpus, path: str | Path) -> None:
     written: one that starts with a byte-order mark, or that is blank or
     a ``#`` comment to the reader.
     """
-    lines = [
-        f"{doc_id}\t{pred.subject}\t{pred.relation}\t{pred.object}\n"
-        for doc_id in corpus.doc_ids()
-        for pred in corpus[doc_id]
-    ]
+    doc_of = np.repeat(np.array(corpus.doc_ids(), dtype=object), np.diff(corpus.doc_offsets))
+    rows = zip(doc_of.tolist(), *corpus._names_at(slice(None)))
+    lines = ["\t".join(row) + "\n" for row in rows]
     for line in lines:
         head = line.lstrip()
         if not head or head[0] == "#" or line.startswith("\ufeff"):
@@ -286,19 +285,53 @@ def write_predications_file(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-class GoldStandard:
-    """Per-seed lists of relevant document ids, ordered by rank."""
+class GoldStandard(Mapping):
+    """Read-only map from seed document id to related ids in rank order.
 
-    def __init__(self, related: Mapping[str, tuple[str, ...]]):
-        self.related: Mapping[str, tuple[str, ...]] = MappingProxyType(
-            {seed: tuple(rel) for seed, rel in sorted(related.items())}
-        )
+    ``GoldStandard(related)`` checks the mapping's (seed, related id, rank)
+    records, numbered from 1, as the loaders do.
+    """
+
+    def __init__(self, related: Mapping[str, Sequence[str]]):
+        records = ((s, doc, k) for s in related for k, doc in enumerate(related[s], 1))
+        self._fill(enumerate(records, start=1), "<memory>", "record", rank_text=False)
+
+    def _fill(
+        self, numbered: Iterator[tuple[int, Sequence]], source: str, unit: str, rank_text: bool
+    ) -> None:
+        """Group numbered (seed, related, rank) records by seed.  The rank
+        is an int, or with ``rank_text`` the text of one."""
+        by_seed: dict[str, dict[int, str]] = {}
+        for number, (seed, related, rank) in numbered:
+            try:
+                if rank_text:
+                    try:
+                        rank = int(rank)
+                    except ValueError:
+                        pass
+                if not isinstance(rank, int):
+                    raise LoadError(f"rank must be an integer, got {rank!r}")
+                check_identifier(seed, "seed id")
+                check_identifier(related, "related id")
+                if rank < 1:
+                    raise LoadError(f"rank must be a positive integer, got {rank}")
+                if seed == related:
+                    raise LoadError(f"seed {seed!r} appears in its own related list")
+                ranks = by_seed.setdefault(seed, {})
+                if rank in ranks:
+                    raise LoadError(f"duplicate rank {rank} for seed {seed!r}")
+            except LoadError as err:
+                raise LoadError(f"{source}: {unit} {number}: {err}") from None
+            ranks[rank] = related
+        self.related: Mapping[str, tuple[str, ...]] = MappingProxyType({
+            seed: tuple(ranks[r] for r in sorted(ranks)) for seed, ranks in sorted(by_seed.items())
+        })
 
     def __len__(self) -> int:
         return len(self.related)
 
-    def __contains__(self, seed: str) -> bool:
-        return seed in self.related
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.related)
 
     def __getitem__(self, seed: str) -> tuple[str, ...]:
         return self.related[seed]
@@ -310,35 +343,11 @@ class GoldStandard:
 def _build_gold(
     numbered: Iterator[tuple[int, Sequence]], source: str, unit: str, rank_text: bool
 ) -> GoldStandard:
-    """Group numbered (seed, related, rank) fields by seed.  The rank is an
-    int, or with ``rank_text`` the text of one."""
-    by_seed: dict[str, dict[int, str]] = {}
-    for number, (seed, related, rank) in numbered:
-        try:
-            if rank_text:
-                try:
-                    rank = int(rank)
-                except ValueError:
-                    pass
-            if not isinstance(rank, int):
-                raise LoadError(f"rank must be an integer, got {rank!r}")
-            check_identifier(seed, "seed id")
-            check_identifier(related, "related id")
-            if rank < 1:
-                raise LoadError(f"rank must be a positive integer, got {rank}")
-            if seed == related:
-                raise LoadError(f"seed {seed!r} appears in its own related list")
-            ranks = by_seed.setdefault(seed, {})
-            if rank in ranks:
-                raise LoadError(f"duplicate rank {rank} for seed {seed!r}")
-        except LoadError as err:
-            raise LoadError(f"{source}: {unit} {number}: {err}") from None
-        ranks[rank] = related
-    if not by_seed:
+    gold = GoldStandard.__new__(GoldStandard)
+    gold._fill(numbered, source, unit, rank_text)
+    if not gold:
         raise LoadError(f"{source}: no gold records")
-    return GoldStandard(
-        {seed: tuple(ranks[r] for r in sorted(ranks)) for seed, ranks in by_seed.items()}
-    )
+    return gold
 
 
 def load_gold(

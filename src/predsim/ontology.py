@@ -15,10 +15,12 @@ high for identifiers deep in the hierarchy and makes sim(x, x) = 1 even
 for identifiers the hierarchy has never seen (their ancestor set is just
 {x}).  Values always fall in [0, 1].
 
-Hierarchies are immutable after construction; ancestor sets are memoized
-per identifier on first use.  Cycles are tolerated (every member of a
-cycle becomes an ancestor of every other) but reported with a warning at
-load time, since well-formed hierarchies are expected to be acyclic.
+Hierarchies are immutable after construction.  The ancestor sets of
+hierarchy nodes are memoized on first use, and those of other identifiers
+are not, so the memo never outgrows the hierarchy.  Cycles are tolerated
+(every member of a cycle becomes an ancestor of every other) but reported
+with a warning at load time, since well-formed hierarchies are expected to
+be acyclic.
 """
 
 from __future__ import annotations
@@ -34,43 +36,41 @@ from .errors import LoadError
 class Hierarchy:
     """Immutable child->parent graph with memoized ancestor sets.
 
-    Every edge is checked here: both identifiers must be non-empty and
-    free of tabs and line breaks, and self-loops are rejected.  The file
-    and record loaders re-raise these errors with the line or record
-    number of the edge.
+    ``Hierarchy(edges, source)`` checks each (child, parent) edge: both
+    identifiers non-empty and free of tabs and line breaks, no self-loop.
+    Its errors read ``"{source}: {problem}"``; the loaders build through
+    the same :meth:`_fill`, which then names the line or record too.
 
-    An ancestor set is memoized when it is asked for, and a new set takes
-    the memoized sets of its ancestors whole instead of walking past them
-    (see :meth:`ancestors`); :meth:`ancestor_sets` asks parents first.
+    A node's ancestor set is memoized when asked for and built from the
+    memoized sets of its ancestors (see :meth:`ancestors`);
+    :meth:`ancestor_sets` asks parents first.
     """
 
-    def __init__(
-        self,
-        edges: Iterable[tuple[str, str]],
-        isolated: Iterable[str] = (),
-        source: str = "<memory>",
-    ):
+    def __init__(self, edges: Iterable[tuple[str, str]], source: str = "<memory>"):
+        self._fill(((None, edge) for edge in edges), source, "record")
+
+    def _fill(
+        self, numbered: Iterable[tuple[int | None, Sequence[str]]], source: str, unit: str
+    ) -> None:
+        """Build every attribute from numbered (child, parent) records; a
+        bad edge is located by ``source`` alone when its number is None."""
         parents: dict[str, set[str]] = {}
-        nodes: set[str] = set(isolated)
-        for child, parent in edges:
+        for number, (child, parent) in numbered:
             try:
                 check_identifier(child, "child identifier")
                 check_identifier(parent, "parent identifier")
                 if child == parent:
                     raise LoadError(f"self-loop edge {child!r} -> {parent!r}")
             except LoadError as err:
-                raise LoadError(f"{source}: {err}") from None
+                where = source if number is None else f"{source}: {unit} {number}"
+                raise LoadError(f"{where}: {err}") from None
             parents.setdefault(child, set()).add(parent)
-            nodes.add(child)
-            nodes.add(parent)
         self.source = source
         self.edges: frozenset[tuple[str, str]] = frozenset(
             (child, parent) for child, ps in parents.items() for parent in ps
         )
-        self.nodes: frozenset[str] = frozenset(nodes)
-        self._parents: dict[str, frozenset[str]] = {
-            child: frozenset(ps) for child, ps in parents.items()
-        }
+        self.nodes: frozenset[str] = frozenset(parents).union(*parents.values())
+        self._parents = parents
         self._ancestor_memo: dict[str, frozenset[str]] = {}
         peeled = self._leaves_first()
         self._roots_first: list[str] = peeled[::-1]
@@ -81,7 +81,7 @@ class Hierarchy:
                 f"{source}: hierarchy contains a cycle "
                 f"({len(cyclic)} nodes involved, e.g. {sample}); "
                 "cycle members become mutual ancestors",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def __len__(self) -> int:
@@ -114,15 +114,17 @@ class Hierarchy:
     def ancestors(self, node: str) -> frozenset[str]:
         """Self-inclusive ancestor set of ``node``.
 
-        Unknown identifiers yield ``{node}``.  Results are memoized.  A
-        set is built by an iterative walk up from ``node`` (so depth is
-        not bounded by the recursion limit) that does not pass an ancestor
-        whose set is already memoized: it takes that whole set in one
-        union instead.  A memoized set is closed under parents, so this is
-        exact on cycles too, with no special case.  Only requested sets
-        are memoized, never the intermediate ones, so memory stays linear
-        in what is asked for even on a deep chain; :meth:`ancestor_sets`
-        orders a batch so that each set is built from its parents' sets.
+        An identifier that is not a hierarchy node yields a fresh
+        ``{node}``, which is not memoized, so the memo never outgrows the
+        hierarchy.  A node's set is built by an iterative walk up from
+        ``node`` (so depth is not bounded by the recursion limit) that does
+        not pass an ancestor whose set is already memoized: it takes that
+        whole set in one union instead.  A memoized set is closed under
+        parents, so this is exact on cycles too, with no special case.
+        Only requested sets are memoized, never the intermediate ones, so
+        memory stays linear in what is asked for even on a deep chain;
+        :meth:`ancestor_sets` orders a batch so that each set is built from
+        its parents' sets.
 
         The memo is safe under concurrent lookups: it only ever holds
         finished sets, and two computations of one set are equal.
@@ -131,6 +133,8 @@ class Hierarchy:
         known = memo.get(node)
         if known is not None:
             return known
+        if node not in self.nodes:
+            return frozenset((node,))
         seen = {node}
         stack = [node]
         while stack:
@@ -172,23 +176,9 @@ class Hierarchy:
 
 
 def _build(numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str) -> Hierarchy:
-    """A hierarchy of numbered (child, parent) fields; an edge that
-    :class:`Hierarchy` rejects is re-raised with its line or record number."""
-    at = None  # number of the edge being built, None while reading
-
-    def edges():
-        nonlocal at
-        for at, fields in numbered:
-            yield fields
-            at = None
-
-    try:
-        return Hierarchy(edges(), source=source)
-    except LoadError as err:
-        if at is None:  # a reader error, located already
-            raise
-        problem = str(err).removeprefix(f"{source}: ")
-        raise LoadError(f"{source}: {unit} {at}: {problem}") from None
+    hierarchy = Hierarchy.__new__(Hierarchy)
+    hierarchy._fill(numbered, source, unit)
+    return hierarchy
 
 
 def load_hierarchy(

@@ -7,6 +7,7 @@ import pytest
 from predsim import (
     Corpus,
     CorpusStats,
+    GoldStandard,
     LoadError,
     Predication,
     PredicationSet,
@@ -321,6 +322,28 @@ class TestGoldStandard:
         path.write_text("s1\td2\t1\ns2\td1\t1\n", encoding="utf-8")
         gold = load_gold_file(path)
         assert gold.seeds() == ("s1", "s2")
+
+    def test_gold_is_a_read_only_mapping(self):
+        gold = load_gold([("s2", "d1", 1), ("s1", "d3", 2), ("s1", "d2", 1)])
+        assert list(gold) == ["s1", "s2"]
+        assert dict(gold) == {"s1": ("d2", "d3"), "s2": ("d1",)}
+        assert list(gold.keys()) == ["s1", "s2"]
+        assert gold.get("nope") is None
+        assert "s1" in gold and "nope" not in gold
+        with pytest.raises(TypeError):
+            gold["s3"] = ("d1",)
+
+    def test_constructor_checks_as_the_loaders_do(self):
+        with pytest.raises(
+            LoadError, match=r"^<memory>: record 1: seed 's' appears in its own related list$"
+        ):
+            GoldStandard({"s": ("s",)})
+        with pytest.raises(LoadError, match=r"^<memory>: record 1: empty related id$"):
+            GoldStandard({"s": ("",)})
+        with pytest.raises(LoadError, match=r"^<memory>: record 2: related id contains tab"):
+            GoldStandard({"s": ("d1", "a\tb")})
+        assert GoldStandard({"s": ["d2", "d1"]}) == {"s": ("d2", "d1")}
+        assert len(GoldStandard({})) == 0
 
     def test_load_file_ignores_byte_order_mark(self, tmp_path):
         path = tmp_path / "gold.tsv"

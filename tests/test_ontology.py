@@ -3,7 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
-from predsim import Hierarchy, LoadError, load_hierarchy, load_hierarchy_file, parse_hierarchy
+from predsim import (
+    Hierarchy,
+    LoadError,
+    Predication,
+    PredicationSet,
+    RetrievalEngine,
+    load_hierarchy,
+    load_hierarchy_file,
+    parse_hierarchy,
+)
 
 from oracles import closure_ancestor_sets, make_identifier_sim, random_cyclic_graph, random_dag
 
@@ -47,11 +56,6 @@ class TestLoading:
     def test_empty_token_rejected(self):
         with pytest.raises(LoadError, match="empty"):
             load_hierarchy([("A", "")])
-
-    def test_isolated_nodes_kept(self):
-        h = Hierarchy([("A", "R")], isolated=["LONE"])
-        assert "LONE" in h.nodes
-        assert h.ancestors("LONE") == {"LONE"}
 
     def test_parse_lines_with_comments_and_blanks(self):
         lines = ["# comment\n", "\n", "A\tR\n", "  \n", "B\tR\n"]
@@ -102,6 +106,20 @@ class TestAncestors:
         first = concept_h.ancestors("C1")
         again = concept_h.ancestors("C1")
         assert first is again
+
+    def test_memo_holds_hierarchy_nodes_only(self, concept_h, relation_h, small_corpus):
+        engine = RetrievalEngine(concept_h, relation_h)
+        engine.query_documents(small_corpus, small_corpus["d1"], top_n=2)  # builds the index
+        concept_h.similarity("C1", "C2")
+        sizes = len(concept_h._ancestor_memo), len(relation_h._ancestor_memo)
+        for i in range(1000):
+            assert concept_h.similarity(f"unknown{i}", "C1") == 0.0
+        for i in range(50):
+            query = PredicationSet.from_iterable([Predication(f"S{i}", f"REL{i}", f"O{i}")])
+            engine.query_documents(small_corpus, query, top_n=2)
+        assert (len(concept_h._ancestor_memo), len(relation_h._ancestor_memo)) == sizes
+        assert set(concept_h._ancestor_memo) <= concept_h.nodes
+        assert set(relation_h._ancestor_memo) <= relation_h.nodes
 
     def test_long_chain_no_recursion_limit(self):
         edges = [(f"n{i}", f"n{i + 1}") for i in range(5000)]
