@@ -1,5 +1,5 @@
 """Input checks shared by the loaders: one identifier validator, one line
-reader and its counterpart for in-memory records.
+reader and its counterpart for in-memory records, and one file opener.
 
 Both readers yield ``(number, fields)`` pairs, counting from 1, and raise
 the only error they can locate themselves, a wrong field count.  A caller
@@ -10,11 +10,15 @@ prefix then, from the number, so the valid path formats no location text.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from pathlib import Path
+from typing import TypeVar
 
 from .errors import LoadError
 
 WILDCARD = "?"
+
+T = TypeVar("T")
 
 _TAB_OR_NEWLINE = re.compile(r"[\t\n\r]").search
 _FORBIDDEN_IN_LITERAL = re.compile(r"[\t\n\r|]").search
@@ -79,3 +83,12 @@ def tuple_records(
                 f"{source}: record {number}: expected {n_fields} fields, got {len(record)}"
             )
         yield number, record
+
+
+def read_file(path: str | Path, parse: Callable[[Iterable[str], str], T]) -> T:
+    """``parse(lines, source)`` over the lines of the UTF-8 file at
+    ``path``, a leading byte-order mark dropped; the source is the path
+    as :class:`~pathlib.Path` spells it."""
+    path = Path(path)
+    with open(path, encoding="utf-8-sig") as handle:
+        return parse(handle, str(path))

@@ -7,15 +7,19 @@ against a gold file).
 
 Ranked listings go to standard output (or ``--output``) as tab-separated
 ``rank  id-or-literal  score`` records with scores to 6 decimal places;
-diagnostics go to standard error.  Exit codes: 0 success, 1 load or
+diagnostics go to standard error, each warning as one
+``predsim: warning: <message>`` line.  Exit codes: 0 success, 1 load or
 internal failure, 2 domain lookup failure (unknown seed, missing gold
 seeds), 64 usage error.
+
+From a checkout: ``PYTHONPATH=src python -m predsim.cli COMMAND ...``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .corpus import load_gold_file, load_predications_file
@@ -216,30 +220,35 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"predsim: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        print(err, file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except UsageError as err:
-        print(err, file=sys.stderr)
-        return EXIT_USAGE
-    except (LoadError, OSError) as err:
-        print(f"predsim: error: {err}", file=sys.stderr)
-        return EXIT_LOAD
-    except (UnknownDocumentError, EmptySetError) as err:
-        print(f"predsim: error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as err:
-        print(f"predsim: error: {err}", file=sys.stderr)
-        return EXIT_LOAD
+    """Run one command; every warning it raises goes to stderr as one
+    ``predsim: warning:`` line, whatever the caller's warning filters."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_warning
+        try:
+            args = _build_parser().parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
+        except UsageError as err:
+            print(err, file=sys.stderr)
+            return EXIT_USAGE
+        except (UnknownDocumentError, EmptySetError) as err:
+            print(f"predsim: error: {err}", file=sys.stderr)
+            return EXIT_DOMAIN
+        except (ValueError, OSError) as err:  # LoadError is a ValueError
+            print(f"predsim: error: {err}", file=sys.stderr)
+            return EXIT_LOAD
 
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

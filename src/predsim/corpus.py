@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._input import check_identifier, line_records, tuple_records
+from ._input import check_identifier, line_records, read_file, tuple_records
 from .errors import LoadError
 from .predication import Predication, PredicationSet
 
@@ -261,9 +261,7 @@ def parse_predications(lines: Iterable[str], source: str = "<memory>") -> Corpus
 
 
 def load_predications_file(path: str | Path) -> Corpus:
-    path = Path(path)
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_predications(handle, source=str(path))
+    return read_file(path, parse_predications)
 
 
 def write_predications_file(corpus: Corpus, path: str | Path) -> None:
@@ -289,10 +287,17 @@ class GoldStandard(Mapping):
     """Read-only map from seed document id to related ids in rank order.
 
     ``GoldStandard(related)`` checks the mapping's (seed, related id, rank)
-    records, numbered from 1, as the loaders do.
+    records, numbered from 1, as the loaders do.  Each value must be a
+    sequence of ids, not a string: its order is the rank order.
     """
 
     def __init__(self, related: Mapping[str, Sequence[str]]):
+        for seed, ids in related.items():
+            if isinstance(ids, str) or not isinstance(ids, Sequence):
+                raise LoadError(
+                    f"<memory>: seed {seed!r}: related ids must be a sequence of ids, "
+                    f"got {type(ids).__name__}"
+                )
         records = ((s, doc, k) for s in related for k, doc in enumerate(related[s], 1))
         self._fill(enumerate(records, start=1), "<memory>", "record", rank_text=False)
 
@@ -363,7 +368,5 @@ def parse_gold(lines: Iterable[str], source: str = "<memory>") -> GoldStandard:
 
 
 def load_gold_file(path: str | Path) -> GoldStandard:
-    path = Path(path)
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_gold(handle, source=str(path))
+    return read_file(path, parse_gold)
 

@@ -26,50 +26,56 @@ be acyclic.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from ._input import check_identifier, line_records, tuple_records
+from ._input import check_identifier, line_records, read_file, tuple_records
 from .errors import LoadError
 
 
 class Hierarchy:
     """Immutable child->parent graph with memoized ancestor sets.
 
-    ``Hierarchy(edges, source)`` checks each (child, parent) edge: both
-    identifiers non-empty and free of tabs and line breaks, no self-loop.
-    Its errors read ``"{source}: {problem}"``; the loaders build through
-    the same :meth:`_fill`, which then names the line or record too.
+    ``Hierarchy(edges, source)`` numbers its (child, parent) edges from 1
+    and checks each: two fields, both identifiers non-empty and free of
+    tabs and line breaks, no self-loop.  Each distinct identifier is
+    checked once, where it first occurs, as the corpus loader does; one
+    that fails never enters the node table, so the error names the first
+    bad record.  Errors read ``"{source}: record N: {problem}"``;
+    :func:`parse_hierarchy` builds through the same :meth:`_fill` and
+    names the line instead.
 
     A node's ancestor set is memoized when asked for and built from the
     memoized sets of its ancestors (see :meth:`ancestors`);
     :meth:`ancestor_sets` asks parents first.
     """
 
-    def __init__(self, edges: Iterable[tuple[str, str]], source: str = "<memory>"):
-        self._fill(((None, edge) for edge in edges), source, "record")
+    def __init__(self, edges: Iterable[Sequence[str]], source: str = "<memory>"):
+        self._fill(tuple_records(edges, 2, source), source, "record")
 
     def _fill(
-        self, numbered: Iterable[tuple[int | None, Sequence[str]]], source: str, unit: str
+        self, numbered: Iterable[tuple[int, Sequence[str]]], source: str, unit: str
     ) -> None:
-        """Build every attribute from numbered (child, parent) records; a
-        bad edge is located by ``source`` alone when its number is None."""
-        parents: dict[str, set[str]] = {}
+        """Build every attribute from numbered (child, parent) records."""
+        parents: dict[str, set[str]] = {}  # every node; a root's set is empty
         for number, (child, parent) in numbered:
-            try:
-                check_identifier(child, "child identifier")
-                check_identifier(parent, "parent identifier")
-                if child == parent:
-                    raise LoadError(f"self-loop edge {child!r} -> {parent!r}")
-            except LoadError as err:
-                where = source if number is None else f"{source}: {unit} {number}"
-                raise LoadError(f"{where}: {err}") from None
+            if child not in parents or parent not in parents or child == parent:
+                try:
+                    if child not in parents:
+                        check_identifier(child, "child identifier")
+                    if parent not in parents:
+                        check_identifier(parent, "parent identifier")
+                    if child == parent:
+                        raise LoadError(f"self-loop edge {child!r} -> {parent!r}")
+                except LoadError as err:
+                    raise LoadError(f"{source}: {unit} {number}: {err}") from None
+                parents.setdefault(parent, set())
             parents.setdefault(child, set()).add(parent)
         self.source = source
         self.edges: frozenset[tuple[str, str]] = frozenset(
             (child, parent) for child, ps in parents.items() for parent in ps
         )
-        self.nodes: frozenset[str] = frozenset(parents).union(*parents.values())
+        self.nodes: frozenset[str] = frozenset(parents)
         self._parents = parents
         self._ancestor_memo: dict[str, frozenset[str]] = {}
         peeled = self._leaves_first()
@@ -105,7 +111,7 @@ class Hierarchy:
         while ready:
             node = ready.pop()
             order.append(node)
-            for parent in self._parents.get(node, ()):
+            for parent in self._parents[node]:
                 indegree[parent] -= 1
                 if indegree[parent] == 0:
                     ready.append(parent)
@@ -138,7 +144,7 @@ class Hierarchy:
         seen = {node}
         stack = [node]
         while stack:
-            for parent in self._parents.get(stack.pop(), ()):
+            for parent in self._parents[stack.pop()]:
                 if parent not in seen:
                     known = memo.get(parent)
                     if known is None:
@@ -175,25 +181,19 @@ class Hierarchy:
         return shared / total
 
 
-def _build(numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str) -> Hierarchy:
-    hierarchy = Hierarchy.__new__(Hierarchy)
-    hierarchy._fill(numbered, source, unit)
-    return hierarchy
-
-
 def load_hierarchy(
-    records: Iterable[tuple[str, str]], source: str = "<records>"
+    records: Iterable[Sequence[str]], source: str = "<records>"
 ) -> Hierarchy:
     """Build a hierarchy from (child, parent) records, validating each."""
-    return _build(tuple_records(records, 2, source), source, "record")
+    return Hierarchy(records, source)
 
 
 def parse_hierarchy(lines: Iterable[str], source: str = "<memory>") -> Hierarchy:
     """Parse ``child<TAB>parent`` lines; ``#`` comments and blanks ignored."""
-    return _build(line_records(lines, 2, source), source, "line")
+    hierarchy = Hierarchy.__new__(Hierarchy)
+    hierarchy._fill(line_records(lines, 2, source), source, "line")
+    return hierarchy
 
 
 def load_hierarchy_file(path: str | Path) -> Hierarchy:
-    path = Path(path)
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_hierarchy(handle, source=str(path))
+    return read_file(path, parse_hierarchy)

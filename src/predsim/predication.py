@@ -64,11 +64,7 @@ class PredicationPattern:
     def __post_init__(self):
         if self.subject is None and self.relation is None and self.object is None:
             raise LoadError("pattern must bind at least one slot")
-        for value, slot in (
-            (self.subject, "subject"),
-            (self.relation, "relation"),
-            (self.object, "object"),
-        ):
+        for value, slot in zip((self.subject, self.relation, self.object), _SLOTS):
             if value is not None:
                 check_identifier(value, slot, "pattern", literal=True)
 

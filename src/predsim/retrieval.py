@@ -136,15 +136,15 @@ class _Vocabulary:
         nodes, holders, offsets = self.nodes, self.holders, self.holder_offsets
         for name, k in distinct.items():
             ancestors = self.hierarchy.ancestors(name)
-            spans = [
+            # The empty first span gives a name with no indexed ancestor
+            # a row of zero counts.
+            spans = [holders[:0]]
+            spans += (
                 holders[offsets[n]:offsets[n + 1]]
                 for n in map(nodes.get, ancestors)
                 if n is not None
-            ]
-            if spans:
-                shared = np.bincount(np.concatenate(spans), minlength=len(self.ids))
-            else:
-                shared = np.zeros(len(self.ids), dtype=np.int64)
+            )
+            shared = np.bincount(np.concatenate(spans), minlength=len(self.ids))
             rows[k] = shared / (len(ancestors) + self.sizes - shared)
         return rows[[distinct[name] for name in names]]
 
@@ -354,13 +354,7 @@ class RetrievalEngine:
                 raise EmptySetError(f"seed document {seed!r} has no predications")
             raise UnknownDocumentError(f"unknown seed document {seed!r}")
         d = corpus.doc_number(seed)
-        members = slice(*corpus.doc_offsets[d:d + 2].tolist())
-        concepts, relations = corpus.concept_names, corpus.relation_names
-        query = (
-            [concepts[c] for c in corpus.subjects[members].tolist()],
-            [relations[c] for c in corpus.relations[members].tolist()],
-            [concepts[c] for c in corpus.objects[members].tolist()],
-        )
+        query = corpus._names_at(slice(*corpus.doc_offsets[d:d + 2].tolist()))
         return self._rank_documents(corpus, query, top_n, d)
 
     def query_documents(

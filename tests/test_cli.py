@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import pytest
 
 from predsim.cli import EXIT_DOMAIN, EXIT_LOAD, EXIT_OK, EXIT_USAGE, main
@@ -232,3 +238,58 @@ class TestFlagsAndDeterminism:
               "--wr", "0"])
         reweighted_out, _ = capsys.readouterr()
         assert default_out != reweighted_out
+
+
+class TestWarnings:
+    """Each warning a command raises is one ``predsim: warning:`` line on
+    stderr, whatever the caller's warning filters."""
+
+    @pytest.mark.parametrize("caller_filter", ["error", "ignore"])
+    def test_cycle_warning_through_related(self, files, capsys, caller_filter):
+        main(["related", *files["base"], "--seed", "d1"])
+        acyclic_out, _ = capsys.readouterr()
+        cyclic = files["dir"] / "cyclic.tsv"
+        cyclic.write_text(
+            "".join(f"{c}\t{p}\n" for c, p in CONCEPT_EDGES) + "CX\tCY\nCY\tCX\n",
+            encoding="utf-8",
+        )
+        argv = ["related", "--concepts", str(cyclic), *files["base"][2:], "--seed", "d1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter(caller_filter)
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK
+        assert out == acyclic_out
+        assert [line for line in err.splitlines() if not line.startswith("# ")] == [
+            f"predsim: warning: {cyclic}: hierarchy contains a cycle "
+            "(2 nodes involved, e.g. CX, CY); cycle members become mutual ancestors"
+        ]
+        assert "UserWarning" not in err and ".py:" not in err
+
+    def test_absent_gold_warning_through_eval(self, files, capsys, tmp_path):
+        gold = tmp_path / "absent_gold.tsv"
+        gold.write_text("d1\td2\t1\nd1\tdX\t2\nd1\tdY\t3\n", encoding="utf-8")
+        code = main(["eval", *files["base"], "--gold", str(gold), "--at", "1,2"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "n,precision,recall,f_measure"
+        assert [line for line in err.splitlines() if not line.startswith("# ")] == [
+            "predsim: warning: seed 'd1': 2 gold documents absent from corpus "
+            "(dX, dY); dropped from the relevant set"
+        ]
+
+
+class TestModuleEntryPoint:
+    def test_python_m_matches_main(self, files, capsys):
+        argv = ["related", *files["base"], "--seed", "d1", "--top", "3"]
+        assert main(argv) == EXIT_OK
+        expected, _ = capsys.readouterr()
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "predsim.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == expected

@@ -345,6 +345,17 @@ class TestGoldStandard:
         assert GoldStandard({"s": ["d2", "d1"]}) == {"s": ("d2", "d1")}
         assert len(GoldStandard({})) == 0
 
+    @pytest.mark.parametrize(
+        "ids, kind", [("abc", "str"), ({"b", "a", "c"}, "set"), (5, "int"), (None, "NoneType")]
+    )
+    def test_constructor_rejects_value_not_a_sequence_of_ids(self, ids, kind):
+        # a string would rank its characters, a set in hash order
+        with pytest.raises(
+            LoadError,
+            match=rf"^<memory>: seed 's': related ids must be a sequence of ids, got {kind}$",
+        ):
+            GoldStandard({"r": ("d1",), "s": ids})
+
     def test_load_file_ignores_byte_order_mark(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("\ufeffs1\td2\t1\n", encoding="utf-8")

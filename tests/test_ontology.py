@@ -40,8 +40,40 @@ class TestLoading:
             load_hierarchy([("A", "R"), ("B", "B")])
 
     def test_self_loop_rejected_by_constructor(self):
-        with pytest.raises(LoadError, match=r"^<memory>: self-loop edge 'A' -> 'A'$"):
+        with pytest.raises(LoadError, match=r"^<memory>: record 2: self-loop edge 'A' -> 'A'$"):
             Hierarchy([("A", "R"), ("A", "A")])
+
+    def test_constructor_rejects_wrong_field_count(self):
+        with pytest.raises(LoadError, match=r"^<memory>: record 1: expected 2 fields, got 3$"):
+            Hierarchy([("A", "B", "C")])
+
+    def test_bad_identifier_fails_where_first_seen(self):
+        # the bad parent on line 3 recurs as a child on line 5: it never
+        # entered the node table, so line 3 fails with the parent message
+        lines = ["A\tR\n", "B\tR\n", "C\tX\rY\n", "D\tR\n", "X\rY\tR\n"]
+        with pytest.raises(
+            LoadError, match=r"^h: line 3: parent identifier contains tab or newline$"
+        ):
+            parse_hierarchy(lines, source="h")
+        edges = [("A", "R"), ("B", "R"), ("C", "X\tY"), ("D", "R"), ("X\tY", "R")]
+        with pytest.raises(
+            LoadError, match=r"^<memory>: record 3: parent identifier contains tab or newline$"
+        ):
+            Hierarchy(edges)
+
+    def test_entry_points_build_equal_hierarchies(self):
+        rng = np.random.default_rng(17)
+        for make in (random_dag, random_cyclic_graph):
+            for _ in range(50):
+                _, edges = make(rng)
+                lines = [f"{child}\t{parent}\n" for child, parent in edges]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # cycles are reported with a warning
+                    built = [Hierarchy(edges), load_hierarchy(edges), parse_hierarchy(lines)]
+                expected_nodes = {n for edge in edges for n in edge}
+                for h in built:
+                    assert h.nodes == expected_nodes
+                    assert h.edges == set(edges)
 
     def test_bad_identifier_names_line(self):
         with pytest.raises(LoadError, match=r"^h: line 2: child identifier contains tab or newline$"):
@@ -76,6 +108,7 @@ class TestLoading:
         h = load_hierarchy_file(path)
         assert h.nodes == {"A", "R"}
         assert h.source == str(path)
+        assert load_hierarchy_file(f"{tmp_path}/./h.tsv").source == str(path)
 
     def test_load_file_ignores_byte_order_mark(self, tmp_path):
         path = tmp_path / "h.tsv"
