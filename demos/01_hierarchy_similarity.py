@@ -8,7 +8,7 @@ placement makes siblings look more alike than shallow ones.
 
 from pathlib import Path
 
-from predsim import load_hierarchy, load_hierarchy_file
+from predsim import Hierarchy, load_hierarchy_file
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,7 +40,7 @@ def main():
     print("\nsiblings at the bottom of a chain of depth d score d/(d+2):")
     for depth in (1, 2, 3, 10):
         chain = [(f"n{i}", f"n{i + 1}") for i in range(depth - 1)]
-        h = load_hierarchy(chain + [("leafA", "n0"), ("leafB", "n0")])
+        h = Hierarchy(chain + [("leafA", "n0"), ("leafB", "n0")])
         print(f"  depth {depth:2d}: sim(leafA, leafB) = {h.similarity('leafA', 'leafB'):.4f}")
 
     print("\nidentifiers the hierarchy has never seen degrade gracefully:")

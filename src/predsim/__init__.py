@@ -12,8 +12,6 @@ from .corpus import (
     Corpus,
     CorpusStats,
     GoldStandard,
-    load_corpus,
-    load_gold,
     load_gold_file,
     load_predications_file,
     parse_gold,
@@ -30,7 +28,7 @@ from .evaluation import (
     recall_at,
     run_eval,
 )
-from .ontology import Hierarchy, load_hierarchy, load_hierarchy_file, parse_hierarchy
+from .ontology import Hierarchy, load_hierarchy_file, parse_hierarchy
 from .predication import (
     WILDCARD,
     Predication,
@@ -70,10 +68,7 @@ __all__ = [
     "f_measure",
     "format_pattern",
     "format_predication",
-    "load_corpus",
-    "load_gold",
     "load_gold_file",
-    "load_hierarchy",
     "load_hierarchy_file",
     "load_predications_file",
     "parse_gold",

@@ -33,8 +33,11 @@ def check_identifier(
     identifier that fills a predication slot (``literal=True``) may not
     contain ``|`` either, nor be the wildcard token.  The message reads
     ``"{where}: {problem}"``, or just the problem when ``where`` is None.
+    A value that is not a ``str`` fails too.
     """
-    if literal:
+    if not isinstance(value, str):
+        problem = f"{what} must be a string, got {type(value).__name__}"
+    elif literal:
         if value and value != WILDCARD and _FORBIDDEN_IN_LITERAL(value) is None:
             return
         if not value:
@@ -76,8 +79,14 @@ def line_records(
 def tuple_records(
     records: Iterable[Sequence], n_fields: int, source: str
 ) -> Iterator[tuple[int, Sequence]]:
-    """Each in-memory record with its record number, checking its length."""
+    """Each in-memory record with its record number, checking its length.
+
+    A string is refused whatever its length: its characters would be the
+    fields, and a mapping passed for records iterates its string keys.
+    """
     for number, record in enumerate(records, start=1):
+        if isinstance(record, str):
+            raise LoadError(f"{source}: record {number}: expected {n_fields} fields, got a string")
         if len(record) != n_fields:
             raise LoadError(
                 f"{source}: record {number}: expected {n_fields} fields, got {len(record)}"

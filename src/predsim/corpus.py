@@ -18,13 +18,11 @@ literal-order number of each distinct predication is kept as a column,
 so this module alone decides predication identity and order.
 ``Corpus`` is itself the read-only mapping from document id to
 predication set: ``corpus[doc_id]`` builds a :class:`PredicationSet` on
-each access, and ``Corpus(mapping)`` encodes a mapping into the same
-columns through the same builder as the loaders.  :class:`GoldStandard`
-is built the same way, and is the read-only mapping from seed to ranked ids.
-
-Documents that end up with zero predications (possible only through
-programmatic construction) are excluded from retrieval and listed in the
-corpus skip list instead of failing the load.
+each access.  ``Corpus(records)`` takes the same records the file holds
+and builds through the same :meth:`Corpus._fill` as the loader, so a
+document exists only through a record and none is empty.
+:class:`GoldStandard` is built the same way, and is the read-only
+mapping from seed to ranked ids.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from array import array
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
@@ -105,29 +102,21 @@ class Corpus(Mapping):
     in :meth:`doc_ids`, owns positions ``doc_offsets[d]`` to
     ``doc_offsets[d + 1]``.  The arrays are read-only.
 
-    ``Corpus(docs)`` encodes a mapping from document id to predication set
-    into these columns; documents with no predications are left out and
-    listed in ``skipped``.  ``corpus[doc_id]`` builds a
-    :class:`PredicationSet` on each access.
+    ``Corpus(records, source)`` numbers its (doc_id, subject, relation,
+    object) records from 1 and checks them as the loader checks lines, so
+    its errors read ``"{source}: record N: {problem}"``.  An empty input
+    fails.  ``corpus[doc_id]`` builds a :class:`PredicationSet` on each
+    access.
     """
 
-    def __init__(self, docs: Mapping[str, PredicationSet]):
-        kept: list[str] = []
-        skipped: list[str] = []
-        for doc_id in sorted(docs):
-            check_identifier(doc_id, "document id", "<memory>")
-            (kept if len(docs[doc_id]) else skipped).append(doc_id)
-        records = (
-            (doc_id, p.subject, p.relation, p.object) for doc_id in kept for p in docs[doc_id]
-        )
-        self._fill(enumerate(records, start=1), "<memory>", "record")
-        self.skipped = tuple(skipped)
+    def __init__(self, records: Iterable[Sequence[str]], source: str = "<memory>"):
+        self._fill(tuple_records(records, 4, source), source, "record")
 
     def _fill(
         self, numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str
     ) -> None:
         """Build every attribute from numbered (doc, subject, relation,
-        object) records."""
+        object) records, of which there must be at least one."""
         docs: dict[str, int] = {}
         concepts: dict[str, int] = {}
         relations: dict[str, int] = {}
@@ -161,6 +150,8 @@ class Corpus(Mapping):
             add_subject(s)
             add_relation(r)
             add_object(o)
+        if not docs:
+            raise LoadError(f"{source}: no predication records; corpus would be empty")
         doc_codes, subjects, relation_codes, objects = (
             np.frombuffer(c, dtype=np.int64) for c in columns
         )
@@ -188,7 +179,6 @@ class Corpus(Mapping):
         self.predication_codes = _read_only(codes)
         sizes = np.bincount(keys // len(triples), minlength=len(docs))
         self.doc_offsets = _read_only(_offsets(sizes))
-        self.skipped: tuple[str, ...] = ()
         self.stats = CorpusStats(len(docs), len(keys), len(doc_codes) - len(keys))
 
     def __len__(self) -> int:
@@ -210,7 +200,6 @@ class Corpus(Mapping):
             return NotImplemented
         return (
             self._doc_ids == other._doc_ids
-            and self.skipped == other.skipped
             and np.array_equal(self.doc_offsets, other.doc_offsets)
             and self._names_at(slice(None)) == other._names_at(slice(None))
         )
@@ -238,26 +227,11 @@ class Corpus(Mapping):
         )
 
 
-def _group_into_corpus(
-    numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str
-) -> Corpus:
-    corpus = Corpus.__new__(Corpus)
-    corpus._fill(numbered, source, unit)
-    if not corpus.stats.predications:
-        raise LoadError(f"{source}: no predication records; corpus would be empty")
-    return corpus
-
-
-def load_corpus(
-    records: Iterable[tuple[str, str, str, str]], source: str = "<records>"
-) -> Corpus:
-    """Group (doc_id, subject, relation, object) records into a corpus."""
-    return _group_into_corpus(tuple_records(records, 4, source), source, "record")
-
-
 def parse_predications(lines: Iterable[str], source: str = "<memory>") -> Corpus:
     """Parse ``doc<TAB>subject<TAB>relation<TAB>object`` lines."""
-    return _group_into_corpus(line_records(lines, 4, source), source, "line")
+    corpus = Corpus.__new__(Corpus)
+    corpus._fill(line_records(lines, 4, source), source, "line")
+    return corpus
 
 
 def load_predications_file(path: str | Path) -> Corpus:
@@ -286,26 +260,21 @@ def write_predications_file(corpus: Corpus, path: str | Path) -> None:
 class GoldStandard(Mapping):
     """Read-only map from seed document id to related ids in rank order.
 
-    ``GoldStandard(related)`` checks the mapping's (seed, related id, rank)
-    records, numbered from 1, as the loaders do.  Each value must be a
-    sequence of ids, not a string: its order is the rank order.
+    ``GoldStandard(records, source)`` numbers its (seed, related id, rank)
+    records from 1 and checks them as the loader checks lines; the rank is
+    an ``int``.  Errors read ``"{source}: record N: {problem}"``, and an
+    empty input fails.
     """
 
-    def __init__(self, related: Mapping[str, Sequence[str]]):
-        for seed, ids in related.items():
-            if isinstance(ids, str) or not isinstance(ids, Sequence):
-                raise LoadError(
-                    f"<memory>: seed {seed!r}: related ids must be a sequence of ids, "
-                    f"got {type(ids).__name__}"
-                )
-        records = ((s, doc, k) for s in related for k, doc in enumerate(related[s], 1))
-        self._fill(enumerate(records, start=1), "<memory>", "record", rank_text=False)
+    def __init__(self, records: Iterable[Sequence], source: str = "<memory>"):
+        self._fill(tuple_records(records, 3, source), source, "record", rank_text=False)
 
     def _fill(
         self, numbered: Iterator[tuple[int, Sequence]], source: str, unit: str, rank_text: bool
     ) -> None:
-        """Group numbered (seed, related, rank) records by seed.  The rank
-        is an int, or with ``rank_text`` the text of one."""
+        """Group numbered (seed, related, rank) records, of which there
+        must be at least one, by seed.  The rank is an int, or with
+        ``rank_text`` the text of one."""
         by_seed: dict[str, dict[int, str]] = {}
         for number, (seed, related, rank) in numbered:
             try:
@@ -328,43 +297,30 @@ class GoldStandard(Mapping):
             except LoadError as err:
                 raise LoadError(f"{source}: {unit} {number}: {err}") from None
             ranks[rank] = related
-        self.related: Mapping[str, tuple[str, ...]] = MappingProxyType({
+        if not by_seed:
+            raise LoadError(f"{source}: no gold records")
+        self._related: dict[str, tuple[str, ...]] = {
             seed: tuple(ranks[r] for r in sorted(ranks)) for seed, ranks in sorted(by_seed.items())
-        })
+        }
 
     def __len__(self) -> int:
-        return len(self.related)
+        return len(self._related)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.related)
+        return iter(self._related)
 
     def __getitem__(self, seed: str) -> tuple[str, ...]:
-        return self.related[seed]
+        return self._related[seed]
 
     def seeds(self) -> tuple[str, ...]:
-        return tuple(self.related)
-
-
-def _build_gold(
-    numbered: Iterator[tuple[int, Sequence]], source: str, unit: str, rank_text: bool
-) -> GoldStandard:
-    gold = GoldStandard.__new__(GoldStandard)
-    gold._fill(numbered, source, unit, rank_text)
-    if not gold:
-        raise LoadError(f"{source}: no gold records")
-    return gold
-
-
-def load_gold(
-    records: Iterable[tuple[str, str, int]], source: str = "<records>"
-) -> GoldStandard:
-    """Build a gold standard from (seed, related, rank) records."""
-    return _build_gold(tuple_records(records, 3, source), source, "record", rank_text=False)
+        return tuple(self._related)
 
 
 def parse_gold(lines: Iterable[str], source: str = "<memory>") -> GoldStandard:
     """Parse ``seed<TAB>related<TAB>rank`` lines."""
-    return _build_gold(line_records(lines, 3, source), source, "line", rank_text=True)
+    gold = GoldStandard.__new__(GoldStandard)
+    gold._fill(line_records(lines, 3, source), source, "line", rank_text=True)
+    return gold
 
 
 def load_gold_file(path: str | Path) -> GoldStandard:

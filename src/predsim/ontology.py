@@ -181,13 +181,6 @@ class Hierarchy:
         return shared / total
 
 
-def load_hierarchy(
-    records: Iterable[Sequence[str]], source: str = "<records>"
-) -> Hierarchy:
-    """Build a hierarchy from (child, parent) records, validating each."""
-    return Hierarchy(records, source)
-
-
 def parse_hierarchy(lines: Iterable[str], source: str = "<memory>") -> Hierarchy:
     """Parse ``child<TAB>parent`` lines; ``#`` comments and blanks ignored."""
     hierarchy = Hierarchy.__new__(Hierarchy)

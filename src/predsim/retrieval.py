@@ -50,7 +50,7 @@ pipe-delimited literal (ascending).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,29 +98,29 @@ def _intern(names: list[str]) -> tuple[dict[str, int], np.ndarray]:
 class _Vocabulary:
     """The identifiers of one hierarchy that a corpus uses, interned.
 
-    ``ids`` numbers the distinct names passed in, in first-seen order; a
-    corpus passes its identifier table, so the numbers are its codes.
+    ``names`` are the distinct names passed in, id ``i`` being ``names[i]``;
+    a corpus passes its identifier table, so the ids are its codes.
     ``nodes`` numbers every identifier of the interned ids' self-inclusive
     ancestor sets, and the sets are stored inverted, per node: with ``o =
     holder_offsets``, the ids whose set holds node ``n``, ascending, are
     ``holders[o[n]:o[n + 1]]``.  ``sizes[i]`` is the size of id ``i``'s set.
     """
 
-    def __init__(self, hierarchy: Hierarchy, names: Iterable[str]):
+    def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
         self.hierarchy = hierarchy
-        self.ids = {name: i for i, name in enumerate(dict.fromkeys(names))}
-        ancestor_sets = hierarchy.ancestor_sets(list(self.ids))
+        self.names = tuple(names)
+        ancestor_sets = hierarchy.ancestor_sets(self.names)
         self.nodes, flat = _intern([a for s in ancestor_sets for a in s])
-        self.sizes = np.fromiter(map(len, ancestor_sets), dtype=np.int64, count=len(self.ids))
+        self.sizes = np.fromiter(map(len, ancestor_sets), dtype=np.int64, count=len(self.names))
         # Every node occurs in ``flat``.  A list: slicing with Python ints
         # is faster than with numpy scalars.
         self.holder_offsets = _offsets(np.bincount(flat)).tolist()
         # Sorting the distinct keys node * V + id, in place, groups the ids
         # by node, ascending within each; V * len(nodes) is far below 2**63.
-        flat *= len(self.ids)
-        flat += np.repeat(np.arange(len(self.ids)), self.sizes)
+        flat *= len(self.names)
+        flat += np.repeat(np.arange(len(self.names)), self.sizes)
         flat.sort()
-        flat %= len(self.ids)
+        flat %= len(self.names)
         self.holders = flat
 
     def similarity_rows(self, names: list[str]) -> np.ndarray:
@@ -132,7 +132,7 @@ class _Vocabulary:
         counted.
         """
         distinct = {name: k for k, name in enumerate(dict.fromkeys(names))}
-        rows = np.empty((len(distinct), len(self.ids)))
+        rows = np.empty((len(distinct), len(self.names)))
         nodes, holders, offsets = self.nodes, self.holders, self.holder_offsets
         for name, k in distinct.items():
             ancestors = self.hierarchy.ancestors(name)
@@ -144,7 +144,7 @@ class _Vocabulary:
                 for n in map(nodes.get, ancestors)
                 if n is not None
             )
-            shared = np.bincount(np.concatenate(spans), minlength=len(self.ids))
+            shared = np.bincount(np.concatenate(spans), minlength=len(self.names))
             rows[k] = shared / (len(ancestors) + self.sizes - shared)
         return rows[[distinct[name] for name in names]]
 
@@ -334,8 +334,6 @@ class RetrievalEngine:
         object identifiers, leaving out document number ``skip``."""
         if top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {top_n}")
-        if len(corpus) == 0:  # every document was empty
-            return []
         index = self._index_for(corpus)
         pred_terms, query_terms = self._document_terms(index, *query)
         top, scores = _top_documents(pred_terms, query_terms, corpus.doc_offsets, top_n, skip)
@@ -350,8 +348,6 @@ class RetrievalEngine:
     ) -> list[RankedDocument]:
         """Rank all other documents against the seed's predication set."""
         if seed not in corpus:
-            if seed in corpus.skipped:
-                raise EmptySetError(f"seed document {seed!r} has no predications")
             raise UnknownDocumentError(f"unknown seed document {seed!r}")
         d = corpus.doc_number(seed)
         query = corpus._names_at(slice(*corpus.doc_offsets[d:d + 2].tolist()))

@@ -1,6 +1,6 @@
 import pytest
 
-from predsim import Predication, load_corpus, load_hierarchy
+from predsim import Corpus, Hierarchy, Predication
 
 # Hand-enumerated concept fixture.  Ancestor sets:
 #   C1 -> {C1, A, R}        C2 -> {C2, A, R}         (siblings: 2/4 = 0.5)
@@ -35,17 +35,17 @@ RELATION_EDGES = [
 
 @pytest.fixture
 def concept_h():
-    return load_hierarchy(CONCEPT_EDGES, source="concept-fixture")
+    return Hierarchy(CONCEPT_EDGES, source="concept-fixture")
 
 
 @pytest.fixture
 def relation_h():
-    return load_hierarchy(RELATION_EDGES, source="relation-fixture")
+    return Hierarchy(RELATION_EDGES, source="relation-fixture")
 
 
 @pytest.fixture
 def small_corpus():
-    return load_corpus(
+    return Corpus(
         [
             ("d1", "C1", "TREATS", "OA"),
             ("d1", "C1", "CAUSES", "D1"),

@@ -23,15 +23,15 @@ import numpy as np
 import pytest
 
 from predsim import (
+    Corpus,
+    GoldStandard,
+    Hierarchy,
     Predication,
     PredicationSet,
     RetrievalEngine,
     SimConfig,
     SimWeights,
     f_measure,
-    load_corpus,
-    load_gold,
-    load_hierarchy,
     precision_at,
     predication_similarity,
     recall_at,
@@ -52,7 +52,7 @@ from oracles import (
 
 def fixture_engine(**kwargs):
     return RetrievalEngine(
-        load_hierarchy(CONCEPT_EDGES), load_hierarchy(RELATION_EDGES), **kwargs
+        Hierarchy(CONCEPT_EDGES), Hierarchy(RELATION_EDGES), **kwargs
     )
 
 
@@ -85,7 +85,7 @@ class TestIdentifierSimilarityOracle:
         rng = np.random.default_rng(101)
         for _ in range(200):
             nodes, edges = random_dag(rng, max_nodes=20, max_edges=40)
-            h = load_hierarchy(edges)
+            h = Hierarchy(edges)
             oracle = make_identifier_sim(nodes, edges)
             for a in nodes:
                 for b in nodes:
@@ -94,7 +94,7 @@ class TestIdentifierSimilarityOracle:
     def test_chain_sibling_closed_form(self):
         for depth in (1, 2, 3, 10):
             chain = [(f"c{i}", f"c{i + 1}") for i in range(depth - 1)]
-            h = load_hierarchy(chain + [("leaf1", "c0"), ("leaf2", "c0")])
+            h = Hierarchy(chain + [("leaf1", "c0"), ("leaf2", "c0")])
             assert h.similarity("leaf1", "leaf2") == depth / (depth + 2)
 
 
@@ -105,10 +105,10 @@ class TestRetrievalOracle:
             cnodes, cedges = random_dag(rng, max_nodes=14, max_edges=24)
             rnodes, redges = random_dag(rng, max_nodes=6, max_edges=8)
             docs = random_corpus(rng, cnodes, rnodes, max_docs=10, max_preds=5)
-            corpus = load_corpus(
+            corpus = Corpus(
                 [(d, s, r, o) for d in sorted(docs) for (s, r, o) in docs[d]]
             )
-            engine = RetrievalEngine(load_hierarchy(cedges), load_hierarchy(redges))
+            engine = RetrievalEngine(Hierarchy(cedges), Hierarchy(redges))
             triple_sim = make_triple_sim(
                 make_identifier_sim(cnodes, cedges),
                 make_identifier_sim(rnodes, redges),
@@ -140,7 +140,7 @@ class TestInvariantSuites:
         rng = np.random.default_rng(107)
         for _ in range(20):
             nodes, edges = random_dag(rng)
-            h = load_hierarchy(edges)
+            h = Hierarchy(edges)
             probes = nodes + ["missing-node"]
             for a in probes:
                 assert h.similarity(a, a) == 1.0
@@ -209,10 +209,10 @@ class TestInvariantSuites:
             cnodes, cedges = random_dag(rng, max_nodes=10, max_edges=15)
             rnodes, redges = random_dag(rng, max_nodes=4, max_edges=4)
             docs = random_corpus(rng, cnodes, rnodes, max_docs=8)
-            corpus = load_corpus(
+            corpus = Corpus(
                 [(d, s, r, o) for d in sorted(docs) for (s, r, o) in docs[d]]
             )
-            engine = RetrievalEngine(load_hierarchy(cedges), load_hierarchy(redges))
+            engine = RetrievalEngine(Hierarchy(cedges), Hierarchy(redges))
             for seed in corpus.doc_ids():
                 results = engine.related_documents(corpus, seed, len(docs))
                 assert seed not in [r.doc_id for r in results]
@@ -241,7 +241,7 @@ class TestInvariantSuites:
 
     def test_index_reuse_determinism(self, small_corpus):
         shared = fixture_engine()
-        other = load_corpus([("e1", "C2", "CAUSES", "OB"), ("e2", "C1", "TREATS", "OA")])
+        other = Corpus([("e1", "C2", "CAUSES", "OB"), ("e2", "C1", "TREATS", "OA")])
 
         def switching(seed):
             shared.query_documents(other, small_corpus[seed], 1)  # evicts the index
@@ -267,7 +267,7 @@ class TestEndToEndSyntheticEval:
                 s, o = (concepts[int(j)] for j in rng.integers(0, len(concepts), size=2))
                 r = relations[int(rng.integers(0, len(relations)))]
                 records.append((doc, s, r, o))
-        return load_corpus(records), {
+        return Corpus(records), {
             d: sorted({(s, r, o) for (dd, s, r, o) in records if dd == d})
             for d in {rec[0] for rec in records}
         }
@@ -287,7 +287,7 @@ class TestEndToEndSyntheticEval:
         for seed in seeds:
             top10 = related_docs_bruteforce(docs, seed, triple_sim, top_n=10)
             gold_records += [(seed, d, i) for i, (d, _) in enumerate(top10, start=1)]
-        gold = load_gold(gold_records)
+        gold = GoldStandard(gold_records)
         report = run_eval(fixture_engine(), corpus, gold, [10])
         assert report.macro[10] == (1.0, 1.0, 1.0)
         assert report.to_csv().splitlines()[1] == "10,1.0000,1.0000,1.0000"
@@ -300,15 +300,15 @@ class TestEndToEndSyntheticEval:
         # seed, so ten identical decoys crowd them out of the top 10
         records.append(("zz-gold1", "GX1", "RG", "GY1"))
         records.append(("zz-gold2", "GX2", "RG", "GY2"))
-        corpus = load_corpus(records)
-        gold = load_gold([("seed", "zz-gold1", 1), ("seed", "zz-gold2", 2)])
+        corpus = Corpus(records)
+        gold = GoldStandard([("seed", "zz-gold1", 1), ("seed", "zz-gold2", 2)])
         report = run_eval(fixture_engine(), corpus, gold, [10])
         assert report.macro[10] == (0.0, 0.0, 0.0)
         assert report.to_csv().splitlines()[1] == "10,0.0000,0.0000,0.0000"
 
     def test_sweep_csv_byte_identical_across_runs(self):
         corpus, docs = self._synthetic_corpus()
-        gold = load_gold(
+        gold = GoldStandard(
             [("doc00", "doc01", 1), ("doc00", "doc02", 2), ("doc05", "doc00", 1)]
         )
         outputs = []

@@ -1,0 +1,58 @@
+"""The public surface: the names ``predsim`` exports, and the identifier
+check every in-memory constructor shares."""
+
+import pytest
+
+import predsim
+from predsim import Corpus, GoldStandard, Hierarchy, LoadError, Predication, PredicationPattern
+
+
+def test_all_names_the_public_surface():
+    assert all(hasattr(predsim, name) for name in predsim.__all__)
+    assert len(set(predsim.__all__)) == len(predsim.__all__)
+    # each type has one in-memory constructor, over records
+    for gone in ("load_hierarchy", "load_corpus", "load_gold"):
+        assert not hasattr(predsim, gone)
+
+
+BUILDERS = {
+    "Hierarchy": (lambda v: Hierarchy([(v, "A")]), "<memory>: record 1: child identifier"),
+    "Corpus": (lambda v: Corpus([("d", v, "R", "O")]), "<memory>: record 1: predication: subject"),
+    "GoldStandard": (lambda v: GoldStandard([(v, "d", 1)]), "<memory>: record 1: seed id"),
+    "Predication": (lambda v: Predication(v, "a", "b"), "predication: subject"),
+    "PredicationPattern": (lambda v: PredicationPattern(v, "R", None), "pattern: subject"),
+}
+VALUES = {"int": 1, "NoneType": None, "bytes": b"x"}
+
+
+@pytest.mark.parametrize(
+    "builder, kind",
+    [
+        (builder, kind)
+        for builder in BUILDERS
+        for kind in VALUES
+        # None is the pattern's wildcard, a valid slot
+        if (builder, kind) != ("PredicationPattern", "NoneType")
+    ],
+)
+def test_non_string_identifier_rejected(builder, kind):
+    build, prefix = BUILDERS[builder]
+    with pytest.raises(LoadError) as caught:
+        build(VALUES[kind])
+    assert str(caught.value) == f"{prefix} must be a string, got {kind}"
+
+
+@pytest.mark.parametrize(
+    "build, n_fields",
+    [
+        (lambda: Hierarchy(["AB"]), 2),
+        (lambda: Corpus({"doc1": ()}), 4),  # a mapping iterates its keys
+        (lambda: GoldStandard({"abc": ("d",)}), 3),
+    ],
+    ids=["Hierarchy", "Corpus", "GoldStandard"],
+)
+def test_string_record_rejected(build, n_fields):
+    # each string has as many characters as a record has fields
+    with pytest.raises(LoadError) as caught:
+        build()
+    assert str(caught.value) == f"<memory>: record 1: expected {n_fields} fields, got a string"

@@ -10,10 +10,7 @@ from predsim import (
     GoldStandard,
     LoadError,
     Predication,
-    PredicationSet,
     format_predication,
-    load_corpus,
-    load_gold,
     load_gold_file,
     load_predications_file,
     parse_gold,
@@ -24,14 +21,14 @@ from predsim import (
 
 class TestCorpusLoading:
     def test_grouping(self):
-        corpus = load_corpus(
+        corpus = Corpus(
             [("d1", "a", "r", "b"), ("d1", "a", "r", "c")]
         )
         assert len(corpus) == 1
         assert len(corpus["d1"]) == 2
 
     def test_duplicates_dropped_and_counted(self):
-        corpus = load_corpus(
+        corpus = Corpus(
             [("d1", "a", "r", "b"), ("d1", "a", "r", "b")]
         )
         assert len(corpus["d1"]) == 1
@@ -39,11 +36,11 @@ class TestCorpusLoading:
 
     def test_wrong_field_count(self):
         with pytest.raises(LoadError, match="record 1: expected 4 fields"):
-            load_corpus([("d1", "a", "r")])
+            Corpus([("d1", "a", "r")])
 
     def test_zero_documents_rejected(self):
         with pytest.raises(LoadError, match="no predication records"):
-            load_corpus([])
+            Corpus([])
 
     def test_stats_counts(self, small_corpus):
         assert small_corpus.stats.documents == 4
@@ -51,13 +48,14 @@ class TestCorpusLoading:
         assert small_corpus.stats.duplicates_dropped == 0
 
     def test_empty_documents_go_to_skip_list(self):
-        docs = {
-            "full": PredicationSet.from_iterable([Predication("a", "r", "b")]),
-            "empty": PredicationSet(()),
-        }
-        corpus = Corpus(docs)
-        assert corpus.doc_ids() == ("full",)
-        assert corpus.skipped == ("empty",)
+        # A document exists only through a record, so none is empty and
+        # there is no skip list.
+        corpus = Corpus(
+            [("full", "a", "r", "b"), ("other", "a", "r", "c"), ("full", "a", "r", "b")]
+        )
+        assert corpus.doc_ids() == ("full", "other")
+        assert np.diff(corpus.doc_offsets).tolist() == [1, 1]
+        assert not hasattr(corpus, "skipped")
 
     def test_doc_ids_sorted(self, small_corpus):
         assert small_corpus.doc_ids() == ("d1", "d2", "d3", "d4")
@@ -70,10 +68,10 @@ class TestCorpusLoading:
             stats.documents = 5
 
     def test_bad_record_names_record(self):
-        with pytest.raises(LoadError, match=r"^<records>: record 2: predication: empty object$"):
-            load_corpus([("d1", "a", "r", "b"), ("d1", "a", "r", "")])
-        with pytest.raises(LoadError, match=r"^<records>: record 1: empty document id$"):
-            load_corpus([("", "a", "r", "b")])
+        with pytest.raises(LoadError, match=r"^<memory>: record 2: predication: empty object$"):
+            Corpus([("d1", "a", "r", "b"), ("d1", "a", "r", "")])
+        with pytest.raises(LoadError, match=r"^<memory>: record 1: empty document id$"):
+            Corpus([("", "a", "r", "b")])
 
 
 class TestPredicationsFile:
@@ -134,7 +132,7 @@ class TestPredicationsFile:
             ("\ufeffd", "a", "r", "b"),
         ]
         for record in records:
-            corpus = load_corpus([record])
+            corpus = Corpus([record])
             with pytest.raises(ValueError, match="would not read back"):
                 write_predications_file(corpus, path)
             assert not path.exists()
@@ -168,7 +166,7 @@ class TestPredicationsFile:
 
     def test_large_document_duplicates_counted(self):
         records = [("big", f"s{i}", "r", "o") for i in range(5000)] * 2
-        corpus = load_corpus(records)
+        corpus = Corpus(records)
         assert len(corpus["big"]) == 5000
         assert corpus.stats.duplicates_dropped == 5000
 
@@ -199,12 +197,13 @@ class TestMemberOrder:
         records = self._records(seed)
         distinct = set(records)
         duplicates = len(records) - len(distinct)
-        loaded = load_corpus(records)
+        loaded = Corpus(records)
         parsed = parse_predications(["\t".join(record) + "\n" for record in records])
         by_doc = {}
         for doc_id, *slots in records:
             by_doc.setdefault(doc_id, []).append(Predication(*slots))
-        built = Corpus({d: PredicationSet.from_iterable(ps) for d, ps in by_doc.items()})
+        # rebuilt from another corpus's members, through a one-pass iterable
+        built = Corpus((d, p.subject, p.relation, p.object) for d in parsed for p in parsed[d])
         assert loaded == parsed == built
         stats = CorpusStats(len(by_doc), len(distinct), duplicates)
         assert loaded.stats == parsed.stats == stats
@@ -222,10 +221,10 @@ class TestMemberOrder:
             assert corpus.predication_codes.tolist() == [rank[lit] for lit in literals]
 
     def test_equality_sees_members(self):
-        one = load_corpus([("d", "C1", "R", "C10"), ("d", "C1!", "R", "C")])
-        other = load_corpus([("d", "C1", "R", "C10"), ("d", "C1!", "R", "C1")])
+        one = Corpus([("d", "C1", "R", "C10"), ("d", "C1!", "R", "C")])
+        other = Corpus([("d", "C1", "R", "C10"), ("d", "C1!", "R", "C1")])
         assert one != other
-        assert one == load_corpus([("d", "C1!", "R", "C"), ("d", "C1", "R", "C10")])
+        assert one == Corpus([("d", "C1!", "R", "C"), ("d", "C1", "R", "C10")])
 
 
 class TestCorpusColumns:
@@ -266,38 +265,41 @@ class TestCorpusColumns:
                 column[0] = 1
 
     def test_no_documents(self):
-        corpus = Corpus({"a": PredicationSet(()), "b": PredicationSet(())})
-        assert len(corpus) == 0 and corpus.doc_ids() == ()
-        assert corpus.skipped == ("a", "b")
-        assert corpus.stats == CorpusStats(0, 0, 0)
-        assert "a" not in corpus
-        assert np.array_equal(corpus.doc_offsets, [0])
+        # no input builds a corpus without documents
+        with pytest.raises(
+            LoadError, match=r"^<memory>: no predication records; corpus would be empty$"
+        ):
+            Corpus([])
+        with pytest.raises(LoadError, match=r"^m: no predication records; corpus would be empty$"):
+            Corpus(iter(()), source="m")
+        with pytest.raises(LoadError, match=r"^f: no predication records; corpus would be empty$"):
+            parse_predications(["# only a comment\n", "\n"], source="f")
 
 
 class TestGoldStandard:
     def test_basic(self):
-        gold = load_gold([("d1", "d2", 1), ("d1", "d3", 2)])
+        gold = GoldStandard([("d1", "d2", 1), ("d1", "d3", 2)])
         assert gold["d1"] == ("d2", "d3")
 
     def test_rank_ordering(self):
-        gold = load_gold([("d1", "d3", 2), ("d1", "d2", 1)])
+        gold = GoldStandard([("d1", "d3", 2), ("d1", "d2", 1)])
         assert gold["d1"] == ("d2", "d3")
 
     def test_seed_in_own_list_rejected(self):
         with pytest.raises(LoadError, match="own related list"):
-            load_gold([("d1", "d1", 1)])
+            GoldStandard([("d1", "d1", 1)])
 
     def test_duplicate_rank_rejected(self):
         with pytest.raises(LoadError, match="duplicate rank"):
-            load_gold([("d1", "d2", 1), ("d1", "d3", 1)])
+            GoldStandard([("d1", "d2", 1), ("d1", "d3", 1)])
 
     def test_nonpositive_rank_rejected(self):
         with pytest.raises(LoadError, match="positive"):
-            load_gold([("d1", "d2", 0)])
+            GoldStandard([("d1", "d2", 0)])
 
     def test_empty_gold_rejected(self):
         with pytest.raises(LoadError, match="no gold records"):
-            load_gold([])
+            GoldStandard([])
 
     def test_parse_lines(self):
         gold = parse_gold(["# gold\n", "s1\td2\t2\n", "s1\td9\t1\n"])
@@ -308,8 +310,8 @@ class TestGoldStandard:
             parse_gold(["s1\td2\tfirst\n"])
 
     def test_record_rank_must_be_an_int(self):
-        with pytest.raises(LoadError, match=r"^<records>: record 1: rank must be an integer, got '1'$"):
-            load_gold([("s1", "d2", "1")])
+        with pytest.raises(LoadError, match=r"^<memory>: record 1: rank must be an integer, got '1'$"):
+            GoldStandard([("s1", "d2", "1")])
 
     def test_parse_errors_name_line(self):
         with pytest.raises(LoadError, match=r"^g: line 3: duplicate rank 1 for seed 's1'$"):
@@ -324,7 +326,7 @@ class TestGoldStandard:
         assert gold.seeds() == ("s1", "s2")
 
     def test_gold_is_a_read_only_mapping(self):
-        gold = load_gold([("s2", "d1", 1), ("s1", "d3", 2), ("s1", "d2", 1)])
+        gold = GoldStandard([("s2", "d1", 1), ("s1", "d3", 2), ("s1", "d2", 1)])
         assert list(gold) == ["s1", "s2"]
         assert dict(gold) == {"s1": ("d2", "d3"), "s2": ("d1",)}
         assert list(gold.keys()) == ["s1", "s2"]
@@ -337,24 +339,31 @@ class TestGoldStandard:
         with pytest.raises(
             LoadError, match=r"^<memory>: record 1: seed 's' appears in its own related list$"
         ):
-            GoldStandard({"s": ("s",)})
+            GoldStandard([("s", "s", 1)])
         with pytest.raises(LoadError, match=r"^<memory>: record 1: empty related id$"):
-            GoldStandard({"s": ("",)})
+            GoldStandard([("s", "", 1)])
         with pytest.raises(LoadError, match=r"^<memory>: record 2: related id contains tab"):
-            GoldStandard({"s": ("d1", "a\tb")})
-        assert GoldStandard({"s": ["d2", "d1"]}) == {"s": ("d2", "d1")}
-        assert len(GoldStandard({})) == 0
+            GoldStandard([("s", "d1", 1), ("s", "a\tb", 2)])
+        with pytest.raises(LoadError, match=r"^g: record 2: duplicate rank 1 for seed 's'$"):
+            GoldStandard([("s", "d1", 1), ("s", "d2", 1)], source="g")
+        with pytest.raises(LoadError, match=r"^<memory>: no gold records$"):
+            GoldStandard([])
+        assert GoldStandard([("s", "d2", 1), ("s", "d1", 2)]) == {"s": ("d2", "d1")}
 
     @pytest.mark.parametrize(
         "ids, kind", [("abc", "str"), ({"b", "a", "c"}, "set"), (5, "int"), (None, "NoneType")]
     )
     def test_constructor_rejects_value_not_a_sequence_of_ids(self, ids, kind):
-        # a string would rank its characters, a set in hash order
+        # A record holds one related id: a string is that id, never a
+        # sequence of its characters, and a collection of ids fails.
+        records = [("r", "d1", 1), ("s", ids, 1)]
+        if kind == "str":
+            assert GoldStandard(records)["s"] == ("abc",)
+            return
         with pytest.raises(
-            LoadError,
-            match=rf"^<memory>: seed 's': related ids must be a sequence of ids, got {kind}$",
+            LoadError, match=rf"^<memory>: record 2: related id must be a string, got {kind}$"
         ):
-            GoldStandard({"r": ("d1",), "s": ids})
+            GoldStandard(records)
 
     def test_load_file_ignores_byte_order_mark(self, tmp_path):
         path = tmp_path / "gold.tsv"

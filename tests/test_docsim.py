@@ -3,11 +3,11 @@ import pytest
 
 from predsim import (
     EmptySetError,
+    Hierarchy,
     Predication,
     PredicationSet,
     SimConfig,
     SimWeights,
-    load_hierarchy,
     set_similarity,
 )
 
@@ -165,8 +165,8 @@ class TestProperties:
         for _ in range(30):
             cnodes, cedges = random_dag(rng, max_nodes=12, max_edges=20)
             rnodes, redges = random_dag(rng, max_nodes=5, max_edges=6)
-            ch = load_hierarchy(cedges)
-            rh = load_hierarchy(redges)
+            ch = Hierarchy(cedges)
+            rh = Hierarchy(redges)
             s1, s2 = self._random_sets(rng, cnodes, rnodes)
             got = set_similarity(
                 s1, s2, SimConfig(), ch.similarity, rh.similarity

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from predsim import (
+    Corpus,
+    GoldStandard,
     RetrievalEngine,
     UnknownDocumentError,
     f_measure,
-    load_corpus,
-    load_gold,
     precision_at,
     recall_at,
     run_eval,
@@ -21,7 +21,7 @@ def engine(concept_h, relation_h):
 def flat_corpus(doc_ids):
     """Docs with mutually unknown concepts: all similarities are 0, so
     retrieval order degenerates to ascending doc id."""
-    return load_corpus(
+    return Corpus(
         [(d, f"s-{d}", f"r-{d}", f"o-{d}") for d in doc_ids]
     )
 
@@ -92,7 +92,7 @@ class TestFMeasure:
 class TestRunEval:
     def test_perfect_gold_scores_one(self, engine, small_corpus):
         retrieved = engine.related_documents(small_corpus, "d1", 3)
-        gold = load_gold(
+        gold = GoldStandard(
             [("d1", r.doc_id, i) for i, r in enumerate(retrieved, start=1)]
         )
         report = run_eval(engine, small_corpus, gold, [3])
@@ -101,7 +101,7 @@ class TestRunEval:
     def test_macro_average_of_two_seeds(self, engine):
         corpus = flat_corpus([f"d{i}" for i in range(8)] + ["s1", "s2"])
         # both seeds retrieve d0..d7, s* in id order; top-5 = d0..d4
-        gold = load_gold(
+        gold = GoldStandard(
             [("s1", "d0", 1), ("s1", "d1", 2), ("s1", "d2", 3), ("s1", "d3", 4),
              ("s1", "d7", 5),
              ("s2", "d0", 1), ("s2", "d1", 2), ("s2", "d6", 3), ("s2", "d7", 4)]
@@ -113,7 +113,7 @@ class TestRunEval:
 
     def test_macro_equals_mean_of_per_seed(self, engine):
         corpus = flat_corpus([f"d{i}" for i in range(8)] + ["s1", "s2"])
-        gold = load_gold(
+        gold = GoldStandard(
             [("s1", "d0", 1), ("s1", "d5", 2),
              ("s2", "d1", 1), ("s2", "d2", 2), ("s2", "d7", 3)]
         )
@@ -126,19 +126,19 @@ class TestRunEval:
                 assert getattr(report.macro[n], name) == pytest.approx(mean, abs=1e-12)
 
     def test_missing_seed_listed(self, engine, small_corpus):
-        gold = load_gold([("d1", "d2", 1), ("zz", "d1", 1)])
+        gold = GoldStandard([("d1", "d2", 1), ("zz", "d1", 1)])
         with pytest.raises(UnknownDocumentError, match="zz"):
             run_eval(engine, small_corpus, gold, [5])
 
     def test_absent_gold_documents_dropped_with_warning(self, engine, small_corpus):
-        gold = load_gold([("d1", "d2", 1), ("d1", "nowhere", 2)])
+        gold = GoldStandard([("d1", "d2", 1), ("d1", "nowhere", 2)])
         with pytest.warns(UserWarning, match="absent from corpus"):
             report = run_eval(engine, small_corpus, gold, [1])
         # relevant set shrank to {d2}, which is ranked first
         assert report.per_seed["d1"][1] == (1.0, 1.0, 1.0)
 
     def test_seed_with_no_in_corpus_gold_skipped(self, engine, small_corpus):
-        gold = load_gold(
+        gold = GoldStandard(
             [("d1", "d2", 1), ("d3", "gone1", 1), ("d3", "gone2", 2)]
         )
         with pytest.warns(UserWarning) as records:
@@ -150,19 +150,19 @@ class TestRunEval:
         assert list(report.per_seed) == ["d1"]
 
     def test_every_seed_skipped_is_an_error(self, engine, small_corpus):
-        gold = load_gold([("d1", "gone", 1)])
+        gold = GoldStandard([("d1", "gone", 1)])
         with pytest.warns(UserWarning):
             with pytest.raises(ValueError, match="no evaluable seeds"):
                 run_eval(engine, small_corpus, gold, [2])
 
     def test_cutoffs_deduplicated_and_sorted(self, engine, small_corpus):
-        gold = load_gold([("d1", "d2", 1)])
+        gold = GoldStandard([("d1", "d2", 1)])
         report = run_eval(engine, small_corpus, gold, [5, 5, 1])
         assert report.n_values == (1, 5)
 
     def test_recall_non_decreasing_and_saturating(self, engine):
         corpus = flat_corpus([f"d{i}" for i in range(9)] + ["s1"])
-        gold = load_gold([("s1", "d2", 1), ("s1", "d5", 2), ("s1", "d8", 3)])
+        gold = GoldStandard([("s1", "d2", 1), ("s1", "d5", 2), ("s1", "d8", 3)])
         report = run_eval(engine, corpus, gold, list(range(1, 10)))
         recalls = [report.per_seed["s1"][n].recall for n in report.n_values]
         for earlier, later in zip(recalls, recalls[1:]):
@@ -190,7 +190,7 @@ class TestRandomRankingSanity:
 
 class TestReportOutput:
     def test_csv_format(self, engine, small_corpus):
-        gold = load_gold([("d1", "d2", 1)])
+        gold = GoldStandard([("d1", "d2", 1)])
         report = run_eval(engine, small_corpus, gold, [1, 3])
         lines = report.to_csv().splitlines()
         assert lines[0] == "n,precision,recall,f_measure"
@@ -198,14 +198,14 @@ class TestReportOutput:
         assert len(lines) == 3
 
     def test_per_seed_csv_format(self, engine, small_corpus):
-        gold = load_gold([("d1", "d2", 1)])
+        gold = GoldStandard([("d1", "d2", 1)])
         report = run_eval(engine, small_corpus, gold, [1])
         lines = report.per_seed_csv().splitlines()
         assert lines[0] == "seed,n,precision,recall,f_measure"
         assert lines[1].startswith("d1,1,")
 
     def test_reports_reproducible(self, concept_h, relation_h, small_corpus):
-        gold = load_gold([("d1", "d2", 1), ("d3", "d1", 1), ("d3", "d4", 2)])
+        gold = GoldStandard([("d1", "d2", 1), ("d3", "d1", 1), ("d3", "d4", 2)])
         outputs = []
         for _ in range(2):
             engine = RetrievalEngine(concept_h, relation_h)

@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from predsim import (
+    Corpus,
     LoadError,
-    load_corpus,
     load_gold_file,
     load_hierarchy_file,
     load_predications_file,
@@ -129,7 +129,7 @@ FORMATS = {
                      corpus_records),
     "hierarchy": (2, hierarchy_rules, quiet(parse_hierarchy), quiet(load_hierarchy_file),
                   lambda h: set(h.edges)),
-    "gold": (3, gold_rules, parse_gold, load_gold_file, lambda g: dict(g.related)),
+    "gold": (3, gold_rules, parse_gold, load_gold_file, lambda g: dict(g)),
 }
 
 LINE_NUMBER = re.compile(r": line (\d+): ")
@@ -223,7 +223,7 @@ def reads_back(line: str) -> bool:
 )
 def test_write_then_parse_round_trips(tmp_path, docs):
     records = [(doc, *triple) for doc, triples in docs.items() for triple in triples]
-    corpus = load_corpus(records)
+    corpus = Corpus(records)
     path = tmp_path / "round.tsv"
     if not all(reads_back("\t".join(record)) for record in records):
         with pytest.raises(ValueError, match="would not read back"):

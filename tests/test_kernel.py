@@ -25,6 +25,7 @@ import pytest
 
 from predsim import (
     Corpus,
+    Hierarchy,
     Predication,
     PredicationPattern,
     PredicationSet,
@@ -32,8 +33,6 @@ from predsim import (
     SimConfig,
     SimWeights,
     format_predication,
-    load_corpus,
-    load_hierarchy,
     pattern_similarity,
     retrieval,
 )
@@ -60,12 +59,12 @@ def _random_case(rng):
     cnodes, cedges = random_dag(rng, max_nodes=14, max_edges=25)
     rnodes, redges = random_dag(rng, max_nodes=5, max_edges=6)
     docs = random_corpus(rng, cnodes, rnodes, max_docs=9, max_preds=6)
-    corpus = load_corpus([(d, s, r, o) for d in sorted(docs) for (s, r, o) in docs[d]])
+    corpus = Corpus([(d, s, r, o) for d in sorted(docs) for (s, r, o) in docs[d]])
     config = SimConfig(
         weights=_random_weights(rng),
         pair_threshold=THRESHOLDS[int(rng.integers(0, len(THRESHOLDS)))],
     )
-    engine = RetrievalEngine(load_hierarchy(cedges), load_hierarchy(redges), config)
+    engine = RetrievalEngine(Hierarchy(cedges), Hierarchy(redges), config)
     # Query and pattern identifiers include some known to neither side.
     concepts = cnodes + [UNKNOWN_CONCEPT]
     relations = rnodes + [UNKNOWN_RELATION]
@@ -190,7 +189,7 @@ def _with_copies(rng, corpus):
     for d in corpus.doc_ids():
         for copy in range(int(rng.integers(0, 3))):
             records += [(f"{d}c{copy}", p.subject, p.relation, p.object) for p in corpus[d]]
-    return load_corpus(records)
+    return Corpus(records)
 
 
 def _check_prefixes(engine, corpus, concepts, relations, rng):
@@ -238,8 +237,8 @@ class TestTopPrefixes:
             _check_prefixes(engine, corpus, concepts, relations, rng)
 
     def test_lone_seed_has_no_related_documents(self):
-        corpus = load_corpus([("only", "X", "R", "Y")])
-        engine = RetrievalEngine(load_hierarchy([("X", "Z")]), load_hierarchy([("R", "S")]))
+        corpus = Corpus([("only", "X", "R", "Y")])
+        engine = RetrievalEngine(Hierarchy([("X", "Z")]), Hierarchy([("R", "S")]))
         assert engine.related_documents(corpus, "only", 3) == []
         assert [r.doc_id for r in engine.query_documents(corpus, corpus["only"], 3)] == ["only"]
 
@@ -327,17 +326,18 @@ class TestSimilarityRows:
     def _check(self, rng, nodes, edges):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # cycles are reported with a warning
-            hierarchy = load_hierarchy(edges)
+            hierarchy = Hierarchy(edges)
         names = nodes + ["ghost"]  # "ghost" is in the corpus, not the hierarchy
-        interned = [_pick(rng, names) for _ in range(int(rng.integers(1, 2 * len(names))))]
+        picked = [_pick(rng, names) for _ in range(int(rng.integers(1, 2 * len(names))))]
+        interned = list(dict.fromkeys(picked))  # distinct, as a corpus's identifier table
         vocab = retrieval._Vocabulary(hierarchy, interned)
-        outside = [n for n in names if n not in vocab.ids] + [UNKNOWN_CONCEPT]
+        outside = [n for n in names if n not in interned] + [UNKNOWN_CONCEPT]
         queries = [_pick(rng, interned) for _ in range(3)] + [_pick(rng, outside) for _ in range(3)]
         queries += queries[:2]
         rows = vocab.similarity_rows(queries)
-        assert rows.shape == (len(queries), len(vocab.ids))
+        assert rows.shape == (len(queries), len(interned))
         for name, row in zip(queries, rows.tolist()):
-            assert row == [hierarchy.similarity(name, v) for v in vocab.ids]
+            assert row == [hierarchy.similarity(name, v) for v in vocab.names]
 
     def test_random_dags(self):
         rng = np.random.default_rng(5)
@@ -370,9 +370,9 @@ class TestFindTieOrder:
         ]
         # some predications in several documents
         records += [(f"d{int(rng.integers(0, 6))}", *record[1:]) for record in records[::5]]
-        corpus = load_corpus(records)
+        corpus = Corpus(records)
         engine = RetrievalEngine(
-            load_hierarchy([("C1", "C"), ("C10", "C1")]), load_hierarchy([("R0", "R")])
+            Hierarchy([("C1", "C"), ("C10", "C1")]), Hierarchy([("R0", "R")])
         )
         literals = sorted({"|".join(record[1:]) for record in records})
         pattern = PredicationPattern(UNKNOWN_CONCEPT, None, None)
@@ -386,6 +386,10 @@ class TestFindTieOrder:
                 ]
 
     def test_corpus_without_predications(self):
-        corpus = Corpus({"empty": PredicationSet(())})
-        engine = RetrievalEngine(load_hierarchy([("C1", "C")]), load_hierarchy([("R0", "R")]))
-        assert engine.related_predications(corpus, PredicationPattern("C1", None, None), 3) == []
+        # No corpus is without predications; the smallest holds one.
+        corpus = Corpus([("d", "C1", "R0", "C")])
+        engine = RetrievalEngine(Hierarchy([("C1", "C")]), Hierarchy([("R0", "R")]))
+        found = engine.related_predications(corpus, PredicationPattern("C1", None, None), 3)
+        assert [(format_predication(r.predication), r.rank, r.documents) for r in found] == [
+            ("C1|R0|C", 1, ("d",))
+        ]

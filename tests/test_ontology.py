@@ -9,7 +9,6 @@ from predsim import (
     Predication,
     PredicationSet,
     RetrievalEngine,
-    load_hierarchy,
     load_hierarchy_file,
     parse_hierarchy,
 )
@@ -19,25 +18,25 @@ from oracles import closure_ancestor_sets, make_identifier_sim, random_cyclic_gr
 
 class TestLoading:
     def test_single_edge(self):
-        h = load_hierarchy([("A", "R")])
+        h = Hierarchy([("A", "R")])
         assert h.nodes == {"A", "R"}
         assert h.edges == {("A", "R")}
 
     def test_duplicate_edges_collapse(self):
-        h = load_hierarchy([("A", "R"), ("A", "R")])
+        h = Hierarchy([("A", "R"), ("A", "R")])
         assert len(h.edges) == 1
 
     def test_self_loop_rejected(self):
         with pytest.raises(LoadError, match="self-loop"):
-            load_hierarchy([("A", "A")])
+            Hierarchy([("A", "A")])
 
     def test_self_loop_names_line(self):
         with pytest.raises(LoadError, match=r"^h\.tsv: line 3: self-loop edge 'C' -> 'C'$"):
             parse_hierarchy(["A\tR\n", "# c\n", "C\tC\n"], source="h.tsv")
 
     def test_self_loop_names_record(self):
-        with pytest.raises(LoadError, match=r"^<records>: record 2: self-loop edge"):
-            load_hierarchy([("A", "R"), ("B", "B")])
+        with pytest.raises(LoadError, match=r"^<memory>: record 2: self-loop edge"):
+            Hierarchy([("A", "R"), ("B", "B")])
 
     def test_self_loop_rejected_by_constructor(self):
         with pytest.raises(LoadError, match=r"^<memory>: record 2: self-loop edge 'A' -> 'A'$"):
@@ -69,7 +68,7 @@ class TestLoading:
                 lines = [f"{child}\t{parent}\n" for child, parent in edges]
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # cycles are reported with a warning
-                    built = [Hierarchy(edges), load_hierarchy(edges), parse_hierarchy(lines)]
+                    built = [Hierarchy(edges), parse_hierarchy(lines)]
                 expected_nodes = {n for edge in edges for n in edge}
                 for h in built:
                     assert h.nodes == expected_nodes
@@ -83,11 +82,11 @@ class TestLoading:
 
     def test_wrong_field_count_names_record(self):
         with pytest.raises(LoadError, match="record 2: expected 2 fields"):
-            load_hierarchy([("A", "R"), ("A", "R", "X")])
+            Hierarchy([("A", "R"), ("A", "R", "X")])
 
     def test_empty_token_rejected(self):
         with pytest.raises(LoadError, match="empty"):
-            load_hierarchy([("A", "")])
+            Hierarchy([("A", "")])
 
     def test_parse_lines_with_comments_and_blanks(self):
         lines = ["# comment\n", "\n", "A\tR\n", "  \n", "B\tR\n"]
@@ -120,19 +119,19 @@ class TestLoading:
 
 class TestAncestors:
     def test_chain(self):
-        h = load_hierarchy([("C1", "A"), ("A", "R")])
+        h = Hierarchy([("C1", "A"), ("A", "R")])
         assert h.ancestors("C1") == {"C1", "A", "R"}
 
     def test_root_is_only_itself(self):
-        h = load_hierarchy([("C1", "A"), ("A", "R")])
+        h = Hierarchy([("C1", "A"), ("A", "R")])
         assert h.ancestors("R") == {"R"}
 
     def test_unknown_identifier(self):
-        h = load_hierarchy([("C1", "A")])
+        h = Hierarchy([("C1", "A")])
         assert h.ancestors("nope") == {"nope"}
 
     def test_polyhierarchy_union(self):
-        h = load_hierarchy([("C", "P1"), ("C", "P2"), ("P1", "R"), ("P2", "R")])
+        h = Hierarchy([("C", "P1"), ("C", "P2"), ("P1", "R"), ("P2", "R")])
         assert h.ancestors("C") == {"C", "P1", "P2", "R"}
 
     def test_memoized_result_reused(self, concept_h):
@@ -156,14 +155,14 @@ class TestAncestors:
 
     def test_long_chain_no_recursion_limit(self):
         edges = [(f"n{i}", f"n{i + 1}") for i in range(5000)]
-        h = load_hierarchy(edges)
+        h = Hierarchy(edges)
         assert len(h.ancestors("n0")) == 5001
 
     def test_deep_chain_leaf_first_then_root(self):
         # only requested sets are memoized: memoizing every intermediate
         # set of this chain would take about 1.25e9 set entries
         n = 50_000
-        h = load_hierarchy([(f"n{i}", f"n{i + 1}") for i in range(n)])
+        h = Hierarchy([(f"n{i}", f"n{i + 1}") for i in range(n)])
         assert len(h.ancestors("n0")) == n + 1
         assert h.ancestors(f"n{n}") == {f"n{n}"}
         assert len(h.ancestors(f"n{n - 10}")) == 11
@@ -226,28 +225,28 @@ class TestSimilarity:
         for depth in (1, 2, 3, 10):
             chain = [(f"c{i}", f"c{i + 1}") for i in range(depth - 1)]
             edges = chain + [("leaf1", "c0"), ("leaf2", "c0")]
-            h = load_hierarchy(edges)
+            h = Hierarchy(edges)
             assert h.similarity("leaf1", "leaf2") == depth / (depth + 2)
 
 
 class TestCycles:
     def test_cycle_warns_at_load(self):
         with pytest.warns(UserWarning, match="cycle"):
-            load_hierarchy([("A", "B"), ("B", "A")])
+            Hierarchy([("A", "B"), ("B", "A")])
 
     def test_cycle_members_become_mutual_ancestors(self):
         with pytest.warns(UserWarning):
-            h = load_hierarchy([("A", "B"), ("B", "C"), ("C", "A")])
+            h = Hierarchy([("A", "B"), ("B", "C"), ("C", "A")])
         assert h.ancestors("A") == {"A", "B", "C"}
         assert h.similarity("A", "B") == 1.0
 
     def test_acyclic_load_does_not_warn(self, recwarn):
-        load_hierarchy([("A", "B"), ("B", "C")])
+        Hierarchy([("A", "B"), ("B", "C")])
         assert not recwarn.list
 
     def test_nodes_below_a_cycle_reach_all_of_it(self):
         with pytest.warns(UserWarning, match="3 nodes involved"):
-            h = load_hierarchy([("A", "B"), ("B", "C"), ("C", "B"), ("C", "TOP"), ("L", "A")])
+            h = Hierarchy([("A", "B"), ("B", "C"), ("C", "B"), ("C", "TOP"), ("L", "A")])
         assert h.ancestors("L") == {"L", "A", "B", "C", "TOP"}
         assert h.ancestors("B") == {"B", "C", "TOP"}
 
@@ -275,8 +274,8 @@ class TestOracleEquivalence:
             expected = closure_ancestor_sets(nodes, edges)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                h = load_hierarchy(edges)
-                fresh = load_hierarchy(edges)
+                h = Hierarchy(edges)
+                fresh = Hierarchy(edges)
             for k in rng.permutation(len(nodes)):
                 assert h.ancestors(nodes[k]) == expected[nodes[k]]
             order = [nodes[k] for k in rng.permutation(len(nodes))]
@@ -287,7 +286,7 @@ class TestOracleEquivalence:
         for _ in range(200):
             nodes, edges = random_dag(rng)
             expected = closure_ancestor_sets(nodes, edges)
-            h = load_hierarchy(edges)
+            h = Hierarchy(edges)
             half = [nodes[k] for k in rng.permutation(len(nodes))[: len(nodes) // 2]]
             assert h.ancestor_sets(half) == [expected[n] for n in half]
             assert h.ancestor_sets(nodes) == [expected[n] for n in nodes]
@@ -298,7 +297,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(7)
         for _ in range(50):
             nodes, edges = random_dag(rng)
-            h = load_hierarchy(edges)
+            h = Hierarchy(edges)
             oracle = make_identifier_sim(nodes, edges)
             for a in nodes:
                 for b in nodes:

@@ -4,16 +4,16 @@ import pytest
 from predsim import (
     Corpus,
     EmptySetError,
+    Hierarchy,
     Predication,
     PredicationPattern,
     PredicationSet,
+    RankedDocument,
     RetrievalEngine,
     SimConfig,
     SimWeights,
     UnknownDocumentError,
     format_predication,
-    load_corpus,
-    load_hierarchy,
     retrieval,
 )
 
@@ -36,7 +36,7 @@ def ranking_corpus():
     #   docA identical                        -> 1.0
     #   docB: components 0.5 / 1.0 / 0.3      -> 0.6
     #   docC: components 0.0 / 0.5 / 0.0      -> 1/6
-    return load_corpus(
+    return Corpus(
         [
             ("seed", "C1", "TREATS", "OA"),
             ("docA", "C1", "TREATS", "OA"),
@@ -62,7 +62,7 @@ class TestRelatedDocuments:
         assert results[2].score == pytest.approx(1 / 6, abs=1e-12)
 
     def test_tie_broken_by_doc_id(self, engine):
-        corpus = load_corpus(
+        corpus = Corpus(
             [
                 ("seed", "C1", "TREATS", "OA"),
                 ("d9", "C2", "TREATS", "OB"),
@@ -83,12 +83,9 @@ class TestRelatedDocuments:
             engine.related_documents(small_corpus, "d99", 5)
 
     def test_skip_listed_seed_is_degenerate(self, engine):
-        docs = {
-            "full": PredicationSet.from_iterable([Predication("C1", "TREATS", "OA")]),
-            "hollow": PredicationSet(()),
-        }
-        corpus = Corpus(docs)
-        with pytest.raises(EmptySetError, match="hollow"):
+        # There is no skip list: an id with no record is no document.
+        corpus = Corpus([("full", "C1", "TREATS", "OA")])
+        with pytest.raises(UnknownDocumentError, match="^unknown seed document 'hollow'$"):
             engine.related_documents(corpus, "hollow", 5)
 
     def test_top_n_must_be_positive(self, engine, small_corpus):
@@ -135,9 +132,10 @@ class TestQueryDocuments:
             engine.query_documents(small_corpus, PredicationSet(()), 5)
 
     def test_corpus_without_predications_ranks_nothing(self, engine):
-        corpus = Corpus({"d": PredicationSet(())})
+        # No corpus is without predications; the smallest holds one.
+        corpus = Corpus([("d", "C1", "TREATS", "OA")])
         query = PredicationSet.from_iterable([Predication("C1", "TREATS", "OA")])
-        assert engine.query_documents(corpus, query, 5) == []
+        assert engine.query_documents(corpus, query, 5) == [RankedDocument("d", 1.0, 1)]
         with pytest.raises(ValueError, match="top_n"):
             engine.query_documents(corpus, query, 0)
 
@@ -204,7 +202,7 @@ class TestDeterminismAndTransparency:
         assert run() == default
 
     def test_index_reuse_transparency(self, concept_h, relation_h, small_corpus):
-        other = load_corpus([("e1", "C2", "CAUSES", "OB"), ("e2", "C1", "TREATS", "OA")])
+        other = Corpus([("e1", "C2", "CAUSES", "OB"), ("e2", "C1", "TREATS", "OA")])
         shared = RetrievalEngine(concept_h, relation_h)
         for seed, corpus in (("d1", small_corpus), ("e1", other), ("d3", small_corpus)):
             fresh = RetrievalEngine(concept_h, relation_h)
@@ -220,7 +218,7 @@ class TestDeterminismAndTransparency:
         assert first.corpus is small_corpus
         engine.query_documents(small_corpus, small_corpus["d3"], 10)
         assert engine._index is first
-        other = load_corpus([("e1", "C2", "CAUSES", "OB")])
+        other = Corpus([("e1", "C2", "CAUSES", "OB")])
         engine.query_documents(other, small_corpus["d3"], 10)
         assert engine._index.corpus is other
 
@@ -232,10 +230,10 @@ class TestOracleEquivalence:
             cnodes, cedges = random_dag(rng, max_nodes=12, max_edges=20)
             rnodes, redges = random_dag(rng, max_nodes=5, max_edges=6)
             docs = random_corpus(rng, cnodes, rnodes)
-            corpus = load_corpus(
+            corpus = Corpus(
                 [(d, s, r, o) for d in sorted(docs) for (s, r, o) in docs[d]]
             )
-            engine = RetrievalEngine(load_hierarchy(cedges), load_hierarchy(redges))
+            engine = RetrievalEngine(Hierarchy(cedges), Hierarchy(redges))
             triple_sim = make_triple_sim(
                 make_identifier_sim(cnodes, cedges),
                 make_identifier_sim(rnodes, redges),
