@@ -1,5 +1,6 @@
 """Input checks shared by the loaders: one identifier validator, one line
 reader and its counterpart for in-memory records, and one file opener.
+Every predsim warning goes through :func:`warn`.
 
 Both readers yield ``(number, fields)`` pairs, counting from 1, and raise
 the only error they can locate themselves, a wrong field count.  A caller
@@ -9,7 +10,10 @@ prefix then, from the number, so the valid path formats no location text.
 
 from __future__ import annotations
 
+import os
 import re
+import sys
+import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import TypeVar
@@ -22,6 +26,19 @@ T = TypeVar("T")
 
 _TAB_OR_NEWLINE = re.compile(r"[\t\n\r]").search
 _FORBIDDEN_IN_LITERAL = re.compile(r"[\t\n\r|]").search
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def warn(message: str) -> None:
+    """``warnings.warn(message)``, attributed to the first calling frame
+    outside this package, so the warning points at the user's code
+    whichever predsim function raised it."""
+    frame = sys._getframe(1)
+    level = 2
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame = frame.f_back
+        level += 1
+    warnings.warn(message, stacklevel=level)
 
 
 def check_identifier(
@@ -82,15 +99,18 @@ def tuple_records(
     """Each in-memory record with its record number, checking its length.
 
     A string is refused whatever its length: its characters would be the
-    fields, and a mapping passed for records iterates its string keys.
+    fields, and a mapping passed for records iterates its string keys.  A
+    record without a length is refused by its type name.
     """
     for number, record in enumerate(records, start=1):
         if isinstance(record, str):
             raise LoadError(f"{source}: record {number}: expected {n_fields} fields, got a string")
-        if len(record) != n_fields:
-            raise LoadError(
-                f"{source}: record {number}: expected {n_fields} fields, got {len(record)}"
-            )
+        try:
+            size = len(record)
+        except TypeError:
+            size = type(record).__name__
+        if size != n_fields:
+            raise LoadError(f"{source}: record {number}: expected {n_fields} fields, got {size}")
         yield number, record
 
 

@@ -124,26 +124,28 @@ class Corpus(Mapping):
         add_doc, add_subject, add_relation, add_object = (c.append for c in columns)
         doc_code, concept_code, relation_code = docs.get, concepts.get, relations.get
         for number, (doc_id, subject, relation, obj) in numbered:
-            d = doc_code(doc_id)
-            s = concept_code(subject)
-            r = relation_code(relation)
-            o = concept_code(obj)
+            try:
+                d = doc_code(doc_id)
+                s = concept_code(subject)
+                r = relation_code(relation)
+                o = concept_code(obj)
+            except TypeError:  # an unhashable identifier, which no check passes
+                d = s = r = o = None
             if d is None or s is None or r is None or o is None:
                 try:
                     if d is None:
                         check_identifier(doc_id, "document id")
-                        d = docs[doc_id] = len(docs)
+                        d = docs.setdefault(doc_id, len(docs))
                     if s is None:
                         check_identifier(subject, "subject", "predication", literal=True)
-                        s = concepts[subject] = len(concepts)
+                        s = concepts.setdefault(subject, len(concepts))
                     if r is None:
                         check_identifier(relation, "relation", "predication", literal=True)
-                        r = relations[relation] = len(relations)
-                    if o is None:
-                        o = concept_code(obj)  # the subject may be the same identifier
+                        r = relations.setdefault(relation, len(relations))
                     if o is None:
                         check_identifier(obj, "object", "predication", literal=True)
-                        o = concepts[obj] = len(concepts)
+                        # the subject may be the same identifier
+                        o = concepts.setdefault(obj, len(concepts))
                 except LoadError as err:
                     raise LoadError(f"{source}: {unit} {number}: {err}") from None
             add_doc(d)
@@ -283,7 +285,7 @@ class GoldStandard(Mapping):
                         rank = int(rank)
                     except ValueError:
                         pass
-                if not isinstance(rank, int):
+                if not isinstance(rank, int) or isinstance(rank, bool):
                     raise LoadError(f"rank must be an integer, got {rank!r}")
                 check_identifier(seed, "seed id")
                 check_identifier(related, "related id")

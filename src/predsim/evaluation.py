@@ -18,12 +18,12 @@ each cutoff.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
+from ._input import warn
 from .corpus import Corpus, GoldStandard
 from .errors import UnknownDocumentError
 from .retrieval import RetrievalEngine
@@ -46,7 +46,7 @@ def precision_at(retrieved: Sequence[str], relevant: Collection[str], n: int) ->
         raise ValueError(f"n must be >= 1, got {n}")
     top = retrieved[:n]
     if not top:
-        warnings.warn("precision over zero retrieved documents; defined as 0")
+        warn("precision over zero retrieved documents; defined as 0")
         return 0.0
     hits = sum(1 for doc in top if doc in relevant)
     return hits / len(top)
@@ -124,12 +124,12 @@ def run_eval(
         relevant = {d for d in gold_list if d in corpus}
         absent = [d for d in gold_list if d not in corpus]
         if absent:
-            warnings.warn(
+            warn(
                 f"seed {seed!r}: {len(absent)} gold documents absent from corpus "
                 f"({', '.join(absent[:5])}); dropped from the relevant set"
             )
         if not relevant:
-            warnings.warn(
+            warn(
                 f"seed {seed!r}: no gold documents present in corpus; "
                 "skipped from macro average"
             )

@@ -25,11 +25,10 @@ be acyclic.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from ._input import check_identifier, line_records, read_file, tuple_records
+from ._input import check_identifier, line_records, read_file, tuple_records, warn
 from .errors import LoadError
 
 
@@ -59,18 +58,24 @@ class Hierarchy:
         """Build every attribute from numbered (child, parent) records."""
         parents: dict[str, set[str]] = {}  # every node; a root's set is empty
         for number, (child, parent) in numbered:
-            if child not in parents or parent not in parents or child == parent:
+            try:
+                child_parents = parents.get(child)
+                known = parent in parents
+            except TypeError:  # an unhashable identifier, which no check passes
+                child_parents, known = None, False
+            if child_parents is None or not known or child == parent:
                 try:
-                    if child not in parents:
+                    if child_parents is None:
                         check_identifier(child, "child identifier")
-                    if parent not in parents:
+                    if not known:
                         check_identifier(parent, "parent identifier")
                     if child == parent:
                         raise LoadError(f"self-loop edge {child!r} -> {parent!r}")
                 except LoadError as err:
                     raise LoadError(f"{source}: {unit} {number}: {err}") from None
                 parents.setdefault(parent, set())
-            parents.setdefault(child, set()).add(parent)
+                child_parents = parents.setdefault(child, set())
+            child_parents.add(parent)
         self.source = source
         self.edges: frozenset[tuple[str, str]] = frozenset(
             (child, parent) for child, ps in parents.items() for parent in ps
@@ -83,11 +88,10 @@ class Hierarchy:
         if len(peeled) < len(self.nodes):
             cyclic = self.nodes.difference(peeled)
             sample = ", ".join(sorted(cyclic)[:5])
-            warnings.warn(
+            warn(
                 f"{source}: hierarchy contains a cycle "
                 f"({len(cyclic)} nodes involved, e.g. {sample}); "
-                "cycle members become mutual ancestors",
-                stacklevel=3,
+                "cycle members become mutual ancestors"
             )
 
     def __len__(self) -> int:

@@ -68,15 +68,6 @@ class PredicationPattern:
             if value is not None:
                 check_identifier(value, slot, "pattern", literal=True)
 
-    @property
-    def is_fully_bound(self) -> bool:
-        return None not in (self.subject, self.relation, self.object)
-
-    def as_predication(self) -> Predication:
-        if not self.is_fully_bound:
-            raise ValueError("pattern has wildcard slots")
-        return Predication(self.subject, self.relation, self.object)
-
 
 @dataclass(frozen=True)
 class SimWeights:
@@ -113,15 +104,11 @@ def parse_predication(text: str) -> Predication:
     where = f"predication literal {text!r}"
     if len(fields) != 3:
         raise LoadError(f"{where}: expected 3 fields, got {len(fields)}")
-    if WILDCARD in fields:
-        wild = fields.index(WILDCARD)
-        for field, slot in zip(fields[:wild], _SLOTS):  # a bad slot before it comes first
-            check_identifier(field, slot, where, literal=True)
-        raise LoadError(f"{where}: wildcard {_SLOTS[wild]} not allowed here")
-    try:
-        return Predication(*fields)
-    except LoadError as err:
-        raise LoadError(f"{where}: {str(err).removeprefix('predication: ')}") from None
+    for field, slot in zip(fields, _SLOTS):
+        if field == WILDCARD:
+            raise LoadError(f"{where}: wildcard {slot} not allowed here")
+        check_identifier(field, slot, where, literal=True)
+    return Predication(*fields)
 
 
 def parse_pattern(text: str) -> PredicationPattern:
@@ -133,10 +120,10 @@ def parse_pattern(text: str) -> PredicationPattern:
     slots = [None if f == WILDCARD else f for f in fields]
     if slots == [None, None, None]:
         raise LoadError(f"{where}: at least one slot must be bound")
-    try:
-        return PredicationPattern(*slots)
-    except LoadError as err:
-        raise LoadError(f"{where}: {str(err).removeprefix('pattern: ')}") from None
+    for value, slot in zip(slots, _SLOTS):
+        if value is not None:
+            check_identifier(value, slot, where, literal=True)
+    return PredicationPattern(*slots)
 
 
 @dataclass(frozen=True)

@@ -57,16 +57,10 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import Corpus, _offsets
-from .docsim import SimConfig, set_similarity
+from .docsim import SimConfig
 from .errors import EmptySetError, UnknownDocumentError
 from .ontology import Hierarchy
-from .predication import (
-    Predication,
-    PredicationPattern,
-    PredicationSet,
-    bound_weight,
-    predication_similarity,
-)
+from .predication import Predication, PredicationPattern, PredicationSet, bound_weight
 
 # Upper bound on the elements of one query-by-corpus block; a block holds
 # at least one query row.
@@ -258,24 +252,6 @@ class RetrievalEngine:
         self.relations = relation_hierarchy
         self.config = config if config is not None else SimConfig()
         self._index: _Index | None = None
-
-    # -- scalar similarity --------------------------------------------------
-
-    def concept_similarity(self, a: str, b: str) -> float:
-        return self.concepts.similarity(a, b)
-
-    def relation_similarity(self, a: str, b: str) -> float:
-        return self.relations.similarity(a, b)
-
-    def predication_similarity(self, p1: Predication, p2: Predication) -> float:
-        return predication_similarity(
-            p1, p2, self.config.weights, self.concept_similarity, self.relation_similarity
-        )
-
-    def set_similarity(self, s1: PredicationSet, s2: PredicationSet) -> float:
-        return set_similarity(
-            s1, s2, self.config, self.concept_similarity, self.relation_similarity
-        )
 
     # -- columnar scoring ---------------------------------------------------
 

@@ -151,28 +151,30 @@ class TestInvariantSuites:
 
     def test_predication_similarity_range_symmetry_identity(self):
         engine = fixture_engine()
+        args = engine.config.weights, engine.concepts.similarity, engine.relations.similarity
         rng = np.random.default_rng(109)
         sets = _random_predication_sets(rng, 20)
         preds = [p for s in sets for p in s]
         for p in preds:
-            assert engine.predication_similarity(p, p) == 1.0
+            assert predication_similarity(p, p, *args) == 1.0
         for p in preds[:12]:
             for q in preds[:12]:
-                pq = engine.predication_similarity(p, q)
+                pq = predication_similarity(p, q, *args)
                 assert 0.0 <= pq <= 1.0
-                assert pq == engine.predication_similarity(q, p)
+                assert pq == predication_similarity(q, p, *args)
 
     def test_set_similarity_range_symmetry_identity(self):
         engine = fixture_engine()
+        args = engine.config, engine.concepts.similarity, engine.relations.similarity
         rng = np.random.default_rng(113)
         sets = _random_predication_sets(rng, 16)
         for s in sets:
-            assert engine.set_similarity(s, s) == 1.0
+            assert set_similarity(s, s, *args) == 1.0
         for s1 in sets[:8]:
             for s2 in sets[:8]:
-                ab = engine.set_similarity(s1, s2)
+                ab = set_similarity(s1, s2, *args)
                 assert 0.0 <= ab <= 1.0
-                assert ab == engine.set_similarity(s2, s1)
+                assert ab == set_similarity(s2, s1, *args)
 
     def test_weight_scaling_invariance(self):
         rng = np.random.default_rng(127)
@@ -199,7 +201,10 @@ class TestInvariantSuites:
         engines = [engine_for(tau) for tau in taus]
         for s1 in sets[:6]:
             for s2 in sets[6:]:
-                scores = [e.set_similarity(s1, s2) for e in engines]
+                scores = [
+                    set_similarity(s1, s2, e.config, e.concepts.similarity, e.relations.similarity)
+                    for e in engines
+                ]
                 for earlier, later in zip(scores, scores[1:]):
                     assert later <= earlier
 

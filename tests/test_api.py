@@ -13,6 +13,12 @@ def test_all_names_the_public_surface():
     # each type has one in-memory constructor, over records
     for gone in ("load_hierarchy", "load_corpus", "load_gold"):
         assert not hasattr(predsim, gone)
+    # the scalar similarities are the module functions only
+    for gone in ("concept_similarity", "relation_similarity", "predication_similarity",
+                 "set_similarity"):
+        assert not hasattr(predsim.RetrievalEngine, gone)
+    for gone in ("is_fully_bound", "as_predication"):
+        assert not hasattr(PredicationPattern, gone)
 
 
 BUILDERS = {
@@ -22,7 +28,7 @@ BUILDERS = {
     "Predication": (lambda v: Predication(v, "a", "b"), "predication: subject"),
     "PredicationPattern": (lambda v: PredicationPattern(v, "R", None), "pattern: subject"),
 }
-VALUES = {"int": 1, "NoneType": None, "bytes": b"x"}
+VALUES = {"int": 1, "NoneType": None, "bytes": b"x", "list": ["x"]}
 
 
 @pytest.mark.parametrize(
@@ -43,16 +49,20 @@ def test_non_string_identifier_rejected(builder, kind):
 
 
 @pytest.mark.parametrize(
-    "build, n_fields",
+    "build, n_fields, got",
     [
-        (lambda: Hierarchy(["AB"]), 2),
-        (lambda: Corpus({"doc1": ()}), 4),  # a mapping iterates its keys
-        (lambda: GoldStandard({"abc": ("d",)}), 3),
+        (lambda: Hierarchy(["AB"]), 2, "a string"),
+        (lambda: Corpus({"doc1": ()}), 4, "a string"),  # a mapping iterates its keys
+        (lambda: GoldStandard({"abc": ("d",)}), 3, "a string"),
+        (lambda: Hierarchy([5]), 2, "int"),
+        (lambda: Corpus([5]), 4, "int"),
+        (lambda: GoldStandard([None]), 3, "NoneType"),
     ],
-    ids=["Hierarchy", "Corpus", "GoldStandard"],
+    ids=["Hierarchy", "Corpus", "GoldStandard", "Hierarchy-int", "Corpus-int", "GoldStandard-None"],
 )
-def test_string_record_rejected(build, n_fields):
-    # each string has as many characters as a record has fields
+def test_string_record_rejected(build, n_fields, got):
+    # each string has as many characters as a record has fields; a record
+    # without a length is named by its type
     with pytest.raises(LoadError) as caught:
         build()
-    assert str(caught.value) == f"<memory>: record 1: expected {n_fields} fields, got a string"
+    assert str(caught.value) == f"<memory>: record 1: expected {n_fields} fields, got {got}"

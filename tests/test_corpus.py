@@ -348,6 +348,10 @@ class TestGoldStandard:
             GoldStandard([("s", "d1", 1), ("s", "d2", 1)], source="g")
         with pytest.raises(LoadError, match=r"^<memory>: no gold records$"):
             GoldStandard([])
+        with pytest.raises(
+            LoadError, match=r"^<memory>: record 1: rank must be an integer, got True$"
+        ):
+            GoldStandard([("s", "d", True)])
         assert GoldStandard([("s", "d2", 1), ("s", "d1", 2)]) == {"s": ("d2", "d1")}
 
     @pytest.mark.parametrize(

@@ -42,8 +42,9 @@ class TestPrecision:
         assert precision_at(["a", "b"], {"a"}, 10) == 0.5
 
     def test_zero_retrieved_warns_and_returns_zero(self):
-        with pytest.warns(UserWarning, match="zero retrieved"):
+        with pytest.warns(UserWarning, match="zero retrieved") as caught:
             assert precision_at([], {"a"}, 5) == 0.0
+        assert [w.filename for w in caught] == [__file__]
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -146,6 +147,7 @@ class TestRunEval:
         messages = [str(r.message) for r in records]
         assert any("absent from corpus" in m for m in messages)
         assert any("skipped from macro" in m for m in messages)
+        assert {r.filename for r in records} == {__file__}
         assert report.skipped_seeds == ("d3",)
         assert list(report.per_seed) == ["d1"]
 

@@ -35,6 +35,7 @@ from predsim import (
     format_predication,
     pattern_similarity,
     retrieval,
+    set_similarity,
 )
 
 from oracles import random_corpus, random_cyclic_graph, random_dag
@@ -101,13 +102,16 @@ def _check_case(engine, corpus, concepts, relations, rng):
     """Check every score of one engine against the scalar path; return them."""
     seen = []
     everything = len(corpus) + 1
+    concept_sim, relation_sim = engine.concepts.similarity, engine.relations.similarity
     for seed in corpus.doc_ids():
         results = engine.related_documents(corpus, seed, everything)
         assert {r.doc_id for r in results} == set(corpus.doc_ids()) - {seed}
         _assert_ranked(results, lambda r: r.doc_id)
         for r in results:
             assert type(r.score) is float
-            assert r.score == engine.set_similarity(corpus[r.doc_id], corpus[seed])
+            assert r.score == set_similarity(
+                corpus[r.doc_id], corpus[seed], engine.config, concept_sim, relation_sim
+            )
         seen.append(results)
     for _ in range(3):
         query = _random_query(rng, concepts, relations)
@@ -116,7 +120,9 @@ def _check_case(engine, corpus, concepts, relations, rng):
         _assert_ranked(results, lambda r: r.doc_id)
         for r in results:
             assert type(r.score) is float
-            assert r.score == engine.set_similarity(corpus[r.doc_id], query)
+            assert r.score == set_similarity(
+                corpus[r.doc_id], query, engine.config, concept_sim, relation_sim
+            )
         seen.append(results)
     weights = engine.config.weights
     distinct = {p for d in corpus.doc_ids() for p in corpus[d]}
@@ -124,9 +130,7 @@ def _check_case(engine, corpus, concepts, relations, rng):
         pattern = _random_pattern(rng, concepts, relations)
         try:
             want = {
-                p: pattern_similarity(
-                    pattern, p, weights, engine.concept_similarity, engine.relation_similarity
-                )
+                p: pattern_similarity(pattern, p, weights, concept_sim, relation_sim)
                 for p in distinct
             }
         except ValueError:  # every bound slot has zero weight

@@ -234,6 +234,20 @@ class TestCycles:
         with pytest.warns(UserWarning, match="cycle"):
             Hierarchy([("A", "B"), ("B", "A")])
 
+    @pytest.mark.parametrize("entry", ["Hierarchy", "parse_hierarchy", "load_hierarchy_file"])
+    def test_cycle_warning_points_at_the_caller(self, entry, tmp_path):
+        lines = ["A\tB\n", "B\tA\n"]
+        path = tmp_path / "cyclic.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.warns(UserWarning, match="cycle") as caught:
+            if entry == "Hierarchy":
+                Hierarchy([("A", "B"), ("B", "A")])
+            elif entry == "parse_hierarchy":
+                parse_hierarchy(lines)
+            else:
+                load_hierarchy_file(path)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_cycle_members_become_mutual_ancestors(self):
         with pytest.warns(UserWarning):
             h = Hierarchy([("A", "B"), ("B", "C"), ("C", "A")])

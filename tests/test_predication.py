@@ -92,8 +92,7 @@ class TestLiterals:
 
     def test_fully_bound_pattern(self):
         pat = parse_pattern("ASPIRIN|TREATS|HEADACHE")
-        assert pat.is_fully_bound
-        assert pat.as_predication() == Predication("ASPIRIN", "TREATS", "HEADACHE")
+        assert pat == PredicationPattern("ASPIRIN", "TREATS", "HEADACHE")
 
 
 class TestWeights:
@@ -240,7 +239,7 @@ class TestPatternSimilarity:
             pat, p, w, concept_h.similarity, relation_h.similarity
         )
         direct = predication_similarity(
-            pat.as_predication(), p, w, concept_h.similarity, relation_h.similarity
+            Predication("C1", "TREATS", "OA"), p, w, concept_h.similarity, relation_h.similarity
         )
         assert via_pattern == direct
 
