@@ -1,6 +1,7 @@
-"""Input checks shared by the loaders: one identifier validator, one line
-reader and its counterpart for in-memory records, and one file opener.
-Every predsim warning goes through :func:`warn`.
+"""Input checks shared by the loaders and the query surfaces: one
+identifier validator, one count check, one line reader and its
+counterpart for in-memory records, and one file opener.  Every predsim
+warning goes through :func:`warn`.
 
 Both readers yield ``(number, fields)`` pairs, counting from 1, and raise
 the only error they can locate themselves, a wrong field count.  A caller
@@ -10,6 +11,7 @@ prefix then, from the number, so the valid path formats no location text.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 import sys
@@ -70,6 +72,20 @@ def check_identifier(
     else:
         problem = f"{what} contains tab or newline"
     raise LoadError(problem if where is None else f"{where}: {problem}")
+
+
+def check_count(value: int, what: str) -> int:
+    """``value`` as an ``int`` if :func:`operator.index` accepts it, it is
+    no ``bool`` and it is at least 1; else a :class:`ValueError` naming ``what``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{what} must be a positive integer, got {count}")
+    return count
 
 
 def line_records(

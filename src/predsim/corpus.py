@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._input import check_identifier, line_records, read_file, tuple_records
+from ._input import check_count, check_identifier, line_records, read_file, tuple_records
 from .errors import LoadError
 from .predication import Predication, PredicationSet
 
@@ -264,7 +264,8 @@ class GoldStandard(Mapping):
 
     ``GoldStandard(records, source)`` numbers its (seed, related id, rank)
     records from 1 and checks them as the loader checks lines; the rank is
-    an ``int``.  Errors read ``"{source}: record N: {problem}"``, and an
+    an ``int``, or anything else :func:`operator.index` takes but a
+    ``bool``.  Errors read ``"{source}: record N: {problem}"``, and an
     empty input fails.
     """
 
@@ -285,18 +286,15 @@ class GoldStandard(Mapping):
                         rank = int(rank)
                     except ValueError:
                         pass
-                if not isinstance(rank, int) or isinstance(rank, bool):
-                    raise LoadError(f"rank must be an integer, got {rank!r}")
+                rank = check_count(rank, "rank")
                 check_identifier(seed, "seed id")
                 check_identifier(related, "related id")
-                if rank < 1:
-                    raise LoadError(f"rank must be a positive integer, got {rank}")
                 if seed == related:
                     raise LoadError(f"seed {seed!r} appears in its own related list")
                 ranks = by_seed.setdefault(seed, {})
                 if rank in ranks:
                     raise LoadError(f"duplicate rank {rank} for seed {seed!r}")
-            except LoadError as err:
+            except ValueError as err:  # LoadError is a ValueError
                 raise LoadError(f"{source}: {unit} {number}: {err}") from None
             ranks[rank] = related
         if not by_seed:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
-from ._input import warn
+from ._input import check_count, warn
 from .corpus import Corpus, GoldStandard
 from .errors import UnknownDocumentError
 from .retrieval import RetrievalEngine
@@ -42,8 +42,7 @@ def precision_at(retrieved: Sequence[str], relevant: Collection[str], n: int) ->
     documents were retrieved, the actual count is the denominator; zero
     retrieved documents give 0 with a warning.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_count(n, "n")
     top = retrieved[:n]
     if not top:
         warn("precision over zero retrieved documents; defined as 0")
@@ -54,8 +53,7 @@ def precision_at(retrieved: Sequence[str], relevant: Collection[str], n: int) ->
 
 def recall_at(retrieved: Sequence[str], relevant: Collection[str], n: int) -> float:
     """Fraction of the relevant documents found in the top-n retrieved."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_count(n, "n")
     if not relevant:
         raise ValueError("recall requires a non-empty relevant set")
     top = retrieved[:n]
@@ -104,12 +102,9 @@ def run_eval(
     n_values: Iterable[int],
 ) -> EvalReport:
     """Sweep precision/recall/F over the gold standard at each cutoff."""
-    cutoffs = tuple(sorted(set(n_values)))
+    cutoffs = tuple(sorted({check_count(n, "cutoff in n_values") for n in n_values}))
     if not cutoffs:
         raise ValueError("n_values must contain at least one cutoff")
-    for n in cutoffs:
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"cutoffs must be positive integers, got {n!r}")
     seeds = gold.seeds()
     missing = [s for s in seeds if s not in corpus]
     if missing:

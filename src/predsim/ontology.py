@@ -15,12 +15,12 @@ high for identifiers deep in the hierarchy and makes sim(x, x) = 1 even
 for identifiers the hierarchy has never seen (their ancestor set is just
 {x}).  Values always fall in [0, 1].
 
-Hierarchies are immutable after construction.  The ancestor sets of
-hierarchy nodes are memoized on first use, and those of other identifiers
-are not, so the memo never outgrows the hierarchy.  Cycles are tolerated
-(every member of a cycle becomes an ancestor of every other) but reported
-with a warning at load time, since well-formed hierarchies are expected to
-be acyclic.
+Hierarchies hold nothing that changes after construction: every
+ancestor set is walked when asked for, and callers that reuse sets keep
+them (the retrieval engine's index does).  Cycles are tolerated (every
+member of a cycle becomes an ancestor of every other) but reported with a
+warning at load time, since well-formed hierarchies are expected to be
+acyclic.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import LoadError
 
 
 class Hierarchy:
-    """Immutable child->parent graph with memoized ancestor sets.
+    """Immutable child->parent graph.
 
     ``Hierarchy(edges, source)`` numbers its (child, parent) edges from 1
     and checks each: two fields, both identifiers non-empty and free of
@@ -44,9 +44,9 @@ class Hierarchy:
     :func:`parse_hierarchy` builds through the same :meth:`_fill` and
     names the line instead.
 
-    A node's ancestor set is memoized when asked for and built from the
-    memoized sets of its ancestors (see :meth:`ancestors`);
-    :meth:`ancestor_sets` asks parents first.
+    Ancestor sets are not kept: :meth:`ancestor_sets` walks each batch
+    anew, parents first, so a set is built from those of its ancestors in
+    the same batch.
     """
 
     def __init__(self, edges: Iterable[Sequence[str]], source: str = "<memory>"):
@@ -82,9 +82,11 @@ class Hierarchy:
         )
         self.nodes: frozenset[str] = frozenset(parents)
         self._parents = parents
-        self._ancestor_memo: dict[str, frozenset[str]] = {}
         peeled = self._leaves_first()
-        self._roots_first: list[str] = peeled[::-1]
+        # ancestor_sets' walk order: parents before children, and first the
+        # nodes on or above a cycle, which peeling leaves out (rank 0).
+        self._rank = dict.fromkeys(parents, 0)
+        self._rank.update((node, r) for r, node in enumerate(reversed(peeled), 1))
         if len(peeled) < len(self.nodes):
             cyclic = self.nodes.difference(peeled)
             sample = ", ".join(sorted(cyclic)[:5])
@@ -122,64 +124,41 @@ class Hierarchy:
         return order
 
     def ancestors(self, node: str) -> frozenset[str]:
-        """Self-inclusive ancestor set of ``node``.
-
-        An identifier that is not a hierarchy node yields a fresh
-        ``{node}``, which is not memoized, so the memo never outgrows the
-        hierarchy.  A node's set is built by an iterative walk up from
-        ``node`` (so depth is not bounded by the recursion limit) that does
-        not pass an ancestor whose set is already memoized: it takes that
-        whole set in one union instead.  A memoized set is closed under
-        parents, so this is exact on cycles too, with no special case.
-        Only requested sets are memoized, never the intermediate ones, so
-        memory stays linear in what is asked for even on a deep chain;
-        :meth:`ancestor_sets` orders a batch so that each set is built from
-        its parents' sets.
-
-        The memo is safe under concurrent lookups: it only ever holds
-        finished sets, and two computations of one set are equal.
-        """
-        memo = self._ancestor_memo
-        known = memo.get(node)
-        if known is not None:
-            return known
-        if node not in self.nodes:
-            return frozenset((node,))
-        seen = {node}
-        stack = [node]
-        while stack:
-            for parent in self._parents[stack.pop()]:
-                if parent not in seen:
-                    known = memo.get(parent)
-                    if known is None:
-                        seen.add(parent)
-                        stack.append(parent)
-                    else:
-                        seen |= known
-        result = frozenset(seen)
-        memo[node] = result
-        return result
+        """Self-inclusive ancestor set of ``node``; ``{node}`` for an
+        identifier that is not a hierarchy node."""
+        return self.ancestor_sets([node])[0]
 
     def ancestor_sets(self, names: Sequence[str]) -> list[frozenset[str]]:
-        """``[self.ancestors(name) for name in names]``, built parents first.
+        """The self-inclusive ancestor set of each name, in order.
 
-        The missing sets are computed in reverse peeling order, parents
-        before children, so a name whose parents are among ``names`` gets
-        its set as ``{name}`` united with their memoized sets.  Names on or
-        above a cycle, and unknown names, come last.
+        Each distinct hierarchy node among ``names`` is walked once,
+        iteratively (so depth is not bounded by the recursion limit),
+        parents before children.  A walk does not pass an ancestor already
+        walked in this call: it takes that whole set in one union instead.
+        A walked set is closed under parents, so this is exact on cycles
+        too.  Only the requested sets are kept, and only for the call, so
+        memory stays linear in what is asked for even on a deep chain.
         """
-        memo = self._ancestor_memo
-        missing = set(names).difference(memo)
-        if missing:
-            for node in self._roots_first:
-                if node in missing:
-                    self.ancestors(node)
-        return [memo.get(name) or self.ancestors(name) for name in names]
+        rank, parents = self._rank, self._parents
+        walked: dict[str, frozenset[str]] = {}
+        for node in sorted({name for name in names if name in rank}, key=rank.__getitem__):
+            seen = {node}
+            stack = [node]
+            while stack:
+                for parent in parents[stack.pop()]:
+                    if parent not in seen:
+                        known = walked.get(parent)
+                        if known is None:
+                            seen.add(parent)
+                            stack.append(parent)
+                        else:
+                            seen |= known
+            walked[node] = frozenset(seen)
+        return [walked.get(name) or frozenset((name,)) for name in names]
 
     def similarity(self, a: str, b: str) -> float:
         """Jaccard overlap of the two self-inclusive ancestor sets."""
-        anc_a = self.ancestors(a)
-        anc_b = self.ancestors(b)
+        anc_a, anc_b = self.ancestor_sets([a, b])
         shared = len(anc_a & anc_b)
         total = len(anc_a) + len(anc_b) - shared
         return shared / total

@@ -56,6 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._input import check_count
 from .corpus import Corpus, _offsets
 from .docsim import SimConfig
 from .errors import EmptySetError, UnknownDocumentError
@@ -90,32 +91,36 @@ def _intern(names: list[str]) -> tuple[dict[str, int], np.ndarray]:
 
 
 class _Vocabulary:
-    """The identifiers of one hierarchy that a corpus uses, interned.
+    """The identifiers of one hierarchy that a corpus uses, interned, and
+    their self-inclusive ancestor sets: the engine's only copy of them.
 
-    ``names`` are the distinct names passed in, id ``i`` being ``names[i]``;
-    a corpus passes its identifier table, so the ids are its codes.
-    ``nodes`` numbers every identifier of the interned ids' self-inclusive
-    ancestor sets, and the sets are stored inverted, per node: with ``o =
-    holder_offsets``, the ids whose set holds node ``n``, ascending, are
-    ``holders[o[n]:o[n + 1]]``.  ``sizes[i]`` is the size of id ``i``'s set.
+    ``names`` are the distinct names passed in, id ``i`` being ``names[i]``
+    (``ids`` maps back); a corpus passes its identifier table, so the ids
+    are its codes.  ``nodes`` numbers every identifier of the sets, which
+    are stored twice as node numbers.  By id: id ``i``'s nodes are
+    ``set_nodes[s[i]:s[i + 1]]``, with ``s = set_offsets``, and there are
+    ``sizes[i]`` of them.  Inverted, per node: the ids whose set holds node
+    ``n``, ascending, are ``holders[o[n]:o[n + 1]]``, with ``o = holder_offsets``.
     """
 
     def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
         self.hierarchy = hierarchy
         self.names = tuple(names)
+        self.ids = {name: i for i, name in enumerate(self.names)}
         ancestor_sets = hierarchy.ancestor_sets(self.names)
-        self.nodes, flat = _intern([a for s in ancestor_sets for a in s])
+        self.nodes, self.set_nodes = _intern([a for s in ancestor_sets for a in s])
         self.sizes = np.fromiter(map(len, ancestor_sets), dtype=np.int64, count=len(self.names))
-        # Every node occurs in ``flat``.  A list: slicing with Python ints
-        # is faster than with numpy scalars.
-        self.holder_offsets = _offsets(np.bincount(flat)).tolist()
-        # Sorting the distinct keys node * V + id, in place, groups the ids
-        # by node, ascending within each; V * len(nodes) is far below 2**63.
-        flat *= len(self.names)
-        flat += np.repeat(np.arange(len(self.names)), self.sizes)
-        flat.sort()
-        flat %= len(self.names)
-        self.holders = flat
+        # Lists: slicing with Python ints is faster than with numpy scalars.
+        self.set_offsets = _offsets(self.sizes).tolist()
+        # Every node occurs in ``set_nodes``.
+        self.holder_offsets = _offsets(np.bincount(self.set_nodes)).tolist()
+        # Sorting the distinct keys node * V + id groups the ids by node,
+        # ascending within each; V * len(nodes) is far below 2**63.
+        keys = self.set_nodes * len(self.names)
+        keys += np.repeat(np.arange(len(self.names)), self.sizes)
+        keys.sort()
+        keys %= len(self.names)
+        self.holders = keys
 
     def similarity_rows(self, names: list[str]) -> np.ndarray:
         """Jaccard of each name's ancestor set with every interned id's.
@@ -123,23 +128,28 @@ class _Vocabulary:
         Row ``k`` equals ``hierarchy.similarity(names[k], v)`` for every
         interned ``v``: the integer counts are the same, and so is the
         one division.  Only the holders of the name's own ancestors are
-        counted.
+        counted.  An interned name's set is read from the index; only the
+        others, such as an ad-hoc query's names, are walked.
         """
         distinct = {name: k for k, name in enumerate(dict.fromkeys(names))}
+        outside = [name for name in distinct if name not in self.ids]
+        walked = dict(zip(outside, self.hierarchy.ancestor_sets(outside))) if outside else {}
         rows = np.empty((len(distinct), len(self.names)))
-        nodes, holders, offsets = self.nodes, self.holders, self.holder_offsets
+        holders, offsets = self.holders, self.holder_offsets
         for name, k in distinct.items():
-            ancestors = self.hierarchy.ancestors(name)
+            i = self.ids.get(name)
+            if i is None:
+                size = len(walked[name])
+                own = [n for n in map(self.nodes.get, walked[name]) if n is not None]
+            else:
+                size = self.sizes[i]
+                own = self.set_nodes[self.set_offsets[i]:self.set_offsets[i + 1]].tolist()
             # The empty first span gives a name with no indexed ancestor
             # a row of zero counts.
             spans = [holders[:0]]
-            spans += (
-                holders[offsets[n]:offsets[n + 1]]
-                for n in map(nodes.get, ancestors)
-                if n is not None
-            )
+            spans += (holders[offsets[n]:offsets[n + 1]] for n in own)
             shared = np.bincount(np.concatenate(spans), minlength=len(self.names))
-            rows[k] = shared / (len(ancestors) + self.sizes - shared)
+            rows[k] = shared / (size + self.sizes - shared)
         return rows[[distinct[name] for name in names]]
 
 
@@ -308,8 +318,7 @@ class RetrievalEngine:
     ) -> list[RankedDocument]:
         """Rank the documents against the query's subject, relation and
         object identifiers, leaving out document number ``skip``."""
-        if top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {top_n}")
+        top_n = check_count(top_n, "top_n")
         index = self._index_for(corpus)
         pred_terms, query_terms = self._document_terms(index, *query)
         top, scores = _top_documents(pred_terms, query_terms, corpus.doc_offsets, top_n, skip)
@@ -352,8 +361,7 @@ class RetrievalEngine:
         similarities summed in subject, relation, object order over the
         sum of their weights.
         """
-        if top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
+        top_k = check_count(top_k, "top_k")
         weights = self.config.weights
         denominator = bound_weight(pattern, weights)
         index = self._index_for(corpus)

@@ -1,10 +1,25 @@
-"""The public surface: the names ``predsim`` exports, and the identifier
-check every in-memory constructor shares."""
+"""The public surface: the names ``predsim`` exports, the identifier
+check every in-memory constructor shares, and the count check every
+count argument shares."""
 
+import re
+
+import numpy as np
 import pytest
 
 import predsim
-from predsim import Corpus, GoldStandard, Hierarchy, LoadError, Predication, PredicationPattern
+from predsim import (
+    Corpus,
+    GoldStandard,
+    Hierarchy,
+    LoadError,
+    Predication,
+    PredicationPattern,
+    RetrievalEngine,
+    precision_at,
+    recall_at,
+    run_eval,
+)
 
 
 def test_all_names_the_public_surface():
@@ -66,3 +81,27 @@ def test_string_record_rejected(build, n_fields, got):
     with pytest.raises(LoadError) as caught:
         build()
     assert str(caught.value) == f"<memory>: record 1: expected {n_fields} fields, got {got}"
+
+
+PATTERN = PredicationPattern(None, "TREATS", "OA")
+COUNTS = {
+    "top_n": (lambda e, c, v: e.related_documents(c, "d1", v), "top_n"),
+    "top_k": (lambda e, c, v: e.related_predications(c, PATTERN, v), "top_k"),
+    "cutoffs": (
+        lambda e, c, v: run_eval(e, c, GoldStandard([("d1", "d2", 1)]), [v]).to_csv(),
+        "cutoff in n_values",
+    ),
+    "precision_at": (lambda e, c, v: precision_at(["a", "b", "c", "d"], {"a", "c"}, v), "n"),
+    "recall_at": (lambda e, c, v: recall_at(["a", "b", "c", "d"], {"a", "c"}, v), "n"),
+    "gold rank": (lambda e, c, v: dict(GoldStandard([("s", "d", v)])), "<memory>: record 1: rank"),
+}
+
+
+@pytest.mark.parametrize("surface", COUNTS)
+def test_count_arguments_take_positive_integers_only(surface, concept_h, relation_h, small_corpus):
+    call, name = COUNTS[surface]
+    engine = RetrievalEngine(concept_h, relation_h)
+    for bad in (True, 2.5, "3", None, 0):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a"):
+            call(engine, small_corpus, bad)
+    assert call(engine, small_corpus, np.int64(3)) == call(engine, small_corpus, 3)

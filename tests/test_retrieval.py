@@ -222,6 +222,27 @@ class TestDeterminismAndTransparency:
         engine.query_documents(other, small_corpus["d3"], 10)
         assert engine._index.corpus is other
 
+    def test_seeded_queries_read_ancestor_sets_from_the_index(
+        self, monkeypatch, concept_h, relation_h, small_corpus
+    ):
+        engine = RetrievalEngine(concept_h, relation_h)
+        expected = {seed: engine.related_documents(small_corpus, seed, 10) for seed in small_corpus}
+        calls = []
+        walk = Hierarchy.ancestor_sets
+
+        def counted(self, names):
+            calls.append(names)
+            return walk(self, names)
+
+        monkeypatch.setattr(Hierarchy, "ancestor_sets", counted)
+        for seed in small_corpus:
+            assert engine.related_documents(small_corpus, seed, 10) == expected[seed]
+        assert calls == []
+        # only a name outside the corpus tables is walked
+        query = PredicationSet.from_iterable([Predication("Z", "TREATS", "OA")])
+        engine.query_documents(small_corpus, query, 10)
+        assert calls == [["Z"]]
+
 
 class TestOracleEquivalence:
     def test_matches_bruteforce_on_random_corpora(self):
