@@ -1,9 +1,9 @@
 """Input checks shared by the loaders and the query surfaces: one
-identifier validator, one count check, one line reader and its
-counterpart for in-memory records, and one file opener.  Every predsim
-warning goes through :func:`warn`.
+identifier validator, one count check and its text reader, one line
+reader and its counterpart for in-memory records, and one file opener.
+Every predsim warning goes through :func:`warn`.
 
-Both readers yield ``(number, fields)`` pairs, counting from 1, and raise
+Both record readers yield ``(number, fields)`` pairs, counting from 1, and raise
 the only error they can locate themselves, a wrong field count.  A caller
 that rejects a record builds the ``"{source}: line N"`` (or ``record N``)
 prefix then, from the number, so the valid path formats no location text.
@@ -86,6 +86,14 @@ def check_count(value: int, what: str) -> int:
     if count < 1:
         raise ValueError(f"{what} must be a positive integer, got {count}")
     return count
+
+
+def read_count(text: str, what: str) -> int:
+    """:func:`check_count` of the number ``text`` spells in ASCII decimal
+    digits only; a sign, blank or underscore fails, and ``"007"`` is 7."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} must be an integer written in ASCII digits only, got {text!r}")
+    return check_count(int(text), what)
 
 
 def line_records(

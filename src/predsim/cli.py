@@ -22,6 +22,7 @@ import sys
 import warnings
 from pathlib import Path
 
+from ._input import read_count
 from .corpus import load_gold_file, load_predications_file
 from .docsim import SimConfig
 from .errors import EmptySetError, LoadError, UnknownDocumentError
@@ -51,30 +52,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
-def _positive_int(text: str) -> int:
+def _count(text: str) -> int:
+    """``--top`` or one ``--at`` cutoff, read by :func:`read_count`."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _cutoffs(text: str) -> list[int]:
-    values = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        try:
-            n = int(piece)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated integers, got {piece!r}"
-            ) from None
-        if n < 1:
-            raise argparse.ArgumentTypeError(f"cutoffs must be positive, got {n}")
-        values.append(n)
-    return values
+        return read_count(text, "N")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _build_parser() -> _Parser:
@@ -97,36 +80,36 @@ def _build_parser() -> _Parser:
                         help="zero out best-match pairs scoring below T (default 0)")
     common.add_argument("--output", metavar="PATH",
                         help="write results to PATH instead of standard output")
+    ranked = argparse.ArgumentParser(add_help=False)
+    ranked.add_argument("--top", type=_count, default=10, metavar="N")
 
     parser = _Parser(prog="predsim",
                      description="Predication-based semantic document retrieval.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    related = sub.add_parser("related", parents=[common],
+    related = sub.add_parser("related", parents=[common, ranked],
                              help="rank documents related to a seed document")
     related.add_argument("--seed", required=True, metavar="DOC_ID")
-    related.add_argument("--top", type=_positive_int, default=10, metavar="N")
     related.set_defaults(func=_cmd_related)
 
-    query = sub.add_parser("query", parents=[common],
+    query = sub.add_parser("query", parents=[common, ranked],
                            help="rank documents against ad-hoc predications")
     query.add_argument("--pred", action="append", required=True, metavar="S|R|O",
                        help="predication literal; repeat for a multi-member query")
-    query.add_argument("--top", type=_positive_int, default=10, metavar="N")
     query.set_defaults(func=_cmd_query)
 
-    find = sub.add_parser("find", parents=[common],
+    find = sub.add_parser("find", parents=[common, ranked],
                           help="rank corpus predications against a pattern")
     find.add_argument("--pattern", required=True, metavar="S|R|O",
                       help="pattern literal; use ? for a wildcard slot")
-    find.add_argument("--top", type=_positive_int, default=10, metavar="N")
     find.set_defaults(func=_cmd_find)
 
     evalp = sub.add_parser("eval", parents=[common],
                            help="precision/recall/F sweep against a gold file")
     evalp.add_argument("--gold", required=True, metavar="PATH",
                        help="gold file (seed<TAB>related<TAB>rank per line)")
-    evalp.add_argument("--at", type=_cutoffs, default=[5, 10, 15, 20, 25, 30],
+    evalp.add_argument("--at", type=lambda text: [_count(n.strip()) for n in text.split(",")],
+                       default=[5, 10, 15, 20, 25, 30],
                        metavar="N,N,...", help="cutoffs to evaluate (default 5..30)")
     evalp.add_argument("--per-seed", metavar="PATH", dest="per_seed",
                        help="also write a per-seed CSV to PATH")

@@ -28,13 +28,15 @@ mapping from seed to ranked ids.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._input import check_count, check_identifier, line_records, read_file, tuple_records
+from ._input import (
+    check_count, check_identifier, line_records, read_count, read_file, tuple_records
+)
 from .errors import LoadError
 from .predication import Predication, PredicationSet
 
@@ -270,23 +272,17 @@ class GoldStandard(Mapping):
     """
 
     def __init__(self, records: Iterable[Sequence], source: str = "<memory>"):
-        self._fill(tuple_records(records, 3, source), source, "record", rank_text=False)
+        self._fill(tuple_records(records, 3, source), source, "record", check_count)
 
     def _fill(
-        self, numbered: Iterator[tuple[int, Sequence]], source: str, unit: str, rank_text: bool
+        self, numbered: Iterator[tuple[int, Sequence]], source: str, unit: str, read_rank: Callable
     ) -> None:
         """Group numbered (seed, related, rank) records, of which there
-        must be at least one, by seed.  The rank is an int, or with
-        ``rank_text`` the text of one."""
+        must be at least one, by seed; ``read_rank`` reads each rank."""
         by_seed: dict[str, dict[int, str]] = {}
         for number, (seed, related, rank) in numbered:
             try:
-                if rank_text:
-                    try:
-                        rank = int(rank)
-                    except ValueError:
-                        pass
-                rank = check_count(rank, "rank")
+                rank = read_rank(rank, "rank")
                 check_identifier(seed, "seed id")
                 check_identifier(related, "related id")
                 if seed == related:
@@ -317,9 +313,9 @@ class GoldStandard(Mapping):
 
 
 def parse_gold(lines: Iterable[str], source: str = "<memory>") -> GoldStandard:
-    """Parse ``seed<TAB>related<TAB>rank`` lines."""
+    """Parse ``seed<TAB>related<TAB>rank`` lines, ranks in ASCII digits."""
     gold = GoldStandard.__new__(GoldStandard)
-    gold._fill(line_records(lines, 3, source), source, "line", rank_text=True)
+    gold._fill(line_records(lines, 3, source), source, "line", read_count)
     return gold
 
 

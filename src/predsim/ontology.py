@@ -15,12 +15,13 @@ high for identifiers deep in the hierarchy and makes sim(x, x) = 1 even
 for identifiers the hierarchy has never seen (their ancestor set is just
 {x}).  Values always fall in [0, 1].
 
-Hierarchies hold nothing that changes after construction: every
-ancestor set is walked when asked for, and callers that reuse sets keep
-them (the retrieval engine's index does).  Cycles are tolerated (every
-member of a cycle becomes an ancestor of every other) but reported with a
-warning at load time, since well-formed hierarchies are expected to be
-acyclic.
+Hierarchies number their nodes once, as they read them, and hold
+nothing else that changes after construction: every ancestor set is
+walked over node numbers when asked for, and callers that reuse sets
+keep them (the retrieval engine's index does).  Cycles are tolerated
+(every member of a cycle becomes an ancestor of every other) but
+reported with a warning at load time, since well-formed hierarchies are
+expected to be acyclic.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ class Hierarchy:
     :func:`parse_hierarchy` builds through the same :meth:`_fill` and
     names the line instead.
 
-    Ancestor sets are not kept: :meth:`ancestor_sets` walks each batch
-    anew, parents first, so a set is built from those of its ancestors in
-    the same batch.
+    Node ``n``, numbered from 0 in the order first met, is ``_names[n]``.
+    Ancestor sets are not kept: :meth:`_node_sets` walks each batch anew,
+    parents first, so a set is built from those of its ancestors in the
+    same batch.
     """
 
     def __init__(self, edges: Iterable[Sequence[str]], source: str = "<memory>"):
@@ -56,39 +58,40 @@ class Hierarchy:
         self, numbered: Iterable[tuple[int, Sequence[str]]], source: str, unit: str
     ) -> None:
         """Build every attribute from numbered (child, parent) records."""
-        parents: dict[str, set[str]] = {}  # every node; a root's set is empty
+        numbers: dict[str, int] = {}  # every node, numbered as first met
+        arcs: set[tuple[int, int]] = set()  # (child, parent) node numbers
         for number, (child, parent) in numbered:
             try:
-                child_parents = parents.get(child)
-                known = parent in parents
+                c = numbers.get(child)
+                p = numbers.get(parent)
             except TypeError:  # an unhashable identifier, which no check passes
-                child_parents, known = None, False
-            if child_parents is None or not known or child == parent:
+                c = p = None
+            if c is None or p is None or c == p:
                 try:
-                    if child_parents is None:
+                    if c is None:
                         check_identifier(child, "child identifier")
-                    if not known:
+                    if p is None:
                         check_identifier(parent, "parent identifier")
                     if child == parent:
                         raise LoadError(f"self-loop edge {child!r} -> {parent!r}")
                 except LoadError as err:
                     raise LoadError(f"{source}: {unit} {number}: {err}") from None
-                parents.setdefault(parent, set())
-                child_parents = parents.setdefault(child, set())
-            child_parents.add(parent)
+                if p is None:
+                    p = numbers[parent] = len(numbers)
+                if c is None:
+                    c = numbers[child] = len(numbers)
+            arcs.add((c, p))
         self.source = source
-        self.edges: frozenset[tuple[str, str]] = frozenset(
-            (child, parent) for child, ps in parents.items() for parent in ps
-        )
-        self.nodes: frozenset[str] = frozenset(parents)
-        self._parents = parents
-        peeled = self._leaves_first()
-        # ancestor_sets' walk order: parents before children, and first the
-        # nodes on or above a cycle, which peeling leaves out (rank 0).
-        self._rank = dict.fromkeys(parents, 0)
-        self._rank.update((node, r) for r, node in enumerate(reversed(peeled), 1))
-        if len(peeled) < len(self.nodes):
-            cyclic = self.nodes.difference(peeled)
+        self._numbers = numbers
+        self._names = names = list(numbers)
+        self._parents: list[list[int]] = [[] for _ in names]  # a root's list is empty
+        for c, p in arcs:
+            self._parents[c].append(p)
+        self.edges: frozenset[tuple[str, str]] = frozenset((names[c], names[p]) for c, p in arcs)
+        self.nodes: frozenset[str] = frozenset(numbers)
+        self._rank = self._walk_ranks()
+        cyclic = [name for name, r in zip(names, self._rank) if r == 0]
+        if cyclic:
             sample = ", ".join(sorted(cyclic)[:5])
             warn(
                 f"{source}: hierarchy contains a cycle "
@@ -105,43 +108,44 @@ class Hierarchy:
     def __repr__(self) -> str:
         return f"Hierarchy({len(self.nodes)} nodes, {len(self.edges)} edges)"
 
-    def _leaves_first(self) -> list[str]:
-        # Kahn peeling over child->parent arcs: each node comes after all
-        # of its children.  The nodes on a cycle, and every node above one,
-        # never come.
-        indegree = dict.fromkeys(self.nodes, 0)
-        for _, parent in self.edges:
-            indegree[parent] += 1
-        ready = [n for n, d in indegree.items() if d == 0]
-        order = []
+    def _walk_ranks(self) -> list[int]:
+        # _node_sets' walk order, by Kahn peeling over child->parent arcs:
+        # a node is peeled after all of its children and ranks below them.
+        # The nodes on a cycle, and every node above one, are never peeled:
+        # they rank 0 and are walked first.
+        indegree = [0] * len(self._parents)
+        for ps in self._parents:
+            for parent in ps:
+                indegree[parent] += 1
+        rank = [0] * len(indegree)
+        ready = [n for n, d in enumerate(indegree) if d == 0]
+        left = len(rank)
         while ready:
             node = ready.pop()
-            order.append(node)
+            rank[node] = left
+            left -= 1
             for parent in self._parents[node]:
                 indegree[parent] -= 1
                 if indegree[parent] == 0:
                     ready.append(parent)
-        return order
+        return rank
 
-    def ancestors(self, node: str) -> frozenset[str]:
-        """Self-inclusive ancestor set of ``node``; ``{node}`` for an
-        identifier that is not a hierarchy node."""
-        return self.ancestor_sets([node])[0]
+    def _node_sets(self, names: Sequence[str]) -> list[frozenset[int] | None]:
+        """The self-inclusive ancestor set of each name, in order, as node
+        numbers; ``None`` for a name that is not a node.
 
-    def ancestor_sets(self, names: Sequence[str]) -> list[frozenset[str]]:
-        """The self-inclusive ancestor set of each name, in order.
-
-        Each distinct hierarchy node among ``names`` is walked once,
-        iteratively (so depth is not bounded by the recursion limit),
-        parents before children.  A walk does not pass an ancestor already
-        walked in this call: it takes that whole set in one union instead.
-        A walked set is closed under parents, so this is exact on cycles
-        too.  Only the requested sets are kept, and only for the call, so
-        memory stays linear in what is asked for even on a deep chain.
+        Each distinct node among ``names`` is walked once, iteratively (so
+        depth is not bounded by the recursion limit), parents before
+        children.  A walk does not pass an ancestor already walked in this
+        call: it takes that whole set in one union instead.  A walked set
+        is closed under parents, so this is exact on cycles too.  Only the
+        requested sets are kept, and only for the call, so memory stays
+        linear in what is asked for even on a deep chain.
         """
         rank, parents = self._rank, self._parents
-        walked: dict[str, frozenset[str]] = {}
-        for node in sorted({name for name in names if name in rank}, key=rank.__getitem__):
+        wanted = list(map(self._numbers.get, names))
+        walked: dict[int, frozenset[int]] = {}
+        for node in sorted(set(wanted) - {None}, key=rank.__getitem__):
             seen = {node}
             stack = [node]
             while stack:
@@ -154,14 +158,23 @@ class Hierarchy:
                         else:
                             seen |= known
             walked[node] = frozenset(seen)
-        return [walked.get(name) or frozenset((name,)) for name in names]
+        return [walked.get(node) for node in wanted]
+
+    def ancestors(self, node: str) -> frozenset[str]:
+        """Self-inclusive ancestor set of ``node``; ``{node}`` for an
+        identifier that is not a hierarchy node."""
+        nodes = self._node_sets([node])[0]
+        return frozenset((node,) if nodes is None else map(self._names.__getitem__, nodes))
 
     def similarity(self, a: str, b: str) -> float:
-        """Jaccard overlap of the two self-inclusive ancestor sets."""
-        anc_a, anc_b = self.ancestor_sets([a, b])
+        """Jaccard overlap of the two self-inclusive ancestor sets; a name
+        that is not a node stands for itself, equal to no node number."""
+        anc_a, anc_b = (
+            frozenset((name,)) if nodes is None else nodes
+            for name, nodes in zip((a, b), self._node_sets([a, b]))
+        )
         shared = len(anc_a & anc_b)
-        total = len(anc_a) + len(anc_b) - shared
-        return shared / total
+        return shared / (len(anc_a) + len(anc_b) - shared)
 
 
 def parse_hierarchy(lines: Iterable[str], source: str = "<memory>") -> Hierarchy:

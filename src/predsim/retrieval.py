@@ -15,13 +15,14 @@ Scoring is columnar.  A :class:`~predsim.corpus.Corpus` already holds
 its predications as interned subject, relation and object codes with
 per-document offsets.  On the first query against a corpus the engine
 builds an index of it over those codes: the interned ids' self-inclusive
-ancestor sets are stored inverted, per ancestor node: the ascending ids
-whose set holds the node (CSR form), beside each set's size.  The engine
-keeps the index of the last corpus it saw only.  A seed document's query
-rows come straight from the corpus columns.  ``find`` groups the
-corpus positions by the corpus's predication codes, which number the
-distinct predications in literal order, and builds :class:`Predication`
-objects for its top-k results only.
+ancestor sets, in the hierarchy's own node numbers, are stored inverted,
+per ancestor node: the ascending ids whose set holds the node (CSR
+form), beside each set's size.  The engine keeps the index of the last
+corpus it saw only.  A seed document's query rows come straight from the
+corpus columns.  ``find`` groups the corpus positions by the corpus's
+predication codes, which number the distinct predications in literal
+order, and builds :class:`Predication` objects for its top-k results
+only.
 
 A query turns each query identifier into one row of Jaccard scores
 against every interned id, counting shared ancestors from the holder
@@ -53,6 +54,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count
 
 import numpy as np
 
@@ -83,39 +85,34 @@ class RankedPredication:
     documents: tuple[str, ...]
 
 
-def _intern(names: list[str]) -> tuple[dict[str, int], np.ndarray]:
-    """Number the distinct names in first-seen order; return the numbering
-    and the number of each name passed."""
-    ids = {name: i for i, name in enumerate(dict.fromkeys(names))}
-    return ids, np.fromiter(map(ids.__getitem__, names), dtype=np.intp, count=len(names))
-
-
 class _Vocabulary:
     """The identifiers of one hierarchy that a corpus uses, interned, and
     their self-inclusive ancestor sets: the engine's only copy of them.
 
     ``names`` are the distinct names passed in, id ``i`` being ``names[i]``
     (``ids`` maps back); a corpus passes its identifier table, so the ids
-    are its codes.  ``nodes`` numbers every identifier of the sets, which
-    are stored twice as node numbers.  By id: id ``i``'s nodes are
-    ``set_nodes[s[i]:s[i + 1]]``, with ``s = set_offsets``, and there are
-    ``sizes[i]`` of them.  Inverted, per node: the ids whose set holds node
-    ``n``, ascending, are ``holders[o[n]:o[n + 1]]``, with ``o = holder_offsets``.
+    are its codes.  The sets hold node numbers: the hierarchy's own, and
+    after them one for each name that is not a hierarchy node.  They are
+    stored twice.  By id: id ``i``'s nodes are ``set_nodes[s[i]:s[i + 1]]``,
+    with ``s = set_offsets``, and there are ``sizes[i]`` of them.
+    Inverted, per node: the ids whose set holds node ``n``, ascending, are
+    ``holders[o[n]:o[n + 1]]``, with ``o = holder_offsets``.
     """
 
     def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
         self.hierarchy = hierarchy
         self.names = tuple(names)
         self.ids = {name: i for i, name in enumerate(self.names)}
-        ancestor_sets = hierarchy.ancestor_sets(self.names)
-        self.nodes, self.set_nodes = _intern([a for s in ancestor_sets for a in s])
-        self.sizes = np.fromiter(map(len, ancestor_sets), dtype=np.int64, count=len(self.names))
-        # Lists: slicing with Python ints is faster than with numpy scalars.
+        outside = count(len(hierarchy))  # the numbers of the names that are not nodes
+        sets = [nodes or (next(outside),) for nodes in hierarchy._node_sets(self.names)]
+        self.sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        self.set_nodes = np.fromiter(chain.from_iterable(sets), np.intp, self.sizes.sum())
+        # A list: slicing with Python ints is faster than with numpy scalars.
         self.set_offsets = _offsets(self.sizes).tolist()
-        # Every node occurs in ``set_nodes``.
-        self.holder_offsets = _offsets(np.bincount(self.set_nodes)).tolist()
+        # An array, sized by the hierarchy: a list would cost far more.
+        self.holder_offsets = _offsets(np.bincount(self.set_nodes, minlength=len(hierarchy)))
         # Sorting the distinct keys node * V + id groups the ids by node,
-        # ascending within each; V * len(nodes) is far below 2**63.
+        # ascending within each; V times the number of nodes is far below 2**63.
         keys = self.set_nodes * len(self.names)
         keys += np.repeat(np.arange(len(self.names)), self.sizes)
         keys.sort()
@@ -133,21 +130,23 @@ class _Vocabulary:
         """
         distinct = {name: k for k, name in enumerate(dict.fromkeys(names))}
         outside = [name for name in distinct if name not in self.ids]
-        walked = dict(zip(outside, self.hierarchy.ancestor_sets(outside))) if outside else {}
+        walked = dict(zip(outside, self.hierarchy._node_sets(outside))) if outside else {}
         rows = np.empty((len(distinct), len(self.names)))
         holders, offsets = self.holders, self.holder_offsets
         for name, k in distinct.items():
             i = self.ids.get(name)
             if i is None:
-                size = len(walked[name])
-                own = [n for n in map(self.nodes.get, walked[name]) if n is not None]
+                # The set of a name that is not a node is {name}; no id's set holds it.
+                nodes = walked[name] or ()
+                size, own = len(nodes) or 1, np.fromiter(nodes, np.intp, len(nodes))
             else:
                 size = self.sizes[i]
-                own = self.set_nodes[self.set_offsets[i]:self.set_offsets[i + 1]].tolist()
+                own = self.set_nodes[self.set_offsets[i]:self.set_offsets[i + 1]]
             # The empty first span gives a name with no indexed ancestor
             # a row of zero counts.
             spans = [holders[:0]]
-            spans += (holders[offsets[n]:offsets[n + 1]] for n in own)
+            bounds = zip(offsets[own].tolist(), offsets[own + 1].tolist())
+            spans += (holders[a:b] for a, b in bounds)
             shared = np.bincount(np.concatenate(spans), minlength=len(self.names))
             rows[k] = shared / (size + self.sizes - shared)
         return rows[[distinct[name] for name in names]]

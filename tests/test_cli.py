@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from predsim.cli import EXIT_DOMAIN, EXIT_LOAD, EXIT_OK, EXIT_USAGE, main
+from predsim import parse_gold
+from predsim.cli import EXIT_DOMAIN, EXIT_LOAD, EXIT_OK, EXIT_USAGE, _build_parser, main
 
 from conftest import CONCEPT_EDGES, RELATION_EDGES
 
@@ -238,6 +239,53 @@ class TestFlagsAndDeterminism:
               "--wr", "0"])
         reweighted_out, _ = capsys.readouterr()
         assert default_out != reweighted_out
+
+
+class TestCounts:
+    """A gold rank, ``--top`` and each ``--at`` cutoff are read as ASCII
+    decimal digits only; ``--at`` allows blanks around its commas."""
+
+    SITES = ["gold rank", "--top", "--at"]
+
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", " +2 ", "+2", "-1", "0", "x", ""])
+    def test_refused(self, files, capsys, tmp_path, site, text):
+        shown = text.strip() if site == "--at" else text
+        if shown == "0":
+            problem = "must be a positive integer, got 0"
+        else:
+            problem = f"must be an integer written in ASCII digits only, got {shown!r}"
+        if site == "gold rank":
+            gold = tmp_path / "rank_gold.tsv"
+            gold.write_text(f"d1\td2\t{text}\n", encoding="utf-8")
+            code = main(["eval", *files["base"], "--gold", str(gold)])
+            _, err = capsys.readouterr()
+            assert code == EXIT_LOAD
+            assert err.splitlines()[-1] == f"predsim: error: {gold}: line 1: rank {problem}"
+        elif site == "--top":
+            code = main(["related", *files["base"], "--seed", "d1", "--top", text])
+            _, err = capsys.readouterr()
+            assert code == EXIT_USAGE
+            assert err == f"predsim related: error: argument --top: N {problem}\n"
+        else:
+            code = main(["eval", *files["base"], "--gold", files["gold"], "--at", text])
+            _, err = capsys.readouterr()
+            assert code == EXIT_USAGE
+            assert err == f"predsim eval: error: argument --at: N {problem}\n"
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_accepted(self, files, site):
+        if site == "gold rank":
+            gold = parse_gold(["s\td1\t007\n", "s\td2\t10\n", "s\td3\t6\n"])
+            assert gold["s"] == ("d3", "d1", "d2")
+        elif site == "--top":
+            args = _build_parser().parse_args(["find", *files["base"], "--pattern", "?|R|?",
+                                               "--top", "007"])
+            assert args.top == 7
+        else:
+            args = _build_parser().parse_args(["eval", *files["base"], "--gold", files["gold"],
+                                               "--at", "007, 10 ,5"])
+            assert args.at == [7, 10, 5]
 
 
 class TestWarnings:

@@ -258,6 +258,13 @@ class TestCorpusColumns:
             assert small_corpus.doc_number(doc_id) == d
         assert offsets[-1] == small_corpus.stats.predications
 
+    def test_repr_and_comparison_with_a_non_corpus(self):
+        corpus = Corpus([("d1", "a", "r", "b"), ("d2", "a", "r", "c")], source="m")
+        assert repr(corpus) == "Corpus(2 documents from 'm')"
+        assert corpus.__eq__(5) is NotImplemented
+        assert (corpus == 5) is False
+        assert corpus != 5
+
     def test_columns_are_read_only(self, small_corpus):
         for column in (small_corpus.subjects, small_corpus.relations, small_corpus.objects,
                        small_corpus.predication_codes, small_corpus.doc_offsets):

@@ -99,6 +99,12 @@ class TestRunEval:
         report = run_eval(engine, small_corpus, gold, [3])
         assert report.macro[3] == (1.0, 1.0, 1.0)
 
+    def test_no_cutoff_rejected(self, engine, small_corpus):
+        gold = GoldStandard([("d1", "d2", 1)])
+        with pytest.raises(ValueError) as raised:
+            run_eval(engine, small_corpus, gold, [])
+        assert str(raised.value) == "n_values must contain at least one cutoff"
+
     def test_macro_average_of_two_seeds(self, engine):
         corpus = flat_corpus([f"d{i}" for i in range(8)] + ["s1", "s2"])
         # both seeds retrieve d0..d7, s* in id order; top-5 = d0..d4

@@ -94,6 +94,16 @@ class TestLiterals:
         pat = parse_pattern("ASPIRIN|TREATS|HEADACHE")
         assert pat == PredicationPattern("ASPIRIN", "TREATS", "HEADACHE")
 
+    def test_pattern_without_a_bound_slot_rejected(self):
+        with pytest.raises(LoadError) as raised:
+            PredicationPattern(None, None, None)
+        assert str(raised.value) == "pattern must bind at least one slot"
+
+    def test_pattern_wrong_field_count_names_literal(self):
+        with pytest.raises(LoadError) as raised:
+            parse_pattern("a|b")
+        assert str(raised.value) == "pattern literal 'a|b': expected 3 fields, got 2"
+
 
 class TestWeights:
     def test_defaults_are_unit(self):

@@ -228,13 +228,13 @@ class TestDeterminismAndTransparency:
         engine = RetrievalEngine(concept_h, relation_h)
         expected = {seed: engine.related_documents(small_corpus, seed, 10) for seed in small_corpus}
         calls = []
-        walk = Hierarchy.ancestor_sets
+        walk = Hierarchy._node_sets
 
         def counted(self, names):
             calls.append(names)
             return walk(self, names)
 
-        monkeypatch.setattr(Hierarchy, "ancestor_sets", counted)
+        monkeypatch.setattr(Hierarchy, "_node_sets", counted)
         for seed in small_corpus:
             assert engine.related_documents(small_corpus, seed, 10) == expected[seed]
         assert calls == []
