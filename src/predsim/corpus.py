@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._arrays import segment_offsets, sorted_distinct
 from ._input import (
     check_count, check_identifier, line_records, read_count, read_file, tuple_records
 )
@@ -78,11 +79,6 @@ def _literal_keys(
     key *= len(concept_names)
     key += _literal_ranks(concept_names, "")[objects]
     return key
-
-
-def _offsets(sizes: np.ndarray) -> np.ndarray:
-    """Start offset of each segment, then the total."""
-    return np.concatenate(([0], np.cumsum(sizes)))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -166,7 +162,7 @@ class Corpus(Mapping):
             _literal_keys(concepts, relations, subjects, relation_codes, objects),
             return_inverse=True,
         )
-        keys = np.unique(_literal_ranks(docs, "")[doc_codes] * len(triples) + triple)
+        keys = sorted_distinct(_literal_ranks(docs, "")[doc_codes] * len(triples) + triple)
         codes = keys % len(triples)
         some_record = np.empty(len(triples), dtype=np.intp)
         some_record[triple] = np.arange(len(triple))
@@ -182,7 +178,7 @@ class Corpus(Mapping):
         self.objects = _read_only(objects[kept])
         self.predication_codes = _read_only(codes)
         sizes = np.bincount(keys // len(triples), minlength=len(docs))
-        self.doc_offsets = _read_only(_offsets(sizes))
+        self.doc_offsets = _read_only(segment_offsets(sizes))
         self.stats = CorpusStats(len(docs), len(keys), len(doc_codes) - len(keys))
 
     def __len__(self) -> int:

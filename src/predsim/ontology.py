@@ -15,20 +15,27 @@ high for identifiers deep in the hierarchy and makes sim(x, x) = 1 even
 for identifiers the hierarchy has never seen (their ancestor set is just
 {x}).  Values always fall in [0, 1].
 
-Hierarchies number their nodes once, as they read them, and hold
-nothing else that changes after construction: every ancestor set is
-walked over node numbers when asked for, and callers that reuse sets
-keep them (the retrieval engine's index does).  Cycles are tolerated
-(every member of a cycle becomes an ancestor of every other) but
-reported with a warning at load time, since well-formed hierarchies are
-expected to be acyclic.
+Hierarchies number their nodes once, as they read them, record each
+node's height, and hold nothing else that changes after construction.
+Ancestor sets are computed over node numbers when asked for, and callers
+that reuse sets keep them (the retrieval engine's index does).  A few
+names at a time are walked one by one; the many names of an index are
+closed in one bottom-up array pass over the heights.  Cycles are
+tolerated (every member of a cycle becomes an ancestor of every other)
+but reported with a warning at load time, since well-formed hierarchies
+are expected to be acyclic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from heapq import heappop, heappush
+from itertools import chain, repeat
 from pathlib import Path
 
+import numpy as np
+
+from ._arrays import segment_offsets, sorted_distinct, spans
 from ._input import check_identifier, line_records, read_file, tuple_records, warn
 from .errors import LoadError
 
@@ -45,10 +52,18 @@ class Hierarchy:
     :func:`parse_hierarchy` builds through the same :meth:`_fill` and
     names the line instead.
 
-    Node ``n``, numbered from 0 in the order first met, is ``_names[n]``.
-    Ancestor sets are not kept: :meth:`_node_sets` walks each batch anew,
-    parents first, so a set is built from those of its ancestors in the
-    same batch.
+    Node ``n``, numbered from 0 in the order first met, is ``_names[n]``;
+    its parents are the list ``_parents[n]`` and, as int CSR arrays,
+    ``_parent_nodes[_parent_starts[n]:_parent_starts[n + 1]]``.  Its
+    height ``_height[n]`` is the longest path down to a leaf, or
+    ``len(self)`` on or above a cycle.  ``edge_count`` is the number of
+    distinct edges; ``edges`` builds their names on each access.
+
+    Ancestor sets are not kept.  :meth:`_node_sets` walks each batch of
+    names anew, in descending height, so a set is built from those of its
+    ancestors in the same batch; it is the scalar definition.
+    :meth:`_holder_keys` gives the same sets for a batch of many names in
+    one array pass.
     """
 
     def __init__(self, edges: Iterable[Sequence[str]], source: str = "<memory>"):
@@ -87,12 +102,15 @@ class Hierarchy:
         self._parents: list[list[int]] = [[] for _ in names]  # a root's list is empty
         for c, p in arcs:
             self._parents[c].append(p)
-        self.edges: frozenset[tuple[str, str]] = frozenset((names[c], names[p]) for c, p in arcs)
+        # The same arcs as int CSR arrays, for the array pass of _holder_keys.
+        self._parent_starts = segment_offsets([len(ps) for ps in self._parents])
+        self._parent_nodes = np.fromiter(chain.from_iterable(self._parents), np.intp, len(arcs))
+        self.edge_count = len(arcs)
         self.nodes: frozenset[str] = frozenset(numbers)
-        self._rank = self._walk_ranks()
-        cyclic = [name for name, r in zip(names, self._rank) if r == 0]
+        self._height = self._heights()
+        cyclic = np.flatnonzero(self._height == len(names)).tolist()
         if cyclic:
-            sample = ", ".join(sorted(cyclic)[:5])
+            sample = ", ".join(sorted(names[n] for n in cyclic)[:5])
             warn(
                 f"{source}: hierarchy contains a cycle "
                 f"({len(cyclic)} nodes involved, e.g. {sample}); "
@@ -106,29 +124,42 @@ class Hierarchy:
         return node in self.nodes
 
     def __repr__(self) -> str:
-        return f"Hierarchy({len(self.nodes)} nodes, {len(self.edges)} edges)"
+        return f"Hierarchy({len(self.nodes)} nodes, {self.edge_count} edges)"
 
-    def _walk_ranks(self) -> list[int]:
-        # _node_sets' walk order, by Kahn peeling over child->parent arcs:
-        # a node is peeled after all of its children and ranks below them.
-        # The nodes on a cycle, and every node above one, are never peeled:
-        # they rank 0 and are walked first.
-        indegree = [0] * len(self._parents)
-        for ps in self._parents:
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """Every (child, parent) edge, by name; built anew on each access."""
+        names = self._names
+        return frozenset(
+            (names[child], names[parent])
+            for child, ps in enumerate(self._parents)
+            for parent in ps
+        )
+
+    def _heights(self) -> np.ndarray:
+        # Each node's height, the longest path down to a leaf, by Kahn
+        # peeling over child->parent arcs: a node is peeled after all of
+        # its children, one above the highest of them.  The nodes on a
+        # cycle, and every node above one, are never peeled: they take the
+        # sentinel len(self), above every height.
+        parents = self._parents
+        children = [0] * len(parents)
+        for ps in parents:
             for parent in ps:
-                indegree[parent] += 1
-        rank = [0] * len(indegree)
-        ready = [n for n, d in enumerate(indegree) if d == 0]
-        left = len(rank)
-        while ready:
-            node = ready.pop()
-            rank[node] = left
-            left -= 1
-            for parent in self._parents[node]:
-                indegree[parent] -= 1
-                if indegree[parent] == 0:
-                    ready.append(parent)
-        return rank
+                children[parent] += 1
+        height = [0] * len(parents)
+        peeled = [n for n, k in enumerate(children) if k == 0]
+        for node in peeled:  # grows as nodes are peeled
+            above = height[node] + 1
+            for parent in parents[node]:
+                if height[parent] < above:
+                    height[parent] = above
+                children[parent] -= 1
+                if children[parent] == 0:
+                    peeled.append(parent)
+        heights = np.array(height, dtype=np.intp)
+        heights[np.array(children, dtype=np.intp) > 0] = len(parents)
+        return heights
 
     def _node_sets(self, names: Sequence[str]) -> list[frozenset[int] | None]:
         """The self-inclusive ancestor set of each name, in order, as node
@@ -142,10 +173,10 @@ class Hierarchy:
         requested sets are kept, and only for the call, so memory stays
         linear in what is asked for even on a deep chain.
         """
-        rank, parents = self._rank, self._parents
+        height, parents = self._height, self._parents
         wanted = list(map(self._numbers.get, names))
         walked: dict[int, frozenset[int]] = {}
-        for node in sorted(set(wanted) - {None}, key=rank.__getitem__):
+        for node in sorted(set(wanted) - {None}, key=height.__getitem__, reverse=True):
             seen = {node}
             stack = [node]
             while stack:
@@ -159,6 +190,64 @@ class Hierarchy:
                             seen |= known
             walked[node] = frozenset(seen)
         return [walked.get(node) for node in wanted]
+
+    def _holder_keys(self, names: Sequence[str]) -> np.ndarray:
+        """The keys ``node * len(names) + i``, ascending, of every node in
+        the self-inclusive ancestor set of each ``names[i]`` that is a node:
+        the same sets as :meth:`_node_sets`, in one array.
+
+        One bottom-up pass over heights, ascending, starts from each
+        name's ``(own node, i)`` pair.  All the pairs at a height have
+        arrived once the lower heights are done: they are deduplicated,
+        kept, and pushed to their nodes' parents.  Only pairs of the given
+        names exist, so memory stays linear in the sizes of their sets,
+        even on a deep chain.  Pairs that reach a node on or above a cycle
+        are closed with one :meth:`_node_sets` batch over the nodes they
+        reached: every node above those is on or above a cycle too.
+        """
+        width = len(names)
+        height = self._height
+        own = np.fromiter(map(self._numbers.get, names, repeat(-1)), np.intp, width)
+        ids = np.flatnonzero(own >= 0)
+        pending: dict[int, list[np.ndarray]] = {}  # pair keys by their nodes' height
+        levels: list[int] = []  # a heap of the keys of pending
+        found = []
+
+        def push(keys: np.ndarray, nodes: np.ndarray) -> None:
+            at = height[nodes]
+            order = at.argsort()
+            at, keys = at[order], keys[order]
+            cuts = (np.flatnonzero(at[1:] != at[:-1]) + 1).tolist()
+            for a, b in zip([0, *cuts], [*cuts, len(keys)]):
+                h = int(at[a])
+                if h not in pending:
+                    pending[h] = []
+                    heappush(levels, h)
+                pending[h].append(keys[a:b])
+
+        if len(ids):
+            push(own[ids] * width + ids, own[ids])
+        while levels:
+            h = heappop(levels)
+            parts = pending.pop(h)
+            keys = sorted_distinct(np.concatenate(parts) if len(parts) > 1 else parts[0])
+            nodes, ids = np.divmod(keys, width)
+            if h == len(self):  # the last height: on or above a cycle
+                entries = sorted_distinct(nodes)
+                sets = self._node_sets([self._names[n] for n in entries.tolist()])
+                sizes = np.fromiter(map(len, sets), np.intp, len(sets))
+                members = np.fromiter(chain.from_iterable(sets), np.intp, sizes.sum())
+                at, counts = spans(segment_offsets(sizes), np.searchsorted(entries, nodes))
+                found.append(sorted_distinct(members[at] * width + np.repeat(ids, counts)))
+                break
+            found.append(keys)
+            at, counts = spans(self._parent_starts, nodes)
+            if len(at):
+                parents = self._parent_nodes[at]
+                push(parents * width + np.repeat(ids, counts), parents)
+        keys = np.concatenate(found) if found else np.empty(0, dtype=np.intp)
+        keys.sort()
+        return keys
 
     def ancestors(self, node: str) -> frozenset[str]:
         """Self-inclusive ancestor set of ``node``; ``{node}`` for an

@@ -118,8 +118,6 @@ def parse_pattern(text: str) -> PredicationPattern:
     if len(fields) != 3:
         raise LoadError(f"{where}: expected 3 fields, got {len(fields)}")
     slots = [None if f == WILDCARD else f for f in fields]
-    if slots == [None, None, None]:
-        raise LoadError(f"{where}: at least one slot must be bound")
     for value, slot in zip(slots, _SLOTS):
         if value is not None:
             check_identifier(value, slot, where, literal=True)

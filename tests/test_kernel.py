@@ -13,8 +13,9 @@ reach the top ``n``, so a ranking at any ``n`` must also be the
 length-``n`` prefix of the exhaustive one, ties included.
 
 Below the engine, each Jaccard row built from the inverted ancestor index
-must equal ``Hierarchy.similarity`` exactly, and ``related_predications``
-must order tied predications by their literals.
+must equal ``Hierarchy.similarity`` exactly, the index's sets, built in
+one array pass, must equal those of the scalar walk ``_node_sets``, and
+``related_predications`` must order tied predications by their literals.
 """
 
 import math
@@ -352,6 +353,86 @@ class TestSimilarityRows:
         rng = np.random.default_rng(6)
         for _ in range(200):
             self._check(rng, *random_cyclic_graph(rng))
+
+
+class TestIndexSets:
+    """``_Vocabulary``'s ancestor sets, stored by id and inverted per node,
+    against a reference built one name at a time from
+    ``Hierarchy._node_sets``: for ids below, on and above a cycle, for
+    names that are not nodes, and on a deep chain."""
+
+    @staticmethod
+    def _check(hierarchy, names):
+        vocab = retrieval._Vocabulary(hierarchy, names)
+        sets, outside = [], len(hierarchy)
+        for name in names:
+            nodes = hierarchy._node_sets([name])[0]
+            if nodes is None:  # a name that is not a node gets the next number
+                nodes, outside = frozenset((outside,)), outside + 1
+            sets.append(nodes)
+        held = [[i for i, nodes in enumerate(sets) if n in nodes] for n in range(outside)]
+        assert vocab.holders.tolist() == [i for ids in held for i in ids]
+        assert vocab.holder_offsets.tolist() == [0, *np.cumsum([len(ids) for ids in held])]
+        assert vocab.sizes.tolist() == [len(nodes) for nodes in sets]
+        starts = vocab.set_offsets
+        for i, nodes in enumerate(sets):
+            own = vocab.set_nodes[starts[i]:starts[i + 1]].tolist()
+            assert len(own) == len(nodes) and set(own) == nodes
+
+    @staticmethod
+    def _names(rng, nodes):
+        picked = [_pick(rng, nodes) for _ in range(int(rng.integers(1, 2 * len(nodes))))]
+        names = list(dict.fromkeys(picked + ["ghost", "phantom"][: int(rng.integers(0, 3))]))
+        return [names[int(k)] for k in rng.permutation(len(names))]
+
+    def test_random_dags(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            nodes, edges = random_dag(rng)
+            self._check(Hierarchy(edges), self._names(rng, nodes))
+
+    def test_random_cyclic_graphs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            nodes, edges = random_cyclic_graph(rng)
+            # "below0" hangs from a cycle member; two more nodes go above it
+            member = next(parent for child, parent in edges if child == "below0")
+            above = [(member, "above0"), ("above0", "above1")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # cycles are reported with a warning
+                hierarchy = Hierarchy(edges + above)
+            names = self._names(rng, nodes + ["above0", "above1"])
+            self._check(hierarchy, names + [n for n in ("below1", "above1") if n not in names])
+
+    def test_deep_chain_under_a_cycle(self):
+        n = 5000
+        edges = [(f"n{i}", f"n{i + 1}") for i in range(n - 1)]
+        edges += [(f"n{n - 1}", "c0"), ("c0", "c1"), ("c1", "c2"), ("c2", "c0")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            hierarchy = Hierarchy(edges)
+        self._check(hierarchy, ["n0", f"n{n // 2}", f"n{n - 1}", "c1", "ghost"])
+
+    def test_acyclic_index_walks_nothing(self, monkeypatch):
+        walk = Hierarchy._node_sets
+        calls = []
+
+        def counted(self, names):
+            calls.append(list(names))
+            return walk(self, names)
+
+        monkeypatch.setattr(Hierarchy, "_node_sets", counted)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            engine, corpus, _, _ = _random_case(rng)
+            retrieval._Index(corpus, engine.concepts, engine.relations)
+        assert calls == []
+        # on a cycle, the pairs that reach it are closed by one batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cyclic = Hierarchy([("a", "b"), ("b", "c"), ("c", "b"), ("d", "c")])
+        retrieval._Vocabulary(cyclic, ["a", "d", "x"])
+        assert calls == [["b", "c"]]
 
 
 class TestFindTieOrder:

@@ -41,7 +41,7 @@ class TestLoading:
 
     def test_duplicate_edges_collapse(self):
         h = Hierarchy([("A", "R"), ("A", "R")])
-        assert len(h.edges) == 1
+        assert len(h.edges) == h.edge_count == 1
 
     def test_self_loop_rejected(self):
         with pytest.raises(LoadError, match="self-loop"):
