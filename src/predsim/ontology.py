@@ -246,7 +246,7 @@ class Hierarchy:
                 parents = self._parent_nodes[at]
                 push(parents * width + np.repeat(ids, counts), parents)
         keys = np.concatenate(found) if found else np.empty(0, dtype=np.intp)
-        keys.sort()
+        keys.sort(kind="stable")  # merges the ascending runs of each height
         return keys
 
     def ancestors(self, node: str) -> frozenset[str]:

@@ -23,8 +23,8 @@ identifier.  The engine keeps the index of the last corpus it saw only.
 A seed document's query rows come straight from the corpus columns.
 ``find`` groups the corpus positions by the corpus's
 predication codes, which number the distinct predications in literal
-order, and builds :class:`Predication` objects for its top-k results
-only.
+order, with one sort of integer keys, and builds :class:`Predication`
+objects for its top-k results only.
 
 A query turns each query identifier into one row of Jaccard scores
 against every interned id, counting shared ancestors from the holder
@@ -40,7 +40,10 @@ Stability of Numerical Algorithms*, 4.2), bounds its score from below
 and above.  A document whose upper bound falls short of the ``n``-th
 largest lower bound cannot rank; the others get ``math.fsum`` of their
 terms.  ``related_predications`` selects the same way, with its exact
-scores as both bounds.
+scores as both bounds.  The ``n``-th largest lower bound is found
+without partitioning every document: the ``n``-th largest of a strided
+sample of about the square root of their number is at most it, so only
+the lower bounds at or above that value are partitioned.
 
 Each returned score is built from the same IEEE operations, in the same
 order, as the scalar cascade (``Hierarchy.similarity``,
@@ -123,8 +126,13 @@ class _Vocabulary:
         self.holder_offsets = segment_offsets(np.bincount(nodes, minlength=len(hierarchy)))
         # The keys transposed, id * N + node, and sorted group the nodes by
         # id: an int64 sort is several times faster than a stable argsort.
+        # They are built, sorted and decoded in one array.
         spread = len(hierarchy) + len(outside)
-        self.set_nodes = np.sort(self.holders * spread + nodes) % spread
+        keys = self.holders * spread
+        keys += nodes
+        keys.sort()
+        keys %= spread
+        self.set_nodes = keys
         # A list: slicing with Python ints is faster than with numpy scalars.
         self.set_offsets = segment_offsets(sizes).tolist()
 
@@ -167,12 +175,20 @@ class _Distinct:
 
     Distinct predication ``u``, the one coded ``u``, first occurs at
     corpus position ``first[u]``; the numbers of the documents holding
-    it, ascending, are ``docs[offsets[u]:offsets[u + 1]]``.
+    it, ascending, are ``docs[offsets[u]:offsets[u + 1]]``.  The
+    positions are grouped by sorting the keys ``code * P + position``
+    (``P`` positions), which orders them as a stable argsort of the codes
+    would: by code, then by position.
     """
 
     def __init__(self, corpus: Corpus):
         codes = corpus.predication_codes
-        grouped = np.argsort(codes, kind="stable")  # equal predications by position
+        # An int64 sort is several times faster than a stable argsort.
+        size = len(codes)
+        grouped = codes * size
+        grouped += np.arange(size)
+        grouped.sort()
+        grouped %= size
         self.offsets = segment_offsets(np.bincount(codes))
         self.first = grouped[self.offsets[:-1]]
         doc_of = np.repeat(np.arange(len(corpus)), np.diff(corpus.doc_offsets))
@@ -204,9 +220,20 @@ def _select(lo: np.ndarray, hi: np.ndarray, top: int) -> np.ndarray:
     each of them, so it cannot rank among the ``top`` whatever the
     tie-break.  A position masked with ``lo = hi = -inf`` is left out as
     long as ``top`` does not exceed the number of unmasked positions.
+
+    ``bar`` is the ``top``-th largest of the values at or above ``floor``,
+    the ``top``-th largest of a subset of ``lo``: a subset's never exceeds
+    the whole array's, so those values hold the ``top`` largest.  The
+    subset, every ``isqrt(len(lo))``-th value, is used when it holds more
+    than ``top``; the positions returned are those a partition of all of
+    ``lo`` gives.  ``top`` is at most ``len(lo)``.
     """
     if top < 1:
         return np.empty(0, dtype=np.intp)
+    sample = lo[:: math.isqrt(len(lo))]
+    if len(sample) > top:
+        floor = np.partition(sample, len(sample) - top)[len(sample) - top]
+        lo = lo[lo >= floor]
     kth = len(lo) - top
     bar = np.partition(lo, kth)[kth]
     return np.flatnonzero(hi >= bar)

@@ -16,8 +16,11 @@ Below the engine, each Jaccard row built from the inverted ancestor index
 must equal ``Hierarchy.similarity`` exactly, the index's sets, built in
 one array pass, must equal those of the scalar walk ``_node_sets``, and
 ``related_predications`` must order tied predications by their literals.
+The selection ``_select`` and the regrouping ``_Distinct`` must equal
+their first, plainer implementations, kept here as references.
 """
 
+import functools
 import math
 import warnings
 
@@ -38,6 +41,8 @@ from predsim import (
     retrieval,
     set_similarity,
 )
+
+from predsim._arrays import segment_offsets
 
 from oracles import random_corpus, random_cyclic_graph, random_dag
 
@@ -478,3 +483,169 @@ class TestFindTieOrder:
         assert [(format_predication(r.predication), r.rank, r.documents) for r in found] == [
             ("C1|R0|C", 1, ("d",))
         ]
+
+
+def _select_by_full_partition(lo, hi, top):
+    """``retrieval._select`` as first written: the bar is the ``top``-th
+    largest ``lo``, from one partition of all of them."""
+    if top < 1:
+        return np.empty(0, dtype=np.intp)
+    kth = len(lo) - top
+    bar = np.partition(lo, kth)[kth]
+    return np.flatnonzero(hi >= bar)
+
+
+class TestSelect:
+    """``_select``, which partitions only the values at or above a bar
+    taken from a strided sample, keeps exactly the positions of the full
+    partition rule, at lengths where the sample holds more than ``top``
+    values."""
+
+    @staticmethod
+    def _values(rng, size):
+        """Distinct values; a few values, many ties; mostly zeros, the rest
+        tied; all zeros; zeros but for distinct values at exactly the
+        sampled positions, so that the sample's ``top``-th largest is the
+        bar itself."""
+        sampled = np.zeros(size)
+        at = np.arange(0, size, math.isqrt(size))
+        sampled[at] = rng.permutation(len(at)) + 1.0
+        return (
+            rng.uniform(0.0, 1.0, size),
+            rng.integers(0, 5, size) / 4,
+            np.where(rng.random(size) < 0.9, 0.0, 0.5),
+            np.zeros(size),
+            sampled,
+        )
+
+    @staticmethod
+    def _bounds(rng, values):
+        """``lo < hi`` around the values, widened as ``_top_documents``
+        widens a naive sum of ``sizes`` terms."""
+        sizes = rng.integers(1, 40, len(values))
+        naive = values * sizes
+        err = naive * sizes * 2.0**-50
+        return (naive - err) / sizes, (naive + err) / sizes
+
+    def test_equals_full_partition(self):
+        rng = np.random.default_rng(15)
+        for size in (1000, 3000, 10_000, 31_623, 100_000):
+            for values in self._values(rng, size):
+                for masked in (False, True):  # masked positions, as a skipped seed
+                    pairs = [(values.copy(),) * 2, self._bounds(rng, values)]
+                    if masked:
+                        at = rng.integers(0, size, int(rng.integers(1, 4)))
+                        for lo, hi in pairs:
+                            lo[at] = hi[at] = -np.inf
+                    for lo, hi in pairs:
+                        for top in (1, 2, 10, 30, size - 1, size):
+                            want = _select_by_full_partition(lo, hi, top)
+                            got = retrieval._select(lo, hi, top)
+                            assert got.tolist() == want.tolist(), (size, top)
+
+
+def _distinct_by_stable_argsort(corpus):
+    """The fields of ``retrieval._Distinct`` as first built, from a stable
+    argsort of the predication codes."""
+    codes = corpus.predication_codes
+    grouped = np.argsort(codes, kind="stable")
+    offsets = segment_offsets(np.bincount(codes))
+    first = grouped[offsets[:-1]]
+    doc_of = np.repeat(np.arange(len(corpus)), np.diff(corpus.doc_offsets))
+    return {
+        "offsets": offsets,
+        "first": first,
+        "docs": doc_of[grouped],
+        "subjects": corpus.subjects[first],
+        "relations": corpus.relations[first],
+        "objects": corpus.objects[first],
+    }
+
+
+def _large_corpus(rng, documents=900, records=4500):
+    """Hierarchies over 40 concepts and 6 relations, and a corpus of about
+    3,500 distinct predications, some in several documents, with concepts
+    and a relation that the hierarchies do not know."""
+    concepts = [f"c{i:02d}" for i in range(40)]
+    relations = [f"r{i}" for i in range(6)]
+
+    def edges(names, count):
+        pairs = rng.integers(0, len(names), (count, 2))
+        return sorted({(names[min(i, j)], names[max(i, j)]) for i, j in pairs.tolist() if i != j})
+
+    hierarchies = Hierarchy(edges(concepts, 60)), Hierarchy(edges(relations, 5))
+    concepts += ["ghost0", "ghost1"]
+    relations += ["ghostR"]
+    corpus = Corpus(
+        (f"d{int(rng.integers(0, documents)):03d}", _pick(rng, concepts), _pick(rng, relations),
+         _pick(rng, concepts))
+        for _ in range(records)
+    )
+    return hierarchies, corpus
+
+
+class TestDistinct:
+    """``_Distinct``, grouped by one int64 key sort, against the same
+    fields from a stable argsort of the predication codes."""
+
+    @staticmethod
+    def _check(corpus):
+        distinct = retrieval._Distinct(corpus)
+        want = _distinct_by_stable_argsort(corpus)
+        assert sorted(vars(distinct)) == sorted(want)
+        for name, array in want.items():
+            got = getattr(distinct, name)
+            assert got.dtype == array.dtype and got.tolist() == array.tolist(), name
+
+    def test_random_corpora_with_copies(self):
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            _, corpus, _, _ = _random_case(rng)
+            self._check(_with_copies(rng, corpus))
+        self._check(_with_copies(rng, _large_corpus(rng)[1]))
+
+    def test_one_position(self):
+        self._check(Corpus([("d", "C1", "R0", "C")]))
+
+
+class TestFindAtScale:
+    """``related_predications`` over a corpus of thousands of distinct
+    predications, where ``_select``'s sample holds more than ``k`` scores:
+    each top ``k`` is the scalar ``pattern_similarity`` ranking, ties in
+    literal order."""
+
+    def test_every_top_k_equals_scalar_ranking(self):
+        rng = np.random.default_rng(17)
+        (concepts, relations), corpus = _large_corpus(rng)
+        engine = RetrievalEngine(concepts, relations)
+        distinct = {}  # predication -> the ids of the documents holding it
+        for d in corpus.doc_ids():
+            for p in corpus[d]:
+                distinct.setdefault(p, []).append(d)
+        # the sample holds more than the largest k
+        assert len(distinct) // math.isqrt(len(distinct)) > 50
+        concept_sim = functools.cache(concepts.similarity)
+        relation_sim = functools.cache(relations.similarity)
+        patterns = [
+            PredicationPattern("c05", None, None),
+            PredicationPattern(None, "r1", None),
+            PredicationPattern(None, None, "c30"),
+            PredicationPattern("c12", "r3", None),
+            PredicationPattern(None, "r0", "ghost0"),
+            PredicationPattern("c20", "r2", "c07"),
+            PredicationPattern("c33", "ghostR", "c01"),
+            PredicationPattern(UNKNOWN_CONCEPT, UNKNOWN_RELATION, None),
+        ]
+        for pattern in patterns:
+            scores = {
+                p: pattern_similarity(pattern, p, engine.config.weights, concept_sim, relation_sim)
+                for p in distinct
+            }
+            want = sorted(distinct, key=lambda p: (-scores[p], format_predication(p)))
+            for k in (1, 2, 10, 50):
+                found = engine.related_predications(corpus, pattern, k)
+                assert [r.predication for r in found] == want[:k], (pattern, k)
+                assert [r.score for r in found] == [scores[p] for p in want[:k]]
+                assert [r.rank for r in found] == list(range(1, k + 1))
+                assert [list(r.documents) for r in found] == [distinct[p] for p in want[:k]]
+        assert set(scores.values()) == {0.0}  # the last pattern's: literal order
