@@ -15,7 +15,7 @@ DATA = Path(__file__).parent / "data"
 
 def main():
     concepts = load_hierarchy_file(DATA / "concepts.tsv")
-    print(f"loaded {len(concepts.nodes)} concepts, {concepts.edge_count} edges\n")
+    print(f"loaded {len(concepts)} concepts, {concepts.edge_count} edges\n")
 
     print("ancestor sets are self-inclusive:")
     for node in ("ASPIRIN", "HEADACHE", "DRUG"):

@@ -130,9 +130,9 @@ def _load_inputs(args):
     concepts = load_hierarchy_file(args.concepts)
     relations = load_hierarchy_file(args.relations)
     corpus = load_predications_file(args.predications)
-    print(f"# concepts: {len(concepts.nodes)} nodes, {concepts.edge_count} edges",
+    print(f"# concepts: {len(concepts)} nodes, {concepts.edge_count} edges",
           file=sys.stderr)
-    print(f"# relations: {len(relations.nodes)} nodes, {relations.edge_count} edges",
+    print(f"# relations: {len(relations)} nodes, {relations.edge_count} edges",
           file=sys.stderr)
     stats = corpus.stats
     print(f"# corpus: {stats.documents} documents, {stats.predications} predications, "

@@ -15,19 +15,22 @@ high for identifiers deep in the hierarchy and makes sim(x, x) = 1 even
 for identifiers the hierarchy has never seen (their ancestor set is just
 {x}).  Values always fall in [0, 1].
 
-Hierarchies number their nodes once, as they read them, record each
-node's height, and hold nothing else that changes after construction.
-Ancestor sets are computed over node numbers when asked for, and callers
-that reuse sets keep them (the retrieval engine's index does).  A few
-names at a time are walked one by one; the many names of an index are
-closed in one bottom-up array pass over the heights.  Cycles are
-tolerated (every member of a cycle becomes an ancestor of every other)
-but reported with a warning at load time, since well-formed hierarchies
-are expected to be acyclic.
+Hierarchies number their nodes once, as they read them, hold one name
+table, one list of parents per node and each node's height, and nothing
+else that changes after construction.  Ancestor sets are computed over
+node numbers when asked for, and callers that reuse sets keep them (the
+retrieval engine's index does).  A few names at a time are walked one by
+one; the many names of an index are closed in one bottom-up array pass
+over the heights, which hands its last pairs to one walk as soon as they
+are fewer than the heights left, so a deep, thin hierarchy costs a walk,
+not a pass per height.  Cycles are tolerated (every member of a cycle
+becomes an ancestor of every other) but reported with a warning at load
+time, since well-formed hierarchies are expected to be acyclic.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
 from itertools import chain, repeat
@@ -52,18 +55,21 @@ class Hierarchy:
     :func:`parse_hierarchy` builds through the same :meth:`_fill` and
     names the line instead.
 
-    Node ``n``, numbered from 0 in the order first met, is ``_names[n]``;
-    its parents are the list ``_parents[n]`` and, as int CSR arrays,
-    ``_parent_nodes[_parent_starts[n]:_parent_starts[n + 1]]``.  Its
-    height ``_height[n]`` is the longest path down to a leaf, or
-    ``len(self)`` on or above a cycle.  ``edge_count`` is the number of
-    distinct edges; ``edges`` builds their names on each access.
+    Node ``n``, numbered from 0 in the order first met, is ``_names[n]``,
+    and ``_numbers`` maps each name back to its number; ``nodes``,
+    ``len``, ``in`` and ``repr`` read these.  The parents of node ``n``,
+    ascending, are the list ``_parents[n]``, the one parent store; each
+    distinct edge is held once.  Its height ``_height[n]`` is the longest
+    path down to a leaf, or ``len(self)`` on or above a cycle.
+    ``edge_count`` is the number of distinct edges; ``nodes`` and
+    ``edges`` build their frozensets of names on each access.
 
     Ancestor sets are not kept.  :meth:`_node_sets` walks each batch of
-    names anew, in descending height, so a set is built from those of its
-    ancestors in the same batch; it is the scalar definition.
-    :meth:`_holder_keys` gives the same sets for a batch of many names in
-    one array pass.
+    names anew with :meth:`_walk`, in descending height, so a set is built
+    from those of its ancestors in the same batch; it is the scalar
+    definition.  :meth:`_holder_keys` gives the same sets for a batch of
+    many names in one array pass, which ends in one :meth:`_walk` of the
+    pairs still pending.
     """
 
     def __init__(self, edges: Iterable[Sequence[str]], source: str = "<memory>"):
@@ -74,7 +80,8 @@ class Hierarchy:
     ) -> None:
         """Build every attribute from numbered (child, parent) records."""
         numbers: dict[str, int] = {}  # every node, numbered as first met
-        arcs: set[tuple[int, int]] = set()  # (child, parent) node numbers
+        children, parents = array("q"), array("q")
+        add_child, add_parent = children.append, parents.append
         for number, (child, parent) in numbered:
             try:
                 c = numbers.get(child)
@@ -95,20 +102,24 @@ class Hierarchy:
                     p = numbers[parent] = len(numbers)
                 if c is None:
                     c = numbers[child] = len(numbers)
-            arcs.add((c, p))
+            add_child(c)
+            add_parent(p)
         self.source = source
         self._numbers = numbers
         self._names = names = list(numbers)
+        # The distinct keys child * len(names) + parent, ascending, hold each
+        # node's parents as one ascending run; duplicate edges go.
+        size = len(names)
+        arcs = np.frombuffer(children, dtype=np.int64) * size
+        arcs += np.frombuffer(parents, dtype=np.int64)
+        arcs = sorted_distinct(arcs)
         self._parents: list[list[int]] = [[] for _ in names]  # a root's list is empty
-        for c, p in arcs:
-            self._parents[c].append(p)
-        # The same arcs as int CSR arrays, for the array pass of _holder_keys.
-        self._parent_starts = segment_offsets([len(ps) for ps in self._parents])
-        self._parent_nodes = np.fromiter(chain.from_iterable(self._parents), np.intp, len(arcs))
+        node = list(numbers.values())  # each number's int object, held once
+        for c, p in zip((arcs // size).tolist(), (arcs % size).tolist()):
+            self._parents[c].append(node[p])
         self.edge_count = len(arcs)
-        self.nodes: frozenset[str] = frozenset(numbers)
         self._height = self._heights()
-        cyclic = np.flatnonzero(self._height == len(names)).tolist()
+        cyclic = np.flatnonzero(self._height == size).tolist()
         if cyclic:
             sample = ", ".join(sorted(names[n] for n in cyclic)[:5])
             warn(
@@ -118,13 +129,18 @@ class Hierarchy:
             )
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._numbers)
 
     def __contains__(self, node: str) -> bool:
-        return node in self.nodes
+        return node in self._numbers
 
     def __repr__(self) -> str:
-        return f"Hierarchy({len(self.nodes)} nodes, {self.edge_count} edges)"
+        return f"Hierarchy({len(self)} nodes, {self.edge_count} edges)"
+
+    @property
+    def nodes(self) -> frozenset[str]:
+        """Every node name; built anew on each access (``len(h)`` counts them)."""
+        return frozenset(self._numbers)
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
@@ -163,20 +179,26 @@ class Hierarchy:
 
     def _node_sets(self, names: Sequence[str]) -> list[frozenset[int] | None]:
         """The self-inclusive ancestor set of each name, in order, as node
-        numbers; ``None`` for a name that is not a node.
+        numbers; ``None`` for a name that is not a node."""
+        wanted = list(map(self._numbers.get, names))
+        walked = self._walk(set(wanted) - {None})
+        return [walked.get(node) for node in wanted]
 
-        Each distinct node among ``names`` is walked once, iteratively (so
-        depth is not bounded by the recursion limit), parents before
+    def _walk(self, nodes: Iterable[int]) -> dict[int, frozenset[int]]:
+        """The self-inclusive ancestor set of each of the distinct node
+        numbers ``nodes``, by node.
+
+        Each node is walked once, iteratively (so depth is not bounded by
+        the recursion limit), in descending height, so parents before
         children.  A walk does not pass an ancestor already walked in this
         call: it takes that whole set in one union instead.  A walked set
         is closed under parents, so this is exact on cycles too.  Only the
         requested sets are kept, and only for the call, so memory stays
         linear in what is asked for even on a deep chain.
         """
-        height, parents = self._height, self._parents
-        wanted = list(map(self._numbers.get, names))
+        parents = self._parents
         walked: dict[int, frozenset[int]] = {}
-        for node in sorted(set(wanted) - {None}, key=height.__getitem__, reverse=True):
+        for node in sorted(nodes, key=self._height.__getitem__, reverse=True):
             seen = {node}
             stack = [node]
             while stack:
@@ -189,7 +211,7 @@ class Hierarchy:
                         else:
                             seen |= known
             walked[node] = frozenset(seen)
-        return [walked.get(node) for node in wanted]
+        return walked
 
     def _holder_keys(self, names: Sequence[str]) -> np.ndarray:
         """The keys ``node * len(names) + i``, ascending, of every node in
@@ -201,19 +223,34 @@ class Hierarchy:
         arrived once the lower heights are done: they are deduplicated,
         kept, and pushed to their nodes' parents.  Only pairs of the given
         names exist, so memory stays linear in the sizes of their sets,
-        even on a deep chain.  Pairs that reach a node on or above a cycle
-        are closed with one :meth:`_node_sets` batch over the nodes they
-        reached: every node above those is on or above a cycle too.
+        even on a deep chain.  The parents are laid out as int CSR arrays
+        for the call.
+
+        Each height visited costs a fixed few numpy calls, however few
+        pairs it holds, while a walk costs about one step per pair.  So
+        before each height the pass stops, and closes every pending pair
+        with one :meth:`_walk` over their distinct nodes, once fewer pairs
+        are pending than heights are left up to the highest finite one, or
+        once the next height is the sentinel of a cycle, which no pass
+        over heights can close.
         """
         width = len(names)
         height = self._height
+        # Node n's parents are parent_nodes[parent_starts[n]:parent_starts[n + 1]].
+        parent_starts = segment_offsets(np.fromiter(map(len, self._parents), np.intp, len(self)))
+        parent_nodes = np.fromiter(chain.from_iterable(self._parents), np.intp, self.edge_count)
+        finite = height[height < len(self)]
+        top = int(finite.max()) if len(finite) else -1  # the highest finite height
         own = np.fromiter(map(self._numbers.get, names, repeat(-1)), np.intp, width)
         ids = np.flatnonzero(own >= 0)
         pending: dict[int, list[np.ndarray]] = {}  # pair keys by their nodes' height
         levels: list[int] = []  # a heap of the keys of pending
+        count = 0  # the pending pairs
         found = []
 
         def push(keys: np.ndarray, nodes: np.ndarray) -> None:
+            nonlocal count
+            count += len(keys)
             at = height[nodes]
             order = at.argsort()
             at, keys = at[order], keys[order]
@@ -228,25 +265,28 @@ class Hierarchy:
         if len(ids):
             push(own[ids] * width + ids, own[ids])
         while levels:
-            h = heappop(levels)
-            parts = pending.pop(h)
-            keys = sorted_distinct(np.concatenate(parts) if len(parts) > 1 else parts[0])
-            nodes, ids = np.divmod(keys, width)
-            if h == len(self):  # the last height: on or above a cycle
+            if levels[0] == len(self) or count < top + 1 - levels[0]:
+                keys = np.concatenate(list(chain.from_iterable(pending.values())))
+                nodes, ids = np.divmod(keys, width)
                 entries = sorted_distinct(nodes)
-                sets = self._node_sets([self._names[n] for n in entries.tolist()])
+                walked = self._walk(entries.tolist())
+                sets = [walked[n] for n in entries.tolist()]
                 sizes = np.fromiter(map(len, sets), np.intp, len(sets))
                 members = np.fromiter(chain.from_iterable(sets), np.intp, sizes.sum())
                 at, counts = spans(segment_offsets(sizes), np.searchsorted(entries, nodes))
                 found.append(sorted_distinct(members[at] * width + np.repeat(ids, counts)))
                 break
+            parts = pending.pop(heappop(levels))
+            count -= sum(map(len, parts))
+            keys = sorted_distinct(np.concatenate(parts) if len(parts) > 1 else parts[0])
             found.append(keys)
-            at, counts = spans(self._parent_starts, nodes)
+            nodes, ids = np.divmod(keys, width)
+            at, counts = spans(parent_starts, nodes)
             if len(at):
-                parents = self._parent_nodes[at]
+                parents = parent_nodes[at]
                 push(parents * width + np.repeat(ids, counts), parents)
         keys = np.concatenate(found) if found else np.empty(0, dtype=np.intp)
-        keys.sort(kind="stable")  # merges the ascending runs of each height
+        keys.sort(kind="stable")  # merges the ascending runs
         return keys
 
     def ancestors(self, node: str) -> frozenset[str]:

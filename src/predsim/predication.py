@@ -18,13 +18,16 @@ wildcard means "no constraint" rather than "perfect match".
 
 Literal syntax (CLI and files): ``subject|relation|object``, wildcard
 slot written ``?``.  Identifiers must not contain ``|``, tabs, or
-newlines, and the bare token ``?`` is reserved for wildcards.
+newlines, and the bare token ``?`` is reserved for wildcards.  Each
+identifier is checked once: the literal parsers, which name the literal
+in their errors, and the corpus, which checked its columns at load, build
+through private ``_trusted`` constructors that skip the checks.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from ._input import WILDCARD, check_identifier
@@ -52,6 +55,16 @@ class Predication:
         check_identifier(self.relation, "relation", "predication", literal=True)
         check_identifier(self.object, "object", "predication", literal=True)
 
+    @classmethod
+    def _trusted(cls, subject: str, relation: str, obj: str) -> Predication:
+        """The predication of identifiers already checked, built without
+        checking them again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "subject", subject)
+        object.__setattr__(p, "relation", relation)
+        object.__setattr__(p, "object", obj)
+        return p
+
 
 @dataclass(frozen=True)
 class PredicationPattern:
@@ -62,11 +75,28 @@ class PredicationPattern:
     object: str | None
 
     def __post_init__(self):
-        if self.subject is None and self.relation is None and self.object is None:
-            raise LoadError("pattern must bind at least one slot")
-        for value, slot in zip((self.subject, self.relation, self.object), _SLOTS):
+        slots = (self.subject, self.relation, self.object)
+        _check_binds_a_slot(slots)
+        for value, slot in zip(slots, _SLOTS):
             if value is not None:
                 check_identifier(value, slot, "pattern", literal=True)
+
+    @classmethod
+    def _trusted(
+        cls, subject: str | None, relation: str | None, obj: str | None
+    ) -> PredicationPattern:
+        """The pattern of slots already checked, built without checking
+        them again."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "subject", subject)
+        object.__setattr__(pattern, "relation", relation)
+        object.__setattr__(pattern, "object", obj)
+        return pattern
+
+
+def _check_binds_a_slot(slots: Sequence[str | None]) -> None:
+    if all(value is None for value in slots):
+        raise LoadError("pattern must bind at least one slot")
 
 
 @dataclass(frozen=True)
@@ -108,7 +138,7 @@ def parse_predication(text: str) -> Predication:
         if field == WILDCARD:
             raise LoadError(f"{where}: wildcard {slot} not allowed here")
         check_identifier(field, slot, where, literal=True)
-    return Predication(*fields)
+    return Predication._trusted(*fields)
 
 
 def parse_pattern(text: str) -> PredicationPattern:
@@ -118,10 +148,11 @@ def parse_pattern(text: str) -> PredicationPattern:
     if len(fields) != 3:
         raise LoadError(f"{where}: expected 3 fields, got {len(fields)}")
     slots = [None if f == WILDCARD else f for f in fields]
+    _check_binds_a_slot(slots)
     for value, slot in zip(slots, _SLOTS):
         if value is not None:
             check_identifier(value, slot, where, literal=True)
-    return PredicationPattern(*slots)
+    return PredicationPattern._trusted(*slots)
 
 
 @dataclass(frozen=True)
@@ -141,6 +172,14 @@ class PredicationSet:
     @classmethod
     def from_iterable(cls, preds: Iterable[Predication]) -> "PredicationSet":
         return cls(tuple(preds))
+
+    @classmethod
+    def _trusted(cls, members: tuple[Predication, ...]) -> PredicationSet:
+        """The set of ``members``, already distinct and in literal order,
+        built without sorting them again."""
+        pset = object.__new__(cls)
+        object.__setattr__(pset, "members", members)
+        return pset
 
     def __len__(self) -> int:
         return len(self.members)

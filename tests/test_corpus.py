@@ -10,6 +10,7 @@ from predsim import (
     GoldStandard,
     LoadError,
     Predication,
+    PredicationSet,
     format_predication,
     load_gold_file,
     load_predications_file,
@@ -219,6 +220,25 @@ class TestMemberOrder:
             literals = list(map(format_predication, corpus.predications_at(slice(None))))
             rank = {literal: u for u, literal in enumerate(sorted(set(literals)))}
             assert corpus.predication_codes.tolist() == [rank[lit] for lit in literals]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_documents_equal_their_validated_sets(self, seed):
+        """Documents are built from the columns without checking or sorting
+        their members again, and equal the sets built through the checks."""
+        records = self._records(seed)
+        corpus = Corpus(records)
+        by_doc = {}
+        for doc_id, *slots in records:
+            by_doc.setdefault(doc_id, []).append(Predication(*slots))
+        for doc_id, preds in by_doc.items():
+            validated = PredicationSet.from_iterable(preds)
+            document = corpus[doc_id]
+            assert document == validated and hash(document) == hash(validated)
+            assert document.members == validated.members
+            assert list(map(hash, document)) == list(map(hash, validated))
+            d = corpus.doc_number(doc_id)
+            positions = slice(*corpus.doc_offsets[d:d + 2].tolist())
+            assert corpus.predications_at(positions) == list(validated)
 
     def test_equality_sees_members(self):
         one = Corpus([("d", "C1", "R", "C10"), ("d", "C1!", "R", "C")])

@@ -21,6 +21,7 @@ their first, plainer implementations, kept here as references.
 """
 
 import functools
+import heapq
 import math
 import warnings
 
@@ -37,6 +38,7 @@ from predsim import (
     SimConfig,
     SimWeights,
     format_predication,
+    ontology,
     pattern_similarity,
     retrieval,
     set_similarity,
@@ -418,26 +420,91 @@ class TestIndexSets:
             hierarchy = Hierarchy(edges)
         self._check(hierarchy, ["n0", f"n{n // 2}", f"n{n - 1}", "c1", "ghost"])
 
-    def test_acyclic_index_walks_nothing(self, monkeypatch):
-        walk = Hierarchy._node_sets
+    @staticmethod
+    def _count_walks(monkeypatch):
+        """The node names of each :meth:`Hierarchy._walk` call, sorted."""
+        walk = Hierarchy._walk
         calls = []
 
-        def counted(self, names):
-            calls.append(list(names))
-            return walk(self, names)
+        def counted(self, nodes):
+            nodes = list(nodes)
+            calls.append(sorted(self._names[n] for n in nodes))
+            return walk(self, nodes)
 
-        monkeypatch.setattr(Hierarchy, "_node_sets", counted)
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            engine, corpus, _, _ = _random_case(rng)
-            retrieval._Index(corpus, engine.concepts, engine.relations)
-        assert calls == []
-        # on a cycle, the pairs that reach it are closed by one batch
+        monkeypatch.setattr(Hierarchy, "_walk", counted)
+        return calls
+
+    @staticmethod
+    def _layered_dag(rng, n_nodes, depth):
+        """Edges of a polyhierarchy shaped like the benchmark's: level sizes
+        grow 1.8-fold from the roots down, and each node below the roots
+        has one to three parents near its own place on the level above."""
+        weights = 1.8 ** np.arange(depth)
+        sizes = np.maximum(2, np.round(weights * n_nodes / weights.sum())).astype(int).tolist()
+        first = np.cumsum([0, *sizes]).tolist()
+        edges = []
+        for level in range(1, depth):
+            above = sizes[level - 1]
+            for pos in range(sizes[level]):
+                centre = pos * above // sizes[level]
+                extra = rng.integers(-3, 4, size=int(rng.choice(3, p=[0.6, 0.3, 0.1])))
+                parents = {centre, *np.clip(centre + extra, 0, above - 1).tolist()}
+                child = f"c{first[level] + pos}"
+                edges += [(child, f"c{first[level - 1] + k}") for k in sorted(parents)]
+        return edges
+
+    def test_index_walks_by_the_closing_rule(self, monkeypatch):
+        calls = self._count_walks(monkeypatch)
+        # x0 hangs from the chain q1 -> ... -> q8 and x1..x8 from the root r,
+        # so the highest finite height is 8 (q8).  Eight names at height 0,
+        # with nine heights left, are fewer: they are walked at once.
+        edges = [("x0", "q1"), *((f"q{i}", f"q{i + 1}") for i in range(1, 8))]
+        edges += [(f"x{i}", "r") for i in range(1, 9)]
+        hierarchy = Hierarchy(edges)
+        retrieval._Vocabulary(hierarchy, [f"x{i}" for i in range(8)])
+        assert calls == [[f"x{i}" for i in range(8)]]
+        # Nine are not.  Heights 0 and 1 are passed over; then the one pair
+        # left, at q2, is walked with seven heights left.
+        calls.clear()
+        retrieval._Vocabulary(hierarchy, [f"x{i}" for i in range(9)])
+        assert calls == [["q2"]]
+        # No pass over heights closes a cycle: the pairs that reach it are
+        # walked, whatever their number.
+        calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cyclic = Hierarchy([("a", "b"), ("b", "c"), ("c", "b"), ("d", "c")])
         retrieval._Vocabulary(cyclic, ["a", "d", "x"])
         assert calls == [["b", "c"]]
+        # A layered hierarchy as deep as the benchmark's, with half of its
+        # nodes interned, and the random hierarchies of the kernel tests,
+        # are closed by the pass alone.
+        calls.clear()
+        rng = np.random.default_rng(13)
+        layered = Hierarchy(self._layered_dag(rng, 3000, 10))
+        assert len(layered) == 3000 and int(layered._height.max()) == 9
+        names = sorted(layered.nodes)
+        retrieval._Vocabulary(layered, [names[int(k)] for k in rng.permutation(3000)[:1500]])
+        for _ in range(20):
+            engine, corpus, _, _ = _random_case(rng)
+            retrieval._Index(corpus, engine.concepts, engine.relations)
+        assert calls == []
+
+    def test_deep_chain_visits_at_most_one_height(self, monkeypatch):
+        # The pass pops the heap of pending heights once per height it visits.
+        popped = []
+
+        def counted(heap):
+            popped.append(heap[0])
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(ontology, "heappop", counted)
+        n = 50_000
+        chain = Hierarchy([(f"n{i}", f"n{i + 1}") for i in range(n - 1)])
+        keys = chain._holder_keys(["n0"])
+        assert len(popped) <= 1
+        assert keys.tolist() == sorted(chain._node_sets(["n0"])[0])
+        assert len(keys) == n
 
 
 class TestFindTieOrder:
