@@ -26,12 +26,25 @@ predication codes, which number the distinct predications in literal
 order, with one sort of integer keys, and builds :class:`Predication`
 objects for its top-k results only.
 
-A query turns each query identifier into one row of Jaccard scores
-against every interned id, counting shared ancestors from the holder
-lists of the identifier's own ancestors only.  It gathers the weighted
-slot sums of all query-by-corpus predication pairs in blocks of at most
-``BLOCK_ELEMENTS`` elements, and reduces each block to best-match terms
-per document.
+A query is scored in member chunks.  For each chunk, every distinct
+subject, relation and object key of its members becomes one row of
+Jaccard scores against every interned id, counting shared ancestors from
+the holder lists of the key's own ancestors only.  A seed document's keys
+are its corpus codes; an ad-hoc query's are names.  A chunk's rows hold
+at most ``BLOCK_ELEMENTS`` elements, or one member's.  The weighted slot
+sums of the chunk's members against the corpus are then gathered in
+tiles.  A tile holds a few members' rows of a run of whole documents: at
+most ``TILE_ELEMENTS`` elements, or one member's row of one document
+that is larger.  Each tile is gathered into two buffers reused across
+tiles, and is reduced at once to each member's best match in each of its
+documents and to each corpus predication's best match so far.
+
+So the memory a query uses for a while and frees is bounded by a chunk's
+rows and two tiles, whatever the sizes of the query and the corpus.  The
+terms a query holds until it is ranked are not: one per corpus
+predication, and ``best_in_doc``, one per query member and document,
+which grows with the product of the two.  Each chunk's rows of it are
+thresholded in place once complete, so no mask of its size is made.
 
 Only the documents that can still rank among the top ``n`` get an exact
 score.  Each document's naive numpy sum of its terms, widened by the
@@ -70,9 +83,14 @@ from .errors import EmptySetError, UnknownDocumentError
 from .ontology import Hierarchy
 from .predication import Predication, PredicationPattern, PredicationSet, bound_weight
 
-# Upper bound on the elements of one query-by-corpus block; a block holds
-# at least one query row.
+# Upper bound on the float64 elements of one member chunk's Jaccard rows
+# (a subject, a relation and an object row per member); a chunk holds at
+# least one member.
 BLOCK_ELEMENTS = 1 << 20
+# Upper bound on the float64 elements of one query-by-corpus tile, unless
+# a single document holds more positions: such a tile is one member's row
+# of that document.  Chosen by measurement (BENCH_tiled_kernel.json).
+TILE_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,37 +154,44 @@ class _Vocabulary:
         # A list: slicing with Python ints is faster than with numpy scalars.
         self.set_offsets = segment_offsets(sizes).tolist()
 
-    def similarity_rows(self, names: list[str]) -> np.ndarray:
-        """Jaccard of each name's ancestor set with every interned id's.
+    def similarity_rows(self, keys: Sequence[int | str]) -> np.ndarray:
+        """Jaccard of each key's ancestor set with every interned id's, in
+        a new array, one row per key.
 
-        Row ``k`` equals ``hierarchy.similarity(names[k], v)`` for every
-        interned ``v``: the integer counts are the same, and so is the
-        one division.  Only the holders of the name's own ancestors are
-        counted.  An interned name's set is read from the index; only the
-        others, such as an ad-hoc query's names, are walked.
+        A key is an interned id, such as a corpus code, or a name.  Row
+        ``k`` equals ``hierarchy.similarity(name, v)`` for every interned
+        ``v``, ``name`` being the key's name: the integer counts are the
+        same, and so is the one division.  Only the holders of the key's
+        own ancestors are counted, once per distinct key.  An interned
+        name's set is read from the index under its id; only the other
+        names, such as an ad-hoc query's, are walked.
         """
-        distinct = {name: k for k, name in enumerate(dict.fromkeys(names))}
-        outside = [name for name in distinct if name not in self.ids]
+        keys = [self.ids.get(key, key) for key in keys]
+        outside = [key for key in dict.fromkeys(keys) if isinstance(key, str)]
         walked = dict(zip(outside, self.hierarchy._node_sets(outside))) if outside else {}
-        rows = np.empty((len(distinct), len(self.names)))
+        rows = np.empty((len(keys), len(self.names)))
         holders, offsets = self.holders, self.holder_offsets
-        for name, k in distinct.items():
-            i = self.ids.get(name)
-            if i is None:
+        first: dict[int | str, int] = {}
+        for k, key in enumerate(keys):
+            seen = first.setdefault(key, k)
+            if seen != k:
+                rows[k] = rows[seen]
+                continue
+            if isinstance(key, str):
                 # The set of a name that is not a node is {name}; no id's set holds it.
-                nodes = walked[name] or ()
+                nodes = walked[key] or ()
                 size, own = len(nodes) or 1, np.fromiter(nodes, np.intp, len(nodes))
             else:
-                size = self.sizes[i]
-                own = self.set_nodes[self.set_offsets[i]:self.set_offsets[i + 1]]
-            # The empty first span gives a name with no indexed ancestor
+                size = self.sizes[key]
+                own = self.set_nodes[self.set_offsets[key]:self.set_offsets[key + 1]]
+            # The empty first span gives a key with no indexed ancestor
             # a row of zero counts.
             spans = [holders[:0]]
             bounds = zip(offsets[own].tolist(), offsets[own + 1].tolist())
             spans += (holders[a:b] for a, b in bounds)
             shared = np.bincount(np.concatenate(spans), minlength=len(self.names))
-            rows[k] = shared / (size + self.sizes - shared)
-        return rows[[distinct[name] for name in names]]
+            np.divide(shared, size + self.sizes - shared, out=rows[k])
+        return rows
 
 
 class _Distinct:
@@ -239,6 +264,34 @@ def _select(lo: np.ndarray, hi: np.ndarray, top: int) -> np.ndarray:
     return np.flatnonzero(hi >= bar)
 
 
+def _runs(offsets: np.ndarray, members: int) -> list[tuple[int, int, int, int, int]]:
+    """The runs of whole documents that the tiles of a query cover, in
+    document order.
+
+    Run ``(d0, d1, p0, p1, rows)`` holds documents ``d0:d1``, at corpus
+    positions ``p0:p1``: at most ``TILE_ELEMENTS`` positions, or a single
+    document that holds more.  Each of its tiles gathers ``rows`` query
+    members, at most ``members``, so a tile holds at most
+    ``TILE_ELEMENTS`` elements, or one member's row of that document.
+    """
+    runs = []
+    d0, last = 0, len(offsets) - 1
+    while d0 < last:
+        p0 = int(offsets[d0])
+        d1 = max(d0 + 1, int(np.searchsorted(offsets, p0 + TILE_ELEMENTS, "right")) - 1)
+        p1 = int(offsets[d1])
+        runs.append((d0, d1, p0, p1, max(1, min(members, TILE_ELEMENTS // (p1 - p0)))))
+        d0 = d1
+    return runs
+
+
+def _threshold(terms: np.ndarray, total: float, tau: float) -> None:
+    """Turn weighted slot sums into terms in place: divide them by the
+    weight total, then zero those below the pair threshold ``tau``."""
+    terms /= total
+    np.putmask(terms, terms < tau, 0.0)
+
+
 def _ranked(
     kept: np.ndarray, scores: np.ndarray, top: int
 ) -> tuple[list[int], list[float]]:
@@ -308,38 +361,60 @@ class RetrievalEngine:
         return index
 
     def _document_terms(
-        self, index: _Index, subjects: list[str], relations: list[str], objects: list[str]
+        self, index: _Index, subjects: list, relations: list, objects: list
     ) -> tuple[np.ndarray, np.ndarray]:
         """The best-match terms of every document against the query whose
-        members have the given slot identifiers, thresholded: one per
-        corpus predication, and one per query member and document (rows
-        follow the query's members)."""
+        members have the given slot keys (corpus codes or names),
+        thresholded: one per corpus predication, and one per query member
+        and document (rows follow the query's members)."""
         corpus = index.corpus
+        concept_vocab, relation_vocab = index.concept_vocab, index.relation_vocab
         weights = self.config.weights
-        n = len(subjects)
+        n, offsets = len(subjects), corpus.doc_offsets
         # best_in_doc[j, d]: best weighted slot sum of query member j in
         # document d; best_of_pred[i]: best of corpus predication i over
-        # the query.  Both are divided by the weight total only at the end,
-        # which gives the same maxima because rounding is monotone.
+        # the query.  Both are divided by the weight total only once their
+        # maxima are complete, which gives the same maxima because rounding
+        # is monotone.
         best_in_doc = np.empty((n, len(corpus)))
         best_of_pred = np.zeros(len(corpus.subjects))
-        rows = max(1, BLOCK_ELEMENTS // len(corpus.subjects))
-        for lo in range(0, n, rows):
-            hi = lo + rows
-            concept_sims = index.concept_vocab.similarity_rows(subjects[lo:hi] + objects[lo:hi])
-            relation_sims = index.relation_vocab.similarity_rows(relations[lo:hi])
-            size = len(relation_sims)
-            block = np.take(weights.ws * concept_sims[:size], corpus.subjects, axis=1)
-            block += np.take(weights.wr * relation_sims, corpus.relations, axis=1)
-            block += np.take(weights.wo * concept_sims[size:], corpus.objects, axis=1)
-            best_in_doc[lo:hi] = np.maximum.reduceat(block, corpus.doc_offsets[:-1], axis=1)
-            np.maximum(best_of_pred, block.max(axis=0), out=best_of_pred)
-            del block  # free it before the next block is gathered
-
-        tau = self.config.pair_threshold
-        for terms in (best_of_pred, best_in_doc):
-            terms /= weights.total
-            np.putmask(terms, terms < tau, 0.0)
+        per_member = 2 * len(concept_vocab.names) + len(relation_vocab.names)
+        chunk = min(n, max(1, BLOCK_ELEMENTS // per_member))
+        runs = _runs(offsets, chunk)
+        size = max(rows * (p1 - p0) for _, _, p0, p1, rows in runs)
+        tile_buffer, spare_buffer = np.empty(size), np.empty(size)
+        for lo in range(0, n, chunk):
+            hi = lo + chunk
+            # Each member's slot similarities, weighted in place.
+            concept_rows = concept_vocab.similarity_rows(subjects[lo:hi] + objects[lo:hi])
+            members = len(concept_rows) // 2
+            subject_rows, object_rows = concept_rows[:members], concept_rows[members:]
+            subject_rows *= weights.ws
+            object_rows *= weights.wo
+            relation_rows = relation_vocab.similarity_rows(relations[lo:hi])
+            relation_rows *= weights.wr
+            for d0, d1, p0, p1, rows in runs:
+                width = p1 - p0
+                starts = offsets[d0:d1] - p0
+                best = best_of_pred[p0:p1]
+                for r0 in range(0, members, rows):
+                    r1 = min(r0 + rows, members)
+                    tile = tile_buffer[:(r1 - r0) * width].reshape(r1 - r0, width)
+                    spare = spare_buffer[:(r1 - r0) * width].reshape(r1 - r0, width)
+                    # The codes are in range, so "clip" changes nothing; with
+                    # "raise", take would gather into a buffer of its own.
+                    np.take(subject_rows[r0:r1], corpus.subjects[p0:p1], 1, tile, "clip")
+                    np.take(relation_rows[r0:r1], corpus.relations[p0:p1], 1, spare, "clip")
+                    tile += spare
+                    np.take(object_rows[r0:r1], corpus.objects[p0:p1], 1, spare, "clip")
+                    tile += spare
+                    np.maximum.reduceat(tile, starts, 1, out=best_in_doc[lo + r0:lo + r1, d0:d1])
+                    np.maximum(best, tile.max(axis=0, out=spare[0]), out=best)
+            # The chunk's rows of best_in_doc are complete.
+            _threshold(best_in_doc[lo:hi], weights.total, self.config.pair_threshold)
+            # Free the chunk's Jaccard rows before the next chunk's are built.
+            del concept_rows, subject_rows, object_rows, relation_rows
+        _threshold(best_of_pred, weights.total, self.config.pair_threshold)
         return best_of_pred, best_in_doc
 
     # -- ranking ------------------------------------------------------------
@@ -347,12 +422,13 @@ class RetrievalEngine:
     def _rank_documents(
         self,
         corpus: Corpus,
-        query: tuple[list[str], list[str], list[str]],
+        query: tuple[list, list, list],
         top_n: int,
         skip: int | None = None,
     ) -> list[RankedDocument]:
         """Rank the documents against the query's subject, relation and
-        object identifiers, leaving out document number ``skip``."""
+        object keys (corpus codes or names), leaving out document number
+        ``skip``."""
         top_n = check_count(top_n, "top_n")
         index = self._index_for(corpus)
         pred_terms, query_terms = self._document_terms(index, *query)
@@ -370,7 +446,9 @@ class RetrievalEngine:
         if seed not in corpus:
             raise UnknownDocumentError(f"unknown seed document {seed!r}")
         d = corpus.doc_number(seed)
-        query = corpus._names_at(slice(*corpus.doc_offsets[d:d + 2].tolist()))
+        a, b = corpus.doc_offsets[d:d + 2].tolist()
+        columns = corpus.subjects, corpus.relations, corpus.objects
+        query = tuple(codes[a:b].tolist() for codes in columns)
         return self._rank_documents(corpus, query, top_n, d)
 
     def query_documents(

@@ -1,6 +1,6 @@
 import pytest
 
-from predsim import Corpus, Hierarchy, Predication
+from predsim import Corpus, Hierarchy, Predication, retrieval
 
 # Hand-enumerated concept fixture.  Ancestor sets:
 #   C1 -> {C1, A, R}        C2 -> {C2, A, R}         (siblings: 2/4 = 0.5)
@@ -71,3 +71,25 @@ def stub_sim(table: dict, default: float = 0.0):
 
 def triple(s: str, r: str, o: str) -> Predication:
     return Predication(s, r, o)
+
+
+# Kernel sizes that move the member chunk and tile boundaries, as
+# overrides of the ``retrieval`` constants: one member per chunk; one
+# document per tile; tiles of 3 elements, which split a corpus part-way
+# and give each document larger than a tile a tile of its own; tiles of
+# 16 elements, which hold several members' rows of several documents.
+KERNEL_SIZES = (
+    {"BLOCK_ELEMENTS": 1},
+    {"TILE_ELEMENTS": 1},
+    {"TILE_ELEMENTS": 3},
+    {"TILE_ELEMENTS": 16},
+)
+
+
+def each_kernel_size(monkeypatch):
+    """Yield each entry of ``KERNEL_SIZES`` with the constants set to it."""
+    for sizes in KERNEL_SIZES:
+        with monkeypatch.context() as patch:
+            for name, value in sizes.items():
+                patch.setattr(retrieval, name, value)
+            yield sizes

@@ -36,11 +36,10 @@ from predsim import (
     predication_similarity,
     recall_at,
     run_eval,
-    retrieval,
     set_similarity,
 )
 
-from conftest import CONCEPT_EDGES, RELATION_EDGES, stub_sim
+from conftest import CONCEPT_EDGES, RELATION_EDGES, each_kernel_size, stub_sim
 from oracles import (
     make_identifier_sim,
     make_triple_sim,
@@ -240,9 +239,9 @@ class TestInvariantSuites:
     def test_block_size_transparency_bit_identical(self, small_corpus, monkeypatch):
         engine = fixture_engine()
         default = self._render(lambda seed: engine, small_corpus)
-        monkeypatch.setattr(retrieval, "BLOCK_ELEMENTS", 1)
-        engine = fixture_engine()
-        assert self._render(lambda seed: engine, small_corpus) == default
+        for sizes in each_kernel_size(monkeypatch):
+            engine = fixture_engine()
+            assert self._render(lambda seed: engine, small_corpus) == default, sizes
 
     def test_index_reuse_determinism(self, small_corpus):
         shared = fixture_engine()

@@ -10,7 +10,10 @@ corpus knows.
 
 The engine sums exactly only the documents whose score bounds let them
 reach the top ``n``, so a ranking at any ``n`` must also be the
-length-``n`` prefix of the exhaustive one, ties included.
+length-``n`` prefix of the exhaustive one, ties included.  The scores
+must not change with the sizes of the member chunks and tiles the kernel
+gathers in, and one query on a corpus far larger than a tile must
+allocate no more than the terms it keeps and a few tiles.
 
 Below the engine, each Jaccard row built from the inverted ancestor index
 must equal ``Hierarchy.similarity`` exactly, the index's sets, built in
@@ -23,6 +26,7 @@ their first, plainer implementations, kept here as references.
 import functools
 import heapq
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -46,6 +50,7 @@ from predsim import (
 
 from predsim._arrays import segment_offsets
 
+from conftest import each_kernel_size
 from oracles import random_corpus, random_cyclic_graph, random_dag
 
 THRESHOLDS = (0.0, 0.2, 0.37, 0.5, 0.9)
@@ -188,8 +193,83 @@ class TestKernelExactness:
             return out
 
         default = run()
-        monkeypatch.setattr(retrieval, "BLOCK_ELEMENTS", 1)
-        assert run() == default
+        for sizes in each_kernel_size(monkeypatch):
+            assert run() == default, sizes
+
+
+class TestRuns:
+    """``_runs`` covers the documents in order with runs of whole
+    documents, each at most a tile wide unless it is one larger document,
+    and tiles of at most a tile's elements unless they hold one row."""
+
+    def test_random_offsets(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            sizes = rng.integers(1, 12, size=int(rng.integers(1, 30)))
+            offsets = segment_offsets(sizes)
+            tile = int(rng.integers(1, 40))
+            members = int(rng.integers(1, 6))
+            monkeypatch.setattr(retrieval, "TILE_ELEMENTS", tile)
+            runs = retrieval._runs(offsets, members)
+            assert [d0 for d0, *_ in runs] == [0] + [d1 for _, d1, *_ in runs[:-1]]
+            assert runs[-1][1] == len(sizes)
+            for k, (d0, d1, p0, p1, rows) in enumerate(runs):
+                assert (p0, p1) == (offsets[d0], offsets[d1])
+                assert p1 - p0 <= tile or d1 == d0 + 1
+                assert 1 <= rows <= members
+                assert rows * (p1 - p0) <= tile or rows == 1
+                if k + 1 < len(runs):  # a run stops only where the next document would not fit
+                    assert offsets[d1 + 1] - p0 > tile
+                if rows < members:  # and a tile only where the next row would not fit
+                    assert (rows + 1) * (p1 - p0) > tile
+
+
+class TestBoundedMemory:
+    """A query against a corpus far larger than a tile allocates the
+    arrays it must hold (a term per corpus position, one per member and
+    document, and the members' Jaccard rows), a mask per position, a few
+    arrays per document for the selection, and a few tiles: nothing as
+    large as the members times the corpus."""
+
+    def test_peak_stays_within_the_tiles(self):
+        rng = np.random.default_rng(3)
+        concepts = [f"c{i}" for i in range(300)]
+        relations = [f"r{i}" for i in range(10)]
+        concept_edges = [(concepts[i], concepts[int(rng.integers(0, i))]) for i in range(1, 300)]
+        relation_edges = [(r, relations[0]) for r in relations[1:]]
+        docs, size = 2000, 100
+        picks = rng.integers(0, [300, 10, 300], size=(docs * size, 3)).tolist()
+        corpus = Corpus(
+            (f"d{k // size:04d}", concepts[s], relations[r], concepts[o])
+            for k, (s, r, o) in enumerate(picks)
+        )
+        engine = RetrievalEngine(Hierarchy(concept_edges), Hierarchy(relation_edges))
+        query = PredicationSet.from_iterable(
+            Predication(concepts[i], relations[i % 10], concepts[-i]) for i in range(1, 21)
+        )
+        engine.query_documents(corpus, query, 10)  # builds the index
+        positions = len(corpus.subjects)
+        assert positions > 3 * retrieval.TILE_ELEMENTS
+        width = 2 * len(corpus.concept_names) + len(corpus.relation_names)
+        seed = corpus.doc_ids()[7]
+        for members, call in (
+            (len(query), lambda: engine.query_documents(corpus, query, 10)),
+            (len(corpus[seed]), lambda: engine.related_documents(corpus, seed, 10)),
+        ):
+            # The float64 terms per position and per member and document,
+            # the members' rows, a mask per position, sixteen arrays per
+            # document and four tiles.
+            terms = 8 * (positions + members * len(corpus))
+            rows = 8 * members * width
+            tiles = 4 * 8 * retrieval.TILE_ELEMENTS
+            bound = terms + rows + positions + 16 * 8 * len(corpus) + tiles
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (members, peak, bound)
 
 
 def _with_copies(rng, corpus):

@@ -14,9 +14,9 @@ from predsim import (
     SimWeights,
     UnknownDocumentError,
     format_predication,
-    retrieval,
 )
 
+from conftest import each_kernel_size
 from oracles import (
     make_identifier_sim,
     make_triple_sim,
@@ -198,8 +198,8 @@ class TestDeterminismAndTransparency:
             return docs, preds
 
         default = run()
-        monkeypatch.setattr(retrieval, "BLOCK_ELEMENTS", 1)
-        assert run() == default
+        for sizes in each_kernel_size(monkeypatch):
+            assert run() == default, sizes
 
     def test_index_reuse_transparency(self, concept_h, relation_h, small_corpus):
         other = Corpus([("e1", "C2", "CAUSES", "OB"), ("e2", "C1", "TREATS", "OA")])
