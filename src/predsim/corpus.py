@@ -162,15 +162,16 @@ class Corpus(Mapping):
             _literal_keys(concepts, relations, subjects, relation_codes, objects),
             return_inverse=True,
         )
-        keys = sorted_distinct(_literal_ranks(docs, "")[doc_codes] * len(triples) + triple)
+        self._doc_ids: tuple[str, ...] = tuple(sorted(docs))
+        self._doc_number = {doc_id: d for d, doc_id in enumerate(self._doc_ids)}
+        doc_rank = np.fromiter(map(self._doc_number.__getitem__, docs), np.int64, len(docs))
+        keys = sorted_distinct(doc_rank[doc_codes] * len(triples) + triple)
         codes = keys % len(triples)
         some_record = np.empty(len(triples), dtype=np.intp)
         some_record[triple] = np.arange(len(triple))
         kept = some_record[codes]
 
         self.source = source
-        self._doc_ids: tuple[str, ...] = tuple(sorted(docs))
-        self._doc_number = {doc_id: d for d, doc_id in enumerate(self._doc_ids)}
         self.concept_names: tuple[str, ...] = tuple(concepts)
         self.relation_names: tuple[str, ...] = tuple(relations)
         self.subjects = _read_only(subjects[kept])

@@ -118,7 +118,7 @@ class Hierarchy:
         for c, p in zip((arcs // size).tolist(), (arcs % size).tolist()):
             self._parents[c].append(node[p])
         self.edge_count = len(arcs)
-        self._height = self._heights()
+        self._height = self._heights(np.bincount(arcs % size, minlength=size))
         cyclic = np.flatnonzero(self._height == size).tolist()
         if cyclic:
             sample = ", ".join(sorted(names[n] for n in cyclic)[:5])
@@ -152,17 +152,14 @@ class Hierarchy:
             for parent in ps
         )
 
-    def _heights(self) -> np.ndarray:
+    def _heights(self, child_counts: np.ndarray) -> np.ndarray:
         # Each node's height, the longest path down to a leaf, by Kahn
-        # peeling over child->parent arcs: a node is peeled after all of
-        # its children, one above the highest of them.  The nodes on a
-        # cycle, and every node above one, are never peeled: they take the
-        # sentinel len(self), above every height.
+        # peeling over child->parent arcs from each node's child count: a
+        # node is peeled after all of its children, one above the highest
+        # of them.  The nodes on a cycle, and every node above one, are
+        # never peeled: they take the sentinel len(self), above every height.
         parents = self._parents
-        children = [0] * len(parents)
-        for ps in parents:
-            for parent in ps:
-                children[parent] += 1
+        children = child_counts.tolist()
         height = [0] * len(parents)
         peeled = [n for n, k in enumerate(children) if k == 0]
         for node in peeled:  # grows as nodes are peeled

@@ -18,16 +18,17 @@ wildcard means "no constraint" rather than "perfect match".
 
 Literal syntax (CLI and files): ``subject|relation|object``, wildcard
 slot written ``?``.  Identifiers must not contain ``|``, tabs, or
-newlines, and the bare token ``?`` is reserved for wildcards.  Each
-identifier is checked once: the literal parsers, which name the literal
-in their errors, and the corpus, which checked its columns at load, build
-through private ``_trusted`` constructors that skip the checks.
+newlines, and the bare token ``?`` is reserved for wildcards.
+``parse_predication``, which names the literal in its errors, and the
+corpus, which checked its columns at load, build through the private
+``Predication._trusted``, which skips the checks; ``parse_pattern`` names
+the literal too, then builds through the checking ``PredicationPattern``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from ._input import WILDCARD, check_identifier
@@ -76,27 +77,11 @@ class PredicationPattern:
 
     def __post_init__(self):
         slots = (self.subject, self.relation, self.object)
-        _check_binds_a_slot(slots)
+        if all(value is None for value in slots):
+            raise LoadError("pattern must bind at least one slot")
         for value, slot in zip(slots, _SLOTS):
             if value is not None:
                 check_identifier(value, slot, "pattern", literal=True)
-
-    @classmethod
-    def _trusted(
-        cls, subject: str | None, relation: str | None, obj: str | None
-    ) -> PredicationPattern:
-        """The pattern of slots already checked, built without checking
-        them again."""
-        pattern = object.__new__(cls)
-        object.__setattr__(pattern, "subject", subject)
-        object.__setattr__(pattern, "relation", relation)
-        object.__setattr__(pattern, "object", obj)
-        return pattern
-
-
-def _check_binds_a_slot(slots: Sequence[str | None]) -> None:
-    if all(value is None for value in slots):
-        raise LoadError("pattern must bind at least one slot")
 
 
 @dataclass(frozen=True)
@@ -148,11 +133,10 @@ def parse_pattern(text: str) -> PredicationPattern:
     if len(fields) != 3:
         raise LoadError(f"{where}: expected 3 fields, got {len(fields)}")
     slots = [None if f == WILDCARD else f for f in fields]
-    _check_binds_a_slot(slots)
     for value, slot in zip(slots, _SLOTS):
         if value is not None:
             check_identifier(value, slot, where, literal=True)
-    return PredicationPattern._trusted(*slots)
+    return PredicationPattern(*slots)
 
 
 @dataclass(frozen=True)

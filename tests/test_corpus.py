@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from predsim import (
     parse_predications,
     write_predications_file,
 )
+from predsim.corpus import _literal_keys
 
 
 class TestCorpusLoading:
@@ -301,6 +303,19 @@ class TestCorpusColumns:
             Corpus(iter(()), source="m")
         with pytest.raises(LoadError, match=r"^f: no predication records; corpus would be empty$"):
             parse_predications(["# only a comment\n", "\n"], source="f")
+
+    def test_literal_keys_refuse_tables_that_overflow_int64(self):
+        # 2**32 concepts square to 2**64 keys; the guard raises before any
+        # rank table is built.
+        empty = np.empty(0, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowError, match="int64 sort key"):
+                _literal_keys(range(2**32), range(1), empty, empty, empty)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestGoldStandard:
