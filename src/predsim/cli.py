@@ -31,6 +31,7 @@ from .ontology import load_hierarchy_file
 from .predication import (
     PredicationSet,
     SimWeights,
+    bound_weight,
     format_predication,
     parse_pattern,
     parse_predication,
@@ -125,8 +126,7 @@ def _build_config(args) -> SimConfig:
         raise UsageError(f"predsim: error: {err}") from None
 
 
-def _load_inputs(args):
-    config = _build_config(args)
+def _load_inputs(args, config: SimConfig):
     concepts = load_hierarchy_file(args.concepts)
     relations = load_hierarchy_file(args.relations)
     corpus = load_predications_file(args.predications)
@@ -161,7 +161,7 @@ def _format_predications(results) -> str:
 
 
 def _cmd_related(args) -> int:
-    engine, corpus = _load_inputs(args)
+    engine, corpus = _load_inputs(args, _build_config(args))
     results = engine.related_documents(corpus, args.seed, args.top)
     _emit(args.output, _format_documents(results))
     return EXIT_OK
@@ -172,7 +172,7 @@ def _cmd_query(args) -> int:
         preds = [parse_predication(text) for text in args.pred]
     except LoadError as err:
         raise UsageError(f"predsim query: error: {err}") from None
-    engine, corpus = _load_inputs(args)
+    engine, corpus = _load_inputs(args, _build_config(args))
     query = PredicationSet.from_iterable(preds)
     results = engine.query_documents(corpus, query, args.top)
     _emit(args.output, _format_documents(results))
@@ -182,19 +182,18 @@ def _cmd_query(args) -> int:
 def _cmd_find(args) -> int:
     try:
         pattern = parse_pattern(args.pattern)
-    except LoadError as err:
+        config = _build_config(args)
+        bound_weight(pattern, config.weights)
+    except ValueError as err:  # LoadError is a ValueError
         raise UsageError(f"predsim find: error: {err}") from None
-    engine, corpus = _load_inputs(args)
-    try:
-        results = engine.related_predications(corpus, pattern, args.top)
-    except ValueError as err:
-        raise UsageError(f"predsim find: error: {err}") from None
+    engine, corpus = _load_inputs(args, config)
+    results = engine.related_predications(corpus, pattern, args.top)
     _emit(args.output, _format_predications(results))
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    engine, corpus = _load_inputs(args)
+    engine, corpus = _load_inputs(args, _build_config(args))
     gold = load_gold_file(args.gold)
     report = run_eval(engine, corpus, gold, args.at)
     _emit(args.output, report.to_csv())

@@ -194,7 +194,7 @@ class Corpus(Mapping):
     def __getitem__(self, doc_id: str) -> PredicationSet:
         d = self._doc_number[doc_id]
         start, stop = self.doc_offsets[d:d + 2].tolist()
-        return PredicationSet._trusted(tuple(self.predications_at(slice(start, stop))))
+        return PredicationSet(tuple(self.predications_at(slice(start, stop))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
@@ -217,7 +217,7 @@ class Corpus(Mapping):
 
     def predications_at(self, positions: slice | np.ndarray) -> list[Predication]:
         """The predications at the given corpus positions, in that order."""
-        return list(map(Predication._trusted, *self._names_at(positions)))
+        return list(map(Predication, *self._names_at(positions)))
 
     def _names_at(self, positions: slice | np.ndarray) -> tuple[list[str], ...]:
         """Subject, relation and object identifiers at the given positions."""

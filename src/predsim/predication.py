@@ -19,10 +19,11 @@ wildcard means "no constraint" rather than "perfect match".
 Literal syntax (CLI and files): ``subject|relation|object``, wildcard
 slot written ``?``.  Identifiers must not contain ``|``, tabs, or
 newlines, and the bare token ``?`` is reserved for wildcards.
-``parse_predication``, which names the literal in its errors, and the
-corpus, which checked its columns at load, build through the private
-``Predication._trusted``, which skips the checks; ``parse_pattern`` names
-the literal too, then builds through the checking ``PredicationPattern``.
+Every ``Predication``, ``PredicationPattern`` and ``PredicationSet``,
+those the corpus hands out included, is built through its own
+constructor, which checks the slots or, for a set, deduplicates and
+sorts the members.  ``parse_predication`` and ``parse_pattern`` check
+each slot first, so that their errors name the literal.
 """
 
 from __future__ import annotations
@@ -55,16 +56,6 @@ class Predication:
         check_identifier(self.subject, "subject", "predication", literal=True)
         check_identifier(self.relation, "relation", "predication", literal=True)
         check_identifier(self.object, "object", "predication", literal=True)
-
-    @classmethod
-    def _trusted(cls, subject: str, relation: str, obj: str) -> Predication:
-        """The predication of identifiers already checked, built without
-        checking them again."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "subject", subject)
-        object.__setattr__(p, "relation", relation)
-        object.__setattr__(p, "object", obj)
-        return p
 
 
 @dataclass(frozen=True)
@@ -123,7 +114,7 @@ def parse_predication(text: str) -> Predication:
         if field == WILDCARD:
             raise LoadError(f"{where}: wildcard {slot} not allowed here")
         check_identifier(field, slot, where, literal=True)
-    return Predication._trusted(*fields)
+    return Predication(*fields)
 
 
 def parse_pattern(text: str) -> PredicationPattern:
@@ -156,14 +147,6 @@ class PredicationSet:
     @classmethod
     def from_iterable(cls, preds: Iterable[Predication]) -> "PredicationSet":
         return cls(tuple(preds))
-
-    @classmethod
-    def _trusted(cls, members: tuple[Predication, ...]) -> PredicationSet:
-        """The set of ``members``, already distinct and in literal order,
-        built without sorting them again."""
-        pset = object.__new__(cls)
-        object.__setattr__(pset, "members", members)
-        return pset
 
     def __len__(self) -> int:
         return len(self.members)

@@ -155,6 +155,14 @@ class TestFind:
         assert code == EXIT_USAGE
         assert "zero weight" in err
 
+    def test_zero_weight_pattern_refused_before_any_file_is_read(self, files, capsys):
+        argv = ["find", *files["base"][:4], "--predications", str(files["dir"] / "nope.tsv"),
+                "--pattern", "C1|?|?", "--ws", "0"]
+        code = main(argv)
+        _, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "zero weight" in err
+
 
 class TestEval:
     def test_sweep_csv(self, files, capsys):
