@@ -31,3 +31,13 @@ def spans(starts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     counts = starts[rows + 1] - first
     ends = np.cumsum(counts)
     return np.arange(ends[-1]) + np.repeat(first - ends + counts, counts), counts
+
+
+def key_dtype(extent: int) -> type:
+    """int32 if every key below ``extent`` fits in it, else int64.
+
+    Arrays of such keys are built in this dtype from the start: numpy 2
+    computes ``int32_array * python_int`` in int32 and wraps silently on
+    overflow, so this size test, not the dtype, keeps the keys right.
+    """
+    return np.int32 if extent < 2**31 else np.int64

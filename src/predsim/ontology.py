@@ -15,17 +15,20 @@ high for identifiers deep in the hierarchy and makes sim(x, x) = 1 even
 for identifiers the hierarchy has never seen (their ancestor set is just
 {x}).  Values always fall in [0, 1].
 
-Hierarchies number their nodes once, as they read them, hold one name
-table, one list of parents per node and each node's height, and nothing
-else that changes after construction.  Ancestor sets are computed over
-node numbers when asked for, and callers that reuse sets keep them (the
+Hierarchies number their nodes once, by ascending height, hold one name
+table, one flat parent store and each node's height, and nothing else
+that changes after construction.  Ancestor sets are computed over node
+numbers when asked for, and callers that reuse sets keep them (the
 retrieval engine's index does).  A few names at a time are walked one by
 one; the many names of an index are closed in one bottom-up array pass
 over the heights, which hands its last pairs to one walk as soon as they
 are fewer than the heights left, so a deep, thin hierarchy costs a walk,
-not a pass per height.  Cycles are tolerated (every member of a cycle
-becomes an ancestor of every other) but reported with a warning at load
-time, since well-formed hierarchies are expected to be acyclic.
+not a pass per height.  Since every height is one run of node numbers,
+that pass keeps its (node, name) pair keys in height order with plain
+sorts, in int32 whenever they fit.  Cycles are tolerated (every member
+of a cycle becomes an ancestor of every other) but reported with a
+warning at load time, since well-formed hierarchies are expected to be
+acyclic.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import segment_offsets, sorted_distinct, spans
+from ._arrays import key_dtype, segment_offsets, sorted_distinct, spans
 from ._input import check_identifier, line_records, read_file, tuple_records, warn
 from .errors import LoadError
 
@@ -55,14 +58,19 @@ class Hierarchy:
     :func:`parse_hierarchy` builds through the same :meth:`_fill` and
     names the line instead.
 
-    Node ``n``, numbered from 0 in the order first met, is ``_names[n]``,
-    and ``_numbers`` maps each name back to its number; ``nodes``,
-    ``len``, ``in`` and ``repr`` read these.  The parents of node ``n``,
-    ascending, are the list ``_parents[n]``, the one parent store; each
-    distinct edge is held once.  Its height ``_height[n]`` is the longest
-    path down to a leaf, or ``len(self)`` on or above a cycle.
-    ``edge_count`` is the number of distinct edges; ``nodes`` and
-    ``edges`` build their frozensets of names on each access.
+    Node ``n`` is ``_names[n]``, and ``_numbers`` maps each name back to
+    its number; ``nodes``, ``len``, ``in`` and ``repr`` read these.  Its
+    height ``_height[n]`` is the longest path down to a leaf, or
+    ``len(self)`` on or above a cycle.  Nodes are numbered from 0 by
+    ascending height, in the order first met within one height, so
+    ``_height`` is sorted and each height is one run of numbers.  The
+    parents of node ``n``, ascending, are
+    ``_parent_nodes[_parent_starts[n]:_parent_starts[n + 1]]``: two flat
+    int64 arrays, the one parent store, which the array pass reads
+    without a copy and which holds no int object per edge.  Each
+    distinct edge is held once.  ``edge_count`` is the number of distinct
+    edges; ``nodes`` and ``edges`` build their frozensets of names on
+    each access.
 
     Ancestor sets are not kept.  :meth:`_node_sets` walks each batch of
     names anew with :meth:`_walk`, in descending height, so a set is built
@@ -105,20 +113,29 @@ class Hierarchy:
             add_child(c)
             add_parent(p)
         self.source = source
-        self._numbers = numbers
-        self._names = names = list(numbers)
-        # The distinct keys child * len(names) + parent, ascending, hold each
+        # The distinct keys child * size + parent, ascending, hold each
         # node's parents as one ascending run; duplicate edges go.
-        size = len(names)
+        size = len(numbers)
         arcs = np.frombuffer(children, dtype=np.int64) * size
         arcs += np.frombuffer(parents, dtype=np.int64)
-        arcs = sorted_distinct(arcs)
-        self._parents: list[list[int]] = [[] for _ in names]  # a root's list is empty
-        node = list(numbers.values())  # each number's int object, held once
-        for c, p in zip((arcs // size).tolist(), (arcs % size).tolist()):
-            self._parents[c].append(node[p])
+        child, parent = np.divmod(sorted_distinct(arcs), size)
+        height = _heights(child, parent, size)
+        # Renumber the nodes by ascending height, as first met within one
+        # height, so that every height is one run of node numbers.
+        order = np.argsort(height, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(size)
+        arcs = rank[child] * size
+        arcs += rank[parent]
+        arcs.sort()
+        first_met = list(numbers)
+        self._names = names = [first_met[n] for n in order.tolist()]
+        self._numbers = dict(zip(names, range(size)))
+        starts = segment_offsets(np.bincount(arcs // size, minlength=size))
+        self._parent_starts = array("q", starts.tobytes())
+        self._parent_nodes = array("q", (arcs % size).tobytes())
         self.edge_count = len(arcs)
-        self._height = self._heights(np.bincount(arcs % size, minlength=size))
+        self._height = height[order]
         cyclic = np.flatnonzero(self._height == size).tolist()
         if cyclic:
             sample = ", ".join(sorted(names[n] for n in cyclic)[:5])
@@ -145,34 +162,12 @@ class Hierarchy:
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
         """Every (child, parent) edge, by name; built anew on each access."""
-        names = self._names
+        names, starts = self._names, self._parent_starts
         return frozenset(
             (names[child], names[parent])
-            for child, ps in enumerate(self._parents)
-            for parent in ps
+            for child in range(len(names))
+            for parent in self._parent_nodes[starts[child]:starts[child + 1]]
         )
-
-    def _heights(self, child_counts: np.ndarray) -> np.ndarray:
-        # Each node's height, the longest path down to a leaf, by Kahn
-        # peeling over child->parent arcs from each node's child count: a
-        # node is peeled after all of its children, one above the highest
-        # of them.  The nodes on a cycle, and every node above one, are
-        # never peeled: they take the sentinel len(self), above every height.
-        parents = self._parents
-        children = child_counts.tolist()
-        height = [0] * len(parents)
-        peeled = [n for n, k in enumerate(children) if k == 0]
-        for node in peeled:  # grows as nodes are peeled
-            above = height[node] + 1
-            for parent in parents[node]:
-                if height[parent] < above:
-                    height[parent] = above
-                children[parent] -= 1
-                if children[parent] == 0:
-                    peeled.append(parent)
-        heights = np.array(height, dtype=np.intp)
-        heights[np.array(children, dtype=np.intp) > 0] = len(parents)
-        return heights
 
     def _node_sets(self, names: Sequence[str]) -> list[frozenset[int] | None]:
         """The self-inclusive ancestor set of each name, in order, as node
@@ -186,20 +181,22 @@ class Hierarchy:
         numbers ``nodes``, by node.
 
         Each node is walked once, iteratively (so depth is not bounded by
-        the recursion limit), in descending height, so parents before
-        children.  A walk does not pass an ancestor already walked in this
-        call: it takes that whole set in one union instead.  A walked set
-        is closed under parents, so this is exact on cycles too.  Only the
-        requested sets are kept, and only for the call, so memory stays
-        linear in what is asked for even on a deep chain.
+        the recursion limit), in descending number, which is descending
+        height, so parents before children.  A walk does not pass an
+        ancestor already walked in this call: it takes that whole set in
+        one union instead.  A walked set is closed under parents, so this
+        is exact on cycles too.  Only the requested sets are kept, and
+        only for the call, so memory stays linear in what is asked for
+        even on a deep chain.
         """
-        parents = self._parents
+        parents, starts = self._parent_nodes, self._parent_starts
         walked: dict[int, frozenset[int]] = {}
-        for node in sorted(nodes, key=self._height.__getitem__, reverse=True):
+        for node in sorted(nodes, reverse=True):
             seen = {node}
             stack = [node]
             while stack:
-                for parent in parents[stack.pop()]:
+                child = stack.pop()
+                for parent in parents[starts[child]:starts[child + 1]]:
                     if parent not in seen:
                         known = walked.get(parent)
                         if known is None:
@@ -213,15 +210,21 @@ class Hierarchy:
     def _holder_keys(self, names: Sequence[str]) -> np.ndarray:
         """The keys ``node * len(names) + i``, ascending, of every node in
         the self-inclusive ancestor set of each ``names[i]`` that is a node:
-        the same sets as :meth:`_node_sets`, in one array.
+        the same sets as :meth:`_node_sets`, in one array, of int32 if
+        ``len(self) * len(names)`` is below 2**31, else of int64.
 
         One bottom-up pass over heights, ascending, starts from each
         name's ``(own node, i)`` pair.  All the pairs at a height have
         arrived once the lower heights are done: they are deduplicated,
-        kept, and pushed to their nodes' parents.  Only pairs of the given
-        names exist, so memory stays linear in the sizes of their sets,
-        even on a deep chain.  The parents are laid out as int CSR arrays
-        for the call.
+        kept, and pushed to their nodes' parents.  Node numbers ascend
+        with height, so a height's keys are one range of key values: a
+        push sorts its keys and splits them at the heights' bounds, and
+        the heights' runs, kept in order, are already the keys ascending.
+        A height's sorted keys group its pairs by node, so a push copies
+        each node's run of keys once per parent and adds that arc's
+        ``(parent - node) * len(names)``, with no key decoded.  Only pairs
+        of the given names exist, so memory stays linear in the sizes of
+        their sets, even on a deep chain.
 
         Each height visited costs a fixed few numpy calls, however few
         pairs it holds, while a walk costs about one step per pair.  So
@@ -231,60 +234,76 @@ class Hierarchy:
         once the next height is the sentinel of a cycle, which no pass
         over heights can close.
         """
-        width = len(names)
+        width, size = len(names), len(self)
+        dtype = key_dtype(size * width)
         height = self._height
-        # Node n's parents are parent_nodes[parent_starts[n]:parent_starts[n + 1]].
-        parent_starts = segment_offsets(np.fromiter(map(len, self._parents), np.intp, len(self)))
-        parent_nodes = np.fromiter(chain.from_iterable(self._parents), np.intp, self.edge_count)
-        finite = height[height < len(self)]
-        top = int(finite.max()) if len(finite) else -1  # the highest finite height
-        own = np.fromiter(map(self._numbers.get, names, repeat(-1)), np.intp, width)
-        ids = np.flatnonzero(own >= 0)
-        pending: dict[int, list[np.ndarray]] = {}  # pair keys by their nodes' height
+        # Arc k, the k-th of the parent store, leaves node arc_child[k]; a
+        # pair pushed along it becomes its parent's, its key growing by lift[k].
+        parent_starts = self._parent_starts
+        degree = np.diff(np.frombuffer(parent_starts, dtype=np.int64))
+        arc_child = np.repeat(np.arange(size, dtype=dtype), degree)
+        lift = np.frombuffer(self._parent_nodes, dtype=np.int64).astype(dtype)
+        lift -= arc_child
+        lift *= width
+        # Heights 0 to top are finite; the cycles' nodes, last, make level
+        # top + 1.  Level h holds the nodes firsts[h]:firsts[h + 1], and
+        # the keys of level h + 1 start at bounds[h].
+        finite = int(np.searchsorted(height, size))
+        top = int(height[finite - 1]) if finite else -1
+        firsts = np.append(np.searchsorted(height, np.arange(top + 2)), size).tolist()
+        bounds = np.array(firsts[1:-1], dtype=dtype) * width
+        own = np.fromiter(map(self._numbers.get, names, repeat(-1)), dtype, width)
+        pending: dict[int, list[np.ndarray]] = {}  # sorted pair keys by level
         levels: list[int] = []  # a heap of the keys of pending
         count = 0  # the pending pairs
         found = []
 
-        def push(keys: np.ndarray, nodes: np.ndarray) -> None:
+        def push(keys: np.ndarray) -> None:
             nonlocal count
             count += len(keys)
-            at = height[nodes]
-            order = at.argsort()
-            at, keys = at[order], keys[order]
-            cuts = (np.flatnonzero(at[1:] != at[:-1]) + 1).tolist()
-            for a, b in zip([0, *cuts], [*cuts, len(keys)]):
-                h = int(at[a])
-                if h not in pending:
-                    pending[h] = []
-                    heappush(levels, h)
-                pending[h].append(keys[a:b])
+            keys.sort()
+            lo, hi = (min(int(height[k // width]), top + 1) for k in (keys[0], keys[-1]))
+            cuts = np.searchsorted(keys, bounds[lo:hi]).tolist()
+            for h, a, b in zip(range(lo, hi + 1), [0, *cuts], [*cuts, len(keys)]):
+                if a < b:
+                    if h not in pending:
+                        pending[h] = []
+                        heappush(levels, h)
+                    pending[h].append(keys[a:b])
 
-        if len(ids):
-            push(own[ids] * width + ids, own[ids])
+        keys = own * width
+        keys += np.arange(width, dtype=dtype)
+        keys = keys[own >= 0]
+        if len(keys):
+            push(keys)
         while levels:
-            if levels[0] == len(self) or count < top + 1 - levels[0]:
+            if levels[0] > top or count < top + 1 - levels[0]:
                 keys = np.concatenate(list(chain.from_iterable(pending.values())))
                 nodes, ids = np.divmod(keys, width)
                 entries = sorted_distinct(nodes)
                 walked = self._walk(entries.tolist())
                 sets = [walked[n] for n in entries.tolist()]
                 sizes = np.fromiter(map(len, sets), np.intp, len(sets))
-                members = np.fromiter(chain.from_iterable(sets), np.intp, sizes.sum())
+                members = np.fromiter(chain.from_iterable(sets), dtype, sizes.sum())
                 at, counts = spans(segment_offsets(sizes), np.searchsorted(entries, nodes))
                 found.append(sorted_distinct(members[at] * width + np.repeat(ids, counts)))
                 break
-            parts = pending.pop(heappop(levels))
+            level = heappop(levels)
+            parts = pending.pop(level)
             count -= sum(map(len, parts))
             keys = sorted_distinct(np.concatenate(parts) if len(parts) > 1 else parts[0])
             found.append(keys)
-            nodes, ids = np.divmod(keys, width)
-            at, counts = spans(parent_starts, nodes)
-            if len(at):
-                parents = parent_nodes[at]
-                push(parents * width + np.repeat(ids, counts), parents)
-        keys = np.concatenate(found) if found else np.empty(0, dtype=np.intp)
-        keys.sort(kind="stable")  # merges the ascending runs
-        return keys
+            # The keys of node n0 + r are keys[runs[r]:runs[r + 1]].
+            n0, n1 = firsts[level], firsts[level + 1]
+            a0, a1 = parent_starts[n0], parent_starts[n1]
+            if a0 < a1:
+                runs = np.searchsorted(keys, np.arange(n0, n1 + 1, dtype=dtype) * width)
+                at, counts = spans(runs, arc_child[a0:a1] - n0)
+                if len(at):
+                    keys = keys[at]
+                    keys += np.repeat(lift[a0:a1], counts)
+                    push(keys)
+        return np.concatenate(found) if found else np.empty(0, dtype=dtype)
 
     def ancestors(self, node: str) -> frozenset[str]:
         """Self-inclusive ancestor set of ``node``; ``{node}`` for an
@@ -301,6 +320,33 @@ class Hierarchy:
         )
         shared = len(anc_a & anc_b)
         return shared / (len(anc_a) + len(anc_b) - shared)
+
+
+def _heights(child: np.ndarray, parent: np.ndarray, size: int) -> np.ndarray:
+    """Each node's height, the longest path down to a leaf, given the
+    distinct arcs ``child[k] -> parent[k]`` sorted by child.
+
+    By Kahn peeling from each node's child count: a node is peeled after
+    all of its children, one above the highest of them.  The nodes on a
+    cycle, and every node above one, are never peeled: they take the
+    sentinel ``size``, above every height.
+    """
+    ups = parent.tolist()
+    starts = segment_offsets(np.bincount(child, minlength=size)).tolist()
+    children = np.bincount(parent, minlength=size).tolist()
+    height = [0] * size
+    peeled = [n for n, k in enumerate(children) if k == 0]
+    for node in peeled:  # grows as nodes are peeled
+        above = height[node] + 1
+        for p in ups[starts[node]:starts[node + 1]]:
+            if height[p] < above:
+                height[p] = above
+            children[p] -= 1
+            if children[p] == 0:
+                peeled.append(p)
+    heights = np.array(height, dtype=np.intp)
+    heights[np.array(children, dtype=np.intp) > 0] = size
+    return heights
 
 
 def parse_hierarchy(lines: Iterable[str], source: str = "<memory>") -> Hierarchy:

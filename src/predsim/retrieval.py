@@ -19,7 +19,10 @@ ancestor sets, in the hierarchy's own node numbers, are stored inverted,
 per ancestor node: the ascending ids whose set holds the node (CSR
 form), beside each set's size.  The hierarchy computes them all in one
 bottom-up array pass (``Hierarchy._holder_keys``), with no set object per
-identifier.  The engine keeps the index of the last corpus it saw only.
+identifier, as sorted (node, id) keys of int32 whenever the number of
+nodes times the number of ids is below 2**31.  The index decodes them
+once, into the intp arrays its kernel reads.  The engine keeps the index
+of the last corpus it saw only.
 A seed document's query rows come straight from the corpus columns.
 ``find`` groups the corpus positions by the corpus's
 predication codes, which number the distinct predications in literal
@@ -75,7 +78,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._arrays import segment_offsets
+from ._arrays import key_dtype, segment_offsets
 from ._input import check_count
 from .corpus import Corpus
 from .docsim import SimConfig
@@ -121,36 +124,53 @@ class _Vocabulary:
     are ``sizes[i]`` of them.  Inverted, per node: the ids whose set holds
     node ``n``, ascending, are ``holders[o[n]:o[n + 1]]``, with
     ``o = holder_offsets``.  Both come from the sorted (node, id) keys of
-    :meth:`Hierarchy._holder_keys`.
+    :meth:`Hierarchy._holder_keys`, decoded once.  The keys, and the
+    transposed keys sorted to group the nodes by id, are int32 whenever
+    they fit; ``holders`` and ``set_nodes`` are widened to intp in the
+    pass that decodes them, since the kernel reads them on every query.
+    The decoded arrays are copied only to append the numbers of names
+    that are not nodes, if any.
     """
 
     def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
         self.hierarchy = hierarchy
         self.names = tuple(names)
-        self.ids = {name: i for i, name in enumerate(self.names)}
-        width = len(self.names)
+        width, size = len(self.names), len(hierarchy)
+        self.ids = dict(zip(self.names, range(width)))
         # The keys node * V + id, ascending, group the ids by node, ascending
-        # within each; V times the number of nodes is far below 2**63.
-        nodes, holders = np.divmod(hierarchy._holder_keys(self.names), width)
+        # within each: node n's start is the first key at or above n * V.
+        keys = hierarchy._holder_keys(self.names)
+        starts = np.searchsorted(keys, np.arange(size + 1, dtype=keys.dtype) * width)
+        nodes = keys // width
+        # The ids are widened to intp as they are decoded: the kernel's
+        # bincount reads them, and would cast narrower ones on every query.
+        holders = np.multiply(nodes, -width, dtype=np.intp)
+        holders += keys
+        del keys
         sizes = np.bincount(holders, minlength=width)
         # A name that is not a node holds only its own number, after the
         # nodes' in id order, so its keys sort after every node's.
         outside = np.flatnonzero(sizes == 0)
-        sizes[outside] = 1
-        nodes = np.concatenate((nodes, np.arange(len(outside)) + len(hierarchy)))
-        self.holders = np.concatenate((holders, outside))
+        if len(outside):
+            sizes[outside] = 1
+            holders = np.concatenate((holders, outside))
+            numbers = np.arange(size, size + len(outside), dtype=nodes.dtype)
+            nodes = np.concatenate((nodes, numbers))
+            starts = np.concatenate((starts, starts[-1] + np.arange(1, len(outside) + 1)))
+        self.holders = holders
         self.sizes = sizes
         # An array, sized by the hierarchy: a list would cost far more.
-        self.holder_offsets = segment_offsets(np.bincount(nodes, minlength=len(hierarchy)))
-        # The keys transposed, id * N + node, and sorted group the nodes by
-        # id: an int64 sort is several times faster than a stable argsort.
-        # They are built, sorted and decoded in one array.
-        spread = len(hierarchy) + len(outside)
-        keys = self.holders * spread
+        self.holder_offsets = starts
+        # The keys transposed, id * (N + outside) + node, and sorted group
+        # the nodes by id: an integer sort is several times faster than a
+        # stable argsort.  They are of int32 if V * (N + outside) is below
+        # 2**31, and their nodes are widened to intp as they are decoded.
+        spread = size + len(outside)
+        keys = np.multiply(holders, spread, dtype=key_dtype(width * spread))
         keys += nodes
+        del nodes
         keys.sort()
-        keys %= spread
-        self.set_nodes = keys
+        self.set_nodes = np.remainder(keys, spread, dtype=np.intp)
         # A list: slicing with Python ints is faster than with numpy scalars.
         self.set_offsets = segment_offsets(sizes).tolist()
 

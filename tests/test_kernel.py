@@ -570,6 +570,64 @@ class TestIndexSets:
             retrieval._Index(corpus, engine.concepts, engine.relations)
         assert calls == []
 
+    @staticmethod
+    def _check_star(leaves, outside, pair_dtype):
+        """One root over ``leaves`` indexed leaves, given in a shuffled
+        order, and ``outside`` names that are not nodes: the pair keys take
+        the given dtype, and every key, and every set the vocabulary
+        decodes from them and from its transposed keys, equals
+        ``_node_sets``'s (a leaf's set is itself and the root)."""
+        rng = np.random.default_rng(leaves)
+        hierarchy = Hierarchy([(f"l{j}", "root") for j in range(leaves)])
+        names = [f"l{int(j)}" for j in rng.permutation(leaves)]
+        names += [f"ghost{j}" for j in range(outside)]
+        width = len(names)
+        sets = hierarchy._node_sets(names)
+        expected = sorted(n * width + i for i, nodes in enumerate(sets) if nodes for n in nodes)
+        keys = hierarchy._holder_keys(names)
+        assert keys.dtype == pair_dtype
+        assert keys.tolist() == expected
+        vocab = retrieval._Vocabulary(hierarchy, names)
+        assert vocab.holders.dtype == vocab.set_nodes.dtype == np.intp
+        ghosts = list(range(leaves, width))
+        assert vocab.holders.tolist() == [k % width for k in expected] + ghosts
+        assert vocab.sizes.tolist() == [2] * leaves + [1] * outside
+        nodes = [sorted(nodes) for nodes in sets[:leaves]]
+        nodes += [[len(hierarchy) + j] for j in range(outside)]
+        assert vocab.set_nodes.tolist() == [n for own in nodes for n in own]
+
+    def test_key_width_follows_the_number_of_keys(self):
+        # numpy 2 keeps int32_array * python_int in int32 and wraps on
+        # overflow, so only the size test keeps these keys right.
+        # V * N = 46,400 * 46,401 >= 2**31: int64 keys.
+        self._check_star(46_400, 0, np.int64)
+        # V * N = 46,340 * 46,341 < 2**31, just under the boundary: int32.
+        self._check_star(46_340, 0, np.int32)
+        # V * N = 46,400 * 46,001 < 2**31 <= V * (N + outside) = 46,400 * 46,401:
+        # int32 pair keys, int64 transposed keys.
+        self._check_star(46_000, 400, np.int32)
+
+    def test_build_allocates_few_bytes_per_pair(self):
+        # The traced allocation peak of an index build, per (node, id)
+        # pair, on a hierarchy shaped like the benchmark's: about 27 bytes
+        # with int32 keys decoded to intp arrays.  The same build with
+        # int64 keys peaked at about 31, and int64 keys decoded through
+        # full-size copies and merged by a final stable sort at about 39.
+        rng = np.random.default_rng(13)
+        layered = Hierarchy(self._layered_dag(rng, 3000, 10))
+        names = sorted(layered.nodes)
+        names = [names[int(k)] for k in rng.permutation(3000)[:1500]]
+        retrieval._Vocabulary(layered, names)  # numpy's first calls allocate caches
+        tracemalloc.start()
+        try:
+            vocab = retrieval._Vocabulary(layered, names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = len(vocab.holders)
+        assert pairs > 20 * len(names)
+        assert peak < 30 * pairs, (peak, pairs)
+
     def test_deep_chain_visits_at_most_one_height(self, monkeypatch):
         # The pass pops the heap of pending heights once per height it visits.
         popped = []
