@@ -78,7 +78,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._arrays import key_dtype, segment_offsets
+from ._arrays import segment_offsets
 from ._input import check_count
 from .corpus import Corpus
 from .docsim import SimConfig
@@ -117,19 +117,18 @@ class _Vocabulary:
 
     ``names`` are the distinct names passed in, id ``i`` being ``names[i]``
     (``ids`` maps back); a corpus passes its identifier table, so the ids
-    are its codes.  The sets hold node numbers: the hierarchy's own, and
-    after them one for each name that is not a hierarchy node, in id
-    order.  They are stored twice.  By id: id ``i``'s nodes, ascending,
-    are ``set_nodes[s[i]:s[i + 1]]``, with ``s = set_offsets``, and there
-    are ``sizes[i]`` of them.  Inverted, per node: the ids whose set holds
-    node ``n``, ascending, are ``holders[o[n]:o[n + 1]]``, with
+    are its codes.  The sets hold the hierarchy's node numbers only: a
+    name that is not a node holds none, and ``similarity_rows`` gives it
+    its set of one.  They are stored twice.  By id: id ``i``'s nodes,
+    ascending, are ``set_nodes[s[i]:s[i + 1]]``, with ``s = set_offsets``,
+    and there are ``sizes[i]`` of them.  Inverted, per node: the ids whose
+    set holds node ``n``, ascending, are ``holders[o[n]:o[n + 1]]``, with
     ``o = holder_offsets``.  Both come from the sorted (node, id) keys of
     :meth:`Hierarchy._holder_keys`, decoded once.  The keys, and the
-    transposed keys sorted to group the nodes by id, are int32 whenever
-    they fit; ``holders`` and ``set_nodes`` are widened to intp in the
-    pass that decodes them, since the kernel reads them on every query.
-    The decoded arrays are copied only to append the numbers of names
-    that are not nodes, if any.
+    transposed keys sorted to group the nodes by id, span the same V × N
+    values, so they share one width: int32 whenever it fits.  ``holders``
+    and ``set_nodes`` are widened to intp in the pass that decodes them,
+    since the kernel reads them on every query.
     """
 
     def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
@@ -138,41 +137,27 @@ class _Vocabulary:
         width, size = len(self.names), len(hierarchy)
         self.ids = dict(zip(self.names, range(width)))
         # The keys node * V + id, ascending, group the ids by node, ascending
-        # within each: node n's start is the first key at or above n * V.
+        # within each: node n's start is the first key at or above n * V.  The
+        # starts stay an array, sized by the hierarchy: a list would cost more.
         keys = hierarchy._holder_keys(self.names)
-        starts = np.searchsorted(keys, np.arange(size + 1, dtype=keys.dtype) * width)
+        self.holder_offsets = np.searchsorted(keys, np.arange(size + 1, dtype=keys.dtype) * width)
         nodes = keys // width
         # The ids are widened to intp as they are decoded: the kernel's
         # bincount reads them, and would cast narrower ones on every query.
-        holders = np.multiply(nodes, -width, dtype=np.intp)
-        holders += keys
-        del keys
-        sizes = np.bincount(holders, minlength=width)
-        # A name that is not a node holds only its own number, after the
-        # nodes' in id order, so its keys sort after every node's.
-        outside = np.flatnonzero(sizes == 0)
-        if len(outside):
-            sizes[outside] = 1
-            holders = np.concatenate((holders, outside))
-            numbers = np.arange(size, size + len(outside), dtype=nodes.dtype)
-            nodes = np.concatenate((nodes, numbers))
-            starts = np.concatenate((starts, starts[-1] + np.arange(1, len(outside) + 1)))
-        self.holders = holders
-        self.sizes = sizes
-        # An array, sized by the hierarchy: a list would cost far more.
-        self.holder_offsets = starts
-        # The keys transposed, id * (N + outside) + node, and sorted group
-        # the nodes by id: an integer sort is several times faster than a
-        # stable argsort.  They are of int32 if V * (N + outside) is below
-        # 2**31, and their nodes are widened to intp as they are decoded.
-        spread = size + len(outside)
-        keys = np.multiply(holders, spread, dtype=key_dtype(width * spread))
+        self.holders = np.multiply(nodes, -width, dtype=np.intp)
+        self.holders += keys
+        self.sizes = np.bincount(self.holders, minlength=width)
+        # The keys transposed in place, id * N + node, below V * N as before,
+        # and sorted group the nodes by id: an integer sort is several times
+        # faster than a stable argsort.  Their nodes are widened to intp as
+        # they are decoded.
+        np.multiply(self.holders, size, out=keys)
         keys += nodes
         del nodes
         keys.sort()
-        self.set_nodes = np.remainder(keys, spread, dtype=np.intp)
+        self.set_nodes = np.remainder(keys, size, dtype=np.intp)
         # A list: slicing with Python ints is faster than with numpy scalars.
-        self.set_offsets = segment_offsets(sizes).tolist()
+        self.set_offsets = segment_offsets(self.sizes).tolist()
 
     def similarity_rows(self, keys: Sequence[int | str]) -> np.ndarray:
         """Jaccard of each key's ancestor set with every interned id's, in
@@ -185,6 +170,11 @@ class _Vocabulary:
         own ancestors are counted, once per distinct key.  An interned
         name's set is read from the index under its id; only the other
         names, such as an ad-hoc query's, are walked.
+
+        A name that is not a node is its own set of one: its row is 0.0,
+        and 1.0 at its own id if it is interned.  The index holds no node
+        for it, so ``sizes`` counts none; in any other key's row its column
+        reads ``0 / (size + 0 - 0)``, which is 0.0 whatever the size.
         """
         keys = [self.ids.get(key, key) for key in keys]
         outside = [key for key in dict.fromkeys(keys) if isinstance(key, str)]
@@ -198,19 +188,19 @@ class _Vocabulary:
                 rows[k] = rows[seen]
                 continue
             if isinstance(key, str):
-                # The set of a name that is not a node is {name}; no id's set holds it.
                 nodes = walked[key] or ()
-                size, own = len(nodes) or 1, np.fromiter(nodes, np.intp, len(nodes))
+                own = np.fromiter(nodes, np.intp, len(nodes))
             else:
-                size = self.sizes[key]
                 own = self.set_nodes[self.set_offsets[key]:self.set_offsets[key + 1]]
-            # The empty first span gives a key with no indexed ancestor
-            # a row of zero counts.
-            spans = [holders[:0]]
+            if not len(own):
+                rows[k] = 0.0
+                if not isinstance(key, str):
+                    rows[k, key] = 1.0
+                continue
             bounds = zip(offsets[own].tolist(), offsets[own + 1].tolist())
-            spans += (holders[a:b] for a, b in bounds)
+            spans = [holders[a:b] for a, b in bounds]
             shared = np.bincount(np.concatenate(spans), minlength=len(self.names))
-            np.divide(shared, size + self.sizes - shared, out=rows[k])
+            np.divide(shared, len(own) + self.sizes - shared, out=rows[k])
         return rows
 
 

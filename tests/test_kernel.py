@@ -183,6 +183,16 @@ class TestKernelExactness:
         found = engine.related_predications(corpus, pattern, 3)
         assert all(r.score == 0.0 and type(r.score) is float for r in found)
 
+    def test_every_identifier_outside_both_hierarchies(self, monkeypatch):
+        # Neither hierarchy has a node, so every interned id and every
+        # query name is its own set of one, at every chunk and tile size.
+        rng = np.random.default_rng(23)
+        for _ in each_kernel_size(monkeypatch):
+            for _ in range(20):
+                engine, corpus, concepts, relations = _random_case(rng)
+                engine = RetrievalEngine(Hierarchy([]), Hierarchy([]), engine.config)
+                _check_case(engine, corpus, concepts, relations, rng)
+
     def test_one_query_row_per_block(self, monkeypatch):
         def run():
             rng = np.random.default_rng(99)
@@ -451,13 +461,12 @@ class TestIndexSets:
     @staticmethod
     def _check(hierarchy, names):
         vocab = retrieval._Vocabulary(hierarchy, names)
-        sets, outside = [], len(hierarchy)
-        for name in names:
-            nodes = hierarchy._node_sets([name])[0]
-            if nodes is None:  # a name that is not a node gets the next number
-                nodes, outside = frozenset((outside,)), outside + 1
-            sets.append(nodes)
-        held = [[i for i, nodes in enumerate(sets) if n in nodes] for n in range(outside)]
+        # A name that is not a node holds no node: the index has the
+        # hierarchy's nodes only, and the real (node, id) pairs only.
+        sets = [hierarchy._node_sets([name])[0] or frozenset() for name in names]
+        held = [[i for i, nodes in enumerate(sets) if n in nodes] for n in range(len(hierarchy))]
+        assert len(vocab.holder_offsets) == len(hierarchy) + 1
+        assert len(vocab.holders) == sum(map(len, sets))
         assert vocab.holders.tolist() == [i for ids in held for i in ids]
         assert vocab.holder_offsets.tolist() == [0, *np.cumsum([len(ids) for ids in held])]
         assert vocab.sizes.tolist() == [len(nodes) for nodes in sets]
@@ -576,7 +585,8 @@ class TestIndexSets:
         order, and ``outside`` names that are not nodes: the pair keys take
         the given dtype, and every key, and every set the vocabulary
         decodes from them and from its transposed keys, equals
-        ``_node_sets``'s (a leaf's set is itself and the root)."""
+        ``_node_sets``'s (a leaf's set is itself and the root; a name that
+        is not a node holds no node)."""
         rng = np.random.default_rng(leaves)
         hierarchy = Hierarchy([(f"l{j}", "root") for j in range(leaves)])
         names = [f"l{int(j)}" for j in rng.permutation(leaves)]
@@ -589,11 +599,10 @@ class TestIndexSets:
         assert keys.tolist() == expected
         vocab = retrieval._Vocabulary(hierarchy, names)
         assert vocab.holders.dtype == vocab.set_nodes.dtype == np.intp
-        ghosts = list(range(leaves, width))
-        assert vocab.holders.tolist() == [k % width for k in expected] + ghosts
-        assert vocab.sizes.tolist() == [2] * leaves + [1] * outside
+        assert len(vocab.holder_offsets) == len(hierarchy) + 1
+        assert vocab.holders.tolist() == [k % width for k in expected]
+        assert vocab.sizes.tolist() == [2] * leaves + [0] * outside
         nodes = [sorted(nodes) for nodes in sets[:leaves]]
-        nodes += [[len(hierarchy) + j] for j in range(outside)]
         assert vocab.set_nodes.tolist() == [n for own in nodes for n in own]
 
     def test_key_width_follows_the_number_of_keys(self):
@@ -603,8 +612,9 @@ class TestIndexSets:
         self._check_star(46_400, 0, np.int64)
         # V * N = 46,340 * 46,341 < 2**31, just under the boundary: int32.
         self._check_star(46_340, 0, np.int32)
-        # V * N = 46,400 * 46,001 < 2**31 <= V * (N + outside) = 46,400 * 46,401:
-        # int32 pair keys, int64 transposed keys.
+        # V * N = 46,400 * 46,001 < 2**31, 400 of the names being outside
+        # the hierarchy: they add no node, so they widen neither the pair
+        # keys nor the transposed keys, and both are int32.
         self._check_star(46_000, 400, np.int32)
 
     def test_build_allocates_few_bytes_per_pair(self):
