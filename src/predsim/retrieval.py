@@ -21,8 +21,10 @@ form), beside each set's size.  The hierarchy computes them all in one
 bottom-up array pass (``Hierarchy._holder_keys``), with no set object per
 identifier, as sorted (node, id) keys of int32 whenever the number of
 nodes times the number of ids is below 2**31.  The index decodes them
-once, into the intp arrays its kernel reads.  The engine keeps the index
-of the last corpus it saw only.
+once, into the intp arrays its kernel reads, and lists each node's start
+among the holders as a Python int, which slices an array faster than a
+numpy integer does.  The engine keeps the index of the last corpus it
+saw only.
 A seed document's query rows come straight from the corpus columns.
 ``find`` groups the corpus positions by the corpus's
 predication codes, which number the distinct predications in literal
@@ -40,7 +42,11 @@ tiles.  A tile holds a few members' rows of a run of whole documents: at
 most ``TILE_ELEMENTS`` elements, or one member's row of one document
 that is larger.  Each tile is gathered into two buffers reused across
 tiles, and is reduced at once to each member's best match in each of its
-documents and to each corpus predication's best match so far.
+documents and to each corpus predication's best match so far.  These
+maxima compare the int64 bit patterns of the weighted slot sums, which is
+faster than comparing the doubles and gives the same maxima: no sum has
+its sign bit set, not even as -0.0, and doubles with a clear sign bit
+order as their bit patterns do.
 
 So the memory a query uses for a while and frees is bounded by a chunk's
 rows and two tiles, whatever the sizes of the query and the corpus.  The
@@ -128,7 +134,10 @@ class _Vocabulary:
     transposed keys sorted to group the nodes by id, span the same V × N
     values, so they share one width: int32 whenever it fits.  ``holders``
     and ``set_nodes`` are widened to intp in the pass that decodes them,
-    since the kernel reads them on every query.
+    since the kernel reads them on every query.  ``holder_offsets`` and
+    ``set_offsets`` are lists of Python ints, which slice an array faster
+    than numpy integers do, and ``float_sizes`` are the sizes as float64,
+    which ``similarity_rows`` builds its denominators from.
     """
 
     def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
@@ -137,10 +146,9 @@ class _Vocabulary:
         width, size = len(self.names), len(hierarchy)
         self.ids = dict(zip(self.names, range(width)))
         # The keys node * V + id, ascending, group the ids by node, ascending
-        # within each: node n's start is the first key at or above n * V.  The
-        # starts stay an array, sized by the hierarchy: a list would cost more.
+        # within each: node n's start is the first key at or above n * V.
         keys = hierarchy._holder_keys(self.names)
-        self.holder_offsets = np.searchsorted(keys, np.arange(size + 1, dtype=keys.dtype) * width)
+        starts = np.searchsorted(keys, np.arange(size + 1, dtype=keys.dtype) * width)
         nodes = keys // width
         # The ids are widened to intp as they are decoded: the kernel's
         # bincount reads them, and would cast narrower ones on every query.
@@ -156,8 +164,13 @@ class _Vocabulary:
         del nodes
         keys.sort()
         self.set_nodes = np.remainder(keys, size, dtype=np.intp)
-        # A list: slicing with Python ints is faster than with numpy scalars.
+        del keys
+        # Lists: slicing with Python ints is faster than with numpy scalars.
+        # The node starts are listed once the keys are freed, so that the
+        # build's peak does not hold the list beside them.
+        self.holder_offsets = starts.tolist()
         self.set_offsets = segment_offsets(self.sizes).tolist()
+        self.float_sizes = self.sizes.astype(float)
 
     def similarity_rows(self, keys: Sequence[int | str]) -> np.ndarray:
         """Jaccard of each key's ancestor set with every interned id's, in
@@ -188,19 +201,22 @@ class _Vocabulary:
                 rows[k] = rows[seen]
                 continue
             if isinstance(key, str):
-                nodes = walked[key] or ()
-                own = np.fromiter(nodes, np.intp, len(nodes))
+                own = list(walked[key] or ())
             else:
-                own = self.set_nodes[self.set_offsets[key]:self.set_offsets[key + 1]]
-            if not len(own):
+                own = self.set_nodes[self.set_offsets[key]:self.set_offsets[key + 1]].tolist()
+            if not own:
                 rows[k] = 0.0
                 if not isinstance(key, str):
                     rows[k, key] = 1.0
                 continue
-            bounds = zip(offsets[own].tolist(), offsets[own + 1].tolist())
-            spans = [holders[a:b] for a, b in bounds]
+            spans = [holders[offsets[n]:offsets[n + 1]] for n in own]
             shared = np.bincount(np.concatenate(spans), minlength=len(self.names))
-            np.divide(shared, len(own) + self.sizes - shared, out=rows[k])
+            # The denominator len(own) + size - shared, built in the row:
+            # every count is an integer below 2**53, so each step is exact.
+            row = rows[k]
+            np.add(self.float_sizes, len(own), out=row)
+            row -= shared
+            np.divide(shared, row, out=row)
         return rows
 
 
@@ -297,9 +313,13 @@ def _runs(offsets: np.ndarray, members: int) -> list[tuple[int, int, int, int, i
 
 def _threshold(terms: np.ndarray, total: float, tau: float) -> None:
     """Turn weighted slot sums into terms in place: divide them by the
-    weight total, then zero those below the pair threshold ``tau``."""
+    weight total, then zero those below the pair threshold ``tau``.
+
+    Terms are never negative, so a ``tau`` at or below 0 zeroes none: the
+    threshold is then the identity, and its pass is skipped."""
     terms /= total
-    np.putmask(terms, terms < tau, 0.0)
+    if tau > 0:
+        np.putmask(terms, terms < tau, 0.0)
 
 
 def _ranked(
@@ -385,9 +405,14 @@ class RetrievalEngine:
         # document d; best_of_pred[i]: best of corpus predication i over
         # the query.  Both are divided by the weight total only once their
         # maxima are complete, which gives the same maxima because rounding
-        # is monotone.
+        # is monotone.  The maxima compare the sums' int64 bit patterns,
+        # which order finite doubles with a clear sign bit as their values
+        # do.  Every sum has one: one weight is positive, so one of its
+        # addends is +0.0 or more, and such a sum is never -0.0; and
+        # best_of_pred starts at +0.0, whose bit pattern is 0.
         best_in_doc = np.empty((n, len(corpus)))
         best_of_pred = np.zeros(len(corpus.subjects))
+        doc_bits, pred_bits = best_in_doc.view(np.int64), best_of_pred.view(np.int64)
         per_member = 2 * len(concept_vocab.names) + len(relation_vocab.names)
         chunk = min(n, max(1, BLOCK_ELEMENTS // per_member))
         runs = _runs(offsets, chunk)
@@ -406,7 +431,7 @@ class RetrievalEngine:
             for d0, d1, p0, p1, rows in runs:
                 width = p1 - p0
                 starts = offsets[d0:d1] - p0
-                best = best_of_pred[p0:p1]
+                best = pred_bits[p0:p1]
                 for r0 in range(0, members, rows):
                     r1 = min(r0 + rows, members)
                     tile = tile_buffer[:(r1 - r0) * width].reshape(r1 - r0, width)
@@ -418,7 +443,8 @@ class RetrievalEngine:
                     tile += spare
                     np.take(object_rows[r0:r1], corpus.objects[p0:p1], 1, spare, "clip")
                     tile += spare
-                    np.maximum.reduceat(tile, starts, 1, out=best_in_doc[lo + r0:lo + r1, d0:d1])
+                    tile, spare = tile.view(np.int64), spare.view(np.int64)
+                    np.maximum.reduceat(tile, starts, 1, out=doc_bits[lo + r0:lo + r1, d0:d1])
                     np.maximum(best, tile.max(axis=0, out=spare[0]), out=best)
             # The chunk's rows of best_in_doc are complete.
             _threshold(best_in_doc[lo:hi], weights.total, self.config.pair_threshold)

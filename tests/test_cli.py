@@ -248,6 +248,28 @@ class TestFlagsAndDeterminism:
         reweighted_out, _ = capsys.readouterr()
         assert default_out != reweighted_out
 
+    @pytest.mark.parametrize("command", [
+        ["related", "--seed", "d001"],
+        ["query", "--pred", "ASPIRIN|TREATS|HEADACHE"],
+    ])
+    def test_negative_zero_prints_as_zero(self, command, capsys):
+        # argparse reads "-0" as -0.0, which SimWeights and SimConfig accept;
+        # the kernel's weighted sums must still print as with +0.0.
+        data = Path(__file__).resolve().parent.parent / "demos" / "data"
+        name, *options = command
+        argv = [name, *options,
+                "--concepts", str(data / "concepts.tsv"),
+                "--relations", str(data / "relations.tsv"),
+                "--predications", str(data / "predications.tsv")]
+        outputs = []
+        for zero in ("-0", "0"):
+            code = main([*argv, "--ws", zero, "--wr", zero, "--wo", "1", "--threshold", zero])
+            out, err = capsys.readouterr()
+            assert code == EXIT_OK, err
+            outputs.append(out.encode("utf-8"))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) > 3
+
 
 class TestCounts:
     """A gold rank, ``--top`` and each ``--at`` cutoff are read as ASCII

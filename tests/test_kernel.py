@@ -207,6 +207,47 @@ class TestKernelExactness:
             assert run() == default, sizes
 
 
+class TestBitPatternMaxima:
+    """The kernel takes its best-match maxima over the int64 bit patterns
+    of the weighted slot sums, which order as the sums do only while no
+    sum has its sign bit set.  A weight or a pair threshold of -0.0, which
+    ``SimWeights`` and ``SimConfig`` accept, must leave every term +0.0 or
+    more, and every score equal to the scalar cascade's, at every chunk
+    and tile size."""
+
+    WEIGHTS = ((-0.0, -0.0, 1.0), (0.0, 1.0, -0.0), (2.0, -0.0, 0.5))
+    PAIR_THRESHOLDS = (-0.0, 0.0, 0.3)
+
+    @staticmethod
+    def _recorded_terms(engine):
+        """A list that gets both arrays of terms of each ``_document_terms``
+        call the engine makes."""
+        terms = []
+        document_terms = engine._document_terms
+
+        def recorded(*args):
+            found = document_terms(*args)
+            terms.extend(found)
+            return found
+
+        engine._document_terms = recorded
+        return terms
+
+    def test_negative_zero_weights_and_thresholds(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        for _ in each_kernel_size(monkeypatch):
+            for _ in range(5):
+                case, corpus, concepts, relations = _random_case(rng)
+                for weights in self.WEIGHTS:
+                    for tau in self.PAIR_THRESHOLDS:
+                        config = SimConfig(SimWeights(*weights), tau)
+                        engine = RetrievalEngine(case.concepts, case.relations, config)
+                        terms = self._recorded_terms(engine)
+                        _check_case(engine, corpus, concepts, relations, rng)
+                        assert len(terms) == 2 * (len(corpus) + 3)
+                        assert not any(np.signbit(t).any() for t in terms)
+
+
 class TestRuns:
     """``_runs`` covers the documents in order with runs of whole
     documents, each at most a tile wide unless it is one larger document,
@@ -468,7 +509,7 @@ class TestIndexSets:
         assert len(vocab.holder_offsets) == len(hierarchy) + 1
         assert len(vocab.holders) == sum(map(len, sets))
         assert vocab.holders.tolist() == [i for ids in held for i in ids]
-        assert vocab.holder_offsets.tolist() == [0, *np.cumsum([len(ids) for ids in held])]
+        assert vocab.holder_offsets == [0, *np.cumsum([len(ids) for ids in held]).tolist()]
         assert vocab.sizes.tolist() == [len(nodes) for nodes in sets]
         starts = vocab.set_offsets
         for i, nodes in enumerate(sets):
