@@ -28,6 +28,7 @@ T = TypeVar("T")
 
 _TAB_OR_NEWLINE = re.compile(r"[\t\n\r]").search
 _FORBIDDEN_IN_LITERAL = re.compile(r"[\t\n\r|]").search
+_SURROGATE = re.compile(r"[\ud800-\udfff]").search
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
@@ -141,7 +142,19 @@ def tuple_records(
 def read_file(path: str | Path, parse: Callable[[Iterable[str], str], T]) -> T:
     """``parse(lines, source)`` over the lines of the UTF-8 file at
     ``path``, a leading byte-order mark dropped; the source is the path
-    as :class:`~pathlib.Path` spells it."""
+    as :class:`~pathlib.Path` spells it.
+
+    A file that is not UTF-8 is read again with each bad byte escaped to
+    a lone surrogate, which no valid UTF-8 decodes to, and the error
+    names the first line that holds one."""
     path = Path(path)
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse(handle, str(path))
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return parse(handle, str(path))
+    except UnicodeDecodeError:
+        pass
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if _SURROGATE(line):
+                raise LoadError(f"{path}: line {lineno}: not valid UTF-8")
+    raise LoadError(f"{path}: not valid UTF-8")

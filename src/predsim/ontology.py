@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Sequence
-from heapq import heappop, heappush
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -254,7 +253,6 @@ class Hierarchy:
         bounds = np.array(firsts[1:-1], dtype=dtype) * width
         own = np.fromiter(map(self._numbers.get, names, repeat(-1)), dtype, width)
         pending: dict[int, list[np.ndarray]] = {}  # sorted pair keys by level
-        levels: list[int] = []  # a heap of the keys of pending
         count = 0  # the pending pairs
         found = []
 
@@ -266,18 +264,19 @@ class Hierarchy:
             cuts = np.searchsorted(keys, bounds[lo:hi]).tolist()
             for h, a, b in zip(range(lo, hi + 1), [0, *cuts], [*cuts, len(keys)]):
                 if a < b:
-                    if h not in pending:
-                        pending[h] = []
-                        heappush(levels, h)
-                    pending[h].append(keys[a:b])
+                    pending.setdefault(h, []).append(keys[a:b])
 
         keys = own * width
         keys += np.arange(width, dtype=dtype)
         keys = keys[own >= 0]
         if len(keys):
             push(keys)
-        while levels:
-            if levels[0] > top or count < top + 1 - levels[0]:
+        # A push goes to higher levels only, so one ascending loop visits
+        # the pending levels in order.
+        for level in range(top + 2):
+            if level not in pending:
+                continue
+            if level > top or count < top + 1 - level:
                 keys = np.concatenate(list(chain.from_iterable(pending.values())))
                 nodes, ids = np.divmod(keys, width)
                 entries = sorted_distinct(nodes)
@@ -288,7 +287,6 @@ class Hierarchy:
                 at, counts = spans(segment_offsets(sizes), np.searchsorted(entries, nodes))
                 found.append(sorted_distinct(members[at] * width + np.repeat(ids, counts)))
                 break
-            level = heappop(levels)
             parts = pending.pop(level)
             count -= sum(map(len, parts))
             keys = sorted_distinct(np.concatenate(parts) if len(parts) > 1 else parts[0])

@@ -77,7 +77,8 @@ class PredicationPattern:
 
 @dataclass(frozen=True)
 class SimWeights:
-    """Non-negative slot weights; at least one must be positive."""
+    """Finite, non-negative slot weights; the weights' sum must be finite
+    and positive."""
 
     ws: float = 1.0
     wr: float = 1.0
@@ -87,8 +88,8 @@ class SimWeights:
         for name, value in (("ws", self.ws), ("wr", self.wr), ("wo", self.wo)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"weight {name} must be finite and >= 0, got {value!r}")
-        if self.total <= 0:
-            raise ValueError("weight sum must be positive")
+        if not 0 < self.total < math.inf:
+            raise ValueError(f"weight sum must be finite and positive, got {self.total!r}")
 
     @property
     def total(self) -> float:

@@ -5,7 +5,8 @@ hierarchies to a similarity configuration and exposes the three query
 surfaces:
 
 - ``related_documents``: rank every other document against a seed
-  document's predication set (the seed never appears in its own results);
+  document's predication set: the best ``n + 1`` of all documents, less
+  the seed, are the best ``n`` others, in the same order;
 - ``query_documents``: rank all documents against an ad-hoc predication
   set treated as a virtual document;
 - ``related_predications``: rank every distinct predication in the corpus
@@ -126,18 +127,18 @@ class _Vocabulary:
     are its codes.  The sets hold the hierarchy's node numbers only: a
     name that is not a node holds none, and ``similarity_rows`` gives it
     its set of one.  They are stored twice.  By id: id ``i``'s nodes,
-    ascending, are ``set_nodes[s[i]:s[i + 1]]``, with ``s = set_offsets``,
-    and there are ``sizes[i]`` of them.  Inverted, per node: the ids whose
-    set holds node ``n``, ascending, are ``holders[o[n]:o[n + 1]]``, with
-    ``o = holder_offsets``.  Both come from the sorted (node, id) keys of
-    :meth:`Hierarchy._holder_keys`, decoded once.  The keys, and the
-    transposed keys sorted to group the nodes by id, span the same V × N
-    values, so they share one width: int32 whenever it fits.  ``holders``
+    ascending, are ``set_nodes[s[i]:s[i + 1]]``, with ``s = set_offsets``.
+    Inverted, per node: the ids whose set holds node ``n``, ascending, are
+    ``holders[o[n]:o[n + 1]]``, with ``o = holder_offsets``.  Both come
+    from the sorted (node, id) keys of :meth:`Hierarchy._holder_keys`,
+    decoded once.  The keys, and the transposed keys sorted to group the
+    nodes by id, span the same V × N values, so they share one width:
+    int32 whenever it fits.  ``holders``
     and ``set_nodes`` are widened to intp in the pass that decodes them,
     since the kernel reads them on every query.  ``holder_offsets`` and
     ``set_offsets`` are lists of Python ints, which slice an array faster
-    than numpy integers do, and ``float_sizes`` are the sizes as float64,
-    which ``similarity_rows`` builds its denominators from.
+    than numpy integers do, and ``float_sizes`` are the sets' sizes as
+    float64, which ``similarity_rows`` builds its denominators from.
     """
 
     def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
@@ -154,7 +155,7 @@ class _Vocabulary:
         # bincount reads them, and would cast narrower ones on every query.
         self.holders = np.multiply(nodes, -width, dtype=np.intp)
         self.holders += keys
-        self.sizes = np.bincount(self.holders, minlength=width)
+        sizes = np.bincount(self.holders, minlength=width)
         # The keys transposed in place, id * N + node, below V * N as before,
         # and sorted group the nodes by id: an integer sort is several times
         # faster than a stable argsort.  Their nodes are widened to intp as
@@ -169,8 +170,8 @@ class _Vocabulary:
         # The node starts are listed once the keys are freed, so that the
         # build's peak does not hold the list beside them.
         self.holder_offsets = starts.tolist()
-        self.set_offsets = segment_offsets(self.sizes).tolist()
-        self.float_sizes = self.sizes.astype(float)
+        self.set_offsets = segment_offsets(sizes).tolist()
+        self.float_sizes = sizes.astype(float)
 
     def similarity_rows(self, keys: Sequence[int | str]) -> np.ndarray:
         """Jaccard of each key's ancestor set with every interned id's, in
@@ -186,8 +187,8 @@ class _Vocabulary:
 
         A name that is not a node is its own set of one: its row is 0.0,
         and 1.0 at its own id if it is interned.  The index holds no node
-        for it, so ``sizes`` counts none; in any other key's row its column
-        reads ``0 / (size + 0 - 0)``, which is 0.0 whatever the size.
+        for it, so ``float_sizes`` counts none; in any other key's row its
+        column reads ``0 / (size + 0 - 0)``, which is 0.0 whatever the size.
         """
         keys = [self.ids.get(key, key) for key in keys]
         outside = [key for key in dict.fromkeys(keys) if isinstance(key, str)]
@@ -264,23 +265,22 @@ class _Index:
 
 def _select(lo: np.ndarray, hi: np.ndarray, top: int) -> np.ndarray:
     """Ascending positions of every score that may rank among the ``top``
-    highest, given ``lo <= score <= hi`` at each position.
+    highest, given ``lo <= score <= hi`` at each position: all of them if
+    ``top`` is at least their number.  ``top`` is at least 1.
 
     At least ``top`` positions score at least ``bar``, the ``top``-th
     largest ``lo``.  A position with ``hi < bar`` scores strictly below
     each of them, so it cannot rank among the ``top`` whatever the
-    tie-break.  A position masked with ``lo = hi = -inf`` is left out as
-    long as ``top`` does not exceed the number of unmasked positions.
+    tie-break.
 
     ``bar`` is the ``top``-th largest of the values at or above ``floor``,
     the ``top``-th largest of a subset of ``lo``: a subset's never exceeds
     the whole array's, so those values hold the ``top`` largest.  The
     subset, every ``isqrt(len(lo))``-th value, is used when it holds more
     than ``top``; the positions returned are those a partition of all of
-    ``lo`` gives.  ``top`` is at most ``len(lo)``.
+    ``lo`` gives.
     """
-    if top < 1:
-        return np.empty(0, dtype=np.intp)
+    top = min(top, len(lo))
     sample = lo[:: math.isqrt(len(lo))]
     if len(sample) > top:
         floor = np.partition(sample, len(sample) - top)[len(sample) - top]
@@ -332,14 +332,10 @@ def _ranked(
 
 
 def _top_documents(
-    pred_terms: np.ndarray,
-    query_terms: np.ndarray,
-    offsets: np.ndarray,
-    top: int,
-    skip: int | None = None,
+    pred_terms: np.ndarray, query_terms: np.ndarray, offsets: np.ndarray, top: int
 ) -> tuple[list[int], list[float]]:
     """The ``top`` documents by ``math.fsum(terms) / len(terms)`` and their
-    scores, best first, ties by document number, leaving out ``skip``.
+    scores, best first, ties by document number.
 
     The terms of document ``d``, all ``>= 0``, are
     ``pred_terms[offsets[d]:offsets[d + 1]]`` (at least one) and
@@ -354,17 +350,17 @@ def _top_documents(
     err = naive * sizes * 2.0**-50
     lo = (naive - err) / sizes
     hi = (naive + err) / sizes
-    eligible = len(sizes)
-    if skip is not None:
-        lo[skip] = hi[skip] = -np.inf
-        eligible -= 1
-    top = min(top, eligible)
     kept = _select(lo, hi, top)
     sums = [
         math.fsum(pred_terms[a:b].tolist() + query_terms[:, d].tolist())
         for d, a, b in zip(kept.tolist(), offsets[kept].tolist(), offsets[kept + 1].tolist())
     ]
     return _ranked(kept, np.array(sums) / sizes[kept], top)
+
+
+def _numbered(ranking: list[tuple[str, float]]) -> list[RankedDocument]:
+    """The (id, score) pairs of a ranking, ranked from 1 in order."""
+    return [RankedDocument(doc, score, rank) for rank, (doc, score) in enumerate(ranking, start=1)]
 
 
 class RetrievalEngine:
@@ -456,36 +452,32 @@ class RetrievalEngine:
     # -- ranking ------------------------------------------------------------
 
     def _rank_documents(
-        self,
-        corpus: Corpus,
-        query: tuple[list, list, list],
-        top_n: int,
-        skip: int | None = None,
-    ) -> list[RankedDocument]:
-        """Rank the documents against the query's subject, relation and
-        object keys (corpus codes or names), leaving out document number
-        ``skip``."""
-        top_n = check_count(top_n, "top_n")
+        self, corpus: Corpus, query: tuple[list, list, list], top_n: int
+    ) -> list[tuple[str, float]]:
+        """The ``top_n`` best documents against the query's subject,
+        relation and object keys (corpus codes or names), as (id, score)
+        pairs, best first."""
         index = self._index_for(corpus)
         pred_terms, query_terms = self._document_terms(index, *query)
-        top, scores = _top_documents(pred_terms, query_terms, corpus.doc_offsets, top_n, skip)
+        top, scores = _top_documents(pred_terms, query_terms, corpus.doc_offsets, top_n)
         doc_ids = corpus.doc_ids()
-        return [
-            RankedDocument(doc_ids[d], score, rank)
-            for rank, (d, score) in enumerate(zip(top, scores), start=1)
-        ]
+        return [(doc_ids[d], score) for d, score in zip(top, scores)]
 
     def related_documents(
         self, corpus: Corpus, seed: str, top_n: int
     ) -> list[RankedDocument]:
-        """Rank all other documents against the seed's predication set."""
+        """Rank all other documents against the seed's predication set: the
+        ``top_n + 1`` best documents, the seed left out, are the ``top_n``
+        best others, in the same order."""
         if seed not in corpus:
             raise UnknownDocumentError(f"unknown seed document {seed!r}")
+        top_n = check_count(top_n, "top_n")
         d = corpus.doc_number(seed)
         a, b = corpus.doc_offsets[d:d + 2].tolist()
         columns = corpus.subjects, corpus.relations, corpus.objects
         query = tuple(codes[a:b].tolist() for codes in columns)
-        return self._rank_documents(corpus, query, top_n, d)
+        ranked = self._rank_documents(corpus, query, top_n + 1)
+        return _numbered([(doc, score) for doc, score in ranked if doc != seed][:top_n])
 
     def query_documents(
         self, corpus: Corpus, query: PredicationSet, top_n: int
@@ -493,13 +485,14 @@ class RetrievalEngine:
         """Rank every document against an ad-hoc predication set."""
         if len(query) == 0:
             raise EmptySetError("query predication set is empty")
+        top_n = check_count(top_n, "top_n")
         members = query.members
         slots = (
             [p.subject for p in members],
             [p.relation for p in members],
             [p.object for p in members],
         )
-        return self._rank_documents(corpus, slots, top_n)
+        return _numbered(self._rank_documents(corpus, slots, top_n))
 
     def related_predications(
         self, corpus: Corpus, pattern: PredicationPattern, top_k: int
@@ -525,7 +518,7 @@ class RetrievalEngine:
                 sims = vocab.similarity_rows([name])[0]
                 numerator = numerator + np.take(weight * sims, codes)
         scores = numerator / denominator
-        kept = _select(scores, scores, min(top_k, len(scores)))
+        kept = _select(scores, scores, top_k)
         top, top_scores = _ranked(kept, scores[kept], top_k)
         predications = corpus.predications_at(distinct.first[top])
         doc_ids, offsets = corpus.doc_ids(), distinct.offsets

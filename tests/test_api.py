@@ -86,6 +86,7 @@ def test_string_record_rejected(build, n_fields, got):
 PATTERN = PredicationPattern(None, "TREATS", "OA")
 COUNTS = {
     "top_n": (lambda e, c, v: e.related_documents(c, "d1", v), "top_n"),
+    "query top_n": (lambda e, c, v: e.query_documents(c, c["d1"], v), "top_n"),
     "top_k": (lambda e, c, v: e.related_predications(c, PATTERN, v), "top_k"),
     "cutoffs": (
         lambda e, c, v: run_eval(e, c, GoldStandard([("d1", "d2", 1)]), [v]).to_csv(),

@@ -82,6 +82,16 @@ class TestRelated:
         assert code == EXIT_LOAD
         assert "nope.tsv" in err
 
+    def test_file_not_utf8_names_its_line(self, files, capsys):
+        bad = files["dir"] / "bad.tsv"
+        bad.write_bytes(b"d1\tC1\tTREATS\tOA\nd2\t\xffC1\tTREATS\tOA\n")
+        argv = ["related", *files["base"][:4], "--predications", str(bad), "--seed", "d1"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_LOAD
+        assert out == ""
+        assert err == f"predsim: error: {bad}: line 2: not valid UTF-8\n"
+
     def test_output_file(self, files, capsys, tmp_path):
         out_path = tmp_path / "results.tsv"
         code = main(["related", *files["base"], "--seed", "d1",
@@ -154,6 +164,24 @@ class TestFind:
         _, err = capsys.readouterr()
         assert code == EXIT_USAGE
         assert "zero weight" in err
+
+    @pytest.mark.parametrize("command", ["related", "query", "find", "eval"])
+    def test_weight_sum_that_overflows_refused_before_any_file_is_read(
+        self, files, capsys, command
+    ):
+        extra = {
+            "related": ["--seed", "d1"],
+            "query": ["--pred", "C1|TREATS|OA"],
+            "find": ["--pattern", "C1|?|?"],
+            "eval": ["--gold", files["gold"]],
+        }[command]
+        argv = [command, *files["base"][:4], "--predications", str(files["dir"] / "nope.tsv"),
+                *extra, "--ws", "1e308", "--wr", "1e308", "--wo", "1e308"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "weight sum must be finite and positive" in err
 
     def test_zero_weight_pattern_refused_before_any_file_is_read(self, files, capsys):
         argv = ["find", *files["base"][:4], "--predications", str(files["dir"] / "nope.tsv"),
@@ -367,7 +395,7 @@ class TestModuleEntryPoint:
         env = dict(os.environ, PYTHONPATH=path)
         done = subprocess.run(
             [sys.executable, "-m", "predsim.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=env, capture_output=True, encoding="utf-8", timeout=120,
         )
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout == expected

@@ -23,7 +23,7 @@ def test_demo_runs(script):
     )
     done = subprocess.run(
         [sys.executable, str(script)], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, encoding="utf-8", timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()

@@ -236,3 +236,63 @@ def test_write_then_parse_round_trips(tmp_path, docs):
     assert again.stats.duplicates_dropped == 0
     with open(path, encoding="utf-8") as handle:
         assert parse_predications(handle) == corpus
+
+
+# -- text that is not UTF-8 ----------------------------------------------------
+
+GOOD_LINES = {
+    "hierarchy": (load_hierarchy_file, "c{k}\tparent"),
+    "predications": (load_predications_file, "d{k}\tA\tR\tB"),
+    "gold": (load_gold_file, "s{k}\tr\t1"),
+}
+# A byte that starts no UTF-8 sequence, an encoded surrogate, and a
+# sequence cut short by the end of its line.
+BAD_BYTES = (b"\xff", b"\xed\xa0\x80", b"\xe2\x82")
+
+
+def _bad_file(path, name, lines, bad_at, bad, ending=b"\n", bom=False):
+    """``lines`` good lines of the format, each naming its number, the
+    one numbered ``bad_at`` holding ``bad`` in its last field."""
+    good = GOOD_LINES[name][1]
+    rows = [good.format(k=k).encode("utf-8") for k in range(1, lines + 1)]
+    rows[bad_at - 1] += bad
+    path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + b"".join(row + ending for row in rows))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(GOOD_LINES))
+@pytest.mark.parametrize("bad", BAD_BYTES)
+def test_bad_byte_names_its_line(name, bad, tmp_path):
+    path = _bad_file(tmp_path / f"{name}.tsv", name, 3, 2, bad)
+    with pytest.raises(LoadError) as raised:
+        GOOD_LINES[name][0](path)
+    assert str(raised.value) == f"{path}: line 2: not valid UTF-8"
+
+
+@pytest.mark.parametrize("name", sorted(GOOD_LINES))
+def test_bad_byte_past_the_first_chunk(name, tmp_path):
+    # 3,000 lines of at least 9 bytes: the bad byte lies far past the
+    # first 8 KiB that a text reader decodes at once.
+    path = _bad_file(tmp_path / f"{name}.tsv", name, 3000, 2999, b"\xff", bom=True)
+    assert path.stat().st_size > 2 * 8192
+    with pytest.raises(LoadError) as raised:
+        GOOD_LINES[name][0](path)
+    assert str(raised.value) == f"{path}: line 2999: not valid UTF-8"
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+def test_bad_byte_line_counts_every_line_break(ending, tmp_path):
+    # A lone \r ends a line too, as the loaders read text.
+    path = _bad_file(tmp_path / "corpus.tsv", "predications", 5, 4, b"\xff", ending)
+    with pytest.raises(LoadError) as raised:
+        load_predications_file(path)
+    assert str(raised.value) == f"{path}: line 4: not valid UTF-8"
+
+
+def test_bad_byte_in_a_comment(tmp_path):
+    # A comment is skipped only once decoded, so its bytes must be UTF-8 too.
+    path = tmp_path / "concepts.tsv"
+    path.write_bytes(b"a\tb\n# caf\xe9\nb\tc\n")
+    with pytest.raises(LoadError) as raised:
+        load_hierarchy_file(path)
+    assert str(raised.value) == f"{path}: line 2: not valid UTF-8"

@@ -24,7 +24,6 @@ their first, plainer implementations, kept here as references.
 """
 
 import functools
-import heapq
 import math
 import tracemalloc
 import warnings
@@ -191,6 +190,18 @@ class TestKernelExactness:
             for _ in range(20):
                 engine, corpus, concepts, relations = _random_case(rng)
                 engine = RetrievalEngine(Hierarchy([]), Hierarchy([]), engine.config)
+                _check_case(engine, corpus, concepts, relations, rng)
+
+    def test_weights_whose_sum_is_near_the_largest_double(self, monkeypatch):
+        # The weight total, 1.6e308, is finite, so no weighted slot sum
+        # overflows: each is at most the total.  The test configuration
+        # turns an overflow's RuntimeWarning into an error.
+        rng = np.random.default_rng(29)
+        for _ in each_kernel_size(monkeypatch):
+            for _ in range(10):
+                case, corpus, concepts, relations = _random_case(rng)
+                config = SimConfig(SimWeights(8e307, 4e307, 4e307), case.config.pair_threshold)
+                engine = RetrievalEngine(case.concepts, case.relations, config)
                 _check_case(engine, corpus, concepts, relations, rng)
 
     def test_one_query_row_per_block(self, monkeypatch):
@@ -379,6 +390,23 @@ class TestTopPrefixes:
             _check_case(engine, corpus, concepts, relations, rng)
             _check_prefixes(engine, corpus, concepts, relations, rng)
 
+    def test_related_is_the_seed_query_less_the_seed(self, monkeypatch):
+        # The seed and its copies tie at 1.0, so the seed falls anywhere
+        # among them in the ranking of its own predication set; dropping it
+        # from the top n + 1 must leave the top n others, ranked from 1.
+        rng = np.random.default_rng(43)
+        for _ in each_kernel_size(monkeypatch):
+            for _ in range(5):
+                engine, corpus, _, _ = _random_case(rng)
+                corpus = _with_copies(rng, corpus)
+                for seed in corpus.doc_ids():
+                    for n in range(1, len(corpus) + 2):
+                        got = engine.related_documents(corpus, seed, n)
+                        full = engine.query_documents(corpus, corpus[seed], n + 1)
+                        others = [r for r in full if r.doc_id != seed][:n]
+                        want = [(r.doc_id, k, r.score) for k, r in enumerate(others, start=1)]
+                        assert [(r.doc_id, r.rank, r.score) for r in got] == want
+
     def test_lone_seed_has_no_related_documents(self):
         corpus = Corpus([("only", "X", "R", "Y")])
         engine = RetrievalEngine(Hierarchy([("X", "Z")]), Hierarchy([("R", "S")]))
@@ -386,7 +414,7 @@ class TestTopPrefixes:
         assert [r.doc_id for r in engine.query_documents(corpus, corpus["only"], 3)] == ["only"]
 
 
-def _fsum_ranking(pred_terms, query_terms, offsets, top, skip):
+def _fsum_ranking(pred_terms, query_terms, offsets, top):
     """The ranking ``retrieval._top_documents`` must return, from the exact
     score of every document."""
     scores = [
@@ -394,7 +422,7 @@ def _fsum_ranking(pred_terms, query_terms, offsets, top, skip):
         / (offsets[d + 1] - offsets[d] + len(query_terms))
         for d in range(len(offsets) - 1)
     ]
-    order = sorted((d for d in range(len(scores)) if d != skip), key=lambda d: (-scores[d], d))
+    order = sorted(range(len(scores)), key=lambda d: (-scores[d], d))
     return order[:top], [scores[d] for d in order[:top]]
 
 
@@ -427,12 +455,11 @@ class TestSelectionHelper:
 
     def _check(self, pred_terms, query_terms, offsets):
         documents = len(offsets) - 1
-        for skip in (None, *range(documents)):
-            for top in range(1, documents + 2):
-                got = retrieval._top_documents(pred_terms, query_terms, offsets, top, skip)
-                want = _fsum_ranking(pred_terms, query_terms, offsets, top, skip)
-                assert got == want
-                assert all(type(score) is float for score in got[1])
+        for top in range(1, documents + 2):
+            got = retrieval._top_documents(pred_terms, query_terms, offsets, top)
+            want = _fsum_ranking(pred_terms, query_terms, offsets, top)
+            assert got == want
+            assert all(type(score) is float for score in got[1])
 
     def test_naive_sums_one_ulp_apart(self):
         case = _terms_case([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
@@ -510,7 +537,7 @@ class TestIndexSets:
         assert len(vocab.holders) == sum(map(len, sets))
         assert vocab.holders.tolist() == [i for ids in held for i in ids]
         assert vocab.holder_offsets == [0, *np.cumsum([len(ids) for ids in held]).tolist()]
-        assert vocab.sizes.tolist() == [len(nodes) for nodes in sets]
+        assert np.diff(vocab.set_offsets).tolist() == [len(nodes) for nodes in sets]
         starts = vocab.set_offsets
         for i, nodes in enumerate(sets):
             own = vocab.set_nodes[starts[i]:starts[i + 1]].tolist()
@@ -642,7 +669,7 @@ class TestIndexSets:
         assert vocab.holders.dtype == vocab.set_nodes.dtype == np.intp
         assert len(vocab.holder_offsets) == len(hierarchy) + 1
         assert vocab.holders.tolist() == [k % width for k in expected]
-        assert vocab.sizes.tolist() == [2] * leaves + [0] * outside
+        assert np.diff(vocab.set_offsets).tolist() == [2] * leaves + [0] * outside
         nodes = [sorted(nodes) for nodes in sets[:leaves]]
         assert vocab.set_nodes.tolist() == [n for own in nodes for n in own]
 
@@ -680,18 +707,21 @@ class TestIndexSets:
         assert peak < 30 * pairs, (peak, pairs)
 
     def test_deep_chain_visits_at_most_one_height(self, monkeypatch):
-        # The pass pops the heap of pending heights once per height it visits.
-        popped = []
+        # The pass deduplicates the keys of each height it visits with one
+        # sorted_distinct call, and the walk that closes it makes two.
+        calls = []
+        distinct = ontology.sorted_distinct
 
-        def counted(heap):
-            popped.append(heap[0])
-            return heapq.heappop(heap)
+        def counted(keys):
+            calls.append(len(keys))
+            return distinct(keys)
 
-        monkeypatch.setattr(ontology, "heappop", counted)
+        monkeypatch.setattr(ontology, "sorted_distinct", counted)
         n = 50_000
         chain = Hierarchy([(f"n{i}", f"n{i + 1}") for i in range(n - 1)])
+        calls.clear()  # building the hierarchy deduplicates its edges
         keys = chain._holder_keys(["n0"])
-        assert len(popped) <= 1
+        assert len(calls) <= 1 + 2
         assert keys.tolist() == sorted(chain._node_sets(["n0"])[0])
         assert len(keys) == n
 
@@ -787,17 +817,21 @@ class TestSelect:
         rng = np.random.default_rng(15)
         for size in (1000, 3000, 10_000, 31_623, 100_000):
             for values in self._values(rng, size):
-                for masked in (False, True):  # masked positions, as a skipped seed
-                    pairs = [(values.copy(),) * 2, self._bounds(rng, values)]
-                    if masked:
-                        at = rng.integers(0, size, int(rng.integers(1, 4)))
-                        for lo, hi in pairs:
-                            lo[at] = hi[at] = -np.inf
-                    for lo, hi in pairs:
-                        for top in (1, 2, 10, 30, size - 1, size):
-                            want = _select_by_full_partition(lo, hi, top)
-                            got = retrieval._select(lo, hi, top)
-                            assert got.tolist() == want.tolist(), (size, top)
+                for lo, hi in ((values, values), self._bounds(rng, values)):
+                    for top in (1, 2, 10, 30, size - 1, size):
+                        want = _select_by_full_partition(lo, hi, top)
+                        got = retrieval._select(lo, hi, top)
+                        assert got.tolist() == want.tolist(), (size, top)
+
+    def test_top_beyond_the_length_keeps_every_position(self):
+        # The callers pass their count unclamped: a top above the number
+        # of positions keeps them all, as a top equal to it does.
+        rng = np.random.default_rng(18)
+        for size in (1, 2, 5, 1000):
+            for values in self._values(rng, size):
+                for lo, hi in ((values, values), self._bounds(rng, values)):
+                    for top in (size + 1, 2 * size + 3):
+                        assert retrieval._select(lo, hi, top).tolist() == list(range(size))
 
 
 def _distinct_by_stable_argsort(corpus):

@@ -126,6 +126,11 @@ class TestWeights:
         with pytest.raises(ValueError):
             SimWeights(ws=float("nan"))
 
+    def test_sum_that_overflows_rejected(self):
+        # Each weight is finite, but their sum is not.
+        with pytest.raises(ValueError, match="weight sum must be finite and positive, got inf"):
+            SimWeights(1e308, 1e308, 1e308)
+
 
 class TestPredicationSet:
     def test_dedup_and_canonical_order(self):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
 
 
 def test_blocks_found():
@@ -25,7 +25,7 @@ def test_block_runs(code):
     )
     done = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, encoding="utf-8", timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
