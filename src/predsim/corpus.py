@@ -51,11 +51,16 @@ class CorpusStats:
     duplicates_dropped: int
 
 
-def _literal_ranks(names: Iterable[str], suffix: str) -> np.ndarray:
-    """Rank of each ``name + suffix`` among them all, in the order given."""
+def _literal_order(names: Iterable[str], suffix: str) -> np.ndarray:
+    """The places of the names, in the order of ``name + suffix``."""
     keys = [name + suffix for name in names]
-    ranks = np.empty(len(keys), dtype=np.int64)
-    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+
+
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """The rank of each place in ``order``, a permutation of them all."""
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(order))
     return ranks
 
 
@@ -65,20 +70,28 @@ def _literal_keys(
     subjects: np.ndarray,
     relations: np.ndarray,
     objects: np.ndarray,
-) -> np.ndarray:
-    """One int64 per coded predication that sorts as its literal does.
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One int64 per coded predication that sorts as its literal does, and
+    the codes of each slot in the order of its ranks.
 
     ``|`` occurs in no identifier, so ``s|r|o`` sorts as the triple
     ``(s + "|", r + "|", o)`` does: the key is built from the ranks of
-    those three strings.  Equal keys are equal predications.
+    those three strings, ``(subject * R + relation) * C + object`` for
+    ``C`` concepts and ``R`` relations.  Equal keys are equal predications,
+    and the returned orders map each rank back to its code.
     """
     if len(concept_names) ** 2 * len(relation_names) > np.iinfo(np.int64).max:
         raise OverflowError("too many distinct identifiers for an int64 sort key")
-    key = _literal_ranks(concept_names, "|")[subjects] * len(relation_names)
-    key += _literal_ranks(relation_names, "|")[relations]
+    orders = (
+        _literal_order(concept_names, "|"),
+        _literal_order(relation_names, "|"),
+        _literal_order(concept_names, ""),
+    )
+    key = _ranks(orders[0])[subjects] * len(relation_names)
+    key += _ranks(orders[1])[relations]
     key *= len(concept_names)
-    key += _literal_ranks(concept_names, "")[objects]
-    return key
+    key += _ranks(orders[2])[objects]
+    return key, orders
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -155,32 +168,43 @@ class Corpus(Mapping):
         doc_codes, subjects, relation_codes, objects = (
             np.frombuffer(c, dtype=np.int64) for c in columns
         )
+        # Each temporary goes as soon as its last reader is done; the slot
+        # columns first, since the distinct literal keys decode back to them.
+        del columns, add_doc, add_subject, add_relation, add_object
+        literal, orders = _literal_keys(concepts, relations, subjects, relation_codes, objects)
+        del subjects, relation_codes, objects
         # Number the distinct triples in literal order, then sort the
         # distinct (document rank, triple number) keys: duplicates go, and
         # each document's members come out in literal order.
-        triples, triple = np.unique(
-            _literal_keys(concepts, relations, subjects, relation_codes, objects),
-            return_inverse=True,
-        )
+        triples, triple = np.unique(literal, return_inverse=True)
+        del literal
         self._doc_ids: tuple[str, ...] = tuple(sorted(docs))
         self._doc_number = {doc_id: d for d, doc_id in enumerate(self._doc_ids)}
         doc_rank = np.fromiter(map(self._doc_number.__getitem__, docs), np.int64, len(docs))
-        keys = sorted_distinct(doc_rank[doc_codes] * len(triples) + triple)
+        records = len(doc_codes)
+        keys = doc_rank[doc_codes] * len(triples)
+        del doc_codes
+        keys += triple
+        del triple
+        keys = sorted_distinct(keys)
         codes = keys % len(triples)
-        some_record = np.empty(len(triples), dtype=np.intp)
-        some_record[triple] = np.arange(len(triple))
-        kept = some_record[codes]
+        sizes = np.bincount(keys // len(triples), minlength=len(docs))
+        del keys
 
         self.source = source
         self.concept_names: tuple[str, ...] = tuple(concepts)
         self.relation_names: tuple[str, ...] = tuple(relations)
-        self.subjects = _read_only(subjects[kept])
-        self.relations = _read_only(relation_codes[kept])
-        self.objects = _read_only(objects[kept])
+        # Each slot's codes, decoded from the distinct literal keys, which
+        # are (subject * R + relation) * C + object in the slots' ranks.
+        ranks, rest = np.divmod(triples, len(relations) * len(concepts))
+        del triples
+        self.subjects = _read_only(orders[0][ranks][codes])
+        ranks, rest = np.divmod(rest, len(concepts))
+        self.relations = _read_only(orders[1][ranks][codes])
+        self.objects = _read_only(orders[2][rest][codes])
         self.predication_codes = _read_only(codes)
-        sizes = np.bincount(keys // len(triples), minlength=len(docs))
         self.doc_offsets = _read_only(segment_offsets(sizes))
-        self.stats = CorpusStats(len(docs), len(keys), len(doc_codes) - len(keys))
+        self.stats = CorpusStats(len(docs), len(codes), records - len(codes))
 
     def __len__(self) -> int:
         return len(self._doc_ids)
@@ -202,7 +226,8 @@ class Corpus(Mapping):
         return (
             self._doc_ids == other._doc_ids
             and np.array_equal(self.doc_offsets, other.doc_offsets)
-            and self._names_at(slice(None)) == other._names_at(slice(None))
+            and self._names_of(self.subjects, self.relations, self.objects)
+            == other._names_of(other.subjects, other.relations, other.objects)
         )
 
     def __repr__(self) -> str:
@@ -215,17 +240,22 @@ class Corpus(Mapping):
         """The place of ``doc_id`` in :meth:`doc_ids`; KeyError if absent."""
         return self._doc_number[doc_id]
 
-    def predications_at(self, positions: slice | np.ndarray) -> list[Predication]:
-        """The predications at the given corpus positions, in that order."""
-        return list(map(Predication, *self._names_at(positions)))
-
-    def _names_at(self, positions: slice | np.ndarray) -> tuple[list[str], ...]:
-        """Subject, relation and object identifiers at the given positions."""
-        tables = self.concept_names, self.relation_names, self.concept_names
-        columns = self.subjects, self.relations, self.objects
-        return tuple(
-            list(map(t.__getitem__, c[positions].tolist())) for t, c in zip(tables, columns)
+    def predications_at(self, positions: slice) -> list[Predication]:
+        """The predications at the given run of corpus positions, in order."""
+        return self.predications_of(
+            self.subjects[positions], self.relations[positions], self.objects[positions]
         )
+
+    def predications_of(
+        self, subjects: np.ndarray, relations: np.ndarray, objects: np.ndarray
+    ) -> list[Predication]:
+        """The predications with the given identifier codes, in order."""
+        return list(map(Predication, *self._names_of(subjects, relations, objects)))
+
+    def _names_of(self, *columns: np.ndarray) -> tuple[list[str], ...]:
+        """The identifiers of subject, relation and object code columns."""
+        tables = self.concept_names, self.relation_names, self.concept_names
+        return tuple(list(map(t.__getitem__, c.tolist())) for t, c in zip(tables, columns))
 
 
 def parse_predications(lines: Iterable[str], source: str = "<memory>") -> Corpus:
@@ -249,7 +279,7 @@ def write_predications_file(corpus: Corpus, path: str | Path) -> None:
     a ``#`` comment to the reader.
     """
     doc_of = np.repeat(np.array(corpus.doc_ids(), dtype=object), np.diff(corpus.doc_offsets))
-    rows = zip(doc_of.tolist(), *corpus._names_at(slice(None)))
+    rows = zip(doc_of.tolist(), *corpus._names_of(corpus.subjects, corpus.relations, corpus.objects))
     lines = ["\t".join(row) + "\n" for row in rows]
     for line in lines:
         head = line.lstrip()

@@ -17,18 +17,19 @@ for identifiers the hierarchy has never seen (their ancestor set is just
 
 Hierarchies number their nodes once, by ascending height, hold one name
 table, one flat parent store and each node's height, and nothing else
-that changes after construction.  Ancestor sets are computed over node
-numbers when asked for, and callers that reuse sets keep them (the
-retrieval engine's index does).  A few names at a time are walked one by
-one; the many names of an index are closed in one bottom-up array pass
-over the heights, which hands its last pairs to one walk as soon as they
-are fewer than the heights left, so a deep, thin hierarchy costs a walk,
-not a pass per height.  Since every height is one run of node numbers,
-that pass keeps its (node, name) pair keys in height order with plain
-sorts, in int32 whenever they fit.  Cycles are tolerated (every member
-of a cycle becomes an ancestor of every other) but reported with a
-warning at load time, since well-formed hierarchies are expected to be
-acyclic.
+that changes after construction.  Heights come from peeling the leaves a
+level at a time, in numpy, and a thin tail one node at a time.  Ancestor
+sets are computed over node numbers when asked for, and callers that
+reuse sets keep them (the retrieval engine's index does).  A few names
+at a time are walked one by one; the many names of an index are closed
+in one bottom-up array pass over the heights, which hands its last pairs
+to one walk as soon as they are fewer than the heights left, so a deep,
+thin hierarchy costs a walk, not a pass per height.  Since every height
+is one run of node numbers, that pass keeps its (node, name) pair keys
+in height order with plain sorts, in int32 whenever they fit.  Cycles
+are tolerated (every member of a cycle becomes an ancestor of every
+other) but reported with a warning at load time, since well-formed
+hierarchies are expected to be acyclic.
 """
 
 from __future__ import annotations
@@ -324,27 +325,48 @@ def _heights(child: np.ndarray, parent: np.ndarray, size: int) -> np.ndarray:
     """Each node's height, the longest path down to a leaf, given the
     distinct arcs ``child[k] -> parent[k]`` sorted by child.
 
-    By Kahn peeling from each node's child count: a node is peeled after
-    all of its children, one above the highest of them.  The nodes on a
-    cycle, and every node above one, are never peeled: they take the
-    sentinel ``size``, above every height.
+    By Kahn peeling from each node's child count, one level at a time: the
+    leaves make level 0, and a node is peeled one level after its last
+    child, so the level that peels it is its height.  Each level costs a
+    fixed few numpy calls, however few nodes it peels, while a peel of one
+    node at a time costs a step per node and arc.  So once a level peels
+    fewer nodes than the levels that the nodes left would fill at its
+    width, the rest are peeled one at a time, each one above the highest
+    of its children.  The nodes on a cycle, and every node above one, are
+    never peeled: they take the sentinel ``size``, above every height.
     """
-    ups = parent.tolist()
-    starts = segment_offsets(np.bincount(child, minlength=size)).tolist()
-    children = np.bincount(parent, minlength=size).tolist()
-    height = [0] * size
-    peeled = [n for n, k in enumerate(children) if k == 0]
-    for node in peeled:  # grows as nodes are peeled
-        above = height[node] + 1
-        for p in ups[starts[node]:starts[node + 1]]:
-            if height[p] < above:
-                height[p] = above
-            children[p] -= 1
-            if children[p] == 0:
-                peeled.append(p)
-    heights = np.array(height, dtype=np.intp)
-    heights[np.array(children, dtype=np.intp) > 0] = size
-    return heights
+    starts = segment_offsets(np.bincount(child, minlength=size))
+    children = np.bincount(parent, minlength=size)  # the children not yet peeled
+    height = np.zeros(size, dtype=np.intp)  # one above the highest child peeled
+    peeled = np.flatnonzero(children == 0)
+    left = size - len(peeled)
+    level = 0
+    while len(peeled) and len(peeled) ** 2 >= left:
+        ups = np.sort(parent[spans(starts, peeled)[0]])
+        height[ups] = level + 1
+        # The last arc of each parent's run, and the run's length.
+        last = np.flatnonzero(np.diff(ups, append=size))
+        ups = ups[last]
+        children[ups] -= np.diff(last, prepend=-1)
+        peeled = ups[children[ups] == 0]
+        left -= len(peeled)
+        level += 1
+    if len(peeled):
+        arcs, offsets = parent.tolist(), starts.tolist()
+        counts, heights = children.tolist(), height.tolist()
+        queue = peeled.tolist()
+        for node in queue:  # grows as nodes are peeled
+            above = heights[node] + 1
+            for p in arcs[offsets[node]:offsets[node + 1]]:
+                if heights[p] < above:
+                    heights[p] = above
+                counts[p] -= 1
+                if counts[p] == 0:
+                    queue.append(p)
+        height = np.array(heights, dtype=np.intp)
+        children = np.array(counts, dtype=np.intp)
+    height[children > 0] = size
+    return height
 
 
 def parse_hierarchy(lines: Iterable[str], source: str = "<memory>") -> Hierarchy:

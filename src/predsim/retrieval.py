@@ -22,15 +22,18 @@ form), beside each set's size.  The hierarchy computes them all in one
 bottom-up array pass (``Hierarchy._holder_keys``), with no set object per
 identifier, as sorted (node, id) keys of int32 whenever the number of
 nodes times the number of ids is below 2**31.  The index decodes them
-once, into the intp arrays its kernel reads, and lists each node's start
-among the holders as a Python int, which slices an array faster than a
-numpy integer does.  The engine keeps the index of the last corpus it
-saw only.
+once, into ids and nodes of int32 whenever they fit, 8 bytes a (node, id)
+pair for both copies, and keeps each node's and each id's start in an
+``array('q')``, with no int object per node or id; the kernel widens a
+key's holders to intp as it joins them.  The engine keeps the index of
+the last corpus it saw only.
 A seed document's query rows come straight from the corpus columns.
 ``find`` groups the corpus positions by the corpus's
 predication codes, which number the distinct predications in literal
-order, with one sort of integer keys, and builds :class:`Predication`
-objects for its top-k results only.
+order, with one sort of integer keys, keeping each distinct
+predication's identifier codes and its documents, and has the corpus
+build :class:`Predication` objects from those codes for its top-k
+results only.
 
 A query is scored in member chunks.  For each chunk, every distinct
 subject, relation and object key of its members becomes one row of
@@ -79,13 +82,14 @@ pipe-delimited literal (ascending).
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._arrays import segment_offsets
+from ._arrays import key_dtype, segment_offsets
 from ._input import check_count
 from .corpus import Corpus
 from .docsim import SimConfig
@@ -133,12 +137,16 @@ class _Vocabulary:
     from the sorted (node, id) keys of :meth:`Hierarchy._holder_keys`,
     decoded once.  The keys, and the transposed keys sorted to group the
     nodes by id, span the same V × N values, so they share one width:
-    int32 whenever it fits.  ``holders``
-    and ``set_nodes`` are widened to intp in the pass that decodes them,
-    since the kernel reads them on every query.  ``holder_offsets`` and
-    ``set_offsets`` are lists of Python ints, which slice an array faster
-    than numpy integers do, and ``float_sizes`` are the sets' sizes as
-    float64, which ``similarity_rows`` builds its denominators from.
+    int32 whenever it fits.  ``holders`` and ``set_nodes`` hold ids below
+    V and nodes below N, so they are int32 whenever V and N fit, as they
+    do whenever the keys are int32: 8 bytes a pair for both.
+    ``similarity_rows`` widens a row's holders to intp as it joins them,
+    which ``np.bincount`` counts without a copy.  ``holder_offsets`` and
+    ``set_offsets`` are ``array('q')``, as the hierarchy's parent store
+    is: indexing one gives a Python int, which slices an array faster than
+    a numpy integer does, and none is kept per node or id.
+    ``float_sizes`` are the sets' sizes as float64, which
+    ``similarity_rows`` builds its denominators from.
     """
 
     def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
@@ -146,32 +154,32 @@ class _Vocabulary:
         self.names = tuple(names)
         width, size = len(self.names), len(hierarchy)
         self.ids = dict(zip(self.names, range(width)))
+        # Every id and node fits this width; the keys' width fits them too,
+        # so with int32 keys the arrays below are built at it directly.
+        dtype = key_dtype(max(width, size))
         # The keys node * V + id, ascending, group the ids by node, ascending
         # within each: node n's start is the first key at or above n * V.
         keys = hierarchy._holder_keys(self.names)
         starts = np.searchsorted(keys, np.arange(size + 1, dtype=keys.dtype) * width)
         nodes = keys // width
-        # The ids are widened to intp as they are decoded: the kernel's
-        # bincount reads them, and would cast narrower ones on every query.
-        self.holders = np.multiply(nodes, -width, dtype=np.intp)
-        self.holders += keys
-        sizes = np.bincount(self.holders, minlength=width)
+        ids = np.multiply(nodes, -width)
+        ids += keys
+        self.holders = ids.astype(dtype, copy=False)
         # The keys transposed in place, id * N + node, below V * N as before,
         # and sorted group the nodes by id: an integer sort is several times
-        # faster than a stable argsort.  Their nodes are widened to intp as
-        # they are decoded.
-        np.multiply(self.holders, size, out=keys)
+        # faster than a stable argsort.  Id i's start is the first key at or
+        # above i * N.
+        np.multiply(ids, size, out=keys)
+        del ids
         keys += nodes
         del nodes
         keys.sort()
-        self.set_nodes = np.remainder(keys, size, dtype=np.intp)
+        set_starts = np.searchsorted(keys, np.arange(width + 1, dtype=keys.dtype) * size)
+        self.set_nodes = np.remainder(keys, size).astype(dtype, copy=False)
         del keys
-        # Lists: slicing with Python ints is faster than with numpy scalars.
-        # The node starts are listed once the keys are freed, so that the
-        # build's peak does not hold the list beside them.
-        self.holder_offsets = starts.tolist()
-        self.set_offsets = segment_offsets(sizes).tolist()
-        self.float_sizes = sizes.astype(float)
+        self.holder_offsets = array("q", starts.astype(np.int64, copy=False).tobytes())
+        self.set_offsets = array("q", set_starts.astype(np.int64, copy=False).tobytes())
+        self.float_sizes = np.diff(set_starts).astype(float)
 
     def similarity_rows(self, keys: Sequence[int | str]) -> np.ndarray:
         """Jaccard of each key's ancestor set with every interned id's, in
@@ -211,7 +219,8 @@ class _Vocabulary:
                     rows[k, key] = 1.0
                 continue
             spans = [holders[offsets[n]:offsets[n + 1]] for n in own]
-            shared = np.bincount(np.concatenate(spans), minlength=len(self.names))
+            # Widened as they are joined: bincount would copy narrower ids.
+            shared = np.bincount(np.concatenate(spans, dtype=np.intp), minlength=len(self.names))
             # The denominator len(own) + size - shared, built in the row:
             # every count is an integer below 2**53, so each step is exact.
             row = rows[k]
@@ -225,12 +234,13 @@ class _Distinct:
     """The corpus's distinct predications, sorted by literal: a regrouping
     of ``corpus.predication_codes``.
 
-    Distinct predication ``u``, the one coded ``u``, first occurs at
-    corpus position ``first[u]``; the numbers of the documents holding
-    it, ascending, are ``docs[offsets[u]:offsets[u + 1]]``.  The
-    positions are grouped by sorting the keys ``code * P + position``
-    (``P`` positions), which orders them as a stable argsort of the codes
-    would: by code, then by position.
+    Distinct predication ``u``, the one coded ``u``, has the identifier
+    codes ``subjects[u]``, ``relations[u]`` and ``objects[u]``; the
+    numbers of the documents holding it, ascending, are
+    ``docs[offsets[u]:offsets[u + 1]]``.  ``docs`` and ``offsets`` are of
+    int32 whenever they fit.  The positions are grouped by sorting the
+    keys ``code * P + position`` (``P`` positions), which orders them as a
+    stable argsort of the codes would: by code, then by position.
     """
 
     def __init__(self, corpus: Corpus):
@@ -241,13 +251,15 @@ class _Distinct:
         grouped += np.arange(size)
         grouped.sort()
         grouped %= size
-        self.offsets = segment_offsets(np.bincount(codes))
-        self.first = grouped[self.offsets[:-1]]
-        doc_of = np.repeat(np.arange(len(corpus)), np.diff(corpus.doc_offsets))
+        self.offsets = segment_offsets(np.bincount(codes)).astype(key_dtype(size + 1))
+        first = grouped[self.offsets[:-1]]
+        doc_of = np.repeat(
+            np.arange(len(corpus), dtype=key_dtype(len(corpus))), np.diff(corpus.doc_offsets)
+        )
         self.docs = doc_of[grouped]
-        self.subjects = corpus.subjects[self.first]
-        self.relations = corpus.relations[self.first]
-        self.objects = corpus.objects[self.first]
+        self.subjects = corpus.subjects[first]
+        self.relations = corpus.relations[first]
+        self.objects = corpus.objects[first]
 
 
 class _Index:
@@ -520,7 +532,9 @@ class RetrievalEngine:
         scores = numerator / denominator
         kept = _select(scores, scores, top_k)
         top, top_scores = _ranked(kept, scores[kept], top_k)
-        predications = corpus.predications_at(distinct.first[top])
+        predications = corpus.predications_of(
+            distinct.subjects[top], distinct.relations[top], distinct.objects[top]
+        )
         doc_ids, offsets = corpus.doc_ids(), distinct.offsets
         return [
             RankedPredication(

@@ -27,6 +27,7 @@ import functools
 import math
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -536,8 +537,11 @@ class TestIndexSets:
         assert len(vocab.holder_offsets) == len(hierarchy) + 1
         assert len(vocab.holders) == sum(map(len, sets))
         assert vocab.holders.tolist() == [i for ids in held for i in ids]
-        assert vocab.holder_offsets == [0, *np.cumsum([len(ids) for ids in held]).tolist()]
+        ends = np.cumsum([len(ids) for ids in held]).tolist()
+        assert vocab.holder_offsets == array("q", [0, *ends])
         assert np.diff(vocab.set_offsets).tolist() == [len(nodes) for nodes in sets]
+        assert type(vocab.set_offsets) is array and vocab.set_offsets.typecode == "q"
+        assert vocab.holders.dtype == vocab.set_nodes.dtype == np.int32
         starts = vocab.set_offsets
         for i, nodes in enumerate(sets):
             own = vocab.set_nodes[starts[i]:starts[i + 1]].tolist()
@@ -666,7 +670,9 @@ class TestIndexSets:
         assert keys.dtype == pair_dtype
         assert keys.tolist() == expected
         vocab = retrieval._Vocabulary(hierarchy, names)
-        assert vocab.holders.dtype == vocab.set_nodes.dtype == np.intp
+        # Ids and nodes fit in int32 on both sides of the boundary, so the
+        # decoded arrays are int32 whatever the width of the keys.
+        assert vocab.holders.dtype == vocab.set_nodes.dtype == np.int32
         assert len(vocab.holder_offsets) == len(hierarchy) + 1
         assert vocab.holders.tolist() == [k % width for k in expected]
         assert np.diff(vocab.set_offsets).tolist() == [2] * leaves + [0] * outside
@@ -685,12 +691,10 @@ class TestIndexSets:
         # keys nor the transposed keys, and both are int32.
         self._check_star(46_000, 400, np.int32)
 
-    def test_build_allocates_few_bytes_per_pair(self):
-        # The traced allocation peak of an index build, per (node, id)
-        # pair, on a hierarchy shaped like the benchmark's: about 27 bytes
-        # with int32 keys decoded to intp arrays.  The same build with
-        # int64 keys peaked at about 31, and int64 keys decoded through
-        # full-size copies and merged by a final stable sort at about 39.
+    def _traced_build(self):
+        """An index built under ``tracemalloc`` on a hierarchy shaped like
+        the benchmark's, and the bytes its build allocated at the peak and
+        still held at the end."""
         rng = np.random.default_rng(13)
         layered = Hierarchy(self._layered_dag(rng, 3000, 10))
         names = sorted(layered.nodes)
@@ -698,13 +702,34 @@ class TestIndexSets:
         retrieval._Vocabulary(layered, names)  # numpy's first calls allocate caches
         tracemalloc.start()
         try:
+            start = tracemalloc.get_traced_memory()[0]
             vocab = retrieval._Vocabulary(layered, names)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert len(vocab.holders) > 20 * len(names)
+        return vocab, peak - start, held - start
+
+    def test_build_allocates_few_bytes_per_pair(self):
+        # The traced allocation peak of an index build, per (node, id)
+        # pair: about 17 bytes with int32 keys decoded to int32 arrays.
+        # Decoded to intp arrays with their offsets listed as Python ints,
+        # the peak was about 27; with int64 keys, about 31; and with int64
+        # keys decoded through full-size copies and merged by a final
+        # stable sort, about 39.
+        vocab, peak, _ = self._traced_build()
         pairs = len(vocab.holders)
-        assert pairs > 20 * len(names)
-        assert peak < 30 * pairs, (peak, pairs)
+        assert peak < 22 * pairs, (peak, pairs)
+
+    def test_index_holds_few_bytes_per_pair(self):
+        # What the built index holds, per (node, id) pair: about 13 bytes,
+        # 8 of them the pairs' ids and nodes at int32, the rest the offsets
+        # in array('q') form, the set sizes and the name table.  With the
+        # pairs decoded to intp and the offsets listed as Python ints, it
+        # held about 25.
+        vocab, _, held = self._traced_build()
+        pairs = len(vocab.holders)
+        assert held < 16 * pairs, (held, pairs)
 
     def test_deep_chain_visits_at_most_one_height(self, monkeypatch):
         # The pass deduplicates the keys of each height it visits with one
@@ -836,16 +861,17 @@ class TestSelect:
 
 def _distinct_by_stable_argsort(corpus):
     """The fields of ``retrieval._Distinct`` as first built, from a stable
-    argsort of the predication codes."""
+    argsort of the predication codes: the identifier codes of each distinct
+    predication's first position, and its documents and their offsets as
+    int32, which these corpora fit."""
     codes = corpus.predication_codes
     grouped = np.argsort(codes, kind="stable")
     offsets = segment_offsets(np.bincount(codes))
     first = grouped[offsets[:-1]]
     doc_of = np.repeat(np.arange(len(corpus)), np.diff(corpus.doc_offsets))
     return {
-        "offsets": offsets,
-        "first": first,
-        "docs": doc_of[grouped],
+        "offsets": offsets.astype(np.int32),
+        "docs": doc_of[grouped].astype(np.int32),
         "subjects": corpus.subjects[first],
         "relations": corpus.relations[first],
         "objects": corpus.objects[first],

@@ -14,6 +14,9 @@ from predsim import (
     parse_hierarchy,
 )
 
+from predsim import ontology
+from predsim._arrays import segment_offsets
+
 from oracles import closure_ancestor_sets, make_identifier_sim, random_cyclic_graph, random_dag
 
 
@@ -299,6 +302,77 @@ class TestCycles:
             h = Hierarchy([("A", "B"), ("B", "C"), ("C", "B"), ("C", "TOP"), ("L", "A")])
         assert h.ancestors("L") == {"L", "A", "B", "C", "TOP"}
         assert h.ancestors("B") == {"B", "C", "TOP"}
+
+
+def _heights_by_scalar_peel(child, parent, size):
+    """``ontology._heights`` as first written: a Kahn peel one node at a
+    time, each node one above the highest of its children."""
+    ups = parent.tolist()
+    starts = segment_offsets(np.bincount(child, minlength=size)).tolist()
+    children = np.bincount(parent, minlength=size).tolist()
+    height = [0] * size
+    peeled = [n for n, k in enumerate(children) if k == 0]
+    for node in peeled:
+        for p in ups[starts[node]:starts[node + 1]]:
+            height[p] = max(height[p], height[node] + 1)
+            children[p] -= 1
+            if children[p] == 0:
+                peeled.append(p)
+    return [size if k else h for h, k in zip(height, children)]
+
+
+class TestHeights:
+    """``_heights``, which peels a level at a time in numpy and hands a
+    thin tail to a peel of one node at a time, against the scalar peel."""
+
+    @staticmethod
+    def _arcs(edges):
+        """The distinct arcs of the edges, sorted by child, and the number
+        of nodes, numbered by name."""
+        names = sorted({name for edge in edges for name in edge})
+        number = {name: n for n, name in enumerate(names)}
+        arcs = np.unique([number[c] * len(names) + number[p] for c, p in edges])
+        return *np.divmod(arcs, len(names)), len(names)
+
+    def test_random_graphs_with_and_without_cycles(self):
+        rng = np.random.default_rng(31)
+        for graph in (random_dag, random_cyclic_graph):
+            for _ in range(300):
+                _, edges = graph(rng, max_nodes=40, max_edges=80)
+                if edges:
+                    child, parent, size = self._arcs(edges)
+                    got = ontology._heights(child, parent, size)
+                    assert got.tolist() == _heights_by_scalar_peel(child, parent, size)
+
+    def test_wide_levels_then_a_thin_tail(self):
+        # 600 leaves under 30 nodes, under one 200-node chain with a cycle
+        # on top: the wide levels are peeled in numpy, the chain one node
+        # at a time, and the cycle and a node above it are never peeled.
+        edges = [(f"l{j}", f"m{j % 30}") for j in range(600)]
+        edges += [(f"m{k}", "q0") for k in range(30)]
+        edges += [(f"q{i}", f"q{i + 1}") for i in range(199)]
+        edges += [("q199", "c0"), ("c0", "c1"), ("c1", "c0"), ("c1", "top")]
+        child, parent, size = self._arcs(edges)
+        got = ontology._heights(child, parent, size)
+        assert got.tolist() == _heights_by_scalar_peel(child, parent, size)
+        assert sorted(got.tolist())[-5:] == [200, 201, size, size, size]
+
+    def test_deep_chain_peels_at_most_one_level_in_numpy(self, monkeypatch):
+        # Each level peeled in numpy gathers its nodes' arcs with one spans
+        # call; a chain's one leaf is fewer nodes than the levels above it.
+        calls = []
+        spans = ontology.spans
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return spans(*args)
+
+        monkeypatch.setattr(ontology, "spans", counted)
+        n = 50_000
+        chain = Hierarchy([(f"n{i}", f"n{i + 1}") for i in range(n - 1)])
+        assert len(calls) <= 1
+        assert chain._height.tolist() == list(range(n))
+        assert chain._names[:3] == ["n0", "n1", "n2"]
 
 
 class TestConcurrentReads:
