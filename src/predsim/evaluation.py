@@ -17,6 +17,8 @@ each cutoff.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -85,14 +87,18 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def per_seed_csv(self) -> str:
-        lines = ["seed,n,precision,recall,f_measure"]
+        """One row per seed and cutoff; a seed id holding ``,`` or ``"``
+        is quoted, so that a CSV reader reads it back as written."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["seed", "n", "precision", "recall", "f_measure"])
         for seed in self.per_seed:
             for n in self.n_values:
                 m = self.per_seed[seed][n]
-                lines.append(
-                    f"{seed},{n},{m.precision:.4f},{m.recall:.4f},{m.f_measure:.4f}"
+                writer.writerow(
+                    [seed, n, f"{m.precision:.4f}", f"{m.recall:.4f}", f"{m.f_measure:.4f}"]
                 )
-        return "\n".join(lines) + "\n"
+        return out.getvalue()
 
 
 def run_eval(

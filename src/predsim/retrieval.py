@@ -28,12 +28,13 @@ pair for both copies, and keeps each node's and each id's start in an
 key's holders to intp as it joins them.  The engine keeps the index of
 the last corpus it saw only.
 A seed document's query rows come straight from the corpus columns.
-``find`` groups the corpus positions by the corpus's
-predication codes, which number the distinct predications in literal
-order, with one sort of integer keys, keeping each distinct
-predication's identifier codes and its documents, and has the corpus
-build :class:`Predication` objects from those codes for its top-k
-results only.
+``find`` scores every corpus position from the columns too, and
+scatters the scores onto the corpus's predication codes, which number
+the distinct predications in literal order: equal codes are equal
+predications, so they get equal scores.  Only its top-k codes are looked
+up again, by one mask over the codes, which gives their positions and so
+their documents; the corpus builds :class:`Predication` objects for them
+alone.  The engine holds nothing for ``find`` beyond the index.
 
 A query is scored in member chunks.  For each chunk, every distinct
 subject, relation and object key of its members becomes one row of
@@ -85,11 +86,10 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from ._arrays import key_dtype, segment_offsets
+from ._arrays import key_dtype
 from ._input import check_count
 from .corpus import Corpus
 from .docsim import SimConfig
@@ -230,38 +230,6 @@ class _Vocabulary:
         return rows
 
 
-class _Distinct:
-    """The corpus's distinct predications, sorted by literal: a regrouping
-    of ``corpus.predication_codes``.
-
-    Distinct predication ``u``, the one coded ``u``, has the identifier
-    codes ``subjects[u]``, ``relations[u]`` and ``objects[u]``; the
-    numbers of the documents holding it, ascending, are
-    ``docs[offsets[u]:offsets[u + 1]]``.  ``docs`` and ``offsets`` are of
-    int32 whenever they fit.  The positions are grouped by sorting the
-    keys ``code * P + position`` (``P`` positions), which orders them as a
-    stable argsort of the codes would: by code, then by position.
-    """
-
-    def __init__(self, corpus: Corpus):
-        codes = corpus.predication_codes
-        # An int64 sort is several times faster than a stable argsort.
-        size = len(codes)
-        grouped = codes * size
-        grouped += np.arange(size)
-        grouped.sort()
-        grouped %= size
-        self.offsets = segment_offsets(np.bincount(codes)).astype(key_dtype(size + 1))
-        first = grouped[self.offsets[:-1]]
-        doc_of = np.repeat(
-            np.arange(len(corpus), dtype=key_dtype(len(corpus))), np.diff(corpus.doc_offsets)
-        )
-        self.docs = doc_of[grouped]
-        self.subjects = corpus.subjects[first]
-        self.relations = corpus.relations[first]
-        self.objects = corpus.objects[first]
-
-
 class _Index:
     """One corpus's interned identifiers against the engine's hierarchies."""
 
@@ -269,10 +237,6 @@ class _Index:
         self.corpus = corpus
         self.concept_vocab = _Vocabulary(concepts, corpus.concept_names)
         self.relation_vocab = _Vocabulary(relations, corpus.relation_names)
-
-    @cached_property
-    def distinct(self) -> _Distinct:
-        return _Distinct(self.corpus)
 
 
 def _select(lo: np.ndarray, hi: np.ndarray, top: int) -> np.ndarray:
@@ -519,31 +483,41 @@ class RetrievalEngine:
         weights = self.config.weights
         denominator = bound_weight(pattern, weights)
         index = self._index_for(corpus)
-        distinct = index.distinct
         numerator = 0.0
-        for name, weight, vocab, codes in (
-            (pattern.subject, weights.ws, index.concept_vocab, distinct.subjects),
-            (pattern.relation, weights.wr, index.relation_vocab, distinct.relations),
-            (pattern.object, weights.wo, index.concept_vocab, distinct.objects),
+        for name, weight, vocab, column in (
+            (pattern.subject, weights.ws, index.concept_vocab, corpus.subjects),
+            (pattern.relation, weights.wr, index.relation_vocab, corpus.relations),
+            (pattern.object, weights.wo, index.concept_vocab, corpus.objects),
         ):
             if name is not None:
                 sims = vocab.similarity_rows([name])[0]
-                numerator = numerator + np.take(weight * sims, codes)
-        scores = numerator / denominator
+                numerator = numerator + np.take(weight * sims, column)
+        # Every code from 0 to the largest occurs, so every score is written;
+        # equal codes have equal slot codes, so their scores are equal.
+        codes = corpus.predication_codes
+        scores = np.empty(int(codes.max()) + 1)
+        scores[codes] = numerator / denominator
         kept = _select(scores, scores, top_k)
         top, top_scores = _ranked(kept, scores[kept], top_k)
+        chosen = np.zeros(len(scores), dtype=bool)
+        chosen[top] = True
+        # The chosen codes' positions, ascending, grouped by code: each
+        # group starts at the code's first position, and its documents
+        # ascend with its positions.
+        at = np.flatnonzero(chosen[codes])
+        at = at[np.argsort(codes[at], kind="stable")]
+        grouped = codes[at]
+        starts = np.searchsorted(grouped, top).tolist()
+        ends = np.searchsorted(grouped, top, "right").tolist()
+        first = at[starts]
         predications = corpus.predications_of(
-            distinct.subjects[top], distinct.relations[top], distinct.objects[top]
+            corpus.subjects[first], corpus.relations[first], corpus.objects[first]
         )
-        doc_ids, offsets = corpus.doc_ids(), distinct.offsets
+        doc_ids = corpus.doc_ids()
+        docs = (np.searchsorted(corpus.doc_offsets, at, "right") - 1).tolist()
         return [
-            RankedPredication(
-                predication,
-                score,
-                rank,
-                tuple(doc_ids[d] for d in distinct.docs[offsets[u]:offsets[u + 1]].tolist()),
-            )
-            for rank, (predication, u, score) in enumerate(
-                zip(predications, top, top_scores), start=1
+            RankedPredication(predication, score, rank, tuple(doc_ids[d] for d in docs[a:b]))
+            for rank, (predication, score, a, b) in enumerate(
+                zip(predications, top_scores, starts, ends), start=1
             )
         ]

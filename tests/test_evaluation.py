@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,18 @@ class TestReportOutput:
         lines = report.per_seed_csv().splitlines()
         assert lines[0] == "seed,n,precision,recall,f_measure"
         assert lines[1].startswith("d1,1,")
+        # Ids holding "," or '"' are quoted and read back as written; in a
+        # flat corpus each seed's best other document is the other seed.
+        seeds = ("a,b", '"q"')
+        gold = GoldStandard([(seeds[0], seeds[1], 1), (seeds[1], seeds[0], 1)])
+        report = run_eval(engine, flat_corpus([*seeds, "z"]), gold, [1, 2])
+        rows = list(csv.reader(io.StringIO(report.per_seed_csv(), newline="")))
+        assert rows[0] == ["seed", "n", "precision", "recall", "f_measure"]
+        assert sorted(rows[1:]) == sorted(
+            [seed, str(n), f"{1 / n:.4f}", "1.0000", f"{2 / (n + 1):.4f}"]
+            for seed in seeds
+            for n in (1, 2)
+        )
 
     def test_reports_reproducible(self, concept_h, relation_h, small_corpus):
         gold = GoldStandard([("d1", "d2", 1), ("d3", "d1", 1), ("d3", "d4", 2)])

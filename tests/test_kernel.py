@@ -14,16 +14,19 @@ length-``n`` prefix of the exhaustive one, ties included.  The scores
 must not change with the sizes of the member chunks and tiles the kernel
 gathers in, and one query on a corpus far larger than a tile must
 allocate no more than the terms it keeps and a few tiles.
+``related_predications``, which scores straight from the corpus columns,
+must keep nothing once the index exists.
 
 Below the engine, each Jaccard row built from the inverted ancestor index
 must equal ``Hierarchy.similarity`` exactly, the index's sets, built in
 one array pass, must equal those of the scalar walk ``_node_sets``, and
-``related_predications`` must order tied predications by their literals.
-The selection ``_select`` and the regrouping ``_Distinct`` must equal
-their first, plainer implementations, kept here as references.
+``related_predications`` must order tied predications by their literals
+and list each one's documents in id order.  The selection ``_select``
+must equal its first, plainer implementation, kept here as a reference.
 """
 
 import functools
+import gc
 import math
 import tracemalloc
 import warnings
@@ -333,6 +336,30 @@ class TestBoundedMemory:
             finally:
                 tracemalloc.stop()
             assert peak < bound, (members, peak, bound)
+
+
+    def test_find_holds_nothing_once_the_index_exists(self):
+        # find scores from the corpus columns and the index that queries
+        # use, so once the index exists it keeps nothing more: at most a
+        # few small objects of numpy's or the interpreter's.  The full
+        # collection empties the interpreter's free lists, which
+        # tracemalloc counts as held.
+        rng = np.random.default_rng(19)
+        (concepts, relations), corpus = _large_corpus(rng)
+        engine = RetrievalEngine(concepts, relations)
+        engine.query_documents(corpus, corpus[corpus.doc_ids()[0]], 1)  # builds the index
+        pattern = PredicationPattern("c05", "r1", None)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                found = engine.related_predications(corpus, pattern, 10)
+                assert len(found) == 10
+                del found
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+                assert held < 4096, held
+        finally:
+            tracemalloc.stop()
 
 
 def _with_copies(rng, corpus):
@@ -859,25 +886,6 @@ class TestSelect:
                         assert retrieval._select(lo, hi, top).tolist() == list(range(size))
 
 
-def _distinct_by_stable_argsort(corpus):
-    """The fields of ``retrieval._Distinct`` as first built, from a stable
-    argsort of the predication codes: the identifier codes of each distinct
-    predication's first position, and its documents and their offsets as
-    int32, which these corpora fit."""
-    codes = corpus.predication_codes
-    grouped = np.argsort(codes, kind="stable")
-    offsets = segment_offsets(np.bincount(codes))
-    first = grouped[offsets[:-1]]
-    doc_of = np.repeat(np.arange(len(corpus)), np.diff(corpus.doc_offsets))
-    return {
-        "offsets": offsets.astype(np.int32),
-        "docs": doc_of[grouped].astype(np.int32),
-        "subjects": corpus.subjects[first],
-        "relations": corpus.relations[first],
-        "objects": corpus.objects[first],
-    }
-
-
 def _large_corpus(rng, documents=900, records=4500):
     """Hierarchies over 40 concepts and 6 relations, and a corpus of about
     3,500 distinct predications, some in several documents, with concepts
@@ -900,28 +908,37 @@ def _large_corpus(rng, documents=900, records=4500):
     return hierarchies, corpus
 
 
-class TestDistinct:
-    """``_Distinct``, grouped by one int64 key sort, against the same
-    fields from a stable argsort of the predication codes."""
+def _check_find(engine, corpus, patterns, ks):
+    """Each top ``k`` of each pattern is the scalar ``pattern_similarity``
+    ranking, ties in literal order, each predication with the ids of the
+    documents holding it, ascending.  Return the last pattern's scores.
 
-    @staticmethod
-    def _check(corpus):
-        distinct = retrieval._Distinct(corpus)
-        want = _distinct_by_stable_argsort(corpus)
-        assert sorted(vars(distinct)) == sorted(want)
-        for name, array in want.items():
-            got = getattr(distinct, name)
-            assert got.dtype == array.dtype and got.tolist() == array.tolist(), name
-
-    def test_random_corpora_with_copies(self):
-        rng = np.random.default_rng(16)
-        for _ in range(60):
-            _, corpus, _, _ = _random_case(rng)
-            self._check(_with_copies(rng, corpus))
-        self._check(_with_copies(rng, _large_corpus(rng)[1]))
-
-    def test_one_position(self):
-        self._check(Corpus([("d", "C1", "R0", "C")]))
+    A pattern whose bound slots all have zero weight must raise instead."""
+    distinct = {}  # predication -> the ids of the documents holding it
+    for d in corpus.doc_ids():
+        for p in corpus[d]:
+            distinct.setdefault(p, []).append(d)
+    concept_sim = functools.cache(engine.concepts.similarity)
+    relation_sim = functools.cache(engine.relations.similarity)
+    scores = {}
+    for pattern in patterns:
+        try:
+            scores = {
+                p: pattern_similarity(pattern, p, engine.config.weights, concept_sim, relation_sim)
+                for p in distinct
+            }
+        except ValueError:
+            with pytest.raises(ValueError, match="zero weight"):
+                engine.related_predications(corpus, pattern, 1)
+            continue
+        want = sorted(distinct, key=lambda p: (-scores[p], format_predication(p)))
+        for k in ks:
+            found = engine.related_predications(corpus, pattern, k)
+            assert [r.predication for r in found] == want[:k], (pattern, k)
+            assert [r.score for r in found] == [scores[p] for p in want[:k]]
+            assert [r.rank for r in found] == list(range(1, len(want[:k]) + 1))
+            assert [list(r.documents) for r in found] == [distinct[p] for p in want[:k]]
+    return scores
 
 
 class TestFindAtScale:
@@ -934,14 +951,9 @@ class TestFindAtScale:
         rng = np.random.default_rng(17)
         (concepts, relations), corpus = _large_corpus(rng)
         engine = RetrievalEngine(concepts, relations)
-        distinct = {}  # predication -> the ids of the documents holding it
-        for d in corpus.doc_ids():
-            for p in corpus[d]:
-                distinct.setdefault(p, []).append(d)
+        distinct = len({p for d in corpus.doc_ids() for p in corpus[d]})
         # the sample holds more than the largest k
-        assert len(distinct) // math.isqrt(len(distinct)) > 50
-        concept_sim = functools.cache(concepts.similarity)
-        relation_sim = functools.cache(relations.similarity)
+        assert distinct // math.isqrt(distinct) > 50
         patterns = [
             PredicationPattern("c05", None, None),
             PredicationPattern(None, "r1", None),
@@ -952,16 +964,28 @@ class TestFindAtScale:
             PredicationPattern("c33", "ghostR", "c01"),
             PredicationPattern(UNKNOWN_CONCEPT, UNKNOWN_RELATION, None),
         ]
-        for pattern in patterns:
-            scores = {
-                p: pattern_similarity(pattern, p, engine.config.weights, concept_sim, relation_sim)
-                for p in distinct
-            }
-            want = sorted(distinct, key=lambda p: (-scores[p], format_predication(p)))
-            for k in (1, 2, 10, 50):
-                found = engine.related_predications(corpus, pattern, k)
-                assert [r.predication for r in found] == want[:k], (pattern, k)
-                assert [r.score for r in found] == [scores[p] for p in want[:k]]
-                assert [r.rank for r in found] == list(range(1, k + 1))
-                assert [list(r.documents) for r in found] == [distinct[p] for p in want[:k]]
+        scores = _check_find(engine, corpus, patterns, (1, 2, 10, 50))
         assert set(scores.values()) == {0.0}  # the last pattern's: literal order
+
+    def test_copied_documents(self):
+        # Predications held by several documents, whose document lists
+        # come from the corpus positions of each; a pattern of unknown
+        # identifiers ties every predication at 0.0; and a k above the
+        # number of distinct predications ranks them all.
+        rng = np.random.default_rng(16)
+        unknown = PredicationPattern(UNKNOWN_CONCEPT, UNKNOWN_RELATION, UNKNOWN_CONCEPT)
+        for _ in range(60):
+            engine, corpus, concepts, relations = _random_case(rng)
+            corpus = _with_copies(rng, corpus)
+            distinct = len({p for d in corpus.doc_ids() for p in corpus[d]})
+            patterns = [_random_pattern(rng, concepts, relations) for _ in range(3)]
+            ks = (1, 2, 3, distinct, distinct + 1, distinct + 7)
+            scores = _check_find(engine, corpus, [*patterns, unknown], ks)
+            assert set(scores.values()) == {0.0}
+        (concepts, relations), corpus = _large_corpus(rng)
+        engine = RetrievalEngine(concepts, relations)
+        corpus = _with_copies(rng, corpus)
+        distinct = len({p for d in corpus.doc_ids() for p in corpus[d]})
+        patterns = [PredicationPattern("c12", "r3", None), unknown]
+        scores = _check_find(engine, corpus, patterns, (1, 10, 50, distinct + 1))
+        assert set(scores.values()) == {0.0}
