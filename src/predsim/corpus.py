@@ -15,7 +15,9 @@ error names the first bad record and field.  Duplicates are dropped by
 their integer codes, and each document's members are ordered by literal
 from sort ranks of their identifiers, without formatting a literal.  The
 literal-order number of each distinct predication is kept as a column,
-so this module alone decides predication identity and order.
+so this module alone decides predication identity and order.  The load
+frees each temporary after its last reader and computes in place where
+it can, so its peak stays within about twice what the corpus holds.
 ``Corpus`` is itself the read-only mapping from document id to
 predication set: ``corpus[doc_id]`` builds a :class:`PredicationSet` on
 each access.  ``Corpus(records)`` takes the same records the file holds
@@ -28,6 +30,7 @@ mapping from seed to ranked ids.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,6 +82,11 @@ def _literal_keys(
     those three strings, ``(subject * R + relation) * C + object`` for
     ``C`` concepts and ``R`` relations.  Equal keys are equal predications,
     and the returned orders map each rank back to its code.
+
+    The three int64 code columns are the loader's own, and are overwritten:
+    each with its slot's ranks, gathered in place (a take whose out is its
+    own index array is safe in "raise" mode only, which gathers into a copy
+    of out), and the subjects' with the key, which is returned.
     """
     if len(concept_names) ** 2 * len(relation_names) > np.iinfo(np.int64).max:
         raise OverflowError("too many distinct identifiers for an int64 sort key")
@@ -87,10 +95,13 @@ def _literal_keys(
         _literal_order(relation_names, "|"),
         _literal_order(concept_names, ""),
     )
-    key = _ranks(orders[0])[subjects] * len(relation_names)
-    key += _ranks(orders[1])[relations]
+    for order, codes in zip(orders, (subjects, relations, objects)):
+        np.take(_ranks(order), codes, out=codes)
+    key = subjects
+    key *= len(relation_names)
+    key += relations
     key *= len(concept_names)
-    key += _ranks(orders[2])[objects]
+    key += objects
     return key, orders
 
 
@@ -109,9 +120,15 @@ class Corpus(Mapping):
     literal order; its identifiers are numbered ``subjects[i]``,
     ``relations[i]`` and ``objects[i]``, and ``predication_codes[i]`` is
     the place of its literal among the corpus's distinct literals, so
-    equal codes are equal predications.  Document number ``d``, its place
-    in :meth:`doc_ids`, owns positions ``doc_offsets[d]`` to
-    ``doc_offsets[d + 1]``.  The arrays are read-only.
+    equal codes are equal predications.  The columns are int64, which
+    numpy gathers and scatters by without converting them.  The three slot
+    columns are read-only views of ``_slots``, which the engine gathers by:
+    ``np.take`` copies an index array that it may not write to on every
+    call.  Document number
+    ``d``, its place in the sorted :meth:`doc_ids`, found there by
+    bisection, owns positions ``doc_offsets[d]`` to ``doc_offsets[d + 1]``;
+    a key that is not a ``str`` is not in the corpus.  The arrays are
+    read-only.
 
     ``Corpus(records, source)`` numbers its (doc_id, subject, relation,
     object) records from 1 and checks them as the loader checks lines, so
@@ -173,17 +190,35 @@ class Corpus(Mapping):
         del columns, add_doc, add_subject, add_relation, add_object
         literal, orders = _literal_keys(concepts, relations, subjects, relation_codes, objects)
         del subjects, relation_codes, objects
-        # Number the distinct triples in literal order, then sort the
-        # distinct (document rank, triple number) keys: duplicates go, and
-        # each document's members come out in literal order.
-        triples, triple = np.unique(literal, return_inverse=True)
+        # Number the distinct triples in literal order: the runs of the
+        # sorted keys, counted in the sorted copy's own buffer and scattered
+        # back over the keys.  Then sort the distinct (document rank, triple
+        # number) keys: duplicates go, and each document's members come out
+        # in literal order.
+        order = np.argsort(literal)
+        numbers = literal[order]
+        new = np.empty(len(numbers), dtype=bool)
+        new[:1] = True
+        np.not_equal(numbers[1:], numbers[:-1], out=new[1:])
+        triples = numbers[new]
+        # Summed from the keys' own buffer, which they no longer need: a
+        # cumsum that casts its input, or overlaps its output, copies it.
+        literal[...] = new
+        del new
+        np.cumsum(literal, out=numbers)
+        numbers -= 1
+        literal[order] = numbers
+        del order, numbers
+        triple = literal
         del literal
-        self._doc_ids: tuple[str, ...] = tuple(sorted(docs))
-        self._doc_number = {doc_id: d for d, doc_id in enumerate(self._doc_ids)}
-        doc_rank = np.fromiter(map(self._doc_number.__getitem__, docs), np.int64, len(docs))
+        doc_order = _literal_order(docs, "")
+        doc_names = tuple(docs)
+        self._doc_ids: tuple[str, ...] = tuple(map(doc_names.__getitem__, doc_order.tolist()))
+        del doc_names
         records = len(doc_codes)
-        keys = doc_rank[doc_codes] * len(triples)
-        del doc_codes
+        keys = _ranks(doc_order)[doc_codes]
+        del doc_order, doc_codes
+        keys *= len(triples)
         keys += triple
         del triple
         keys = sorted_distinct(keys)
@@ -195,13 +230,22 @@ class Corpus(Mapping):
         self.concept_names: tuple[str, ...] = tuple(concepts)
         self.relation_names: tuple[str, ...] = tuple(relations)
         # Each slot's codes, decoded from the distinct literal keys, which
-        # are (subject * R + relation) * C + object in the slots' ranks.
-        ranks, rest = np.divmod(triples, len(relations) * len(concepts))
+        # are (subject * R + relation) * C + object in the slots' ranks.  The
+        # ranks are split off, and mapped to codes, in place, as
+        # _literal_keys maps codes to ranks.
+        ranks = np.empty_like(triples)
+        np.divmod(triples, len(relations) * len(concepts), out=(ranks, triples))
+        np.take(orders[0], ranks, out=ranks)
+        slots = [ranks[codes]]
+        np.divmod(triples, len(concepts), out=(ranks, triples))
+        np.take(orders[1], ranks, out=ranks)
+        slots.append(ranks[codes])
+        del ranks
+        np.take(orders[2], triples, out=triples)
+        slots.append(triples[codes])
         del triples
-        self.subjects = _read_only(orders[0][ranks][codes])
-        ranks, rest = np.divmod(rest, len(concepts))
-        self.relations = _read_only(orders[1][ranks][codes])
-        self.objects = _read_only(orders[2][rest][codes])
+        self._slots = tuple(slots)
+        self.subjects, self.relations, self.objects = (_read_only(slot.view()) for slot in slots)
         self.predication_codes = _read_only(codes)
         self.doc_offsets = _read_only(segment_offsets(sizes))
         self.stats = CorpusStats(len(docs), len(codes), records - len(codes))
@@ -212,11 +256,11 @@ class Corpus(Mapping):
     def __iter__(self) -> Iterator[str]:
         return iter(self._doc_ids)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._doc_number
+    def __contains__(self, doc_id: object) -> bool:
+        return self._find(doc_id) is not None
 
     def __getitem__(self, doc_id: str) -> PredicationSet:
-        d = self._doc_number[doc_id]
+        d = self.doc_number(doc_id)
         start, stop = self.doc_offsets[d:d + 2].tolist()
         return PredicationSet(tuple(self.predications_at(slice(start, stop))))
 
@@ -238,7 +282,19 @@ class Corpus(Mapping):
 
     def doc_number(self, doc_id: str) -> int:
         """The place of ``doc_id`` in :meth:`doc_ids`; KeyError if absent."""
-        return self._doc_number[doc_id]
+        d = self._find(doc_id)
+        if d is None:
+            raise KeyError(doc_id)
+        return d
+
+    def _find(self, doc_id: object) -> int | None:
+        """The place of ``doc_id`` in the sorted :meth:`doc_ids`, found by
+        bisection, or None: a key that is not a ``str`` is not in the corpus."""
+        if isinstance(doc_id, str):
+            d = bisect_left(self._doc_ids, doc_id)
+            if d < len(self._doc_ids) and self._doc_ids[d] == doc_id:
+                return d
+        return None
 
     def predications_at(self, positions: slice) -> list[Predication]:
         """The predications at the given run of corpus positions, in order."""

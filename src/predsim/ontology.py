@@ -125,12 +125,16 @@ class Hierarchy:
         order = np.argsort(height, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(size)
-        arcs = rank[child] * size
+        arcs = rank[child]
+        arcs *= size
         arcs += rank[parent]
         arcs.sort()
         first_met = list(numbers)
         self._names = names = [first_met[n] for n in order.tolist()]
-        self._numbers = dict(zip(names, range(size)))
+        del first_met
+        # Renumbered in place: a dict whose keys stay keeps its table.
+        numbers.update(zip(names, range(size)))
+        self._numbers = numbers
         starts = segment_offsets(np.bincount(arcs // size, minlength=size))
         self._parent_starts = array("q", starts.tobytes())
         self._parent_nodes = array("q", (arcs % size).tobytes())

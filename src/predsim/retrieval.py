@@ -22,11 +22,14 @@ form), beside each set's size.  The hierarchy computes them all in one
 bottom-up array pass (``Hierarchy._holder_keys``), with no set object per
 identifier, as sorted (node, id) keys of int32 whenever the number of
 nodes times the number of ids is below 2**31.  The index decodes them
-once, into ids and nodes of int32 whenever they fit, 8 bytes a (node, id)
-pair for both copies, and keeps each node's and each id's start in an
-``array('q')``, with no int object per node or id; the kernel widens a
-key's holders to intp as it joins them.  The engine keeps the index of
-the last corpus it saw only.
+once, into ids of int32 whenever they fit, 4 bytes a (node, id) pair,
+and keeps each node's start in an ``array('q')``, with no int object per
+node; the kernel widens a key's holders to intp as it joins them.  The
+names an ad-hoc query or a pattern binds are walked in the hierarchy,
+all of a call's at once.  A seed document's keys are corpus codes, whose
+sets the index also holds by id, in the same 4 bytes a pair, built on
+the first seeded call and kept from then on.  The engine keeps the index
+of the last corpus it saw only.
 A seed document's query rows come straight from the corpus columns.
 ``find`` scores every corpus position from the columns too, and
 scatters the scores onto the corpus's predication codes, which number
@@ -34,7 +37,9 @@ the distinct predications in literal order: equal codes are equal
 predications, so they get equal scores.  Only its top-k codes are looked
 up again, by one mask over the codes, which gives their positions and so
 their documents; the corpus builds :class:`Predication` objects for them
-alone.  The engine holds nothing for ``find`` beyond the index.
+alone.  It builds the bound slots' rows first, then sums their gathered,
+weighted similarities into one zeroed position array, in place.  The
+engine holds nothing for ``find`` beyond the index.
 
 A query is scored in member chunks.  For each chunk, every distinct
 subject, relation and object key of its members becomes one row of
@@ -46,7 +51,9 @@ sums of the chunk's members against the corpus are then gathered in
 tiles.  A tile holds a few members' rows of a run of whole documents: at
 most ``TILE_ELEMENTS`` elements, or one member's row of one document
 that is larger.  Each tile is gathered into two buffers reused across
-tiles, and is reduced at once to each member's best match in each of its
+tiles, by the corpus's writeable slot columns, ``Corpus._slots``: numpy's
+``take`` copies an index array that it may not write to, on every call.
+Each tile is reduced at once to each member's best match in each of its
 documents and to each corpus predication's best match so far.  These
 maxima compare the int64 bit patterns of the weighted slot sums, which is
 faster than comparing the doubles and gives the same maxima: no sum has
@@ -126,60 +133,78 @@ class _Vocabulary:
     """The identifiers of one hierarchy that a corpus uses, interned, and
     their self-inclusive ancestor sets: the engine's only copy of them.
 
-    ``names`` are the distinct names passed in, id ``i`` being ``names[i]``
-    (``ids`` maps back); a corpus passes its identifier table, so the ids
-    are its codes.  The sets hold the hierarchy's node numbers only: a
-    name that is not a node holds none, and ``similarity_rows`` gives it
-    its set of one.  They are stored twice.  By id: id ``i``'s nodes,
-    ascending, are ``set_nodes[s[i]:s[i + 1]]``, with ``s = set_offsets``.
-    Inverted, per node: the ids whose set holds node ``n``, ascending, are
-    ``holders[o[n]:o[n + 1]]``, with ``o = holder_offsets``.  Both come
-    from the sorted (node, id) keys of :meth:`Hierarchy._holder_keys`,
-    decoded once.  The keys, and the transposed keys sorted to group the
-    nodes by id, span the same V × N values, so they share one width:
-    int32 whenever it fits.  ``holders`` and ``set_nodes`` hold ids below
-    V and nodes below N, so they are int32 whenever V and N fit, as they
-    do whenever the keys are int32: 8 bytes a pair for both.
-    ``similarity_rows`` widens a row's holders to intp as it joins them,
-    which ``np.bincount`` counts without a copy.  ``holder_offsets`` and
-    ``set_offsets`` are ``array('q')``, as the hierarchy's parent store
-    is: indexing one gives a Python int, which slices an array faster than
-    a numpy integer does, and none is kept per node or id.
-    ``float_sizes`` are the sets' sizes as float64, which
-    ``similarity_rows`` builds its denominators from.
+    ``names`` are the distinct names passed in, id ``i`` being ``names[i]``;
+    a corpus passes its identifier table, so the ids are its codes.  The
+    sets hold the hierarchy's node numbers only: a name that is not a node
+    holds none, and ``similarity_rows`` gives it its set of one.  They are
+    stored inverted, per node: the ids whose set holds node ``n``,
+    ascending, are ``holders[o[n]:o[n + 1]]``, with ``o = holder_offsets``,
+    decoded once from the sorted (node, id) keys of
+    :meth:`Hierarchy._holder_keys`.  ``holders`` holds ids below V, so it is
+    int32 whenever V and N fit, as they do whenever the keys are int32: 4
+    bytes a pair.  ``similarity_rows`` widens a row's holders to intp as it
+    joins them, which ``np.bincount`` counts without a copy.
+    ``holder_offsets`` is an ``array('q')``, as the hierarchy's parent
+    store is: indexing it gives a Python int, which slices an array faster
+    than a numpy integer does, and none is kept per node.  ``float_sizes``
+    are the sets' sizes as float64, which ``similarity_rows`` builds its
+    denominators from; the interned names whose set is empty are the ones
+    that are not nodes, since every node's set holds the node itself, and
+    ``strays`` maps each of them to its id.
+
+    Only a seed document's keys are ids; names, an ad-hoc query's or a
+    pattern's, are walked.  So the sets by id, :attr:`id_sets`, are built
+    from ``holders`` on the first row keyed by an id and kept from then on.
     """
 
     def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
         self.hierarchy = hierarchy
         self.names = tuple(names)
         width, size = len(self.names), len(hierarchy)
-        self.ids = dict(zip(self.names, range(width)))
-        # Every id and node fits this width; the keys' width fits them too,
-        # so with int32 keys the arrays below are built at it directly.
-        dtype = key_dtype(max(width, size))
         # The keys node * V + id, ascending, group the ids by node, ascending
         # within each: node n's start is the first key at or above n * V.
         keys = hierarchy._holder_keys(self.names)
         starts = np.searchsorted(keys, np.arange(size + 1, dtype=keys.dtype) * width)
-        nodes = keys // width
-        ids = np.multiply(nodes, -width)
-        ids += keys
-        self.holders = ids.astype(dtype, copy=False)
-        # The keys transposed in place, id * N + node, below V * N as before,
-        # and sorted group the nodes by id: an integer sort is several times
-        # faster than a stable argsort.  Id i's start is the first key at or
-        # above i * N.
-        np.multiply(ids, size, out=keys)
-        del ids
-        keys += nodes
-        del nodes
-        keys.sort()
-        set_starts = np.searchsorted(keys, np.arange(width + 1, dtype=keys.dtype) * size)
-        self.set_nodes = np.remainder(keys, size).astype(dtype, copy=False)
-        del keys
         self.holder_offsets = array("q", starts.astype(np.int64, copy=False).tobytes())
-        self.set_offsets = array("q", set_starts.astype(np.int64, copy=False).tobytes())
-        self.float_sizes = np.diff(set_starts).astype(float)
+        del starts
+        # Every id fits this width; the keys' width fits them too, so with
+        # int32 keys the remainders are the holders themselves.
+        np.remainder(keys, width, out=keys)
+        self.holders = keys.astype(key_dtype(max(width, size)), copy=False)
+        del keys
+        # Counted a tile at a time: np.bincount copies narrower ids to intp.
+        sizes = np.zeros(width, dtype=np.intp)
+        for a in range(0, len(self.holders), TILE_ELEMENTS):
+            sizes += np.bincount(self.holders[a:a + TILE_ELEMENTS], minlength=width)
+        self.float_sizes = sizes.astype(float)
+        self.strays = {self.names[i]: i for i in np.flatnonzero(sizes == 0).tolist()}
+        self._id_sets: tuple[np.ndarray, array] | None = None
+
+    @property
+    def id_sets(self) -> tuple[np.ndarray, array]:
+        """The sets by id, built on first use: id ``i``'s nodes, ascending,
+        are ``nodes[s[i]:s[i + 1]]``, for ``(nodes, s)``.
+
+        The holders, tagged with their nodes as keys ``id * N + node``,
+        below V * N as the holder keys are, and sorted, group the nodes by
+        id: an integer sort is several times faster than a stable argsort.
+        Id i's start is the first key at or above i * N.  ``nodes`` is as
+        narrow as ``holders`` and ``s`` is an ``array('q')``.
+        """
+        if self._id_sets is None:
+            width, size = len(self.names), len(self.hierarchy)
+            dtype = key_dtype(width * size)
+            keys = self.holders.astype(dtype)
+            keys *= size
+            keys += np.repeat(
+                np.arange(size, dtype=dtype), np.diff(np.frombuffer(self.holder_offsets, np.int64))
+            )
+            keys.sort()
+            starts = np.searchsorted(keys, np.arange(width + 1, dtype=dtype) * size)
+            np.remainder(keys, size, out=keys)
+            nodes = keys.astype(self.holders.dtype, copy=False)
+            self._id_sets = nodes, array("q", starts.astype(np.int64, copy=False).tobytes())
+        return self._id_sets
 
     def similarity_rows(self, keys: Sequence[int | str]) -> np.ndarray:
         """Jaccard of each key's ancestor set with every interned id's, in
@@ -189,18 +214,16 @@ class _Vocabulary:
         ``k`` equals ``hierarchy.similarity(name, v)`` for every interned
         ``v``, ``name`` being the key's name: the integer counts are the
         same, and so is the one division.  Only the holders of the key's
-        own ancestors are counted, once per distinct key.  An interned
-        name's set is read from the index under its id; only the other
-        names, such as an ad-hoc query's, are walked.
+        own ancestors are counted, once per distinct key.  An id's set is
+        read from :attr:`id_sets`; the names are walked, all in one call.
 
         A name that is not a node is its own set of one: its row is 0.0,
         and 1.0 at its own id if it is interned.  The index holds no node
         for it, so ``float_sizes`` counts none; in any other key's row its
         column reads ``0 / (size + 0 - 0)``, which is 0.0 whatever the size.
         """
-        keys = [self.ids.get(key, key) for key in keys]
-        outside = [key for key in dict.fromkeys(keys) if isinstance(key, str)]
-        walked = dict(zip(outside, self.hierarchy._node_sets(outside))) if outside else {}
+        names = [key for key in dict.fromkeys(keys) if isinstance(key, str)]
+        walked = dict(zip(names, self.hierarchy._node_sets(names))) if names else {}
         rows = np.empty((len(keys), len(self.names)))
         holders, offsets = self.holders, self.holder_offsets
         first: dict[int | str, int] = {}
@@ -211,12 +234,15 @@ class _Vocabulary:
                 continue
             if isinstance(key, str):
                 own = list(walked[key] or ())
+                self_id = self.strays.get(key)
             else:
-                own = self.set_nodes[self.set_offsets[key]:self.set_offsets[key + 1]].tolist()
+                nodes, starts = self.id_sets
+                own = nodes[starts[key]:starts[key + 1]].tolist()
+                self_id = key
             if not own:
                 rows[k] = 0.0
-                if not isinstance(key, str):
-                    rows[k, key] = 1.0
+                if self_id is not None:
+                    rows[k, self_id] = 1.0
                 continue
             spans = [holders[offsets[n]:offsets[n + 1]] for n in own]
             # Widened as they are joined: bincount would copy narrower ids.
@@ -260,9 +286,12 @@ def _select(lo: np.ndarray, hi: np.ndarray, top: int) -> np.ndarray:
     sample = lo[:: math.isqrt(len(lo))]
     if len(sample) > top:
         floor = np.partition(sample, len(sample) - top)[len(sample) - top]
+        # A copy of its own, so it is partitioned in place.
         lo = lo[lo >= floor]
-    kth = len(lo) - top
-    bar = np.partition(lo, kth)[kth]
+        lo.partition(len(lo) - top)
+    else:
+        lo = np.partition(lo, len(lo) - top)
+    bar = lo[len(lo) - top]
     return np.flatnonzero(hi >= bar)
 
 
@@ -373,23 +402,10 @@ class RetrievalEngine:
         concept_vocab, relation_vocab = index.concept_vocab, index.relation_vocab
         weights = self.config.weights
         n, offsets = len(subjects), corpus.doc_offsets
-        # best_in_doc[j, d]: best weighted slot sum of query member j in
-        # document d; best_of_pred[i]: best of corpus predication i over
-        # the query.  Both are divided by the weight total only once their
-        # maxima are complete, which gives the same maxima because rounding
-        # is monotone.  The maxima compare the sums' int64 bit patterns,
-        # which order finite doubles with a clear sign bit as their values
-        # do.  Every sum has one: one weight is positive, so one of its
-        # addends is +0.0 or more, and such a sum is never -0.0; and
-        # best_of_pred starts at +0.0, whose bit pattern is 0.
-        best_in_doc = np.empty((n, len(corpus)))
-        best_of_pred = np.zeros(len(corpus.subjects))
-        doc_bits, pred_bits = best_in_doc.view(np.int64), best_of_pred.view(np.int64)
         per_member = 2 * len(concept_vocab.names) + len(relation_vocab.names)
         chunk = min(n, max(1, BLOCK_ELEMENTS // per_member))
         runs = _runs(offsets, chunk)
-        size = max(rows * (p1 - p0) for _, _, p0, p1, rows in runs)
-        tile_buffer, spare_buffer = np.empty(size), np.empty(size)
+        subject_column, relation_column, object_column = corpus._slots
         for lo in range(0, n, chunk):
             hi = lo + chunk
             # Each member's slot similarities, weighted in place.
@@ -400,6 +416,25 @@ class RetrievalEngine:
             object_rows *= weights.wo
             relation_rows = relation_vocab.similarity_rows(relations[lo:hi])
             relation_rows *= weights.wr
+            if lo == 0:
+                # Allocated once the first chunk's rows exist, so that a
+                # seed's first rows, which build the index's sets by id,
+                # are not built on top of them.
+                # best_in_doc[j, d]: best weighted slot sum of query member
+                # j in document d; best_of_pred[i]: best of corpus
+                # predication i over the query.  Both are divided by the
+                # weight total only once their maxima are complete, which
+                # gives the same maxima because rounding is monotone.  The
+                # maxima compare the sums' int64 bit patterns, which order
+                # finite doubles with a clear sign bit as their values do.
+                # Every sum has one: one weight is positive, so one of its
+                # addends is +0.0 or more, and such a sum is never -0.0; and
+                # best_of_pred starts at +0.0, whose bit pattern is 0.
+                best_in_doc = np.empty((n, len(corpus)))
+                best_of_pred = np.zeros(len(corpus.subjects))
+                doc_bits, pred_bits = best_in_doc.view(np.int64), best_of_pred.view(np.int64)
+                size = max(rows * (p1 - p0) for _, _, p0, p1, rows in runs)
+                tile_buffer, spare_buffer = np.empty(size), np.empty(size)
             for d0, d1, p0, p1, rows in runs:
                 width = p1 - p0
                 starts = offsets[d0:d1] - p0
@@ -410,10 +445,10 @@ class RetrievalEngine:
                     spare = spare_buffer[:(r1 - r0) * width].reshape(r1 - r0, width)
                     # The codes are in range, so "clip" changes nothing; with
                     # "raise", take would gather into a buffer of its own.
-                    np.take(subject_rows[r0:r1], corpus.subjects[p0:p1], 1, tile, "clip")
-                    np.take(relation_rows[r0:r1], corpus.relations[p0:p1], 1, spare, "clip")
+                    np.take(subject_rows[r0:r1], subject_column[p0:p1], 1, tile, "clip")
+                    np.take(relation_rows[r0:r1], relation_column[p0:p1], 1, spare, "clip")
                     tile += spare
-                    np.take(object_rows[r0:r1], corpus.objects[p0:p1], 1, spare, "clip")
+                    np.take(object_rows[r0:r1], object_column[p0:p1], 1, spare, "clip")
                     tile += spare
                     tile, spare = tile.view(np.int64), spare.view(np.int64)
                     np.maximum.reduceat(tile, starts, 1, out=doc_bits[lo + r0:lo + r1, d0:d1])
@@ -483,20 +518,38 @@ class RetrievalEngine:
         weights = self.config.weights
         denominator = bound_weight(pattern, weights)
         index = self._index_for(corpus)
-        numerator = 0.0
-        for name, weight, vocab, column in (
-            (pattern.subject, weights.ws, index.concept_vocab, corpus.subjects),
-            (pattern.relation, weights.wr, index.relation_vocab, corpus.relations),
-            (pattern.object, weights.wo, index.concept_vocab, corpus.objects),
-        ):
-            if name is not None:
-                sims = vocab.similarity_rows([name])[0]
-                numerator = numerator + np.take(weight * sims, column)
+        # The bound slots' rows come first, so that their transient joins of
+        # holders are not built on top of the arrays below.
+        subject_column, relation_column, object_column = corpus._slots
+        rows = [
+            (vocab.similarity_rows([name])[0], weight, column)
+            for name, weight, vocab, column in (
+                (pattern.subject, weights.ws, index.concept_vocab, subject_column),
+                (pattern.relation, weights.wr, index.relation_vocab, relation_column),
+                (pattern.object, weights.wo, index.concept_vocab, object_column),
+            )
+            if name is not None
+        ]
+        # Each position's weighted slot similarities, summed from 0.0 in
+        # subject, relation, object order, in place: every fresh array an
+        # operation allocates adds to what the allocator may hand back to
+        # the system when it is freed, and fault in again on the next call.
+        numerator = np.zeros(len(corpus.subjects))
+        gathered = np.empty(len(numerator))
+        for sims, weight, column in rows:
+            sims *= weight
+            # The codes are in range, so "clip" changes nothing; with
+            # "raise", take would gather into a buffer of its own.
+            np.take(sims, column, out=gathered, mode="clip")
+            numerator += gathered
+        del rows, gathered
+        numerator /= denominator
         # Every code from 0 to the largest occurs, so every score is written;
         # equal codes have equal slot codes, so their scores are equal.
         codes = corpus.predication_codes
         scores = np.empty(int(codes.max()) + 1)
-        scores[codes] = numerator / denominator
+        scores[codes] = numerator
+        del numerator
         kept = _select(scores, scores, top_k)
         top, top_scores = _ranked(kept, scores[kept], top_k)
         chosen = np.zeros(len(scores), dtype=bool)

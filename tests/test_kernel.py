@@ -548,6 +548,66 @@ class TestSimilarityRows:
             self._check(rng, *random_cyclic_graph(rng))
 
 
+class TestSetsById:
+    """The index's sets by id serve seeded calls only: ad-hoc queries and
+    ``find`` walk their names, a seed's first call builds the sets once,
+    and an interned name that is not a node still scores 1.0 against
+    itself."""
+
+    def test_built_by_the_first_seed_only(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        engine, corpus, concepts, relations = _random_case(rng)
+        engine.query_documents(corpus, _random_query(rng, concepts, relations), 3)
+        engine.related_predications(corpus, PredicationPattern(concepts[0], None, None), 3)
+        index = engine._index
+        vocabs = index.concept_vocab, index.relation_vocab
+        assert [vocab._id_sets for vocab in vocabs] == [None, None]
+        builds = []
+        take = retrieval._Vocabulary.id_sets.fget
+
+        def counted(vocab):
+            if vocab._id_sets is None:
+                builds.append(vocab)
+            return take(vocab)
+
+        monkeypatch.setattr(retrieval._Vocabulary, "id_sets", property(counted))
+        seed = corpus.doc_ids()[0]
+        first = engine.related_documents(corpus, seed, 5)
+        assert builds == list(vocabs)
+        built = [vocab._id_sets for vocab in vocabs]
+        for other in corpus.doc_ids():
+            engine.related_documents(corpus, other, 5)
+        engine.query_documents(corpus, corpus[seed], 5)
+        assert builds == list(vocabs)
+        assert all(vocab._id_sets is sets for vocab, sets in zip(vocabs, built))
+        assert engine.related_documents(corpus, seed, 5) == first
+        # Each id's row, read from the sets by id, equals its name's row,
+        # walked; both equal Hierarchy.similarity (TestSimilarityRows).
+        for vocab in vocabs:
+            by_id = vocab.similarity_rows(list(range(len(vocab.names))))
+            by_name = vocab.similarity_rows(list(vocab.names))
+            assert by_id.tolist() == by_name.tolist()
+            sets = [vocab.hierarchy._node_sets([name])[0] or frozenset() for name in vocab.names]
+            nodes, starts = vocab.id_sets
+            assert [set(nodes[starts[i]:starts[i + 1]].tolist()) for i in range(len(sets))] == sets
+
+    def test_identifier_outside_the_hierarchy_scores_one_against_itself(self):
+        corpus = Corpus([("d1", "ghost", "R0", "C1"), ("d2", "C1", "R0", "C"), ("d3", "C", "R0", "C")])
+        engine = RetrievalEngine(Hierarchy([("C1", "C")]), Hierarchy([("R0", "R")]))
+        vocab = retrieval._Index(corpus, engine.concepts, engine.relations).concept_vocab
+        ghost = vocab.names.index("ghost")
+        assert vocab.strays == {"ghost": ghost}
+        row = vocab.similarity_rows(["ghost"])[0].tolist()
+        assert row[ghost] == 1.0 and sum(row) == 1.0
+        found = engine.related_predications(corpus, PredicationPattern("ghost", None, None), 1)
+        assert [(format_predication(r.predication), r.score) for r in found] == [
+            ("ghost|R0|C1", 1.0)
+        ]
+        query = PredicationSet.from_iterable([Predication("ghost", "R0", "C1")])
+        ranked = engine.query_documents(corpus, query, 1)
+        assert [(r.doc_id, r.score) for r in ranked] == [("d1", 1.0)]
+
+
 class TestIndexSets:
     """``_Vocabulary``'s ancestor sets, stored by id and inverted per node,
     against a reference built one name at a time from
@@ -566,12 +626,13 @@ class TestIndexSets:
         assert vocab.holders.tolist() == [i for ids in held for i in ids]
         ends = np.cumsum([len(ids) for ids in held]).tolist()
         assert vocab.holder_offsets == array("q", [0, *ends])
-        assert np.diff(vocab.set_offsets).tolist() == [len(nodes) for nodes in sets]
-        assert type(vocab.set_offsets) is array and vocab.set_offsets.typecode == "q"
-        assert vocab.holders.dtype == vocab.set_nodes.dtype == np.int32
-        starts = vocab.set_offsets
+        set_nodes, set_offsets = vocab.id_sets
+        assert np.diff(set_offsets).tolist() == [len(nodes) for nodes in sets]
+        assert type(set_offsets) is array and set_offsets.typecode == "q"
+        assert vocab.holders.dtype == set_nodes.dtype == np.int32
+        starts = set_offsets
         for i, nodes in enumerate(sets):
-            own = vocab.set_nodes[starts[i]:starts[i + 1]].tolist()
+            own = set_nodes[starts[i]:starts[i + 1]].tolist()
             assert len(own) == len(nodes) and set(own) == nodes
 
     @staticmethod
@@ -699,12 +760,13 @@ class TestIndexSets:
         vocab = retrieval._Vocabulary(hierarchy, names)
         # Ids and nodes fit in int32 on both sides of the boundary, so the
         # decoded arrays are int32 whatever the width of the keys.
-        assert vocab.holders.dtype == vocab.set_nodes.dtype == np.int32
+        set_nodes, set_offsets = vocab.id_sets
+        assert vocab.holders.dtype == set_nodes.dtype == np.int32
         assert len(vocab.holder_offsets) == len(hierarchy) + 1
         assert vocab.holders.tolist() == [k % width for k in expected]
-        assert np.diff(vocab.set_offsets).tolist() == [2] * leaves + [0] * outside
+        assert np.diff(set_offsets).tolist() == [2] * leaves + [0] * outside
         nodes = [sorted(nodes) for nodes in sets[:leaves]]
-        assert vocab.set_nodes.tolist() == [n for own in nodes for n in own]
+        assert set_nodes.tolist() == [n for own in nodes for n in own]
 
     def test_key_width_follows_the_number_of_keys(self):
         # numpy 2 keeps int32_array * python_int in int32 and wraps on
@@ -739,24 +801,26 @@ class TestIndexSets:
 
     def test_build_allocates_few_bytes_per_pair(self):
         # The traced allocation peak of an index build, per (node, id)
-        # pair: about 17 bytes with int32 keys decoded to int32 arrays.
-        # Decoded to intp arrays with their offsets listed as Python ints,
-        # the peak was about 27; with int64 keys, about 31; and with int64
-        # keys decoded through full-size copies and merged by a final
-        # stable sort, about 39.
+        # pair: about 14 bytes with int32 keys decoded to int32 holders and
+        # no sets by id.  With the sets by id built beside them it was about
+        # 17; decoded to intp arrays with their offsets listed as Python
+        # ints, about 27; with int64 keys, about 31; and with int64 keys
+        # decoded through full-size copies and merged by a final stable
+        # sort, about 39.
         vocab, peak, _ = self._traced_build()
         pairs = len(vocab.holders)
-        assert peak < 22 * pairs, (peak, pairs)
+        assert peak < 17 * pairs, (peak, pairs)
 
     def test_index_holds_few_bytes_per_pair(self):
-        # What the built index holds, per (node, id) pair: about 13 bytes,
-        # 8 of them the pairs' ids and nodes at int32, the rest the offsets
-        # in array('q') form, the set sizes and the name table.  With the
-        # pairs decoded to intp and the offsets listed as Python ints, it
-        # held about 25.
+        # What the built index holds before any seed, per (node, id) pair:
+        # about 5.7 bytes, 4 of them the holders at int32, the rest the
+        # offsets in array('q') form, the set sizes and the name table.
+        # With the sets by id built at once it held about 13, and with the
+        # pairs decoded to intp and the offsets listed as Python ints, 25.
         vocab, _, held = self._traced_build()
         pairs = len(vocab.holders)
-        assert held < 16 * pairs, (held, pairs)
+        assert vocab._id_sets is None
+        assert held < 7 * pairs, (held, pairs)
 
     def test_deep_chain_visits_at_most_one_height(self, monkeypatch):
         # The pass deduplicates the keys of each height it visits with one
@@ -989,3 +1053,56 @@ class TestFindAtScale:
         patterns = [PredicationPattern("c12", "r3", None), unknown]
         scores = _check_find(engine, corpus, patterns, (1, 10, 50, distinct + 1))
         assert set(scores.values()) == {0.0}
+
+    def test_copies_fill_the_best_positions(self):
+        # One predication, held by 120 documents, fills the best positions,
+        # and two more fill the next 90: the k best positions hold fewer
+        # than k distinct predications, and each ranked predication lists
+        # every document that holds it.
+        rng = np.random.default_rng(24)
+        (concepts, relations), corpus = _large_corpus(rng)
+        records = [(d, p.subject, p.relation, p.object) for d in corpus.doc_ids() for p in corpus[d]]
+        docs = corpus.doc_ids()
+        for copies, obj in ((120, "c07"), (60, "c08"), (30, "c09")):
+            picked = rng.choice(len(docs), copies, replace=False).tolist()
+            records += [(docs[j], "c20", "r2", obj) for j in picked]
+        corpus = Corpus(records)
+        engine = RetrievalEngine(concepts, relations)
+        exact = PredicationPattern("c20", "r2", "c07")
+        found = engine.related_predications(corpus, exact, 1)
+        assert found[0].score == 1.0 and len(found[0].documents) >= 120
+        assert engine.related_predications(corpus, exact, 2)[1].score < 1.0
+        distinct = len({p for d in corpus.doc_ids() for p in corpus[d]})
+        patterns = [exact, PredicationPattern(None, "r2", "c08"), PredicationPattern("c20", None, None)]
+        _check_find(engine, corpus, patterns, (1, 2, 3, 5, 10, 50, distinct, distinct + 1))
+
+    def test_find_allocates_about_two_position_arrays(self):
+        # A steady find holds one float64 per corpus position for the sums
+        # and one for each slot's gathered similarities, then one per
+        # distinct predication for the scores: about 2.0 position arrays
+        # here, with 60,000 positions and under 10,000 distinct
+        # predications.  A fresh array per summing step, and a take that
+        # copied the read-only code column it gathers by, peaked at about
+        # 3.0 for three bound slots.
+        rng = np.random.default_rng(25)
+        (concepts, relations), _ = _large_corpus(rng, records=10)
+        n = 60_000
+        columns = (rng.integers(0, 40, n), rng.integers(0, 6, n), rng.integers(0, 40, n),
+                   rng.integers(0, 20_000, n))
+        corpus = Corpus(
+            (f"d{d:05d}", f"c{s:02d}", f"r{r}", f"c{o:02d}")
+            for s, r, o, d in zip(*(column.tolist() for column in columns))
+        )
+        engine = RetrievalEngine(concepts, relations)
+        positions = len(corpus.subjects)
+        for pattern in (PredicationPattern("c03", "r1", "c07"), PredicationPattern(None, None, "c11")):
+            expected = engine.related_predications(corpus, pattern, 10)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                found = engine.related_predications(corpus, pattern, 10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert found == expected
+            assert peak - start < 2.4 * 8 * positions, (peak - start, positions)

@@ -238,10 +238,11 @@ class TestDeterminismAndTransparency:
         for seed in small_corpus:
             assert engine.related_documents(small_corpus, seed, 10) == expected[seed]
         assert calls == []
-        # only a name outside the corpus tables is walked
+        # an ad-hoc query's names are walked, in one call per vocabulary,
+        # whether or not the corpus tables hold them
         query = PredicationSet.from_iterable([Predication("Z", "TREATS", "OA")])
         engine.query_documents(small_corpus, query, 10)
-        assert calls == [["Z"]]
+        assert calls == [["Z", "OA"], ["TREATS"]]
 
 
 class TestOracleEquivalence:
