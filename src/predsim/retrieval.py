@@ -31,34 +31,25 @@ sets the index also holds by id, in the same 4 bytes a pair, built on
 the first seeded call and kept from then on.  The engine keeps the index
 of the last corpus it saw only.
 A seed document's query rows come straight from the corpus columns.
-``find`` scores every corpus position from the columns too, and
-scatters the scores onto the corpus's predication codes, which number
-the distinct predications in literal order: equal codes are equal
-predications, so they get equal scores.  Only its top-k codes are looked
-up again, by one mask over the codes, which gives their positions and so
-their documents; the corpus builds :class:`Predication` objects for them
-alone.  It builds the bound slots' rows first, then sums their gathered,
-weighted similarities into one zeroed position array, in place.  The
-engine holds nothing for ``find`` beyond the index.
 
 A query is scored in member chunks.  For each chunk, every distinct
 subject, relation and object key of its members becomes one row of
 Jaccard scores against every interned id, counting shared ancestors from
 the holder lists of the key's own ancestors only.  A seed document's keys
 are its corpus codes; an ad-hoc query's are names.  A chunk's rows hold
-at most ``BLOCK_ELEMENTS`` elements, or one member's.  The weighted slot
+at most ``TILE_ELEMENTS`` elements, or one member's.  The weighted slot
 sums of the chunk's members against the corpus are then gathered in
-tiles.  A tile holds a few members' rows of a run of whole documents: at
-most ``TILE_ELEMENTS`` elements, or one member's row of one document
-that is larger.  Each tile is gathered into two buffers reused across
-tiles, by the corpus's writeable slot columns, ``Corpus._slots``: numpy's
-``take`` copies an index array that it may not write to, on every call.
-Each tile is reduced at once to each member's best match in each of its
-documents and to each corpus predication's best match so far.  These
-maxima compare the int64 bit patterns of the weighted slot sums, which is
-faster than comparing the doubles and gives the same maxima: no sum has
-its sign bit set, not even as -0.0, and doubles with a clear sign bit
-order as their bit patterns do.
+tiles, by ``_tiles``.  A tile holds a few members' rows of a run of whole
+documents: at most ``TILE_ELEMENTS`` elements, or one member's row of one
+document that is larger.  Each tile is gathered into two buffers reused
+across tiles, by the corpus's writeable slot columns, ``Corpus._slots``:
+numpy's ``take`` copies an index array that it may not write to, on every
+call.  Each tile is reduced at once to each member's best match in each
+of its documents and to each corpus predication's best match so far.
+These maxima compare the int64 bit patterns of the weighted slot sums,
+which is faster than comparing the doubles and gives the same maxima: no
+sum has its sign bit set, not even as -0.0, and doubles with a clear sign
+bit order as their bit patterns do.
 
 So the memory a query uses for a while and frees is bounded by a chunk's
 rows and two tiles, whatever the sizes of the query and the corpus.  The
@@ -66,6 +57,21 @@ terms a query holds until it is ranked are not: one per corpus
 predication, and ``best_in_doc``, one per query member and document,
 which grows with the product of the two.  Each chunk's rows of it are
 thresholded in place once complete, so no mask of its size is made.
+
+``find`` scores a pattern as a query of one member whose wildcard slots
+are left out: its bound subject and object get their rows in one call,
+and ``_tiles`` sums only the bound slots, in the same order as the scalar
+``pattern_similarity`` (which starts from 0.0: ``0.0 + x`` is ``x`` for
+every ``x`` but -0.0, and a -0.0 partial sum is always followed by the
+term of a slot of positive weight).  Each one-row tile is divided by the
+bound weight in place and scattered onto the corpus's predication codes
+at its positions.  The codes number the distinct predications in literal
+order: equal codes are equal predications, so they get equal scores.
+Only its top-k codes are looked up again, by one mask over the codes,
+which gives their positions and so their documents; the corpus builds
+:class:`Predication` objects for them alone.  So ``find`` allocates a
+score per code and two tiles, and no array per corpus position beyond
+that mask; the engine holds nothing for it beyond the index.
 
 Only the documents that can still rank among the top ``n`` get an exact
 score.  Each document's naive numpy sum of its terms, widened by the
@@ -91,7 +97,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +110,11 @@ from .errors import EmptySetError, UnknownDocumentError
 from .ontology import Hierarchy
 from .predication import Predication, PredicationPattern, PredicationSet, bound_weight
 
-# Upper bound on the float64 elements of one member chunk's Jaccard rows
-# (a subject, a relation and an object row per member); a chunk holds at
-# least one member.
-BLOCK_ELEMENTS = 1 << 20
 # Upper bound on the float64 elements of one query-by-corpus tile, unless
 # a single document holds more positions: such a tile is one member's row
-# of that document.  Chosen by measurement (BENCH_tiled_kernel.json).
+# of that document.  Chosen by measurement (BENCH_tiled_kernel.json).  It
+# also bounds a member chunk's Jaccard rows (a subject, a relation and an
+# object row per member), unless they are one member's.
 TILE_ELEMENTS = 1 << 16
 
 
@@ -316,6 +320,40 @@ def _runs(offsets: np.ndarray, members: int) -> list[tuple[int, int, int, int, i
     return runs
 
 
+def _tiles(
+    runs: list[tuple[int, int, int, int, int]], slots: list[tuple[np.ndarray, np.ndarray]]
+) -> Iterator[tuple[tuple[int, int, int, int, int], int, np.ndarray, np.ndarray]]:
+    """Yield the weighted slot sums of query members against the corpus a
+    tile at a time, in the order of ``runs``, as ``(run, r0, tile,
+    spare)``: ``tile[j, i]`` is member ``r0 + j``'s sum at corpus position
+    ``p0 + i`` of ``run = (d0, d1, p0, p1, rows)``.
+
+    ``slots`` are the (weighted rows, corpus slot column) pairs of the
+    slots summed, in subject, relation, object order; row ``j`` of each is
+    member ``j``'s.  Every tile is gathered in the same two buffers, each
+    as large as the runs' largest tile, and ``spare``, a view of the second
+    of the tile's shape, is free for the caller until the next tile.
+    """
+    size = max(rows * (p1 - p0) for _, _, p0, p1, rows in runs)
+    tile_buffer, spare_buffer = np.empty(size), np.empty(size)
+    (first, first_column), *rest = slots
+    members = len(first)
+    for run in runs:
+        _, _, p0, p1, rows = run
+        width = p1 - p0
+        for r0 in range(0, members, rows):
+            r1 = min(r0 + rows, members)
+            tile = tile_buffer[:(r1 - r0) * width].reshape(r1 - r0, width)
+            spare = spare_buffer[:(r1 - r0) * width].reshape(r1 - r0, width)
+            # The codes are in range, so "clip" changes nothing; with
+            # "raise", take would gather into a buffer of its own.
+            np.take(first[r0:r1], first_column[p0:p1], 1, tile, "clip")
+            for sims, column in rest:
+                np.take(sims[r0:r1], column[p0:p1], 1, spare, "clip")
+                tile += spare
+            yield run, r0, tile, spare
+
+
 def _threshold(terms: np.ndarray, total: float, tau: float) -> None:
     """Turn weighted slot sums into terms in place: divide them by the
     weight total, then zero those below the pair threshold ``tau``.
@@ -391,6 +429,28 @@ class RetrievalEngine:
             index = self._index = _Index(corpus, self.concepts, self.relations)
         return index
 
+    def _weighted_slots(
+        self, index: _Index, subjects: list, relations: list, objects: list
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The (weighted Jaccard rows, corpus slot column) pairs of the
+        slots that have keys (corpus codes or names), in subject, relation,
+        object order, for ``_tiles``: a row per key.  The subject and object
+        keys get their rows in one call, so names are walked once."""
+        weights = self.config.weights
+        concept_rows = index.concept_vocab.similarity_rows(subjects + objects)
+        rows = (
+            concept_rows[:len(subjects)],
+            index.relation_vocab.similarity_rows(relations),
+            concept_rows[len(subjects):],
+        )
+        slots = []
+        weighted = weights.ws, weights.wr, weights.wo
+        for sims, weight, column in zip(rows, weighted, index.corpus._slots):
+            if len(sims):
+                sims *= weight
+                slots.append((sims, column))
+        return slots
+
     def _document_terms(
         self, index: _Index, subjects: list, relations: list, objects: list
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -399,23 +459,14 @@ class RetrievalEngine:
         thresholded: one per corpus predication, and one per query member
         and document (rows follow the query's members)."""
         corpus = index.corpus
-        concept_vocab, relation_vocab = index.concept_vocab, index.relation_vocab
         weights = self.config.weights
         n, offsets = len(subjects), corpus.doc_offsets
-        per_member = 2 * len(concept_vocab.names) + len(relation_vocab.names)
-        chunk = min(n, max(1, BLOCK_ELEMENTS // per_member))
+        per_member = 2 * len(index.concept_vocab.names) + len(index.relation_vocab.names)
+        chunk = min(n, max(1, TILE_ELEMENTS // per_member))
         runs = _runs(offsets, chunk)
-        subject_column, relation_column, object_column = corpus._slots
         for lo in range(0, n, chunk):
             hi = lo + chunk
-            # Each member's slot similarities, weighted in place.
-            concept_rows = concept_vocab.similarity_rows(subjects[lo:hi] + objects[lo:hi])
-            members = len(concept_rows) // 2
-            subject_rows, object_rows = concept_rows[:members], concept_rows[members:]
-            subject_rows *= weights.ws
-            object_rows *= weights.wo
-            relation_rows = relation_vocab.similarity_rows(relations[lo:hi])
-            relation_rows *= weights.wr
+            slots = self._weighted_slots(index, subjects[lo:hi], relations[lo:hi], objects[lo:hi])
             if lo == 0:
                 # Allocated once the first chunk's rows exist, so that a
                 # seed's first rows, which build the index's sets by id,
@@ -433,30 +484,16 @@ class RetrievalEngine:
                 best_in_doc = np.empty((n, len(corpus)))
                 best_of_pred = np.zeros(len(corpus.subjects))
                 doc_bits, pred_bits = best_in_doc.view(np.int64), best_of_pred.view(np.int64)
-                size = max(rows * (p1 - p0) for _, _, p0, p1, rows in runs)
-                tile_buffer, spare_buffer = np.empty(size), np.empty(size)
-            for d0, d1, p0, p1, rows in runs:
-                width = p1 - p0
-                starts = offsets[d0:d1] - p0
-                best = pred_bits[p0:p1]
-                for r0 in range(0, members, rows):
-                    r1 = min(r0 + rows, members)
-                    tile = tile_buffer[:(r1 - r0) * width].reshape(r1 - r0, width)
-                    spare = spare_buffer[:(r1 - r0) * width].reshape(r1 - r0, width)
-                    # The codes are in range, so "clip" changes nothing; with
-                    # "raise", take would gather into a buffer of its own.
-                    np.take(subject_rows[r0:r1], subject_column[p0:p1], 1, tile, "clip")
-                    np.take(relation_rows[r0:r1], relation_column[p0:p1], 1, spare, "clip")
-                    tile += spare
-                    np.take(object_rows[r0:r1], object_column[p0:p1], 1, spare, "clip")
-                    tile += spare
-                    tile, spare = tile.view(np.int64), spare.view(np.int64)
-                    np.maximum.reduceat(tile, starts, 1, out=doc_bits[lo + r0:lo + r1, d0:d1])
-                    np.maximum(best, tile.max(axis=0, out=spare[0]), out=best)
+            for (d0, d1, p0, p1, _), r0, tile, spare in _tiles(runs, slots):
+                tile, best = tile.view(np.int64), pred_bits[p0:p1]
+                in_doc = doc_bits[lo + r0:lo + r0 + len(tile), d0:d1]
+                np.maximum.reduceat(tile, offsets[d0:d1] - p0, 1, out=in_doc)
+                np.maximum(best, tile.max(axis=0, out=spare[0].view(np.int64)), out=best)
             # The chunk's rows of best_in_doc are complete.
             _threshold(best_in_doc[lo:hi], weights.total, self.config.pair_threshold)
-            # Free the chunk's Jaccard rows before the next chunk's are built.
-            del concept_rows, subject_rows, object_rows, relation_rows
+            # Free the chunk's Jaccard rows and tiles (the loop's views keep
+            # them) before the next chunk's are built.
+            del slots, tile, spare
         _threshold(best_of_pred, weights.total, self.config.pair_threshold)
         return best_of_pred, best_in_doc
 
@@ -520,36 +557,18 @@ class RetrievalEngine:
         index = self._index_for(corpus)
         # The bound slots' rows come first, so that their transient joins of
         # holders are not built on top of the arrays below.
-        subject_column, relation_column, object_column = corpus._slots
-        rows = [
-            (vocab.similarity_rows([name])[0], weight, column)
-            for name, weight, vocab, column in (
-                (pattern.subject, weights.ws, index.concept_vocab, subject_column),
-                (pattern.relation, weights.wr, index.relation_vocab, relation_column),
-                (pattern.object, weights.wo, index.concept_vocab, object_column),
-            )
-            if name is not None
-        ]
-        # Each position's weighted slot similarities, summed from 0.0 in
-        # subject, relation, object order, in place: every fresh array an
-        # operation allocates adds to what the allocator may hand back to
-        # the system when it is freed, and fault in again on the next call.
-        numerator = np.zeros(len(corpus.subjects))
-        gathered = np.empty(len(numerator))
-        for sims, weight, column in rows:
-            sims *= weight
-            # The codes are in range, so "clip" changes nothing; with
-            # "raise", take would gather into a buffer of its own.
-            np.take(sims, column, out=gathered, mode="clip")
-            numerator += gathered
-        del rows, gathered
-        numerator /= denominator
+        names = pattern.subject, pattern.relation, pattern.object
+        slots = self._weighted_slots(index, *([] if name is None else [name] for name in names))
         # Every code from 0 to the largest occurs, so every score is written;
         # equal codes have equal slot codes, so their scores are equal.
         codes = corpus.predication_codes
         scores = np.empty(int(codes.max()) + 1)
-        scores[codes] = numerator
-        del numerator
+        for (_, _, p0, p1, _), _, tile, spare in _tiles(_runs(corpus.doc_offsets, 1), slots):
+            tile /= denominator
+            scores[codes[p0:p1]] = tile[0]
+        # Free the rows and tiles (the loop's views keep them) before the
+        # selection's arrays are built.
+        del slots, tile, spare
         kept = _select(scores, scores, top_k)
         top, top_scores = _ranked(kept, scores[kept], top_k)
         chosen = np.zeros(len(scores), dtype=bool)

@@ -337,6 +337,42 @@ class TestBoundedMemory:
                 tracemalloc.stop()
             assert peak < bound, (members, peak, bound)
 
+    def test_chunk_rows_stay_within_a_tile(self, monkeypatch):
+        # A member chunk's Jaccard rows, a subject, a relation and an object
+        # row per member, hold at most a tile's elements unless they are one
+        # member's, and the chunks leave every score as it was.
+        rng = np.random.default_rng(21)
+        (concepts, relations), corpus = _large_corpus(rng)
+        big = [p for d in corpus.doc_ids()[:40] for p in corpus[d]]
+        records = [(d, p.subject, p.relation, p.object) for d in corpus.doc_ids() for p in corpus[d]]
+        corpus = Corpus(records + [("dbig", p.subject, p.relation, p.object) for p in big])
+        query = PredicationSet.from_iterable(big)
+        engine = RetrievalEngine(concepts, relations)
+        calls = (
+            lambda: engine.query_documents(corpus, query, 20),
+            lambda: engine.related_documents(corpus, "dbig", 20),
+        )
+        expected = [call() for call in calls]
+        monkeypatch.setattr(retrieval, "TILE_ELEMENTS", 4096)
+        rows = []
+        similarity_rows = retrieval._Vocabulary.similarity_rows
+
+        def recorded(vocab, keys):
+            found = similarity_rows(vocab, keys)
+            rows.append((vocab.hierarchy is concepts, len(keys), found.size))
+            return found
+
+        monkeypatch.setattr(retrieval._Vocabulary, "similarity_rows", recorded)
+        for call, want in zip(calls, expected):
+            rows.clear()
+            assert call() == want
+            # Each chunk takes its concept rows, then its relation rows.
+            chunks = list(zip(rows[::2], rows[1::2]))
+            assert len(chunks) > 1 and len(rows) == 2 * len(chunks)
+            assert sum(members for _, (_, members, _) in chunks) == len(query)
+            for (is_concept, keys, size), (is_relation, members, more) in chunks:
+                assert is_concept and not is_relation and keys == 2 * members
+                assert size + more <= retrieval.TILE_ELEMENTS or members == 1, (members, size + more)
 
     def test_find_holds_nothing_once_the_index_exists(self):
         # find scores from the corpus columns and the index that queries
@@ -1009,7 +1045,23 @@ class TestFindAtScale:
     """``related_predications`` over a corpus of thousands of distinct
     predications, where ``_select``'s sample holds more than ``k`` scores:
     each top ``k`` is the scalar ``pattern_similarity`` ranking, ties in
-    literal order."""
+    literal order, at every tile size."""
+
+    # Every shape of bound slots, a subject and object naming the same
+    # concept, names the hierarchies do not know, and last, a pattern that
+    # ties every predication at 0.0.
+    PATTERNS = (
+        PredicationPattern("c05", None, None),
+        PredicationPattern(None, "r1", None),
+        PredicationPattern(None, None, "c30"),
+        PredicationPattern("c12", "r3", None),
+        PredicationPattern(None, "r0", "ghost0"),
+        PredicationPattern("c16", None, "c07"),
+        PredicationPattern("c20", "r2", "c07"),
+        PredicationPattern("c05", "r4", "c05"),
+        PredicationPattern("c33", "ghostR", "c01"),
+        PredicationPattern(UNKNOWN_CONCEPT, UNKNOWN_RELATION, None),
+    )
 
     def test_every_top_k_equals_scalar_ranking(self):
         rng = np.random.default_rng(17)
@@ -1018,18 +1070,19 @@ class TestFindAtScale:
         distinct = len({p for d in corpus.doc_ids() for p in corpus[d]})
         # the sample holds more than the largest k
         assert distinct // math.isqrt(distinct) > 50
-        patterns = [
-            PredicationPattern("c05", None, None),
-            PredicationPattern(None, "r1", None),
-            PredicationPattern(None, None, "c30"),
-            PredicationPattern("c12", "r3", None),
-            PredicationPattern(None, "r0", "ghost0"),
-            PredicationPattern("c20", "r2", "c07"),
-            PredicationPattern("c33", "ghostR", "c01"),
-            PredicationPattern(UNKNOWN_CONCEPT, UNKNOWN_RELATION, None),
-        ]
-        scores = _check_find(engine, corpus, patterns, (1, 2, 10, 50))
+        scores = _check_find(engine, corpus, self.PATTERNS, (1, 2, 10, 50))
         assert set(scores.values()) == {0.0}  # the last pattern's: literal order
+
+    def test_every_kernel_size(self, monkeypatch):
+        # find gathers its scores in the ranking kernel's tiles: at every
+        # size, from one document a tile to runs that cut the corpus
+        # part-way, each ranking equals the scalar one.
+        rng = np.random.default_rng(17)
+        (concepts, relations), corpus = _large_corpus(rng)
+        engine = RetrievalEngine(concepts, relations)
+        for _ in each_kernel_size(monkeypatch):
+            assert len(retrieval._runs(corpus.doc_offsets, 1)) > 1
+            _check_find(engine, corpus, self.PATTERNS, (1, 10, 50))
 
     def test_copied_documents(self):
         # Predications held by several documents, whose document lists
@@ -1076,14 +1129,17 @@ class TestFindAtScale:
         patterns = [exact, PredicationPattern(None, "r2", "c08"), PredicationPattern("c20", None, None)]
         _check_find(engine, corpus, patterns, (1, 2, 3, 5, 10, 50, distinct, distinct + 1))
 
-    def test_find_allocates_about_two_position_arrays(self):
-        # A steady find holds one float64 per corpus position for the sums
-        # and one for each slot's gathered similarities, then one per
-        # distinct predication for the scores: about 2.0 position arrays
-        # here, with 60,000 positions and under 10,000 distinct
-        # predications.  A fresh array per summing step, and a take that
-        # copied the read-only code column it gathers by, peaked at about
-        # 3.0 for three bound slots.
+    def test_find_allocates_scores_and_tiles(self, monkeypatch):
+        # A steady find holds a float64 score per distinct predication and,
+        # beside them, first two tiles, then the selection's masks (a byte
+        # per code and one per position, for the top codes' positions),
+        # which take about as much as the tiles here: with 60,000
+        # positions, under 10,000 distinct predications and tiles of 4,096
+        # elements, about 0.31 position arrays.  Gathering each slot's
+        # similarities into one position array and summing them into
+        # another took 2.0.  At the default size one tile spans every
+        # position of this corpus, so no bound is set there.
+        monkeypatch.setattr(retrieval, "TILE_ELEMENTS", 4096)
         rng = np.random.default_rng(25)
         (concepts, relations), _ = _large_corpus(rng, records=10)
         n = 60_000
@@ -1094,7 +1150,8 @@ class TestFindAtScale:
             for s, r, o, d in zip(*(column.tolist() for column in columns))
         )
         engine = RetrievalEngine(concepts, relations)
-        positions = len(corpus.subjects)
+        codes = int(corpus.predication_codes.max()) + 1
+        bound = 1.25 * (8 * codes + 2 * 8 * retrieval.TILE_ELEMENTS)
         for pattern in (PredicationPattern("c03", "r1", "c07"), PredicationPattern(None, None, "c11")):
             expected = engine.related_predications(corpus, pattern, 10)
             tracemalloc.start()
@@ -1105,4 +1162,4 @@ class TestFindAtScale:
             finally:
                 tracemalloc.stop()
             assert found == expected
-            assert peak - start < 2.4 * 8 * positions, (peak - start, positions)
+            assert peak - start < bound, (peak - start, bound)
