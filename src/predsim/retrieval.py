@@ -41,8 +41,9 @@ at most ``TILE_ELEMENTS`` elements, or one member's.  The weighted slot
 sums of the chunk's members against the corpus are then gathered in
 tiles, by ``_tiles``.  A tile holds a few members' rows of a run of whole
 documents: at most ``TILE_ELEMENTS`` elements, or one member's row of one
-document that is larger.  Each tile is gathered into two buffers reused
-across tiles, by the corpus's writeable slot columns, ``Corpus._slots``:
+document that is larger.  Each tile is gathered into the index's two
+tile buffers, reused across tiles and calls, by the corpus's writeable
+slot columns, ``Corpus._slots``:
 numpy's ``take`` copies an index array that it may not write to, on every
 call.  Each tile is reduced at once to each member's best match in each
 of its documents and to each corpus predication's best match so far.
@@ -52,11 +53,16 @@ sum has its sign bit set, not even as -0.0, and doubles with a clear sign
 bit order as their bit patterns do.
 
 So the memory a query uses for a while and frees is bounded by a chunk's
-rows and two tiles, whatever the sizes of the query and the corpus.  The
-terms a query holds until it is ranked are not: one per corpus
-predication, and ``best_in_doc``, one per query member and document,
-which grows with the product of the two.  Each chunk's rows of it are
-thresholded in place once complete, so no mask of its size is made.
+rows, whatever the sizes of the query and the corpus.  The index holds
+the rest for every call on its corpus to reuse: the two tile buffers,
+and a float64 per corpus position, which keeps each corpus predication's
+best match.  So a steady call gathers into pages that an earlier call
+mapped.  The calls on one index hold its lock while they use these
+buffers, so concurrent calls on one engine run one at a time.
+``best_in_doc``, the terms a query holds until it is ranked, one per
+query member and document, grows with the product of the two.  Each
+chunk's rows of it are thresholded in place once complete, so no mask of
+its size is made.
 
 ``find`` scores a pattern as a query of one member whose wildcard slots
 are left out: its bound subject and object get their rows in one call,
@@ -67,11 +73,12 @@ term of a slot of positive weight).  Each one-row tile is divided by the
 bound weight in place and scattered onto the corpus's predication codes
 at its positions.  The codes number the distinct predications in literal
 order: equal codes are equal predications, so they get equal scores.
-Only its top-k codes are looked up again, by one mask over the codes,
-which gives their positions and so their documents; the corpus builds
-:class:`Predication` objects for them alone.  So ``find`` allocates a
-score per code and two tiles, and no array per corpus position beyond
-that mask; the engine holds nothing for it beyond the index.
+The scores are kept in the first elements of the index's position
+buffer, one per code.  Only its top-k codes are looked up again, by one
+mask over the codes, which gives their positions and so their documents;
+the corpus builds :class:`Predication` objects for them alone.  So
+``find`` allocates no float64 array per code or position, nor tiles,
+and the engine holds nothing for it beyond the index.
 
 Only the documents that can still rank among the top ``n`` get an exact
 score.  Each document's naive numpy sum of its terms, widened by the
@@ -96,6 +103,7 @@ pipe-delimited literal (ascending).
 from __future__ import annotations
 
 import math
+import threading
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -261,12 +269,33 @@ class _Vocabulary:
 
 
 class _Index:
-    """One corpus's interned identifiers against the engine's hierarchies."""
+    """One corpus's interned identifiers against the engine's hierarchies,
+    and the buffers that every scoring call on the corpus reuses.
+
+    ``positions`` holds a float64 per corpus position: ``_document_terms``
+    zeroes it and keeps each corpus predication's best match there, and
+    ``related_predications`` keeps a score per predication code in its
+    first elements.  ``tile_buffers`` gives ``_tiles`` its two buffers,
+    replaced by larger ones only when a tile outgrows them.  So a steady
+    call gathers into pages that an earlier call mapped, and the index
+    holds O(P + ``TILE_ELEMENTS``) float64 more, P being the corpus
+    positions, until it is freed.  ``lock`` serializes the calls on the
+    index: each holds it while it writes or reads these buffers.
+    """
 
     def __init__(self, corpus: Corpus, concepts: Hierarchy, relations: Hierarchy):
         self.corpus = corpus
         self.concept_vocab = _Vocabulary(concepts, corpus.concept_names)
         self.relation_vocab = _Vocabulary(relations, corpus.relation_names)
+        self.positions = np.empty(len(corpus.subjects))
+        self._buffers = np.empty(0), np.empty(0)
+        self.lock = threading.Lock()
+
+    def tile_buffers(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The two tile buffers, of at least ``size`` float64 each."""
+        if len(self._buffers[0]) < size:
+            self._buffers = np.empty(size), np.empty(size)
+        return self._buffers
 
 
 def _select(lo: np.ndarray, hi: np.ndarray, top: int) -> np.ndarray:
@@ -321,7 +350,9 @@ def _runs(offsets: np.ndarray, members: int) -> list[tuple[int, int, int, int, i
 
 
 def _tiles(
-    runs: list[tuple[int, int, int, int, int]], slots: list[tuple[np.ndarray, np.ndarray]]
+    index: _Index,
+    runs: list[tuple[int, int, int, int, int]],
+    slots: list[tuple[np.ndarray, np.ndarray]],
 ) -> Iterator[tuple[tuple[int, int, int, int, int], int, np.ndarray, np.ndarray]]:
     """Yield the weighted slot sums of query members against the corpus a
     tile at a time, in the order of ``runs``, as ``(run, r0, tile,
@@ -330,12 +361,13 @@ def _tiles(
 
     ``slots`` are the (weighted rows, corpus slot column) pairs of the
     slots summed, in subject, relation, object order; row ``j`` of each is
-    member ``j``'s.  Every tile is gathered in the same two buffers, each
-    as large as the runs' largest tile, and ``spare``, a view of the second
-    of the tile's shape, is free for the caller until the next tile.
+    member ``j``'s.  Every tile is gathered in the two tile buffers that
+    ``index`` holds, at least as large as the runs' largest tile, and
+    ``spare``, a view of the second of the tile's shape, is free for the
+    caller until the next tile.  The caller holds ``index.lock``.
     """
     size = max(rows * (p1 - p0) for _, _, p0, p1, rows in runs)
-    tile_buffer, spare_buffer = np.empty(size), np.empty(size)
+    tile_buffer, spare_buffer = index.tile_buffers(size)
     (first, first_column), *rest = slots
     members = len(first)
     for run in runs:
@@ -456,8 +488,10 @@ class RetrievalEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The best-match terms of every document against the query whose
         members have the given slot keys (corpus codes or names),
-        thresholded: one per corpus predication, and one per query member
-        and document (rows follow the query's members)."""
+        thresholded: one per corpus predication, in the index's position
+        buffer, and one per query member and document (rows follow the
+        query's members).  The caller holds ``index.lock`` until it has
+        read the first."""
         corpus = index.corpus
         weights = self.config.weights
         n, offsets = len(subjects), corpus.doc_offsets
@@ -480,20 +514,21 @@ class RetrievalEngine:
                 # finite doubles with a clear sign bit as their values do.
                 # Every sum has one: one weight is positive, so one of its
                 # addends is +0.0 or more, and such a sum is never -0.0; and
-                # best_of_pred starts at +0.0, whose bit pattern is 0.
+                # best_of_pred starts at +0.0, whose bit pattern is 0: it is
+                # the index's position buffer, zeroed here on every call.
                 best_in_doc = np.empty((n, len(corpus)))
-                best_of_pred = np.zeros(len(corpus.subjects))
+                best_of_pred = index.positions
+                best_of_pred.fill(0.0)
                 doc_bits, pred_bits = best_in_doc.view(np.int64), best_of_pred.view(np.int64)
-            for (d0, d1, p0, p1, _), r0, tile, spare in _tiles(runs, slots):
+            for (d0, d1, p0, p1, _), r0, tile, spare in _tiles(index, runs, slots):
                 tile, best = tile.view(np.int64), pred_bits[p0:p1]
                 in_doc = doc_bits[lo + r0:lo + r0 + len(tile), d0:d1]
                 np.maximum.reduceat(tile, offsets[d0:d1] - p0, 1, out=in_doc)
                 np.maximum(best, tile.max(axis=0, out=spare[0].view(np.int64)), out=best)
             # The chunk's rows of best_in_doc are complete.
             _threshold(best_in_doc[lo:hi], weights.total, self.config.pair_threshold)
-            # Free the chunk's Jaccard rows and tiles (the loop's views keep
-            # them) before the next chunk's are built.
-            del slots, tile, spare
+            # Free the chunk's Jaccard rows before the next chunk's are built.
+            del slots
         _threshold(best_of_pred, weights.total, self.config.pair_threshold)
         return best_of_pred, best_in_doc
 
@@ -506,8 +541,9 @@ class RetrievalEngine:
         relation and object keys (corpus codes or names), as (id, score)
         pairs, best first."""
         index = self._index_for(corpus)
-        pred_terms, query_terms = self._document_terms(index, *query)
-        top, scores = _top_documents(pred_terms, query_terms, corpus.doc_offsets, top_n)
+        with index.lock:
+            pred_terms, query_terms = self._document_terms(index, *query)
+            top, scores = _top_documents(pred_terms, query_terms, corpus.doc_offsets, top_n)
         doc_ids = corpus.doc_ids()
         return [(doc_ids[d], score) for d, score in zip(top, scores)]
 
@@ -555,22 +591,23 @@ class RetrievalEngine:
         weights = self.config.weights
         denominator = bound_weight(pattern, weights)
         index = self._index_for(corpus)
-        # The bound slots' rows come first, so that their transient joins of
-        # holders are not built on top of the arrays below.
         names = pattern.subject, pattern.relation, pattern.object
-        slots = self._weighted_slots(index, *([] if name is None else [name] for name in names))
-        # Every code from 0 to the largest occurs, so every score is written;
-        # equal codes have equal slot codes, so their scores are equal.
         codes = corpus.predication_codes
-        scores = np.empty(int(codes.max()) + 1)
-        for (_, _, p0, p1, _), _, tile, spare in _tiles(_runs(corpus.doc_offsets, 1), slots):
-            tile /= denominator
-            scores[codes[p0:p1]] = tile[0]
-        # Free the rows and tiles (the loop's views keep them) before the
-        # selection's arrays are built.
-        del slots, tile, spare
-        kept = _select(scores, scores, top_k)
-        top, top_scores = _ranked(kept, scores[kept], top_k)
+        with index.lock:
+            keys = ([] if name is None else [name] for name in names)
+            slots = self._weighted_slots(index, *keys)
+            # Every code from 0 to the largest occurs, so every score is
+            # written; equal codes have equal slot codes, so their scores are
+            # equal.  There are at most as many codes as positions.
+            scores = index.positions[:int(codes.max()) + 1]
+            runs = _runs(corpus.doc_offsets, 1)
+            for (_, _, p0, p1, _), _, tile, _ in _tiles(index, runs, slots):
+                tile /= denominator
+                scores[codes[p0:p1]] = tile[0]
+            # Free the rows before the selection's arrays are built.
+            del slots
+            kept = _select(scores, scores, top_k)
+            top, top_scores = _ranked(kept, scores[kept], top_k)
         chosen = np.zeros(len(scores), dtype=bool)
         chosen[top] = True
         # The chosen codes' positions, ascending, grouped by code: each

@@ -15,7 +15,10 @@ must not change with the sizes of the member chunks and tiles the kernel
 gathers in, and one query on a corpus far larger than a tile must
 allocate no more than the terms it keeps and a few tiles.
 ``related_predications``, which scores straight from the corpus columns,
-must keep nothing once the index exists.
+must keep nothing once the index exists.  Every call gathers into the
+position buffer and tiles that the index holds: in any order, at any
+tile size and from several threads at once, each result must equal a
+fresh engine's, and a steady call must allocate neither.
 
 Below the engine, each Jaccard row built from the inverted ancestor index
 must equal ``Hierarchy.similarity`` exactly, the index's sets, built in
@@ -28,9 +31,11 @@ must equal its first, plainer implementation, kept here as a reference.
 import functools
 import gc
 import math
+import sys
 import tracemalloc
 import warnings
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -290,29 +295,40 @@ class TestRuns:
                     assert (rows + 1) * (p1 - p0) > tile
 
 
+@functools.cache
+def _wide_case():
+    """Hierarchies over 300 concepts and 10 relations, a corpus of 2,000
+    documents of 100 predications each, three tiles wide and more, and a
+    20-member query."""
+    rng = np.random.default_rng(3)
+    concepts = [f"c{i}" for i in range(300)]
+    relations = [f"r{i}" for i in range(10)]
+    concept_edges = [(concepts[i], concepts[int(rng.integers(0, i))]) for i in range(1, 300)]
+    relation_edges = [(r, relations[0]) for r in relations[1:]]
+    docs, size = 2000, 100
+    picks = rng.integers(0, [300, 10, 300], size=(docs * size, 3)).tolist()
+    corpus = Corpus(
+        (f"d{k // size:04d}", concepts[s], relations[r], concepts[o])
+        for k, (s, r, o) in enumerate(picks)
+    )
+    query = PredicationSet.from_iterable(
+        Predication(concepts[i], relations[i % 10], concepts[-i]) for i in range(1, 21)
+    )
+    return (Hierarchy(concept_edges), Hierarchy(relation_edges)), corpus, query
+
+
 class TestBoundedMemory:
     """A query against a corpus far larger than a tile allocates the
-    arrays it must hold (a term per corpus position, one per member and
-    document, and the members' Jaccard rows), a mask per position, a few
-    arrays per document for the selection, and a few tiles: nothing as
-    large as the members times the corpus."""
+    arrays it must hold (a term per member and document, and the members'
+    Jaccard rows), a few arrays per document for the selection, and
+    nothing as large as the members times the corpus.  The index holds a
+    term per corpus position and two tiles for every call to reuse, so a
+    steady call allocates neither, and what the engine holds stays flat
+    from call to call until another corpus's index replaces them."""
 
     def test_peak_stays_within_the_tiles(self):
-        rng = np.random.default_rng(3)
-        concepts = [f"c{i}" for i in range(300)]
-        relations = [f"r{i}" for i in range(10)]
-        concept_edges = [(concepts[i], concepts[int(rng.integers(0, i))]) for i in range(1, 300)]
-        relation_edges = [(r, relations[0]) for r in relations[1:]]
-        docs, size = 2000, 100
-        picks = rng.integers(0, [300, 10, 300], size=(docs * size, 3)).tolist()
-        corpus = Corpus(
-            (f"d{k // size:04d}", concepts[s], relations[r], concepts[o])
-            for k, (s, r, o) in enumerate(picks)
-        )
-        engine = RetrievalEngine(Hierarchy(concept_edges), Hierarchy(relation_edges))
-        query = PredicationSet.from_iterable(
-            Predication(concepts[i], relations[i % 10], concepts[-i]) for i in range(1, 21)
-        )
+        (concepts, relations), corpus, query = _wide_case()
+        engine = RetrievalEngine(concepts, relations)
         engine.query_documents(corpus, query, 10)  # builds the index
         positions = len(corpus.subjects)
         assert positions > 3 * retrieval.TILE_ELEMENTS
@@ -396,6 +412,210 @@ class TestBoundedMemory:
                 assert held < 4096, held
         finally:
             tracemalloc.stop()
+
+    @staticmethod
+    def _steady_calls(engine, corpus, query):
+        """A query, a related and a find call on the wide case, each with
+        the bytes its traced peak may reach once the index holds its
+        buffers: for a query or a seed of n members, a term per member and
+        document, the members' Jaccard rows and sixteen arrays per
+        document; for find, a byte per position and per code for its
+        masks, and the pattern's rows, with a quarter more.  Neither counts
+        the float64 per corpus position or the tiles."""
+        documents = len(corpus)
+        width = 2 * len(corpus.concept_names) + len(corpus.relation_names)
+        codes = int(corpus.predication_codes.max()) + 1
+        seed = corpus.doc_ids()[7]
+        pattern = PredicationPattern("c5", "r1", None)
+        return (
+            (lambda: engine.query_documents(corpus, query, 10),
+             8 * len(query) * (documents + width) + 16 * 8 * documents),
+            (lambda: engine.related_documents(corpus, seed, 10),
+             8 * len(corpus[seed]) * (documents + width) + 16 * 8 * documents),
+            (lambda: engine.related_predications(corpus, pattern, 10),
+             1.25 * (len(corpus.subjects) + codes + 8 * width)),
+        )
+
+    def test_steady_calls_allocate_no_position_array_or_tiles(self):
+        # Once the index has served each call, the next identical call
+        # gathers into the index's buffers: a float64 per position and two
+        # tiles, here 1.6 MB and 1 MB, fall outside its peak.  Allocated
+        # per call, they put every call above its bound.
+        (concepts, relations), corpus, query = _wide_case()
+        engine = RetrievalEngine(concepts, relations)
+        calls = self._steady_calls(engine, corpus, query)
+        expected = [call() for call, _ in calls]
+        for (call, bound), want in zip(calls, expected):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                found = call()
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert found == want
+            assert peak < bound, (peak, bound)
+
+    def test_held_memory_stays_flat_over_mixed_calls(self):
+        # Thirty calls in a random order, each call having run once
+        # before: the engine holds no more after any of them than before
+        # the first, so nothing it reuses grows or is replaced.
+        (concepts, relations), corpus, query = _wide_case()
+        engine = RetrievalEngine(concepts, relations)
+        calls = [call for call, _ in self._steady_calls(engine, corpus, query)]
+        for call in calls:
+            call()
+        order = np.random.default_rng(37).integers(0, len(calls), 30).tolist()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for k in order:
+                calls[k]()
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0] - start
+                assert held < 4096, (k, held)
+        finally:
+            tracemalloc.stop()
+
+    def test_another_corpus_releases_the_index_buffers(self):
+        # A call on another corpus replaces the index, and the old index's
+        # position buffer and tiles are freed with it.
+        (concepts, relations), corpus, query = _wide_case()
+        small = Corpus([("d", "c1", "r1", "c2")])
+        engine = RetrievalEngine(concepts, relations)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            engine.query_documents(corpus, query, 10)
+            index = engine._index
+            buffers = index.positions.nbytes + 2 * index.tile_buffers(0)[0].nbytes
+            assert buffers > 8 * (len(corpus.subjects) + retrieval.TILE_ELEMENTS)
+            del index
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - start
+            engine.query_documents(small, query, 10)
+            gc.collect()
+            released = held - (tracemalloc.get_traced_memory()[0] - start)
+        finally:
+            tracemalloc.stop()
+        assert engine._index.corpus is small
+        assert released > buffers, (released, buffers)
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of the ValueError
+    it raises (a pattern whose bound slots all have zero weight)."""
+    try:
+        return call()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+class TestHeldBuffers:
+    """Every scoring call on an index gathers into the position buffer and
+    the two tiles that the index holds.  Whatever calls ran before, at
+    whatever tile size, and however many threads share the engine, each
+    result equals the one a fresh engine gives."""
+
+    @staticmethod
+    def _calls(rng, corpus, concepts, relations):
+        """Related, query and find calls on ``corpus`` with random sizes,
+        each a function of an engine."""
+        everything = len(corpus) + 1
+        distinct = len({p for d in corpus.doc_ids() for p in corpus[d]})
+
+        def size(most):
+            return int(rng.integers(1, most + 1))
+
+        calls = [
+            functools.partial(RetrievalEngine.related_documents, corpus=corpus, seed=seed,
+                              top_n=size(everything))
+            for seed in corpus.doc_ids()
+        ]
+        calls += [
+            functools.partial(RetrievalEngine.query_documents, corpus=corpus,
+                              query=_random_query(rng, concepts, relations),
+                              top_n=size(everything))
+            for _ in range(3)
+        ]
+        calls += [
+            functools.partial(RetrievalEngine.related_predications, corpus=corpus,
+                              pattern=_random_pattern(rng, concepts, relations),
+                              top_k=size(distinct + 1))
+            for _ in range(4)
+        ]
+        return calls
+
+    def test_interleaved_calls_equal_a_fresh_engine(self, monkeypatch):
+        # One engine runs each case's calls in a random order at each
+        # kernel size, smallest first, so later sizes' tiles outgrow the
+        # buffers the index already holds.  Copied documents give the
+        # corpora fewer predication codes than positions, so find reads
+        # only the first part of the position buffer that queries fill.
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            engine, corpus, concepts, relations = _random_case(rng)
+            corpus = _with_copies(rng, corpus)
+            calls = self._calls(rng, corpus, concepts, relations)
+            for _ in each_kernel_size(monkeypatch):
+                for k in rng.permutation(len(calls)).tolist():
+                    fresh = RetrievalEngine(engine.concepts, engine.relations, engine.config)
+                    assert _outcome(lambda: calls[k](engine)) == _outcome(lambda: calls[k](fresh))
+
+    def test_larger_tile_replaces_the_buffers(self, monkeypatch):
+        # Tiles of one element, then of the default size, on one index.
+        rng = np.random.default_rng(33)
+        engine, corpus, concepts, relations = _random_case(rng)
+        corpus = _with_copies(rng, corpus)
+        query = _random_query(rng, concepts, relations)
+        with monkeypatch.context() as patch:
+            patch.setattr(retrieval, "TILE_ELEMENTS", 1)
+            engine.query_documents(corpus, query, 3)
+            index = engine._index
+            small = len(index.tile_buffers(0)[0])
+        assert small == max(np.diff(corpus.doc_offsets).tolist())
+        found = engine.query_documents(corpus, query, 3)
+        assert engine._index is index
+        assert len(index.tile_buffers(0)[0]) == len(query) * len(corpus.subjects) > small
+        fresh = RetrievalEngine(engine.concepts, engine.relations, engine.config)
+        assert found == fresh.query_documents(corpus, query, 3)
+
+    def test_concurrent_calls_equal_sequential_ones(self, monkeypatch):
+        # Four threads share one engine over a corpus many tiles wide and
+        # switch as often as the interpreter lets them: every result equals
+        # the one the same call gave alone.  Without the index's lock, one
+        # thread's tiles and maxima overwrite another's.
+        monkeypatch.setattr(retrieval, "TILE_ELEMENTS", 512)
+        rng = np.random.default_rng(29)
+        (concepts, relations), corpus = _large_corpus(rng)
+        engine = RetrievalEngine(concepts, relations)
+        assert len(retrieval._runs(corpus.doc_offsets, 1)) > 4
+        docs = corpus.doc_ids()
+        calls = [
+            functools.partial(engine.related_documents, corpus, seed, 10) for seed in docs[::150]
+        ]
+        calls += [
+            functools.partial(engine.query_documents, corpus, corpus[seed], 10)
+            for seed in docs[75::200]
+        ]
+        calls += [
+            functools.partial(engine.related_predications, corpus, pattern, 10)
+            for pattern in TestFindAtScale.PATTERNS[:6]
+        ]
+        expected = [call() for call in calls]
+        orders = [rng.permutation(len(calls)).tolist() for _ in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                run = pool.map(lambda order: [(k, calls[k]()) for k in order], orders, timeout=120)
+                found = list(run)
+        finally:
+            sys.setswitchinterval(interval)
+        for results in found:
+            for k, result in results:
+                assert result == expected[k], k
 
 
 def _with_copies(rng, corpus):
