@@ -29,6 +29,7 @@ mapping from seed to ranked ids.
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -331,17 +332,20 @@ def write_predications_file(corpus: Corpus, path: str | Path) -> None:
     Documents and members are emitted in canonical order, so the output
     is deterministic and reloads to an equal corpus.  Raises ValueError,
     before writing anything, for a line that would not read back as
-    written: one that starts with a byte-order mark, or that is blank or
-    a ``#`` comment to the reader.
+    written: one that starts with a byte-order mark, that is blank or a
+    ``#`` comment to the reader, or that UTF-8 cannot encode, such as
+    one holding a lone surrogate.
     """
     doc_of = np.repeat(np.array(corpus.doc_ids(), dtype=object), np.diff(corpus.doc_offsets))
     rows = zip(doc_of.tolist(), *corpus._names_of(corpus.subjects, corpus.relations, corpus.objects))
     lines = ["\t".join(row) + "\n" for row in rows]
     for line in lines:
         head = line.lstrip()
-        if not head or head[0] == "#" or line.startswith("\ufeff"):
+        # UTF-8 encodes every code point but a surrogate; isascii is O(1).
+        unencodable = not line.isascii() and re.search("[\ud800-\udfff]", line)
+        if not head or head[0] == "#" or line.startswith("\ufeff") or unencodable:
             raise ValueError(f"line {line!r} would not read back as written")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    Path(path).write_bytes("".join(lines).encode("utf-8"))
 
 
 class GoldStandard(Mapping):

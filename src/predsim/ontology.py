@@ -1,4 +1,5 @@
-"""Identifier hierarchies and ancestor-overlap similarity.
+"""Identifier hierarchies, ancestor-overlap similarity, and the index of
+ancestor sets that ranking reads.
 
 A :class:`Hierarchy` is a directed child->parent graph over opaque string
 identifiers.  The same structure serves both concept hierarchies (subjects
@@ -19,17 +20,34 @@ Hierarchies number their nodes once, by ascending height, hold one name
 table, one flat parent store and each node's height, and nothing else
 that changes after construction.  Heights come from peeling the leaves a
 level at a time, in numpy, and a thin tail one node at a time.  Ancestor
-sets are computed over node numbers when asked for, and callers that
-reuse sets keep them (the retrieval engine's index does).  A few names
-at a time are walked one by one; the many names of an index are closed
-in one bottom-up array pass over the heights, which hands its last pairs
-to one walk as soon as they are fewer than the heights left, so a deep,
-thin hierarchy costs a walk, not a pass per height.  Since every height
-is one run of node numbers, that pass keeps its (node, name) pair keys
-in height order with plain sorts, in int32 whenever they fit.  Cycles
-are tolerated (every member of a cycle becomes an ancestor of every
-other) but reported with a warning at load time, since well-formed
-hierarchies are expected to be acyclic.
+sets are computed over node numbers when asked for, and only a
+:class:`_Vocabulary` keeps them.  A few names at a time are walked one by
+one; the many names of an index are closed in one bottom-up array pass
+over the heights, which hands its last pairs to one walk as soon as they
+are fewer than the heights left, so a deep, thin hierarchy costs a walk,
+not a pass per height.  Since every height is one run of node numbers,
+that pass keeps its (node, name) pair keys in height order with plain
+sorts, in int32 whenever they fit.  Cycles are tolerated (every member of
+a cycle becomes an ancestor of every other) but reported with a warning
+at load time, since well-formed hierarchies are expected to be acyclic.
+
+A :class:`_Vocabulary` is the index of the identifiers that a corpus
+uses from one hierarchy, interned: their self-inclusive ancestor sets,
+in the hierarchy's own node numbers, stored inverted, per ancestor node,
+as the ascending ids whose set holds the node (CSR form), beside each
+set's size.  It decodes the array pass's sorted (node, id) keys once,
+into ids of int32 whenever they fit, 4 bytes a pair, with no set object
+per identifier.  A name that is not a node holds no node there: it is
+its own set of one, equal to no node number.  From the index,
+``similarity_rows`` builds the Jaccard row of a key, an interned id or a
+name, against every interned id, counting shared ancestors from the
+holder lists of the key's own ancestors only, with the integer counts
+and the one division of :meth:`Hierarchy.similarity`, so the rows equal
+it exactly.  A call's names are walked, all at once; an id's set is read
+from the sets by id, which the index builds from its inverted sets on
+the first row keyed by an id and keeps from then on.  The retrieval
+engine keeps one per hierarchy for the last corpus it ranked, keyed by
+the corpus's codes.
 """
 
 from __future__ import annotations
@@ -236,7 +254,11 @@ class Hierarchy:
         with one :meth:`_walk` over their distinct nodes, once fewer pairs
         are pending than heights are left up to the highest finite one, or
         once the next height is the sentinel of a cycle, which no pass
-        over heights can close.
+        over heights can close.  So on a 50,000-node chain with only its
+        leaf named, no height is visited at all.  The rule counts pairs,
+        not the sets the walk will build: 2,000 leaves under one
+        3,000-node chain go to one walk, which follows the chain once per
+        leaf.
         """
         width, size = len(names), len(self)
         dtype = key_dtype(size * width)
@@ -323,6 +345,141 @@ class Hierarchy:
         )
         shared = len(anc_a & anc_b)
         return shared / (len(anc_a) + len(anc_b) - shared)
+
+
+class _Vocabulary:
+    """The identifiers of one hierarchy that a corpus uses, interned, and
+    their self-inclusive ancestor sets: the engine's only copy of them.
+
+    ``names`` are the distinct names passed in, id ``i`` being ``names[i]``;
+    a corpus passes its identifier table, so the ids are its codes.  The
+    sets hold the hierarchy's node numbers only: a name that is not a node
+    holds none, and ``similarity_rows`` gives it its set of one.  They are
+    stored inverted, per node: the ids whose set holds node ``n``,
+    ascending, are ``holders[o[n]:o[n + 1]]``, with ``o = holder_offsets``,
+    decoded once from the sorted (node, id) keys of
+    :meth:`Hierarchy._holder_keys`.  ``holders`` holds ids below V, so it is
+    int32 whenever V and N fit, as they do whenever the keys are int32: 4
+    bytes a pair.  ``similarity_rows`` widens a row's holders to intp as it
+    joins them, which ``np.bincount`` counts without a copy.
+    ``holder_offsets`` is an ``array('q')``, as the hierarchy's parent
+    store is: indexing it gives a Python int, which slices an array faster
+    than a numpy integer does, and none is kept per node.  ``float_sizes``
+    are the sets' sizes as float64, which ``similarity_rows`` builds its
+    denominators from; the interned names whose set is empty are the ones
+    that are not nodes, since every node's set holds the node itself, and
+    ``strays`` maps each of them to its id.
+
+    Only a seed document's keys are ids; names, an ad-hoc query's or a
+    pattern's, are walked.  So the sets by id, :attr:`id_sets`, are built
+    from ``holders`` on the first row keyed by an id and kept from then on.
+    That build takes no lock: callers that share a vocabulary between
+    threads hold one lock across their calls on it, as the retrieval
+    engine holds its index's, so the sets by id are built once.
+    """
+
+    def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
+        self.hierarchy = hierarchy
+        self.names = tuple(names)
+        width, size = len(self.names), len(hierarchy)
+        # The keys node * V + id, ascending, group the ids by node, ascending
+        # within each.  Every id fits the holders' width; the keys' width
+        # fits them too, so with int32 keys the remainders are the holders.
+        keys = hierarchy._holder_keys(self.names)
+        self.holder_offsets, self.holders = _grouped(keys, size, width, key_dtype(max(width, size)))
+        del keys
+        # Counted a slice at a time, since np.bincount copies narrower ids
+        # to intp: a slice as long as the sizes or the offsets copies no
+        # more than they hold, and the slices take O(pairs) in all.
+        sizes = np.zeros(width, dtype=np.intp)
+        step = max(width, len(self.holder_offsets))
+        for a in range(0, len(self.holders), step):
+            sizes += np.bincount(self.holders[a:a + step], minlength=width)
+        self.float_sizes = sizes.astype(float)
+        self.strays = {self.names[i]: i for i in np.flatnonzero(sizes == 0).tolist()}
+        self._id_sets: tuple[np.ndarray, array] | None = None
+
+    @property
+    def id_sets(self) -> tuple[np.ndarray, array]:
+        """The sets by id, built on first use: id ``i``'s nodes, ascending,
+        are ``nodes[s[i]:s[i + 1]]``, for ``(nodes, s)``.
+
+        The holders, tagged with their nodes as keys ``id * N + node``,
+        below V * N as the holder keys are, and sorted, group the nodes by
+        id: an integer sort is several times faster than a stable argsort.
+        Id i's start is the first key at or above i * N.  ``nodes`` is as
+        narrow as ``holders`` and ``s`` is an ``array('q')``.
+        """
+        if self._id_sets is None:
+            width, size = len(self.names), len(self.hierarchy)
+            dtype = key_dtype(width * size)
+            keys = self.holders.astype(dtype)
+            keys *= size
+            keys += np.repeat(
+                np.arange(size, dtype=dtype), np.diff(np.frombuffer(self.holder_offsets, np.int64))
+            )
+            keys.sort()
+            starts, nodes = _grouped(keys, width, size, self.holders.dtype.type)
+            self._id_sets = nodes, starts
+        return self._id_sets
+
+    def similarity_rows(self, keys: Sequence[int | str]) -> np.ndarray:
+        """Jaccard of each key's ancestor set with every interned id's, in
+        a new array, one row per key.
+
+        A key is an interned id, such as a corpus code, or a name.  Row
+        ``k`` equals ``hierarchy.similarity(name, v)`` for every interned
+        ``v``, ``name`` being the key's name: the integer counts are the
+        same, and so is the one division.  Only the holders of the key's
+        own ancestors are counted, once per distinct key.  An id's set is
+        read from :attr:`id_sets`; the names are walked, all in one call.
+
+        A name that is not a node is its own set of one: its row is 0.0,
+        and 1.0 at its own id if it is interned.  The index holds no node
+        for it, so ``float_sizes`` counts none; in any other key's row its
+        column reads ``0 / (size + 0 - 0)``, which is 0.0 whatever the size.
+        """
+        names = [key for key in dict.fromkeys(keys) if isinstance(key, str)]
+        walked = dict(zip(names, self.hierarchy._node_sets(names))) if names else {}
+        rows = np.empty((len(keys), len(self.names)))
+        holders, offsets = self.holders, self.holder_offsets
+        first: dict[int | str, int] = {}
+        for k, key in enumerate(keys):
+            seen = first.setdefault(key, k)
+            if seen != k:
+                rows[k] = rows[seen]
+                continue
+            if isinstance(key, str):
+                own = list(walked[key] or ())
+                self_id = self.strays.get(key)
+            else:
+                nodes, starts = self.id_sets
+                own = nodes[starts[key]:starts[key + 1]].tolist()
+                self_id = key
+            if not own:
+                rows[k] = 0.0
+                if self_id is not None:
+                    rows[k, self_id] = 1.0
+                continue
+            held = [holders[offsets[n]:offsets[n + 1]] for n in own]
+            # Widened as they are joined: bincount would copy narrower ids.
+            shared = np.bincount(np.concatenate(held, dtype=np.intp), minlength=len(self.names))
+            # The denominator len(own) + size - shared, built in the row:
+            # every count is an integer below 2**53, so each step is exact.
+            row = rows[k]
+            np.add(self.float_sizes, len(own), out=row)
+            row -= shared
+            np.divide(shared, row, out=row)
+        return rows
+
+
+def _grouped(keys: np.ndarray, groups: int, width: int, dtype: type) -> tuple[array, np.ndarray]:
+    """The sorted keys ``group * width + value``, each group below
+    ``groups``, as each group's start, in an ``array('q')``, and the values
+    of ``dtype``: the keys' remainders, written over the keys."""
+    starts = np.searchsorted(keys, np.arange(groups + 1, dtype=keys.dtype) * width)
+    np.remainder(keys, width, out=keys)
+    return array("q", starts.astype(np.int64, copy=False).tobytes()), keys.astype(dtype, copy=False)
 
 
 def _heights(child: np.ndarray, parent: np.ndarray, size: int) -> np.ndarray:

@@ -15,41 +15,29 @@ surfaces:
 Scoring is columnar.  A :class:`~predsim.corpus.Corpus` already holds
 its predications as interned subject, relation and object codes with
 per-document offsets.  On the first query against a corpus the engine
-builds an index of it over those codes: the interned ids' self-inclusive
-ancestor sets, in the hierarchy's own node numbers, are stored inverted,
-per ancestor node: the ascending ids whose set holds the node (CSR
-form), beside each set's size.  The hierarchy computes them all in one
-bottom-up array pass (``Hierarchy._holder_keys``), with no set object per
-identifier, as sorted (node, id) keys of int32 whenever the number of
-nodes times the number of ids is below 2**31.  The index decodes them
-once, into ids of int32 whenever they fit, 4 bytes a (node, id) pair,
-and keeps each node's start in an ``array('q')``, with no int object per
-node; the kernel widens a key's holders to intp as it joins them.  The
-names an ad-hoc query or a pattern binds are walked in the hierarchy,
-all of a call's at once.  A seed document's keys are corpus codes, whose
-sets the index also holds by id, in the same 4 bytes a pair, built on
-the first seeded call and kept from then on.  The engine keeps the index
-of the last corpus it saw only.
-A seed document's query rows come straight from the corpus columns.
+builds an index of it over those codes: one
+:class:`~predsim.ontology._Vocabulary` per hierarchy, which holds the
+interned ids' ancestor sets and builds the Jaccard rows (the
+``ontology`` module says how).  The engine keeps the index of the last
+corpus it saw only.
 
 A query is scored in member chunks.  For each chunk, every distinct
-subject, relation and object key of its members becomes one row of
-Jaccard scores against every interned id, counting shared ancestors from
-the holder lists of the key's own ancestors only.  A seed document's keys
-are its corpus codes; an ad-hoc query's are names.  A chunk's rows hold
-at most ``TILE_ELEMENTS`` elements, or one member's.  The weighted slot
-sums of the chunk's members against the corpus are then gathered in
-tiles, by ``_tiles``.  A tile holds a few members' rows of a run of whole
-documents: at most ``TILE_ELEMENTS`` elements, or one member's row of one
-document that is larger.  Each tile is gathered into the index's two
-tile buffers, reused across tiles and calls, by the corpus's writeable
-slot columns, ``Corpus._slots``:
-numpy's ``take`` copies an index array that it may not write to, on every
-call.  Each tile is reduced at once to each member's best match in each
-of its documents and to each corpus predication's best match so far.
-These maxima compare the int64 bit patterns of the weighted slot sums,
-which is faster than comparing the doubles and gives the same maxima: no
-sum has its sign bit set, not even as -0.0, and doubles with a clear sign
+subject, relation and object key of its members becomes one Jaccard row
+against every interned id.  A seed document's keys are its corpus codes,
+read straight from the corpus columns; an ad-hoc query's are names.  A
+chunk's rows hold at most ``TILE_ELEMENTS`` elements, or one member's.
+The weighted slot sums of the chunk's members against the corpus are
+then gathered in tiles, by ``_tiles``.  A tile holds a few members' rows
+of a run of whole documents: at most ``TILE_ELEMENTS`` elements, or one
+member's row of one document that is larger.  Each tile is gathered into
+the index's two tile buffers, reused across tiles and calls, by the
+corpus's writeable slot columns, ``Corpus._slots``: numpy's ``take``
+copies an index array that it may not write to, on every call.  Each
+tile is reduced at once to each member's best match in each of its
+documents and to each corpus predication's best match so far.  These
+maxima compare the int64 bit patterns of the weighted slot sums, which
+is faster than comparing the doubles and gives the same maxima: no sum
+has its sign bit set, not even as -0.0, and doubles with a clear sign
 bit order as their bit patterns do.
 
 So the memory a query uses for a while and frees is bounded by a chunk's
@@ -104,18 +92,16 @@ from __future__ import annotations
 
 import math
 import threading
-from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import key_dtype
 from ._input import check_count
 from .corpus import Corpus
 from .docsim import SimConfig
 from .errors import EmptySetError, UnknownDocumentError
-from .ontology import Hierarchy
+from .ontology import Hierarchy, _Vocabulary
 from .predication import Predication, PredicationPattern, PredicationSet, bound_weight
 
 # Upper bound on the float64 elements of one query-by-corpus tile, unless
@@ -139,133 +125,6 @@ class RankedPredication:
     score: float
     rank: int
     documents: tuple[str, ...]
-
-
-class _Vocabulary:
-    """The identifiers of one hierarchy that a corpus uses, interned, and
-    their self-inclusive ancestor sets: the engine's only copy of them.
-
-    ``names`` are the distinct names passed in, id ``i`` being ``names[i]``;
-    a corpus passes its identifier table, so the ids are its codes.  The
-    sets hold the hierarchy's node numbers only: a name that is not a node
-    holds none, and ``similarity_rows`` gives it its set of one.  They are
-    stored inverted, per node: the ids whose set holds node ``n``,
-    ascending, are ``holders[o[n]:o[n + 1]]``, with ``o = holder_offsets``,
-    decoded once from the sorted (node, id) keys of
-    :meth:`Hierarchy._holder_keys`.  ``holders`` holds ids below V, so it is
-    int32 whenever V and N fit, as they do whenever the keys are int32: 4
-    bytes a pair.  ``similarity_rows`` widens a row's holders to intp as it
-    joins them, which ``np.bincount`` counts without a copy.
-    ``holder_offsets`` is an ``array('q')``, as the hierarchy's parent
-    store is: indexing it gives a Python int, which slices an array faster
-    than a numpy integer does, and none is kept per node.  ``float_sizes``
-    are the sets' sizes as float64, which ``similarity_rows`` builds its
-    denominators from; the interned names whose set is empty are the ones
-    that are not nodes, since every node's set holds the node itself, and
-    ``strays`` maps each of them to its id.
-
-    Only a seed document's keys are ids; names, an ad-hoc query's or a
-    pattern's, are walked.  So the sets by id, :attr:`id_sets`, are built
-    from ``holders`` on the first row keyed by an id and kept from then on.
-    """
-
-    def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
-        self.hierarchy = hierarchy
-        self.names = tuple(names)
-        width, size = len(self.names), len(hierarchy)
-        # The keys node * V + id, ascending, group the ids by node, ascending
-        # within each: node n's start is the first key at or above n * V.
-        keys = hierarchy._holder_keys(self.names)
-        starts = np.searchsorted(keys, np.arange(size + 1, dtype=keys.dtype) * width)
-        self.holder_offsets = array("q", starts.astype(np.int64, copy=False).tobytes())
-        del starts
-        # Every id fits this width; the keys' width fits them too, so with
-        # int32 keys the remainders are the holders themselves.
-        np.remainder(keys, width, out=keys)
-        self.holders = keys.astype(key_dtype(max(width, size)), copy=False)
-        del keys
-        # Counted a tile at a time: np.bincount copies narrower ids to intp.
-        sizes = np.zeros(width, dtype=np.intp)
-        for a in range(0, len(self.holders), TILE_ELEMENTS):
-            sizes += np.bincount(self.holders[a:a + TILE_ELEMENTS], minlength=width)
-        self.float_sizes = sizes.astype(float)
-        self.strays = {self.names[i]: i for i in np.flatnonzero(sizes == 0).tolist()}
-        self._id_sets: tuple[np.ndarray, array] | None = None
-
-    @property
-    def id_sets(self) -> tuple[np.ndarray, array]:
-        """The sets by id, built on first use: id ``i``'s nodes, ascending,
-        are ``nodes[s[i]:s[i + 1]]``, for ``(nodes, s)``.
-
-        The holders, tagged with their nodes as keys ``id * N + node``,
-        below V * N as the holder keys are, and sorted, group the nodes by
-        id: an integer sort is several times faster than a stable argsort.
-        Id i's start is the first key at or above i * N.  ``nodes`` is as
-        narrow as ``holders`` and ``s`` is an ``array('q')``.
-        """
-        if self._id_sets is None:
-            width, size = len(self.names), len(self.hierarchy)
-            dtype = key_dtype(width * size)
-            keys = self.holders.astype(dtype)
-            keys *= size
-            keys += np.repeat(
-                np.arange(size, dtype=dtype), np.diff(np.frombuffer(self.holder_offsets, np.int64))
-            )
-            keys.sort()
-            starts = np.searchsorted(keys, np.arange(width + 1, dtype=dtype) * size)
-            np.remainder(keys, size, out=keys)
-            nodes = keys.astype(self.holders.dtype, copy=False)
-            self._id_sets = nodes, array("q", starts.astype(np.int64, copy=False).tobytes())
-        return self._id_sets
-
-    def similarity_rows(self, keys: Sequence[int | str]) -> np.ndarray:
-        """Jaccard of each key's ancestor set with every interned id's, in
-        a new array, one row per key.
-
-        A key is an interned id, such as a corpus code, or a name.  Row
-        ``k`` equals ``hierarchy.similarity(name, v)`` for every interned
-        ``v``, ``name`` being the key's name: the integer counts are the
-        same, and so is the one division.  Only the holders of the key's
-        own ancestors are counted, once per distinct key.  An id's set is
-        read from :attr:`id_sets`; the names are walked, all in one call.
-
-        A name that is not a node is its own set of one: its row is 0.0,
-        and 1.0 at its own id if it is interned.  The index holds no node
-        for it, so ``float_sizes`` counts none; in any other key's row its
-        column reads ``0 / (size + 0 - 0)``, which is 0.0 whatever the size.
-        """
-        names = [key for key in dict.fromkeys(keys) if isinstance(key, str)]
-        walked = dict(zip(names, self.hierarchy._node_sets(names))) if names else {}
-        rows = np.empty((len(keys), len(self.names)))
-        holders, offsets = self.holders, self.holder_offsets
-        first: dict[int | str, int] = {}
-        for k, key in enumerate(keys):
-            seen = first.setdefault(key, k)
-            if seen != k:
-                rows[k] = rows[seen]
-                continue
-            if isinstance(key, str):
-                own = list(walked[key] or ())
-                self_id = self.strays.get(key)
-            else:
-                nodes, starts = self.id_sets
-                own = nodes[starts[key]:starts[key + 1]].tolist()
-                self_id = key
-            if not own:
-                rows[k] = 0.0
-                if self_id is not None:
-                    rows[k, self_id] = 1.0
-                continue
-            spans = [holders[offsets[n]:offsets[n + 1]] for n in own]
-            # Widened as they are joined: bincount would copy narrower ids.
-            shared = np.bincount(np.concatenate(spans, dtype=np.intp), minlength=len(self.names))
-            # The denominator len(own) + size - shared, built in the row:
-            # every count is an integer below 2**53, so each step is exact.
-            row = rows[k]
-            np.add(self.float_sizes, len(own), out=row)
-            row -= shared
-            np.divide(shared, row, out=row)
-        return rows
 
 
 class _Index:

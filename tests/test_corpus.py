@@ -127,18 +127,25 @@ class TestPredicationsFile:
 
     def test_unreadable_lines_are_not_written(self, tmp_path):
         path = tmp_path / "out.tsv"
+        # A file already there keeps its content through every refusal.
+        kept = tmp_path / "kept.tsv"
+        kept.write_text(self.CONTENT, encoding="utf-8")
         records = [
             ("#d", "a", "r", "b"),
             (" #d", "a", "r", "b"),
             (" ", "#s", "r", "b"),
             (" ", " ", " ", " "),
             ("\ufeffd", "a", "r", "b"),
+            ("d1", "a\udc80", "r", "b"),  # UTF-8 cannot encode a lone surrogate
         ]
         for record in records:
             corpus = Corpus([record])
             with pytest.raises(ValueError, match="would not read back"):
                 write_predications_file(corpus, path)
             assert not path.exists()
+            with pytest.raises(ValueError, match="would not read back"):
+                write_predications_file(corpus, kept)
+            assert kept.read_text(encoding="utf-8") == self.CONTENT
 
     def test_load_determinism(self, tmp_path):
         path = tmp_path / "p.tsv"

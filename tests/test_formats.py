@@ -202,13 +202,17 @@ IDENTIFIERS = st.text(
     max_size=6,
 )
 # the sampled lists start lines that read back as blank, as a comment or
-# without their BOM
-DOC_IDS = st.one_of(IDENTIFIERS, st.sampled_from(["#d", " #d", "\ufeffd", " ", "\x0b"]))
-SLOTS = st.one_of(IDENTIFIERS, st.sampled_from(["#s", " "])).filter(lambda s: s != "?")
+# without their BOM, and hold a lone surrogate, which UTF-8 cannot encode
+DOC_IDS = st.one_of(IDENTIFIERS, st.sampled_from(["#d", " #d", "\ufeffd", " ", "\x0b", "d\udc80"]))
+SLOTS = st.one_of(IDENTIFIERS, st.sampled_from(["#s", " ", "\ud800"])).filter(lambda s: s != "?")
 
 
 def reads_back(line: str) -> bool:
     head = line.lstrip()
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
     return head != "" and not head.startswith("#") and not line.startswith("\ufeff")
 
 

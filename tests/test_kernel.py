@@ -28,14 +28,17 @@ and list each one's documents in id order.  The selection ``_select``
 must equal its first, plainer implementation, kept here as a reference.
 """
 
+import ast
 import functools
 import gc
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 from array import array
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,14 +374,14 @@ class TestBoundedMemory:
         expected = [call() for call in calls]
         monkeypatch.setattr(retrieval, "TILE_ELEMENTS", 4096)
         rows = []
-        similarity_rows = retrieval._Vocabulary.similarity_rows
+        similarity_rows = ontology._Vocabulary.similarity_rows
 
         def recorded(vocab, keys):
             found = similarity_rows(vocab, keys)
             rows.append((vocab.hierarchy is concepts, len(keys), found.size))
             return found
 
-        monkeypatch.setattr(retrieval._Vocabulary, "similarity_rows", recorded)
+        monkeypatch.setattr(ontology._Vocabulary, "similarity_rows", recorded)
         for call, want in zip(calls, expected):
             rows.clear()
             assert call() == want
@@ -784,7 +787,7 @@ class TestSimilarityRows:
         names = nodes + ["ghost"]  # "ghost" is in the corpus, not the hierarchy
         picked = [_pick(rng, names) for _ in range(int(rng.integers(1, 2 * len(names))))]
         interned = list(dict.fromkeys(picked))  # distinct, as a corpus's identifier table
-        vocab = retrieval._Vocabulary(hierarchy, interned)
+        vocab = ontology._Vocabulary(hierarchy, interned)
         outside = [n for n in names if n not in interned] + [UNKNOWN_CONCEPT]
         queries = [_pick(rng, interned) for _ in range(3)] + [_pick(rng, outside) for _ in range(3)]
         queries += queries[:2]
@@ -819,14 +822,14 @@ class TestSetsById:
         vocabs = index.concept_vocab, index.relation_vocab
         assert [vocab._id_sets for vocab in vocabs] == [None, None]
         builds = []
-        take = retrieval._Vocabulary.id_sets.fget
+        take = ontology._Vocabulary.id_sets.fget
 
         def counted(vocab):
             if vocab._id_sets is None:
                 builds.append(vocab)
             return take(vocab)
 
-        monkeypatch.setattr(retrieval._Vocabulary, "id_sets", property(counted))
+        monkeypatch.setattr(ontology._Vocabulary, "id_sets", property(counted))
         seed = corpus.doc_ids()[0]
         first = engine.related_documents(corpus, seed, 5)
         assert builds == list(vocabs)
@@ -863,6 +866,47 @@ class TestSetsById:
         ranked = engine.query_documents(corpus, query, 1)
         assert [(r.doc_id, r.score) for r in ranked] == [("d1", 1.0)]
 
+    def test_concurrent_first_seeded_calls_build_once(self, monkeypatch):
+        # Four threads make the first calls on a fresh engine, all seeded,
+        # and switch as often as the interpreter lets them.  Each
+        # vocabulary builds its sets by id once, under the index's lock
+        # its callers hold, and every result equals the call's alone.
+        rng = np.random.default_rng(31)
+        (concepts, relations), corpus = _large_corpus(rng)
+        seeds = corpus.doc_ids()[::60]
+        alone = RetrievalEngine(concepts, relations)
+        expected = [alone.related_documents(corpus, seed, 10) for seed in seeds]
+        builds = []
+        take = ontology._Vocabulary.id_sets.fget
+
+        def counted(vocab):
+            if vocab._id_sets is None:
+                builds.append(vocab)
+            return take(vocab)
+
+        monkeypatch.setattr(ontology._Vocabulary, "id_sets", property(counted))
+        chunks = [seeds[k::4] for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(6):  # each round on a fresh engine
+                builds.clear()
+                engine = RetrievalEngine(concepts, relations)
+                start = threading.Barrier(4)
+
+                def run(chunk):
+                    start.wait(timeout=60)
+                    return [engine.related_documents(corpus, seed, 10) for seed in chunk]
+
+                with ThreadPoolExecutor(4) as pool:
+                    found = list(pool.map(run, chunks, timeout=120))
+                assert found == [expected[k::4] for k in range(4)]
+                index = engine._index
+                assert index.concept_vocab in builds and index.relation_vocab in builds
+                assert len({id(vocab) for vocab in builds}) == len(builds)
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestIndexSets:
     """``_Vocabulary``'s ancestor sets, stored by id and inverted per node,
@@ -872,7 +916,7 @@ class TestIndexSets:
 
     @staticmethod
     def _check(hierarchy, names):
-        vocab = retrieval._Vocabulary(hierarchy, names)
+        vocab = ontology._Vocabulary(hierarchy, names)
         # A name that is not a node holds no node: the index has the
         # hierarchy's nodes only, and the real (node, id) pairs only.
         sets = [hierarchy._node_sets([name])[0] or frozenset() for name in names]
@@ -966,12 +1010,12 @@ class TestIndexSets:
         edges = [("x0", "q1"), *((f"q{i}", f"q{i + 1}") for i in range(1, 8))]
         edges += [(f"x{i}", "r") for i in range(1, 9)]
         hierarchy = Hierarchy(edges)
-        retrieval._Vocabulary(hierarchy, [f"x{i}" for i in range(8)])
+        ontology._Vocabulary(hierarchy, [f"x{i}" for i in range(8)])
         assert calls == [[f"x{i}" for i in range(8)]]
         # Nine are not.  Heights 0 and 1 are passed over; then the one pair
         # left, at q2, is walked with seven heights left.
         calls.clear()
-        retrieval._Vocabulary(hierarchy, [f"x{i}" for i in range(9)])
+        ontology._Vocabulary(hierarchy, [f"x{i}" for i in range(9)])
         assert calls == [["q2"]]
         # No pass over heights closes a cycle: the pairs that reach it are
         # walked, whatever their number.
@@ -979,7 +1023,7 @@ class TestIndexSets:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cyclic = Hierarchy([("a", "b"), ("b", "c"), ("c", "b"), ("d", "c")])
-        retrieval._Vocabulary(cyclic, ["a", "d", "x"])
+        ontology._Vocabulary(cyclic, ["a", "d", "x"])
         assert calls == [["b", "c"]]
         # A layered hierarchy as deep as the benchmark's, with half of its
         # nodes interned, and the random hierarchies of the kernel tests,
@@ -989,7 +1033,7 @@ class TestIndexSets:
         layered = Hierarchy(self._layered_dag(rng, 3000, 10))
         assert len(layered) == 3000 and int(layered._height.max()) == 9
         names = sorted(layered.nodes)
-        retrieval._Vocabulary(layered, [names[int(k)] for k in rng.permutation(3000)[:1500]])
+        ontology._Vocabulary(layered, [names[int(k)] for k in rng.permutation(3000)[:1500]])
         for _ in range(20):
             engine, corpus, _, _ = _random_case(rng)
             retrieval._Index(corpus, engine.concepts, engine.relations)
@@ -1013,7 +1057,7 @@ class TestIndexSets:
         keys = hierarchy._holder_keys(names)
         assert keys.dtype == pair_dtype
         assert keys.tolist() == expected
-        vocab = retrieval._Vocabulary(hierarchy, names)
+        vocab = ontology._Vocabulary(hierarchy, names)
         # Ids and nodes fit in int32 on both sides of the boundary, so the
         # decoded arrays are int32 whatever the width of the keys.
         set_nodes, set_offsets = vocab.id_sets
@@ -1044,11 +1088,11 @@ class TestIndexSets:
         layered = Hierarchy(self._layered_dag(rng, 3000, 10))
         names = sorted(layered.nodes)
         names = [names[int(k)] for k in rng.permutation(3000)[:1500]]
-        retrieval._Vocabulary(layered, names)  # numpy's first calls allocate caches
+        ontology._Vocabulary(layered, names)  # numpy's first calls allocate caches
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            vocab = retrieval._Vocabulary(layered, names)
+            vocab = ontology._Vocabulary(layered, names)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1096,6 +1140,58 @@ class TestIndexSets:
         assert len(calls) <= 1 + 2
         assert keys.tolist() == sorted(chain._node_sets(["n0"])[0])
         assert len(keys) == n
+
+
+class TestIndexBoundary:
+    """One module owns identifier similarity: ``ontology`` holds the ancestor
+    index, its pair keys and their widths, and builds the Jaccard rows;
+    ``retrieval`` reaches the hierarchy through ``_Vocabulary`` only, and
+    ``ontology`` knows nothing of the kernel's tiles."""
+
+    @staticmethod
+    def _tree(module):
+        return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+    def test_retrieval_uses_no_private_member_of_a_hierarchy(self):
+        hierarchy = Hierarchy([("a", "b")])
+        private = {
+            name for name in [*vars(Hierarchy), *vars(hierarchy)]
+            if name.startswith("_") and not name.endswith("__")
+        }
+        assert {"_holder_keys", "_node_sets", "_walk", "_numbers"} <= private
+        used, imported = set(), set()
+        for node in ast.walk(self._tree(retrieval)):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+            elif isinstance(node, ast.alias):
+                imported.add(node.name)
+        assert not (used | imported) & private, (used | imported) & private
+        # The index's array forms and key widths are ontology's to choose.
+        assert not {"array", "key_dtype"} & imported
+
+    def test_ontology_knows_nothing_of_retrieval(self):
+        for node in ast.walk(self._tree(ontology)):
+            if isinstance(node, ast.ImportFrom):
+                assert "retrieval" not in (node.module or "")
+                assert all(alias.name != "retrieval" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                assert all("retrieval" not in alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                assert node.id != "TILE_ELEMENTS"
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "TILE_ELEMENTS"
+
+    def test_similarity_rows_are_defined_in_ontology(self):
+        rows = ontology._Vocabulary.similarity_rows
+        assert rows.__module__ == ontology.__name__
+        assert rows.__qualname__ == "_Vocabulary.similarity_rows"
+        defined = {
+            node.name for node in ast.walk(self._tree(retrieval))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not {"similarity_rows", "_Vocabulary"} & defined
 
 
 class TestFindTieOrder:
