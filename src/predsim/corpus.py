@@ -11,20 +11,30 @@ document, concept and relation identifiers as it reads them and checks
 each distinct identifier once, where it first occurs, taking the fields of
 a record in document, subject, relation, object order; an identifier that
 fails never enters a table, so every occurrence of it is checked and the
-error names the first bad record and field.  Duplicates are dropped by
-their integer codes, and each document's members are ordered by literal
-from sort ranks of their identifiers, without formatting a literal.  The
-literal-order number of each distinct predication is kept as a column,
-so this module alone decides predication identity and order.  The load
-frees each temporary after its last reader and computes in place where
-it can, so its peak stays within about twice what the corpus holds.
-``Corpus`` is itself the read-only mapping from document id to
-predication set: ``corpus[doc_id]`` builds a :class:`PredicationSet` on
-each access.  ``Corpus(records)`` takes the same records the file holds
-and builds through the same :meth:`Corpus._fill` as the loader, so a
-document exists only through a record and none is empty.
-:class:`GoldStandard` is built the same way, and is the read-only
-mapping from seed to ranked ids.
+error names the first bad record and field.  A predications file is read
+a block of lines at a time (``_input.line_blocks``): numpy finds each
+block's fields and groups the equal ones (``_arrays.equal_spans``), and
+each distinct identifier of a block is decoded, looked up and, if new,
+checked once; a block's new identifiers enter the tables only once all
+of them pass.  The per-record loop, :meth:`_Tables.add_records`, is the
+only path of ``Corpus(records)``, and reads any block that the block path
+refuses (a failed check, a line break inside a line, a wrong field count,
+two names of one key), from the tables as they stood before that block:
+so every error, its line number and its message are the per-record
+loop's.  Duplicates are dropped by their integer codes, and each
+document's members are ordered by literal from sort ranks of their
+identifiers, without formatting a literal.  The literal-order number of
+each distinct predication is kept as a column, so this module alone
+decides predication identity and order.  The load frees each temporary
+after its last reader and computes in place where it can, so its peak
+stays within about twice what the corpus holds.  ``Corpus`` is itself
+the read-only mapping from document id to predication set:
+``corpus[doc_id]`` builds a :class:`PredicationSet` on each access.
+``Corpus(records)`` takes the same records the file holds and builds
+through the same :meth:`Corpus._fill` as the loader, so a document exists
+only through a record and none is empty.  :class:`GoldStandard` is built
+a record at a time, files too, and is the read-only mapping from seed to
+ranked ids.
 """
 
 from __future__ import annotations
@@ -34,13 +44,21 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
 
-from ._arrays import segment_offsets, sorted_distinct
+from ._arrays import equal_spans, segment_offsets, sorted_distinct
 from ._input import (
-    check_count, check_identifier, line_records, read_count, read_file, tuple_records
+    LineBlock,
+    check_count,
+    check_identifier,
+    line_blocks,
+    line_records,
+    read_count,
+    read_file,
+    tuple_records,
 )
 from .errors import LoadError
 from .predication import Predication, PredicationSet
@@ -139,48 +157,16 @@ class Corpus(Mapping):
     """
 
     def __init__(self, records: Iterable[Sequence[str]], source: str = "<memory>"):
-        self._fill(tuple_records(records, 4, source), source, "record")
+        self._fill(_Tables.of_records(records, source), source)
 
-    def _fill(
-        self, numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str
-    ) -> None:
-        """Build every attribute from numbered (doc, subject, relation,
-        object) records, of which there must be at least one."""
-        docs: dict[str, int] = {}
-        concepts: dict[str, int] = {}
-        relations: dict[str, int] = {}
-        columns = array("q"), array("q"), array("q"), array("q")
-        add_doc, add_subject, add_relation, add_object = (c.append for c in columns)
-        doc_code, concept_code, relation_code = docs.get, concepts.get, relations.get
-        for number, (doc_id, subject, relation, obj) in numbered:
-            try:
-                d = doc_code(doc_id)
-                s = concept_code(subject)
-                r = relation_code(relation)
-                o = concept_code(obj)
-            except TypeError:  # an unhashable identifier, which no check passes
-                d = s = r = o = None
-            if d is None or s is None or r is None or o is None:
-                try:
-                    if d is None:
-                        check_identifier(doc_id, "document id")
-                        d = docs.setdefault(doc_id, len(docs))
-                    if s is None:
-                        check_identifier(subject, "subject", "predication", literal=True)
-                        s = concepts.setdefault(subject, len(concepts))
-                    if r is None:
-                        check_identifier(relation, "relation", "predication", literal=True)
-                        r = relations.setdefault(relation, len(relations))
-                    if o is None:
-                        check_identifier(obj, "object", "predication", literal=True)
-                        # the subject may be the same identifier
-                        o = concepts.setdefault(obj, len(concepts))
-                except LoadError as err:
-                    raise LoadError(f"{source}: {unit} {number}: {err}") from None
-            add_doc(d)
-            add_subject(s)
-            add_relation(r)
-            add_object(o)
+    def _fill(self, tables: _Tables, source: str) -> None:
+        """Build every attribute from the interned tables and code columns
+        of at least one record.  The caller keeps no reference to
+        ``tables``, so each column is freed below once it is read."""
+        docs, concepts, relations, columns = (
+            tables.docs, tables.concepts, tables.relations, tables.columns
+        )
+        del tables
         if not docs:
             raise LoadError(f"{source}: no predication records; corpus would be empty")
         doc_codes, subjects, relation_codes, objects = (
@@ -188,7 +174,7 @@ class Corpus(Mapping):
         )
         # Each temporary goes as soon as its last reader is done; the slot
         # columns first, since the distinct literal keys decode back to them.
-        del columns, add_doc, add_subject, add_relation, add_object
+        del columns
         literal, orders = _literal_keys(concepts, relations, subjects, relation_codes, objects)
         del subjects, relation_codes, objects
         # Number the distinct triples in literal order: the runs of the
@@ -315,10 +301,144 @@ class Corpus(Mapping):
         return tuple(list(map(t.__getitem__, c.tolist())) for t, c in zip(tables, columns))
 
 
+class _Tables:
+    """The identifier tables and int64 code columns that a corpus load
+    fills, a record or a block of lines at a time.
+
+    Each table numbers its identifiers in the order they first occur,
+    taking the fields of a record in document, subject, relation, object
+    order, and takes an identifier only once it passes its check.
+    """
+
+    def __init__(self) -> None:
+        self.docs: dict[str, int] = {}
+        self.concepts: dict[str, int] = {}
+        self.relations: dict[str, int] = {}
+        self.columns = array("q"), array("q"), array("q"), array("q")
+
+    @classmethod
+    def of_records(cls, records: Iterable[Sequence[str]], source: str) -> _Tables:
+        """The tables of in-memory records, read a record at a time."""
+        tables = cls()
+        tables.add_records(tuple_records(records, 4, source), source, "record")
+        return tables
+
+    @classmethod
+    def of_lines(cls, lines: Iterable[str], source: str) -> _Tables:
+        """The tables of predication lines, read a block at a time; a block
+        that the block path refuses is read a record at a time, from the
+        tables as they stood before it, so its error is the per-record one."""
+        tables = cls()
+        for block in line_blocks(lines, 4):
+            if not tables.add_block(block):
+                numbered = line_records(block.lines, 4, source, block.first)
+                tables.add_records(numbered, source, "line")
+        return tables
+
+    def add_records(
+        self, numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str
+    ) -> None:
+        """Intern numbered (doc, subject, relation, object) records, one at
+        a time; the first that fails a check names its number."""
+        docs, concepts, relations = self.docs, self.concepts, self.relations
+        add_doc, add_subject, add_relation, add_object = (c.append for c in self.columns)
+        doc_code, concept_code, relation_code = docs.get, concepts.get, relations.get
+        for number, (doc_id, subject, relation, obj) in numbered:
+            try:
+                d = doc_code(doc_id)
+                s = concept_code(subject)
+                r = relation_code(relation)
+                o = concept_code(obj)
+            except TypeError:  # an unhashable identifier, which no check passes
+                d = s = r = o = None
+            if d is None or s is None or r is None or o is None:
+                try:
+                    if d is None:
+                        check_identifier(doc_id, "document id")
+                        d = docs.setdefault(doc_id, len(docs))
+                    if s is None:
+                        check_identifier(subject, "subject", "predication", literal=True)
+                        s = concepts.setdefault(subject, len(concepts))
+                    if r is None:
+                        check_identifier(relation, "relation", "predication", literal=True)
+                        r = relations.setdefault(relation, len(relations))
+                    if o is None:
+                        check_identifier(obj, "object", "predication", literal=True)
+                        # the subject may be the same identifier
+                        o = concepts.setdefault(obj, len(concepts))
+                except LoadError as err:
+                    raise LoadError(f"{source}: {unit} {number}: {err}") from None
+            add_doc(d)
+            add_subject(s)
+            add_relation(r)
+            add_object(o)
+
+    def add_block(self, block: LineBlock) -> bool:
+        """Intern a tokenized block of lines whole and return True; or, if
+        it has no field spans, two different fields of one key or a new
+        identifier that fails its check, change nothing and return False.
+
+        Each distinct field of a table is decoded, looked up and, if new,
+        checked once per block, and the block's codes are gathered from
+        them in numpy.
+        """
+        if block.delimiters is None:
+            return False
+        if not len(block.delimiters):  # blank lines and comments only
+            return True
+        found = []
+        for table, slots, literal in (
+            (self.docs, [0], False),
+            (self.concepts, [1, 3], True),  # subject before object
+            (self.relations, [2], True),
+        ):
+            starts = block.delimiters[:, slots].ravel()
+            starts += 1
+            ends = block.delimiters[:, [slot + 1 for slot in slots]].ravel()
+            grouped = equal_spans(block.data, starts, ends)
+            if grouped is None:
+                return False
+            numbers, firsts = grouped
+            names = _decode(block.data, starts[firsts], ends[firsts])
+            del starts, ends, firsts
+            codes = np.fromiter(map(table.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+            new = list(compress(names, (codes < 0).tolist()))
+            del names
+            try:
+                for name in new:
+                    check_identifier(name, "identifier", literal=literal)
+            except LoadError:
+                return False
+            found.append((table, slots, numbers, codes, new))
+        for table, slots, numbers, codes, new in found:
+            # The new names, in the order they first occur, take the next codes.
+            added = range(len(table), len(table) + len(new))
+            codes[codes < 0] = added
+            table.update(zip(new, added))
+            codes = codes[numbers].reshape(-1, len(slots))
+            for k, column in enumerate(slots):
+                self.columns[column].frombytes(np.ascontiguousarray(codes[:, k]).view(np.uint8))
+        return True
+
+
+def _decode(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The strings that ``data[starts[i]:ends[i]]`` encode, in one decode:
+    each span is gathered with the delimiter after it, set to a tab."""
+    sizes = ends - starts + 1
+    stops = np.cumsum(sizes)
+    gathered = np.frombuffer(data, dtype=np.uint8)[
+        np.arange(stops[-1]) + np.repeat(starts - stops + sizes, sizes)
+    ]
+    gathered[stops - 1] = 0x09
+    names = gathered.tobytes().decode("utf-8", "surrogatepass").split("\t")
+    names.pop()
+    return names
+
+
 def parse_predications(lines: Iterable[str], source: str = "<memory>") -> Corpus:
     """Parse ``doc<TAB>subject<TAB>relation<TAB>object`` lines."""
     corpus = Corpus.__new__(Corpus)
-    corpus._fill(line_records(lines, 4, source), source, "line")
+    corpus._fill(_Tables.of_lines(lines, source), source)
     return corpus
 
 

@@ -310,15 +310,20 @@ class RetrievalEngine:
         self.relations = relation_hierarchy
         self.config = config if config is not None else SimConfig()
         self._index: _Index | None = None
+        self._index_lock = threading.Lock()
 
     # -- columnar scoring ---------------------------------------------------
 
     def _index_for(self, corpus: Corpus) -> _Index:
-        index = self._index
-        if index is None or index.corpus is not corpus:
-            self._index = index = None  # let the old index go before building the new one
-            index = self._index = _Index(corpus, self.concepts, self.relations)
-        return index
+        """The index of ``corpus``, built if it is not the one held.  The
+        engine's lock is held while the check and the build run, so calls
+        that start together on a new corpus build one index."""
+        with self._index_lock:
+            index = self._index
+            if index is None or index.corpus is not corpus:
+                self._index = index = None  # let the old index go before building the new one
+                index = self._index = _Index(corpus, self.concepts, self.relations)
+            return index
 
     def _weighted_slots(
         self, index: _Index, subjects: list, relations: list, objects: list

@@ -1,6 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from predsim import Corpus, Hierarchy, Predication, retrieval
+
+# Tier-1 draws a fixed 150 examples per property test.  HYPOTHESIS_PROFILE=ci
+# draws 2,000, for a CI step that reruns the file-format properties, whose
+# line blocks, comment runs and recurring names need many draws to meet.
+settings.register_profile("tier1", max_examples=150)
+settings.register_profile("ci", max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 # Hand-enumerated concept fixture.  Ancestor sets:
 #   C1 -> {C1, A, R}        C2 -> {C2, A, R}         (siblings: 2/4 = 0.5)

@@ -19,6 +19,7 @@ from predsim import (
     parse_predications,
     write_predications_file,
 )
+from predsim._arrays import equal_spans
 from predsim.corpus import _literal_keys
 
 
@@ -75,6 +76,20 @@ class TestCorpusLoading:
             Corpus([("d1", "a", "r", "b"), ("d1", "a", "r", "")])
         with pytest.raises(LoadError, match=r"^<memory>: record 1: empty document id$"):
             Corpus([("", "a", "r", "b")])
+
+    def test_names_of_equal_block_keys_load_as_records(self):
+        # The block reader keys a name longer than 8 bytes by a sum of its
+        # words times odd constants of their places, G and 3G, modulo 2**64.
+        # Here the first words differ by +3 and the second by -1, so the two
+        # names share a key; the check word by word finds them different,
+        # and the block is read a record at a time.
+        first, second = "aaaaaaaab", "daaaaaaaa"
+        data = f"{first}\t{second}\n".encode() + bytes(7)
+        assert equal_spans(data, np.array([0, 10]), np.array([9, 19])) is None
+        records = [("d1", first, "r", second), ("d2", second, "r", first), ("d1", "a", "r", "b")]
+        corpus = parse_predications(["\t".join(record) + "\n" for record in records])
+        assert corpus.concept_names == (first, second, "a", "b")
+        assert corpus == Corpus(records)
 
 
 class TestPredicationsFile:

@@ -27,12 +27,10 @@ from predsim import (
     parse_predications,
     write_predications_file,
 )
+from predsim import _input
 
-SETTINGS = settings(
-    max_examples=150,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+# The example budget comes from the loaded profile (tests/conftest.py).
+SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 # -- the format rules -------------------------------------------------------
 
@@ -166,7 +164,10 @@ def record_lines(n_fields):
     clean = st.lists(st.sampled_from(PLAIN), min_size=n_fields, max_size=n_fields).map(
         "\t".join
     )
-    filler = st.sampled_from(["", "  ", "\t", "# comment", "  # indented\tcomment", "#"])
+    # Blank lines and comments, some with as many tabs as a data line,
+    # after white space that is neither a blank nor ASCII.
+    filler = st.sampled_from(["", "  ", "\t", "# comment", "  # indented\tcomment", "#",
+                              "\x1c#\ta\tb\tc", "\x85 #\ta\tb\tc", "\u3000\t\t\t"])
     return st.lists(
         st.tuples(st.one_of(clean, clean, record, filler), ENDINGS), max_size=12
     ).map(lambda pairs: [line + end for line, end in pairs])
@@ -176,22 +177,30 @@ def record_lines(n_fields):
 
 
 @pytest.mark.parametrize("name", sorted(FORMATS))
-def test_adversarial_lines_follow_the_format_rules(name, tmp_path):
+def test_adversarial_lines_follow_the_format_rules(name, tmp_path, monkeypatch):
     n_fields, rules, parse, load_file, view = FORMATS[name]
     path = tmp_path / f"{name}.tsv"
+    # The predications reader tokenizes blocks of lines.  Blocks of one and
+    # two lines split runs of comments, put a bad line in a later block than
+    # a good one and make names recur across blocks.
+    block_sizes = (1, 2, _input.BLOCK_LINES) if name == "predications" else (None,)
 
     @SETTINGS
     @given(record_lines(n_fields), st.booleans())
     def check(lines, bom):
-        # Given as lines, every character stays where it is, a BOM too.
-        assert outcome(parse, lines, view) == expected(rules, lines)
-        # Read from a file, one leading BOM is dropped and a lone \r ends
-        # a line, as in any text file read with universal newlines.
         text = ("\ufeff" if bom else "") + "".join(lines)
         path.write_bytes(text.encode("utf-8"))
         parts = re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff"))
         file_lines = [part + "\n" for part in parts]
-        assert outcome(load_file, path, view) == expected(rules, file_lines)
+        for size in block_sizes:
+            with monkeypatch.context() as patch:
+                if size is not None:
+                    patch.setattr(_input, "BLOCK_LINES", size)
+                # Given as lines, every character stays where it is, a BOM too.
+                assert outcome(parse, lines, view) == expected(rules, lines)
+                # Read from a file, one leading BOM is dropped and a lone \r
+                # ends a line, as in any text file read with universal newlines.
+                assert outcome(load_file, path, view) == expected(rules, file_lines)
 
     check()
 
@@ -240,6 +249,67 @@ def test_write_then_parse_round_trips(tmp_path, docs):
     assert again.stats.duplicates_dropped == 0
     with open(path, encoding="utf-8") as handle:
         assert parse_predications(handle) == corpus
+
+
+# -- the block reader against the record reader ---------------------------------
+
+# Names that cross the block reader's 8-byte words: non-ASCII, longer than
+# 8 bytes, holding a NUL (so "a" and "a\x00" must differ) or a lone
+# surrogate, which a line given in memory may hold; and a few that fail
+# their checks, so that the first error must come out the same.
+NAMES = st.one_of(
+    st.text(alphabet=st.characters(blacklist_characters="\t\n\r"), min_size=1, max_size=10),
+    st.sampled_from(["a", "a\x00", "\x00", "abcdefgh", "abcdefghi", "abcdefgh\x00",
+                     "\xe9\xe9\xe9\xe9\xe9", "\ud800", "a\udc80b", "\U0001f600", "?", "a|b", ""]),
+)
+
+
+def same_corpus(a, b):
+    assert a.doc_ids() == b.doc_ids()
+    assert a.concept_names == b.concept_names
+    assert a.relation_names == b.relation_names
+    for name in ("subjects", "relations", "objects", "predication_codes", "doc_offsets"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tolist() == y.tolist(), name
+    assert a.stats == b.stats
+
+
+def built(build, *args):
+    """The corpus, or the LoadError message with "line" read as "record"."""
+    try:
+        return build(*args)
+    except LoadError as err:
+        return str(err).replace(": line ", ": record ", 1)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(NAMES, NAMES, NAMES, NAMES), max_size=12), st.sampled_from([1, 3, None]))
+def test_block_path_equals_record_path(monkeypatch, records, size):
+    # Records whose line reads as blank or a comment are not data lines.
+    records = [r for r in records if list(data_lines(["\t".join(r)]))]
+    lines = ["\t".join(record) + "\n" for record in records]
+    with monkeypatch.context() as patch:
+        if size is not None:
+            patch.setattr(_input, "BLOCK_LINES", size)
+        from_lines = built(parse_predications, lines, "s")
+    from_records = built(Corpus, records, "s")
+    if isinstance(from_records, str):
+        assert from_lines == from_records
+    else:
+        same_corpus(from_lines, from_records)
+
+
+@pytest.mark.parametrize("size", [1, 3, None])
+def test_line_break_inside_a_line_given_in_memory(monkeypatch, size):
+    if size is not None:
+        monkeypatch.setattr(_input, "BLOCK_LINES", size)
+    # Inside a comment it is part of the comment.
+    corpus = parse_predications(["d\ta\tr\tb\n", "# note\nd\tx\tr\ty\n", "d\ta\tr\tc\n"])
+    same_corpus(corpus, Corpus([("d", "a", "r", "b"), ("d", "a", "r", "c")]))
+    # Inside a data line it is in a field, which no check passes.
+    with pytest.raises(LoadError) as raised:
+        parse_predications(["d\ta\tr\tb\n", "d\ta\nb\tr\tc\n"], "m")
+    assert str(raised.value) == "m: line 2: predication: subject contains a forbidden character"
 
 
 # -- text that is not UTF-8 ----------------------------------------------------
@@ -291,6 +361,21 @@ def test_bad_byte_line_counts_every_line_break(ending, tmp_path):
     with pytest.raises(LoadError) as raised:
         load_predications_file(path)
     assert str(raised.value) == f"{path}: line 4: not valid UTF-8"
+
+
+def test_bad_line_before_a_bad_byte_in_the_same_block(tmp_path):
+    # The predications reader reads up to BLOCK_LINES lines before it checks
+    # any.  A bad byte 2,000 lines on stops that read, and the lines read
+    # before it are checked first, as a reader of one line at a time would.
+    path = _bad_file(tmp_path / "corpus.tsv", "predications", 2100, 2000, b"\xff")
+    lines = path.read_bytes().split(b"\n")
+    lines[4] = b"d5\t?\tR\tB"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(LoadError) as raised:
+        load_predications_file(path)
+    assert str(raised.value) == (
+        f"{path}: line 5: predication: subject may not be the reserved token '?'"
+    )
 
 
 def test_bad_byte_in_a_comment(tmp_path):

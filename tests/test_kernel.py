@@ -34,6 +34,7 @@ import gc
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from array import array
@@ -868,9 +869,11 @@ class TestSetsById:
 
     def test_concurrent_first_seeded_calls_build_once(self, monkeypatch):
         # Four threads make the first calls on a fresh engine, all seeded,
-        # and switch as often as the interpreter lets them.  Each
-        # vocabulary builds its sets by id once, under the index's lock
-        # its callers hold, and every result equals the call's alone.
+        # and switch as often as the interpreter lets them.  The engine
+        # builds one index, under its own lock, though each build sleeps
+        # long enough for every thread to ask for it; each vocabulary
+        # builds its sets by id once, under the index's lock its callers
+        # hold; and every result equals the call's alone.
         rng = np.random.default_rng(31)
         (concepts, relations), corpus = _large_corpus(rng)
         seeds = corpus.doc_ids()[::60]
@@ -885,12 +888,22 @@ class TestSetsById:
             return take(vocab)
 
         monkeypatch.setattr(ontology._Vocabulary, "id_sets", property(counted))
+        indexes = []
+        build = retrieval._Index.__init__
+
+        def slow_build(index, *args):
+            indexes.append(index)
+            time.sleep(0.02)
+            build(index, *args)
+
+        monkeypatch.setattr(retrieval._Index, "__init__", slow_build)
         chunks = [seeds[k::4] for k in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(6):  # each round on a fresh engine
                 builds.clear()
+                indexes.clear()
                 engine = RetrievalEngine(concepts, relations)
                 start = threading.Barrier(4)
 
@@ -902,6 +915,7 @@ class TestSetsById:
                     found = list(pool.map(run, chunks, timeout=120))
                 assert found == [expected[k::4] for k in range(4)]
                 index = engine._index
+                assert indexes == [index]
                 assert index.concept_vocab in builds and index.relation_vocab in builds
                 assert len({id(vocab) for vocab in builds}) == len(builds)
         finally:
