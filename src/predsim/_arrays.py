@@ -1,4 +1,9 @@
-"""Numpy helpers shared by the corpus loader, the hierarchy and the index."""
+"""Numpy helpers shared by the corpus loader, the hierarchy and the index.
+
+A hierarchy's parents per node, a corpus's predications per document and
+the index's holders per node are each stored as sorted integer keys
+``group * width + value``; :func:`grouped` alone decodes them.
+"""
 
 from __future__ import annotations
 
@@ -17,10 +22,36 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     which on 10**5 int64 keys is about 20 times slower than this sort.
     """
     values = np.sort(values)
-    keep = np.empty(len(values), dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    return values[run_heads(values)]
+
+
+def run_heads(values: np.ndarray) -> np.ndarray:
+    """True where a sorted value differs from the one before it: at the
+    first value of each run of equal values."""
+    heads = np.empty(len(values), dtype=bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
+def ranks(order: np.ndarray) -> np.ndarray:
+    """The rank of each place in ``order``, a permutation of them all."""
+    ranked = np.empty_like(order)
+    ranked[order] = np.arange(len(order))
+    return ranked
+
+
+def grouped(
+    keys: np.ndarray, groups: int, width: int, dtype: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted keys ``group * width + value``, each group below
+    ``groups`` and each value below ``width``, as each group's start, then
+    the total, in int64, and the values of ``dtype``: the keys' remainders,
+    written over the keys.  The keys' dtype must hold ``width`` and
+    ``groups * width``."""
+    starts = keys.searchsorted(np.arange(groups + 1, dtype=keys.dtype) * width)
+    np.remainder(keys, width, out=keys)
+    return starts.astype(np.int64, copy=False), keys.astype(dtype, copy=False)
 
 
 # _LOW_BYTES[r] keeps the first r bytes of a little-endian 8-byte word.
@@ -69,9 +100,7 @@ def equal_spans(
         key += lengths.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
     order = np.argsort(key)
     key = key[order]
-    heads = np.empty(count, dtype=bool)
-    heads[0] = True
-    np.not_equal(key[1:], key[:-1], out=heads[1:])
+    heads = run_heads(key)
     del key
     if values is not None:
         # Each span against the first span of its run in `order`.
@@ -85,8 +114,7 @@ def equal_spans(
         if (values[shift] != values).any():
             return None
     firsts = np.minimum.reduceat(order, np.flatnonzero(heads))
-    by_first = np.empty(len(firsts), dtype=np.int64)
-    by_first[np.argsort(firsts)] = np.arange(len(firsts))
+    by_first = ranks(np.argsort(firsts))
     runs = np.cumsum(heads)
     runs -= 1
     numbers = np.empty(count, dtype=np.int64)

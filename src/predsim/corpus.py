@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import equal_spans, segment_offsets, sorted_distinct
+from ._arrays import equal_spans, grouped, ranks, run_heads, sorted_distinct
 from ._input import (
     LineBlock,
     check_count,
@@ -77,13 +77,6 @@ def _literal_order(names: Iterable[str], suffix: str) -> np.ndarray:
     """The places of the names, in the order of ``name + suffix``."""
     keys = [name + suffix for name in names]
     return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
-
-
-def _ranks(order: np.ndarray) -> np.ndarray:
-    """The rank of each place in ``order``, a permutation of them all."""
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(len(order))
-    return ranks
 
 
 def _literal_keys(
@@ -115,7 +108,7 @@ def _literal_keys(
         _literal_order(concept_names, ""),
     )
     for order, codes in zip(orders, (subjects, relations, objects)):
-        np.take(_ranks(order), codes, out=codes)
+        np.take(ranks(order), codes, out=codes)
     key = subjects
     key *= len(relation_names)
     key += relations
@@ -184,9 +177,7 @@ class Corpus(Mapping):
         # in literal order.
         order = np.argsort(literal)
         numbers = literal[order]
-        new = np.empty(len(numbers), dtype=bool)
-        new[:1] = True
-        np.not_equal(numbers[1:], numbers[:-1], out=new[1:])
+        new = run_heads(numbers)
         triples = numbers[new]
         # Summed from the keys' own buffer, which they no longer need: a
         # cumsum that casts its input, or overlaps its output, copies it.
@@ -203,15 +194,13 @@ class Corpus(Mapping):
         self._doc_ids: tuple[str, ...] = tuple(map(doc_names.__getitem__, doc_order.tolist()))
         del doc_names
         records = len(doc_codes)
-        keys = _ranks(doc_order)[doc_codes]
+        keys = ranks(doc_order)[doc_codes]
         del doc_order, doc_codes
         keys *= len(triples)
         keys += triple
         del triple
         keys = sorted_distinct(keys)
-        codes = keys % len(triples)
-        sizes = np.bincount(keys // len(triples), minlength=len(docs))
-        del keys
+        offsets, codes = grouped(keys, len(docs), len(triples), np.int64)  # over the keys
 
         self.source = source
         self.concept_names: tuple[str, ...] = tuple(concepts)
@@ -220,21 +209,21 @@ class Corpus(Mapping):
         # are (subject * R + relation) * C + object in the slots' ranks.  The
         # ranks are split off, and mapped to codes, in place, as
         # _literal_keys maps codes to ranks.
-        ranks = np.empty_like(triples)
-        np.divmod(triples, len(relations) * len(concepts), out=(ranks, triples))
-        np.take(orders[0], ranks, out=ranks)
-        slots = [ranks[codes]]
-        np.divmod(triples, len(concepts), out=(ranks, triples))
-        np.take(orders[1], ranks, out=ranks)
-        slots.append(ranks[codes])
-        del ranks
+        rank = np.empty_like(triples)
+        np.divmod(triples, len(relations) * len(concepts), out=(rank, triples))
+        np.take(orders[0], rank, out=rank)
+        slots = [rank[codes]]
+        np.divmod(triples, len(concepts), out=(rank, triples))
+        np.take(orders[1], rank, out=rank)
+        slots.append(rank[codes])
+        del rank
         np.take(orders[2], triples, out=triples)
         slots.append(triples[codes])
         del triples
         self._slots = tuple(slots)
         self.subjects, self.relations, self.objects = (_read_only(slot.view()) for slot in slots)
         self.predication_codes = _read_only(codes)
-        self.doc_offsets = _read_only(segment_offsets(sizes))
+        self.doc_offsets = _read_only(offsets)
         self.stats = CorpusStats(len(docs), len(codes), records - len(codes))
 
     def __len__(self) -> int:

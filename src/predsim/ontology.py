@@ -36,18 +36,18 @@ uses from one hierarchy, interned: their self-inclusive ancestor sets,
 in the hierarchy's own node numbers, stored inverted, per ancestor node,
 as the ascending ids whose set holds the node (CSR form), beside each
 set's size.  It decodes the array pass's sorted (node, id) keys once,
-into ids of int32 whenever they fit, 4 bytes a pair, with no set object
-per identifier.  A name that is not a node holds no node there: it is
-its own set of one, equal to no node number.  From the index,
-``similarity_rows`` builds the Jaccard row of a key, an interned id or a
-name, against every interned id, counting shared ancestors from the
-holder lists of the key's own ancestors only, with the integer counts
-and the one division of :meth:`Hierarchy.similarity`, so the rows equal
-it exactly.  A call's names are walked, all at once; an id's set is read
-from the sets by id, which the index builds from its inverted sets on
-the first row keyed by an id and keeps from then on.  The retrieval
-engine keeps one per hierarchy for the last corpus it ranked, keyed by
-the corpus's codes.
+with ``_arrays.grouped``, into ids of int32 whenever they fit, 4 bytes a
+pair, with no set object per identifier.  A name that is not a node
+holds no node there: it is its own set of one, equal to no node number.
+From the index, ``similarity_rows`` builds the Jaccard row of a key, an
+interned id or a name, against every interned id, counting shared
+ancestors from the holder lists of the key's own ancestors only, with the
+integer counts and the one division of :meth:`Hierarchy.similarity`, so
+the rows equal it exactly.  A call's names are walked, all at once; an
+id's set is read from the sets by id, which the index builds from its
+inverted sets on the first row keyed by an id and keeps from then on.
+The retrieval engine keeps one per hierarchy for the last corpus it
+ranked, keyed by the corpus's codes.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import key_dtype, segment_offsets, sorted_distinct, spans
+from ._arrays import grouped, key_dtype, ranks, segment_offsets, sorted_distinct, spans
 from ._input import check_identifier, line_records, read_file, tuple_records, warn
 from .errors import LoadError
 
@@ -136,14 +136,13 @@ class Hierarchy:
         size = len(numbers)
         arcs = np.frombuffer(children, dtype=np.int64) * size
         arcs += np.frombuffer(parents, dtype=np.int64)
-        child, parent = np.divmod(sorted_distinct(arcs), size)
-        height = _heights(child, parent, size)
+        starts, parent = grouped(sorted_distinct(arcs), size, size, np.int64)
+        height = _heights(starts, parent, size)
         # Renumber the nodes by ascending height, as first met within one
         # height, so that every height is one run of node numbers.
         order = np.argsort(height, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(size)
-        arcs = rank[child]
+        rank = ranks(order)
+        arcs = np.repeat(rank, np.diff(starts))  # each arc's child, renumbered
         arcs *= size
         arcs += rank[parent]
         arcs.sort()
@@ -153,10 +152,10 @@ class Hierarchy:
         # Renumbered in place: a dict whose keys stay keeps its table.
         numbers.update(zip(names, range(size)))
         self._numbers = numbers
-        starts = segment_offsets(np.bincount(arcs // size, minlength=size))
+        starts, parents = grouped(arcs, size, size, np.int64)  # over the arcs
         self._parent_starts = array("q", starts.tobytes())
-        self._parent_nodes = array("q", (arcs % size).tobytes())
-        self.edge_count = len(arcs)
+        self._parent_nodes = array("q", parents.tobytes())
+        self.edge_count = len(parents)
         self._height = height[order]
         cyclic = np.flatnonzero(self._height == size).tolist()
         if cyclic:
@@ -375,7 +374,7 @@ class _Vocabulary:
     from ``holders`` on the first row keyed by an id and kept from then on.
     That build takes no lock: callers that share a vocabulary between
     threads hold one lock across their calls on it, as the retrieval
-    engine holds its index's, so the sets by id are built once.
+    engine holds its own, so the sets by id are built once.
     """
 
     def __init__(self, hierarchy: Hierarchy, names: Sequence[str]):
@@ -386,8 +385,9 @@ class _Vocabulary:
         # within each.  Every id fits the holders' width; the keys' width
         # fits them too, so with int32 keys the remainders are the holders.
         keys = hierarchy._holder_keys(self.names)
-        self.holder_offsets, self.holders = _grouped(keys, size, width, key_dtype(max(width, size)))
-        del keys
+        starts, self.holders = grouped(keys, size, width, key_dtype(max(width, size)))
+        self.holder_offsets = array("q", starts.tobytes())
+        del keys, starts
         # Counted a slice at a time, since np.bincount copies narrower ids
         # to intp: a slice as long as the sizes or the offsets copies no
         # more than they hold, and the slices take O(pairs) in all.
@@ -419,8 +419,8 @@ class _Vocabulary:
                 np.arange(size, dtype=dtype), np.diff(np.frombuffer(self.holder_offsets, np.int64))
             )
             keys.sort()
-            starts, nodes = _grouped(keys, width, size, self.holders.dtype.type)
-            self._id_sets = nodes, starts
+            starts, nodes = grouped(keys, width, size, self.holders.dtype.type)
+            self._id_sets = nodes, array("q", starts.tobytes())
         return self._id_sets
 
     def similarity_rows(self, keys: Sequence[int | str]) -> np.ndarray:
@@ -473,18 +473,9 @@ class _Vocabulary:
         return rows
 
 
-def _grouped(keys: np.ndarray, groups: int, width: int, dtype: type) -> tuple[array, np.ndarray]:
-    """The sorted keys ``group * width + value``, each group below
-    ``groups``, as each group's start, in an ``array('q')``, and the values
-    of ``dtype``: the keys' remainders, written over the keys."""
-    starts = np.searchsorted(keys, np.arange(groups + 1, dtype=keys.dtype) * width)
-    np.remainder(keys, width, out=keys)
-    return array("q", starts.astype(np.int64, copy=False).tobytes()), keys.astype(dtype, copy=False)
-
-
-def _heights(child: np.ndarray, parent: np.ndarray, size: int) -> np.ndarray:
+def _heights(starts: np.ndarray, parent: np.ndarray, size: int) -> np.ndarray:
     """Each node's height, the longest path down to a leaf, given the
-    distinct arcs ``child[k] -> parent[k]`` sorted by child.
+    distinct parents of each node ``n``, ``parent[starts[n]:starts[n + 1]]``.
 
     By Kahn peeling from each node's child count, one level at a time: the
     leaves make level 0, and a node is peeled one level after its last
@@ -496,7 +487,6 @@ def _heights(child: np.ndarray, parent: np.ndarray, size: int) -> np.ndarray:
     of its children.  The nodes on a cycle, and every node above one, are
     never peeled: they take the sentinel ``size``, above every height.
     """
-    starts = segment_offsets(np.bincount(child, minlength=size))
     children = np.bincount(parent, minlength=size)  # the children not yet peeled
     height = np.zeros(size, dtype=np.intp)  # one above the highest child peeled
     peeled = np.flatnonzero(children == 0)

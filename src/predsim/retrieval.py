@@ -45,8 +45,9 @@ rows, whatever the sizes of the query and the corpus.  The index holds
 the rest for every call on its corpus to reuse: the two tile buffers,
 and a float64 per corpus position, which keeps each corpus predication's
 best match.  So a steady call gathers into pages that an earlier call
-mapped.  The calls on one index hold its lock while they use these
-buffers, so concurrent calls on one engine run one at a time.
+mapped.  Every call holds the engine's lock from its check for the
+index to its last read of these buffers, so calls on one engine run one
+at a time, whatever the corpus, and the engine holds at most one index.
 ``best_in_doc``, the terms a query holds until it is ranked, one per
 query member and document, grows with the product of the two.  Each
 chunk's rows of it are thresholded in place once complete, so no mask of
@@ -138,8 +139,8 @@ class _Index:
     replaced by larger ones only when a tile outgrows them.  So a steady
     call gathers into pages that an earlier call mapped, and the index
     holds O(P + ``TILE_ELEMENTS``) float64 more, P being the corpus
-    positions, until it is freed.  ``lock`` serializes the calls on the
-    index: each holds it while it writes or reads these buffers.
+    positions, until it is freed.  The engine's lock serializes the calls
+    that write or read these buffers.
     """
 
     def __init__(self, corpus: Corpus, concepts: Hierarchy, relations: Hierarchy):
@@ -148,7 +149,6 @@ class _Index:
         self.relation_vocab = _Vocabulary(relations, corpus.relation_names)
         self.positions = np.empty(len(corpus.subjects))
         self._buffers = np.empty(0), np.empty(0)
-        self.lock = threading.Lock()
 
     def tile_buffers(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """The two tile buffers, of at least ``size`` float64 each."""
@@ -223,7 +223,7 @@ def _tiles(
     member ``j``'s.  Every tile is gathered in the two tile buffers that
     ``index`` holds, at least as large as the runs' largest tile, and
     ``spare``, a view of the second of the tile's shape, is free for the
-    caller until the next tile.  The caller holds ``index.lock``.
+    caller until the next tile.  The caller holds the engine's lock.
     """
     size = max(rows * (p1 - p0) for _, _, p0, p1, rows in runs)
     tile_buffer, spare_buffer = index.tile_buffers(size)
@@ -310,20 +310,21 @@ class RetrievalEngine:
         self.relations = relation_hierarchy
         self.config = config if config is not None else SimConfig()
         self._index: _Index | None = None
-        self._index_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     # -- columnar scoring ---------------------------------------------------
 
     def _index_for(self, corpus: Corpus) -> _Index:
         """The index of ``corpus``, built if it is not the one held.  The
-        engine's lock is held while the check and the build run, so calls
-        that start together on a new corpus build one index."""
-        with self._index_lock:
-            index = self._index
-            if index is None or index.corpus is not corpus:
-                self._index = index = None  # let the old index go before building the new one
-                index = self._index = _Index(corpus, self.concepts, self.relations)
-            return index
+        caller holds the engine's lock from this check to its last read of
+        the index's buffers, and keeps no reference to the index past it:
+        so calls that start together on a new corpus build one index, and
+        a call on another corpus frees the index before building its own."""
+        index = self._index
+        if index is None or index.corpus is not corpus:
+            self._index = index = None  # let the old index go before building the new one
+            index = self._index = _Index(corpus, self.concepts, self.relations)
+        return index
 
     def _weighted_slots(
         self, index: _Index, subjects: list, relations: list, objects: list
@@ -354,7 +355,7 @@ class RetrievalEngine:
         members have the given slot keys (corpus codes or names),
         thresholded: one per corpus predication, in the index's position
         buffer, and one per query member and document (rows follow the
-        query's members).  The caller holds ``index.lock`` until it has
+        query's members).  The caller holds the engine's lock until it has
         read the first."""
         corpus = index.corpus
         weights = self.config.weights
@@ -404,10 +405,10 @@ class RetrievalEngine:
         """The ``top_n`` best documents against the query's subject,
         relation and object keys (corpus codes or names), as (id, score)
         pairs, best first."""
-        index = self._index_for(corpus)
-        with index.lock:
-            pred_terms, query_terms = self._document_terms(index, *query)
-            top, scores = _top_documents(pred_terms, query_terms, corpus.doc_offsets, top_n)
+        with self._lock:
+            terms = self._document_terms(self._index_for(corpus), *query)
+            top, scores = _top_documents(*terms, corpus.doc_offsets, top_n)
+            del terms  # the index's buffer: once the lock is free, a call may replace it
         doc_ids = corpus.doc_ids()
         return [(doc_ids[d], score) for d, score in zip(top, scores)]
 
@@ -417,10 +418,11 @@ class RetrievalEngine:
         """Rank all other documents against the seed's predication set: the
         ``top_n + 1`` best documents, the seed left out, are the ``top_n``
         best others, in the same order."""
-        if seed not in corpus:
-            raise UnknownDocumentError(f"unknown seed document {seed!r}")
+        try:
+            d = corpus.doc_number(seed)
+        except KeyError:
+            raise UnknownDocumentError(f"unknown seed document {seed!r}") from None
         top_n = check_count(top_n, "top_n")
-        d = corpus.doc_number(seed)
         a, b = corpus.doc_offsets[d:d + 2].tolist()
         columns = corpus.subjects, corpus.relations, corpus.objects
         query = tuple(codes[a:b].tolist() for codes in columns)
@@ -454,16 +456,17 @@ class RetrievalEngine:
         top_k = check_count(top_k, "top_k")
         weights = self.config.weights
         denominator = bound_weight(pattern, weights)
-        index = self._index_for(corpus)
         names = pattern.subject, pattern.relation, pattern.object
         codes = corpus.predication_codes
-        with index.lock:
+        # Every code from 0 to the largest occurs, so every score is
+        # written; equal codes have equal slot codes, so their scores are
+        # equal.  There are at most as many codes as positions.
+        count = int(codes.max()) + 1
+        with self._lock:
+            index = self._index_for(corpus)
             keys = ([] if name is None else [name] for name in names)
             slots = self._weighted_slots(index, *keys)
-            # Every code from 0 to the largest occurs, so every score is
-            # written; equal codes have equal slot codes, so their scores are
-            # equal.  There are at most as many codes as positions.
-            scores = index.positions[:int(codes.max()) + 1]
+            scores = index.positions[:count]
             runs = _runs(corpus.doc_offsets, 1)
             for (_, _, p0, p1, _), _, tile, _ in _tiles(index, runs, slots):
                 tile /= denominator
@@ -472,7 +475,8 @@ class RetrievalEngine:
             del slots
             kept = _select(scores, scores, top_k)
             top, top_scores = _ranked(kept, scores[kept], top_k)
-        chosen = np.zeros(len(scores), dtype=bool)
+            del index, scores, tile  # once the lock is free, a call may replace them
+        chosen = np.zeros(count, dtype=bool)
         chosen[top] = True
         # The chosen codes' positions, ascending, grouped by code: each
         # group starts at the code's first position, and its documents

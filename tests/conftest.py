@@ -7,7 +7,8 @@ from predsim import Corpus, Hierarchy, Predication, retrieval
 
 # Tier-1 draws a fixed 150 examples per property test.  HYPOTHESIS_PROFILE=ci
 # draws 2,000, for a CI step that reruns the file-format properties, whose
-# line blocks, comment runs and recurring names need many draws to meet.
+# line blocks, comment runs and recurring names need many draws to meet,
+# and the sorted-key properties of tests/test_arrays.py.
 settings.register_profile("tier1", max_examples=150)
 settings.register_profile("ci", max_examples=2000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))

@@ -18,7 +18,8 @@ allocate no more than the terms it keeps and a few tiles.
 must keep nothing once the index exists.  Every call gathers into the
 position buffer and tiles that the index holds: in any order, at any
 tile size and from several threads at once, each result must equal a
-fresh engine's, and a steady call must allocate neither.
+fresh engine's, and a steady call must allocate neither.  Calls that
+overlap on two corpora must keep no more than one index alive.
 
 Below the engine, each Jaccard row built from the inverted ancestor index
 must equal ``Hierarchy.similarity`` exactly, the index's sets, built in
@@ -37,6 +38,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -588,7 +590,7 @@ class TestHeldBuffers:
     def test_concurrent_calls_equal_sequential_ones(self, monkeypatch):
         # Four threads share one engine over a corpus many tiles wide and
         # switch as often as the interpreter lets them: every result equals
-        # the one the same call gave alone.  Without the index's lock, one
+        # the one the same call gave alone.  Without the engine's lock, one
         # thread's tiles and maxima overwrite another's.
         monkeypatch.setattr(retrieval, "TILE_ELEMENTS", 512)
         rng = np.random.default_rng(29)
@@ -620,6 +622,48 @@ class TestHeldBuffers:
         for results in found:
             for k, result in results:
                 assert result == expected[k], k
+
+    def test_overlapping_calls_on_two_corpora_hold_one_index(self, monkeypatch):
+        # Thread A ranks on corpus x and is held inside _top_documents; thread
+        # B then ranks on y, equal to x but another object.  B waits on the
+        # engine's lock until A has let go of x's index, so the engine never
+        # has two indexes alive at once, and both results are a fresh
+        # engine's.
+        rng = np.random.default_rng(37)
+        (concepts, relations), x = _large_corpus(rng, documents=200, records=1000)
+        y = Corpus((d, p.subject, p.relation, p.object) for d in x.doc_ids() for p in x[d])
+        assert y == x and y is not x
+        seed = x.doc_ids()[0]
+        fresh = RetrievalEngine(concepts, relations)
+        expected = fresh.related_documents(x, seed, 10), fresh.related_documents(y, seed, 10)
+        alive = weakref.WeakSet()
+        most = []
+        build = retrieval._Index.__init__
+
+        def counted_build(index, *args):
+            alive.add(index)
+            most.append(len(alive))
+            build(index, *args)
+
+        inside = threading.Event()
+        top = retrieval._top_documents
+
+        def slow_top(*args):
+            inside.set()
+            time.sleep(0.2)
+            return top(*args)
+
+        monkeypatch.setattr(retrieval._Index, "__init__", counted_build)
+        monkeypatch.setattr(retrieval, "_top_documents", slow_top)
+        engine = RetrievalEngine(concepts, relations)
+        with ThreadPoolExecutor(2) as pool:
+            a = pool.submit(engine.related_documents, x, seed, 10)
+            assert inside.wait(timeout=60)
+            b = pool.submit(engine.related_documents, y, seed, 10)
+            found = a.result(timeout=60), b.result(timeout=60)
+        assert found == expected
+        assert engine._index.corpus is y
+        assert max(most) == 1, most
 
 
 def _with_copies(rng, corpus):
@@ -870,10 +914,10 @@ class TestSetsById:
     def test_concurrent_first_seeded_calls_build_once(self, monkeypatch):
         # Four threads make the first calls on a fresh engine, all seeded,
         # and switch as often as the interpreter lets them.  The engine
-        # builds one index, under its own lock, though each build sleeps
-        # long enough for every thread to ask for it; each vocabulary
-        # builds its sets by id once, under the index's lock its callers
-        # hold; and every result equals the call's alone.
+        # builds one index, under its lock, though each build sleeps long
+        # enough for every thread to ask for it; each vocabulary builds its
+        # sets by id once, under the same lock, which its callers hold; and
+        # every result equals the call's alone.
         rng = np.random.default_rng(31)
         (concepts, relations), corpus = _large_corpus(rng)
         seeds = corpus.doc_ids()[::60]

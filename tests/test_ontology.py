@@ -330,11 +330,11 @@ class TestCycles:
         assert h.ancestors("B") == {"B", "C", "TOP"}
 
 
-def _heights_by_scalar_peel(child, parent, size):
+def _heights_by_scalar_peel(starts, parent, size):
     """``ontology._heights`` as first written: a Kahn peel one node at a
     time, each node one above the highest of its children."""
     ups = parent.tolist()
-    starts = segment_offsets(np.bincount(child, minlength=size)).tolist()
+    starts = starts.tolist()
     children = np.bincount(parent, minlength=size).tolist()
     height = [0] * size
     peeled = [n for n, k in enumerate(children) if k == 0]
@@ -353,12 +353,14 @@ class TestHeights:
 
     @staticmethod
     def _arcs(edges):
-        """The distinct arcs of the edges, sorted by child, and the number
-        of nodes, numbered by name."""
+        """The distinct parents of each node of the edges, numbered by
+        name, as ``parent[starts[n]:starts[n + 1]]``, and the number of
+        nodes: ``(starts, parent, size)``."""
         names = sorted({name for edge in edges for name in edge})
         number = {name: n for n, name in enumerate(names)}
         arcs = np.unique([number[c] * len(names) + number[p] for c, p in edges])
-        return *np.divmod(arcs, len(names)), len(names)
+        child, parent = np.divmod(arcs, len(names))
+        return segment_offsets(np.bincount(child, minlength=len(names))), parent, len(names)
 
     def test_random_graphs_with_and_without_cycles(self):
         rng = np.random.default_rng(31)
@@ -366,9 +368,9 @@ class TestHeights:
             for _ in range(300):
                 _, edges = graph(rng, max_nodes=40, max_edges=80)
                 if edges:
-                    child, parent, size = self._arcs(edges)
-                    got = ontology._heights(child, parent, size)
-                    assert got.tolist() == _heights_by_scalar_peel(child, parent, size)
+                    starts, parent, size = self._arcs(edges)
+                    got = ontology._heights(starts, parent, size)
+                    assert got.tolist() == _heights_by_scalar_peel(starts, parent, size)
 
     def test_wide_levels_then_a_thin_tail(self):
         # 600 leaves under 30 nodes, under one 200-node chain with a cycle
@@ -378,9 +380,9 @@ class TestHeights:
         edges += [(f"m{k}", "q0") for k in range(30)]
         edges += [(f"q{i}", f"q{i + 1}") for i in range(199)]
         edges += [("q199", "c0"), ("c0", "c1"), ("c1", "c0"), ("c1", "top")]
-        child, parent, size = self._arcs(edges)
-        got = ontology._heights(child, parent, size)
-        assert got.tolist() == _heights_by_scalar_peel(child, parent, size)
+        starts, parent, size = self._arcs(edges)
+        got = ontology._heights(starts, parent, size)
+        assert got.tolist() == _heights_by_scalar_peel(starts, parent, size)
         assert sorted(got.tolist())[-5:] == [200, 201, size, size, size]
 
     def test_deep_chain_peels_at_most_one_level_in_numpy(self, monkeypatch):

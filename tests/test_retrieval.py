@@ -79,8 +79,11 @@ class TestRelatedDocuments:
             assert "d1" not in [r.doc_id for r in results]
 
     def test_unknown_seed(self, engine, small_corpus):
-        with pytest.raises(UnknownDocumentError, match="d99"):
-            engine.related_documents(small_corpus, "d99", 5)
+        # The seed is looked up before top_n is checked; a key that is not
+        # a str is no document.
+        for seed, top_n in (("d99", 5), ("d99", 0), (1, 5)):
+            with pytest.raises(UnknownDocumentError, match=f"^unknown seed document {seed!r}$"):
+                engine.related_documents(small_corpus, seed, top_n)
 
     def test_skip_listed_seed_is_degenerate(self, engine):
         # There is no skip list: an id with no record is no document.
