@@ -1,8 +1,10 @@
-"""Numpy helpers shared by the corpus loader, the hierarchy and the index.
+"""Integer-key helpers shared by the corpus, the hierarchy, the index and
+the line reader.
 
 A hierarchy's parents per node, a corpus's predications per document and
 the index's holders per node are each stored as sorted integer keys
-``group * width + value``; :func:`grouped` alone decodes them.
+``group * width + value``; :func:`grouped` alone decodes them.  Nothing
+here reads bytes: the line format's byte layout is ``_input``'s alone.
 """
 
 from __future__ import annotations
@@ -52,74 +54,6 @@ def grouped(
     starts = keys.searchsorted(np.arange(groups + 1, dtype=keys.dtype) * width)
     np.remainder(keys, width, out=keys)
     return starts.astype(np.int64, copy=False), keys.astype(dtype, copy=False)
-
-
-# _LOW_BYTES[r] keeps the first r bytes of a little-endian 8-byte word.
-_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
-
-
-def equal_spans(
-    data: bytes, starts: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Number the byte strings ``data[starts[i]:ends[i]]``, equal ones
-    alike, in the order in which each first occurs; and the place of each
-    number's first span.
-
-    ``data`` is UTF-8, possibly with encoded surrogates, followed by 7
-    bytes more.  Each span is read as 8-byte words, the last padded past
-    the span's end with 0xFF, a byte that such text never holds: so a span
-    of at most 8 bytes is its one word, whatever NUL bytes it holds.  A
-    longer span is keyed by its length and its words, each times an odd
-    constant of its place, summed modulo 2**64; spans of equal keys are
-    then compared word by word, and None is returned if two different
-    spans share a key.
-    """
-    count = len(starts)
-    if not count:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    lengths = ends - starts
-    if lengths.max() <= 8:
-        key = ~_LOW_BYTES[lengths]
-        key |= words[starts]
-        values = None
-    else:
-        sizes = np.maximum(lengths + 7, 8) // 8  # words per span
-        offsets = segment_offsets(sizes)
-        total, offsets = offsets[-1], offsets[:-1]  # each span's first word
-        place = np.arange(total) - np.repeat(offsets, sizes)
-        values = words[np.repeat(starts, sizes) + 8 * place]
-        values[offsets + sizes - 1] |= ~_LOW_BYTES[lengths - 8 * (sizes - 1)]
-        mixed = place.astype(np.uint64)
-        mixed *= 2
-        mixed += 1
-        mixed *= np.uint64(0x9E3779B97F4A7C15)
-        mixed *= values
-        key = np.add.reduceat(mixed, offsets)
-        del mixed
-        key += lengths.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
-    order = np.argsort(key)
-    key = key[order]
-    heads = run_heads(key)
-    del key
-    if values is not None:
-        # Each span against the first span of its run in `order`.
-        first = order[np.maximum.accumulate(np.where(heads, np.arange(count), 0))]
-        like = np.empty(count, dtype=np.int64)
-        like[order] = first
-        if (lengths[like] != lengths).any():
-            return None
-        shift = np.repeat(offsets[like] - offsets, sizes)
-        shift += np.arange(total)
-        if (values[shift] != values).any():
-            return None
-    firsts = np.minimum.reduceat(order, np.flatnonzero(heads))
-    by_first = ranks(np.argsort(firsts))
-    runs = np.cumsum(heads)
-    runs -= 1
-    numbers = np.empty(count, dtype=np.int64)
-    numbers[order] = by_first[runs]
-    return numbers, np.sort(firsts)
 
 
 def spans(starts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

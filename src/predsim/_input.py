@@ -1,7 +1,8 @@
 """Input checks shared by the loaders and the query surfaces: one
-identifier validator, one count check and its text reader, one line
-format with its two readers and the reader for in-memory records, and
-one file opener.  Every predsim warning goes through :func:`warn`.
+identifier validator, one count check and its text reader, and the one
+owner of the line format, with its two readers, the reader for in-memory
+records, one file opener and one writer.  Every predsim warning goes
+through :func:`warn`.
 
 A line's break (``\\n`` or ``\\r\\n``) is stripped; a blank line, or one
 whose first non-blank character is ``#``, is skipped; every other line is
@@ -9,16 +10,20 @@ a data line of tab-separated fields.  :func:`line_records` applies this
 rule a line at a time.  :func:`line_blocks` applies it to up to
 ``BLOCK_LINES`` lines at once: numpy finds their breaks and tabs, the
 rule runs in Python only on the lines whose first byte may begin a blank
-line or a comment, and the block hands on the byte spans of its fields,
-so that the corpus loader makes no Python object per field.  A block with
-a line break inside a line, or a data line of another field count, is
-left to :func:`line_records`.
+line or a comment, and the block hands on the byte spans of its fields.
+:func:`block_fields` numbers the fields of one table among their
+distinct values (:func:`equal_spans`) and decodes each distinct value
+once, so that the corpus loader makes no Python object per field and
+sees no byte of the text.  A block with a line break inside a line, or a
+data line of another field count, is left to :func:`line_records`.
+:func:`write_file` writes rows of fields as lines, and refuses by the
+same rules any line that would not read back.
 
 The record readers yield ``(number, fields)`` pairs, counting from 1, and
-raise the only error they can locate themselves, a wrong field count.  A
-caller that rejects a record builds the ``"{source}: line N"`` (or
-``record N``) prefix then, from the number, so the valid path formats no
-location text.
+raise the only errors they can locate themselves, a line that is not a
+``str`` and a wrong field count.  A caller that rejects a record builds
+the ``"{source}: line N"`` (or ``record N``) prefix then, from the number,
+so the valid path formats no location text.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import NamedTuple, TypeVar
 
 import numpy as np
 
+from ._arrays import ranks, run_heads, segment_offsets
 from .errors import LoadError
 
 WILDCARD = "?"
@@ -113,7 +119,8 @@ def read_count(text: str, what: str) -> int:
 
 
 def _is_data(line: str) -> bool:
-    """Whether a line, its break stripped, is neither blank nor a comment."""
+    """Whether a line, with or without its break, is neither blank nor a
+    comment."""
     head = line.lstrip()
     return head != "" and head[0] != "#"
 
@@ -124,7 +131,11 @@ def line_records(
     """Tab-separated fields of each data line, with its line number, the
     first line numbered ``first``."""
     for lineno, raw in enumerate(lines, start=first):
-        line = raw.rstrip("\r\n")
+        try:
+            line = raw.rstrip("\r\n")
+        except (AttributeError, TypeError):  # a line that is not a str
+            problem = f"line must be a string, got {type(raw).__name__}"
+            raise LoadError(f"{source}: line {lineno}: {problem}") from None
         if not _is_data(line):
             continue
         fields = line.split("\t")
@@ -143,8 +154,9 @@ class LineBlock(NamedTuple):
     place of the break before data line ``i`` (-1 before the first line),
     of its tabs and of its break, so field ``j`` of the line is
     ``data[delimiters[i, j] + 1:delimiters[i, j + 1]]``.  Both are None
-    when a line holds a line break before its end or a data line has
-    another number of fields: :func:`line_records` then reads ``lines``.
+    when a line holds a line break before its end, a data line has
+    another number of fields or no line is a data line:
+    :func:`line_records` then reads ``lines``.
     """
 
     first: int
@@ -221,30 +233,125 @@ def _tokenize(block: LineBlock, n_fields: int) -> LineBlock:
     ends = np.flatnonzero(buffer == 0x0A)
     if len(ends) != len(lines):  # a line break inside a line
         return block
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
+    before = np.concatenate(([-1], ends[:-1]))  # the break before each line
     tabs = np.flatnonzero(buffer == 0x09)
     # A line with its break is blank or a comment when it is without it.
-    maybe = np.flatnonzero(_MAY_SKIP[buffer[starts]]).tolist()
+    maybe = np.flatnonzero(_MAY_SKIP[buffer[before + 1]]).tolist()
     skipped = [i for i in maybe if not _is_data(lines[i])]
     if skipped:
         kept = np.ones(len(lines), dtype=bool)
         kept[skipped] = False
         tabs = tabs[kept[np.searchsorted(ends, tabs)]]
-        starts, ends = starts[kept], ends[kept]
+        before, ends = before[kept], ends[kept]
     # Each data line holds n_fields - 1 tabs if and only if the k-th run
-    # of that many tabs lies within the k-th data line, for every k.
-    if len(tabs) != (n_fields - 1) * len(starts):
+    # of that many tabs lies within the k-th data line, for every k.  A
+    # block without a data line is left to line_records too.
+    if not len(before) or len(tabs) != (n_fields - 1) * len(before):
         return block
-    tabs = tabs.reshape(len(starts), n_fields - 1)
-    if len(starts) and not ((tabs[:, 0] >= starts).all() and (tabs[:, -1] < ends).all()):
+    tabs = tabs.reshape(len(before), n_fields - 1)
+    if not ((tabs[:, 0] > before).all() and (tabs[:, -1] < ends).all()):
         return block
-    delimiters = np.empty((len(starts), n_fields + 1), dtype=np.int64)
-    np.subtract(starts, 1, out=delimiters[:, 0])
-    delimiters[:, 1:-1] = tabs
-    delimiters[:, -1] = ends
+    delimiters = np.column_stack((before, tabs, ends))
     return block._replace(data=data, delimiters=delimiters)
+
+
+def block_fields(block: LineBlock, places: list[int]) -> tuple[np.ndarray, list[str]] | None:
+    """The fields at ``places`` of each data line of a tokenized block,
+    line by line and place by place, as each one's number among their
+    distinct values, numbered in the order in which each first occurs,
+    and those values decoded; or None if the block must be read a record
+    at a time, because it has no field spans or two different fields
+    share a key of :func:`equal_spans`."""
+    if block.delimiters is None:
+        return None
+    starts = block.delimiters[:, places].ravel()
+    starts += 1
+    ends = block.delimiters[:, [place + 1 for place in places]].ravel()
+    grouped = equal_spans(block.data, starts, ends)
+    if grouped is None:
+        return None
+    numbers, firsts = grouped
+    return numbers, _decode(block.data, starts[firsts], ends[firsts])
+
+
+# _LOW_BYTES[r] keeps the first r bytes of a little-endian 8-byte word.
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+
+
+def equal_spans(
+    data: bytes, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Number the byte strings ``data[starts[i]:ends[i]]``, of which there
+    is at least one, equal ones alike, in the order in which each first
+    occurs; and the place of each number's first span.
+
+    ``data`` is UTF-8, possibly with encoded surrogates, followed by 7
+    bytes more.  Each span is read as 8-byte words, the last padded past
+    the span's end with 0xFF, a byte that such text never holds: so a span
+    of at most 8 bytes is its one word, whatever NUL bytes it holds.  A
+    longer span is keyed by its length and its words, each times an odd
+    constant of its place, summed modulo 2**64; spans of equal keys are
+    then compared word by word, and None is returned if two different
+    spans share a key.
+    """
+    count = len(starts)
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    lengths = ends - starts
+    if lengths.max() <= 8:
+        key = ~_LOW_BYTES[lengths]
+        key |= words[starts]
+        values = None
+    else:
+        sizes = np.maximum(lengths + 7, 8) // 8  # words per span
+        offsets = segment_offsets(sizes)
+        total, offsets = offsets[-1], offsets[:-1]  # each span's first word
+        place = np.arange(total) - np.repeat(offsets, sizes)
+        values = words[np.repeat(starts, sizes) + 8 * place]
+        values[offsets + sizes - 1] |= ~_LOW_BYTES[lengths - 8 * (sizes - 1)]
+        mixed = place.astype(np.uint64)
+        mixed *= 2
+        mixed += 1
+        mixed *= np.uint64(0x9E3779B97F4A7C15)
+        mixed *= values
+        key = np.add.reduceat(mixed, offsets)
+        del mixed
+        key += lengths.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+    order = np.argsort(key)
+    key = key[order]
+    heads = run_heads(key)
+    del key
+    if values is not None:
+        # Each span against the first span of its run in `order`.
+        first = order[np.maximum.accumulate(np.where(heads, np.arange(count), 0))]
+        like = np.empty(count, dtype=np.int64)
+        like[order] = first
+        if (lengths[like] != lengths).any():
+            return None
+        shift = np.repeat(offsets[like] - offsets, sizes)
+        shift += np.arange(total)
+        if (values[shift] != values).any():
+            return None
+    firsts = np.minimum.reduceat(order, np.flatnonzero(heads))
+    by_first = ranks(np.argsort(firsts))
+    runs = np.cumsum(heads)
+    runs -= 1
+    numbers = np.empty(count, dtype=np.int64)
+    numbers[order] = by_first[runs]
+    return numbers, np.sort(firsts)
+
+
+def _decode(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The strings that ``data[starts[i]:ends[i]]`` encode, in one decode:
+    each span is gathered with the delimiter after it, set to a tab."""
+    sizes = ends - starts + 1
+    stops = np.cumsum(sizes)
+    gathered = np.frombuffer(data, dtype=np.uint8)[
+        np.arange(stops[-1]) + np.repeat(starts - stops + sizes, sizes)
+    ]
+    gathered[stops - 1] = 0x09
+    names = gathered.tobytes().decode("utf-8", "surrogatepass").split("\t")
+    names.pop()
+    return names
 
 
 def tuple_records(
@@ -287,3 +394,21 @@ def read_file(path: str | Path, parse: Callable[[Iterable[str], str], T]) -> T:
             if _SURROGATE(line):
                 raise LoadError(f"{path}: line {lineno}: not valid UTF-8")
     raise LoadError(f"{path}: not valid UTF-8")
+
+
+def write_file(path: str | Path, rows: Iterable[Iterable[str]]) -> None:
+    """Write each row of fields as one tab-separated line of the UTF-8
+    file at ``path``.
+
+    Raises ValueError, before writing anything, for a line that would not
+    read back as written: one that is blank or a comment to the readers,
+    that starts with the byte-order mark that :func:`read_file` drops, or
+    that UTF-8 cannot encode, such as one holding a lone surrogate.
+    """
+    lines = ["\t".join(row) + "\n" for row in rows]
+    for line in lines:
+        # UTF-8 encodes every code point but a surrogate; isascii is O(1).
+        unencodable = not line.isascii() and _SURROGATE(line)
+        if not _is_data(line) or line.startswith("\ufeff") or unencodable:
+            raise ValueError(f"line {line!r} would not read back as written")
+    Path(path).write_bytes("".join(lines).encode("utf-8"))

@@ -8,38 +8,40 @@ comments and blank lines ignored, order-insensitive):
 
 A :class:`Corpus` is held as columns from the start.  The loader interns
 document, concept and relation identifiers as it reads them and checks
-each distinct identifier once, where it first occurs, taking the fields of
-a record in document, subject, relation, object order; an identifier that
-fails never enters a table, so every occurrence of it is checked and the
-error names the first bad record and field.  A predications file is read
-a block of lines at a time (``_input.line_blocks``): numpy finds each
-block's fields and groups the equal ones (``_arrays.equal_spans``), and
-each distinct identifier of a block is decoded, looked up and, if new,
-checked once; a block's new identifiers enter the tables only once all
-of them pass.  The per-record loop, :meth:`_Tables.add_records`, is the
-only path of ``Corpus(records)``, and reads any block that the block path
-refuses (a failed check, a line break inside a line, a wrong field count,
-two names of one key), from the tables as they stood before that block:
-so every error, its line number and its message are the per-record
-loop's.  Duplicates are dropped by their integer codes, and each
-document's members are ordered by literal from sort ranks of their
-identifiers, without formatting a literal.  The literal-order number of
-each distinct predication is kept as a column, so this module alone
-decides predication identity and order.  The load frees each temporary
-after its last reader and computes in place where it can, so its peak
-stays within about twice what the corpus holds.  ``Corpus`` is itself
-the read-only mapping from document id to predication set:
+each distinct identifier once, where it first occurs, taking the fields
+of a record in document, subject, relation, object order; an identifier
+that fails never enters a table, so every occurrence of it is checked and
+the error names the first bad record and field.  ``_input`` alone knows
+the line format's text and bytes: a predications file is read a block of
+lines at a time (``_input.line_blocks``), ``_input.block_fields`` gives
+each block's fields of one table as numbers among their distinct values,
+with those values decoded, and each distinct identifier of a block is
+looked up and, if new, checked once; a block's new identifiers enter the
+tables only once all of them pass.  The per-record loop,
+:meth:`_Tables.add_records`, is the only path of ``Corpus(records)``, and
+reads any block that the block path refuses (a failed check, a line break
+inside a line, a wrong field count, two names of one key), from the
+tables as they stood before that block: so every error, its line number
+and its message are the per-record loop's.  Duplicates are dropped by
+their integer codes, and each document's members are ordered by literal
+from sort ranks of their identifiers, without formatting a literal.  The
+literal-order number of each distinct predication is kept as a column, so
+this module alone decides predication identity and order.  The load frees
+each temporary after its last reader and computes in place where it can,
+so its peak stays within about twice what the corpus holds.  ``Corpus``
+is itself the read-only mapping from document id to predication set:
 ``corpus[doc_id]`` builds a :class:`PredicationSet` on each access.
 ``Corpus(records)`` takes the same records the file holds and builds
 through the same :meth:`Corpus._fill` as the loader, so a document exists
-only through a record and none is empty.  :class:`GoldStandard` is built
-a record at a time, files too, and is the read-only mapping from seed to
+only through a record and none is empty.  ``write_predications_file``
+hands its rows of fields to ``_input.write_file``, which holds the
+reader's rules for what reads back.  :class:`GoldStandard` is built a
+record at a time, files too, and is the read-only mapping from seed to
 ranked ids.
 """
 
 from __future__ import annotations
 
-import re
 from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -49,9 +51,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import equal_spans, grouped, ranks, run_heads, sorted_distinct
+from ._arrays import grouped, ranks, run_heads, sorted_distinct
 from ._input import (
     LineBlock,
+    block_fields,
     check_count,
     check_identifier,
     line_blocks,
@@ -59,6 +62,7 @@ from ._input import (
     read_count,
     read_file,
     tuple_records,
+    write_file,
 )
 from .errors import LoadError
 from .predication import Predication, PredicationSet
@@ -364,35 +368,26 @@ class _Tables:
 
     def add_block(self, block: LineBlock) -> bool:
         """Intern a tokenized block of lines whole and return True; or, if
-        it has no field spans, two different fields of one key or a new
-        identifier that fails its check, change nothing and return False.
+        ``_input.block_fields`` refuses it or a new identifier fails its
+        check, change nothing and return False.
 
-        Each distinct field of a table is decoded, looked up and, if new,
-        checked once per block, and the block's codes are gathered from
-        them in numpy.
+        Each distinct field of a table is looked up and, if new, checked
+        once per block, and the block's codes are gathered from them in
+        numpy.
         """
-        if block.delimiters is None:
-            return False
-        if not len(block.delimiters):  # blank lines and comments only
-            return True
         found = []
         for table, slots, literal in (
             (self.docs, [0], False),
             (self.concepts, [1, 3], True),  # subject before object
             (self.relations, [2], True),
         ):
-            starts = block.delimiters[:, slots].ravel()
-            starts += 1
-            ends = block.delimiters[:, [slot + 1 for slot in slots]].ravel()
-            grouped = equal_spans(block.data, starts, ends)
-            if grouped is None:
+            fields = block_fields(block, slots)
+            if fields is None:
                 return False
-            numbers, firsts = grouped
-            names = _decode(block.data, starts[firsts], ends[firsts])
-            del starts, ends, firsts
+            numbers, names = fields
             codes = np.fromiter(map(table.get, names, repeat(-1)), dtype=np.int64, count=len(names))
             new = list(compress(names, (codes < 0).tolist()))
-            del names
+            del fields, names
             try:
                 for name in new:
                     check_identifier(name, "identifier", literal=literal)
@@ -408,20 +403,6 @@ class _Tables:
             for k, column in enumerate(slots):
                 self.columns[column].frombytes(np.ascontiguousarray(codes[:, k]).view(np.uint8))
         return True
-
-
-def _decode(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-    """The strings that ``data[starts[i]:ends[i]]`` encode, in one decode:
-    each span is gathered with the delimiter after it, set to a tab."""
-    sizes = ends - starts + 1
-    stops = np.cumsum(sizes)
-    gathered = np.frombuffer(data, dtype=np.uint8)[
-        np.arange(stops[-1]) + np.repeat(starts - stops + sizes, sizes)
-    ]
-    gathered[stops - 1] = 0x09
-    names = gathered.tobytes().decode("utf-8", "surrogatepass").split("\t")
-    names.pop()
-    return names
 
 
 def parse_predications(lines: Iterable[str], source: str = "<memory>") -> Corpus:
@@ -443,18 +424,12 @@ def write_predications_file(corpus: Corpus, path: str | Path) -> None:
     before writing anything, for a line that would not read back as
     written: one that starts with a byte-order mark, that is blank or a
     ``#`` comment to the reader, or that UTF-8 cannot encode, such as
-    one holding a lone surrogate.
+    one holding a lone surrogate.  ``_input.write_file`` checks and
+    writes the lines.
     """
     doc_of = np.repeat(np.array(corpus.doc_ids(), dtype=object), np.diff(corpus.doc_offsets))
     rows = zip(doc_of.tolist(), *corpus._names_of(corpus.subjects, corpus.relations, corpus.objects))
-    lines = ["\t".join(row) + "\n" for row in rows]
-    for line in lines:
-        head = line.lstrip()
-        # UTF-8 encodes every code point but a surrogate; isascii is O(1).
-        unencodable = not line.isascii() and re.search("[\ud800-\udfff]", line)
-        if not head or head[0] == "#" or line.startswith("\ufeff") or unencodable:
-            raise ValueError(f"line {line!r} would not read back as written")
-    Path(path).write_bytes("".join(lines).encode("utf-8"))
+    write_file(path, rows)
 
 
 class GoldStandard(Mapping):

@@ -337,11 +337,11 @@ class Hierarchy:
 
     def similarity(self, a: str, b: str) -> float:
         """Jaccard overlap of the two self-inclusive ancestor sets; a name
-        that is not a node stands for itself, equal to no node number."""
-        anc_a, anc_b = (
-            frozenset((name,)) if nodes is None else nodes
-            for name, nodes in zip((a, b), self._node_sets([a, b]))
-        )
+        that is not a node, of any type, is its own set of one: 1.0 against
+        an equal name and 0.0 against anything else."""
+        anc_a, anc_b = self._node_sets([a, b])
+        if anc_a is None or anc_b is None:
+            return 1.0 if a == b else 0.0
         shared = len(anc_a & anc_b)
         return shared / (len(anc_a) + len(anc_b) - shared)
 

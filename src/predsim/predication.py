@@ -22,8 +22,9 @@ newlines, and the bare token ``?`` is reserved for wildcards.
 Every ``Predication``, ``PredicationPattern`` and ``PredicationSet``,
 those the corpus hands out included, is built through its own
 constructor, which checks the slots or, for a set, deduplicates and
-sorts the members.  ``parse_predication`` and ``parse_pattern`` check
-each slot first, so that their errors name the literal.
+sorts the members.  ``parse_predication`` and ``parse_pattern`` share
+one splitter, which checks each slot first, so that their errors name
+the literal.
 """
 
 from __future__ import annotations
@@ -105,49 +106,52 @@ def format_pattern(pat: PredicationPattern) -> str:
     return "|".join(WILDCARD if s is None else s for s in slots)
 
 
-def parse_predication(text: str) -> Predication:
-    """Parse a ``subject|relation|object`` literal; wildcards rejected."""
+def _literal_slots(text: str, kind: str, wildcards: bool) -> list[str | None]:
+    """The three slots of a ``subject|relation|object`` literal, each
+    checked in that order, a wildcard ``?`` read as None if ``wildcards``
+    and refused otherwise; every error names the literal as a ``kind``."""
     fields = text.split("|")
-    where = f"predication literal {text!r}"
+    where = f"{kind} literal {text!r}"
     if len(fields) != 3:
         raise LoadError(f"{where}: expected 3 fields, got {len(fields)}")
     for field, slot in zip(fields, _SLOTS):
-        if field == WILDCARD:
+        if field != WILDCARD:
+            check_identifier(field, slot, where, literal=True)
+        elif not wildcards:
             raise LoadError(f"{where}: wildcard {slot} not allowed here")
-        check_identifier(field, slot, where, literal=True)
-    return Predication(*fields)
+    return [None if field == WILDCARD else field for field in fields]
+
+
+def parse_predication(text: str) -> Predication:
+    """Parse a ``subject|relation|object`` literal; wildcards rejected."""
+    return Predication(*_literal_slots(text, "predication", wildcards=False))
 
 
 def parse_pattern(text: str) -> PredicationPattern:
     """Parse a literal where any slot may be the wildcard ``?``."""
-    fields = text.split("|")
-    where = f"pattern literal {text!r}"
-    if len(fields) != 3:
-        raise LoadError(f"{where}: expected 3 fields, got {len(fields)}")
-    slots = [None if f == WILDCARD else f for f in fields]
-    for value, slot in zip(slots, _SLOTS):
-        if value is not None:
-            check_identifier(value, slot, where, literal=True)
-    return PredicationPattern(*slots)
+    return PredicationPattern(*_literal_slots(text, "pattern", wildcards=True))
 
 
 @dataclass(frozen=True)
 class PredicationSet:
-    """Deduplicated predications in canonical (literal-sorted) order."""
+    """Deduplicated predications in canonical (literal-sorted) order, built
+    from any iterable of them."""
 
     members: tuple[Predication, ...]
 
     def __post_init__(self):
         # Literals are distinct exactly when predications are, so the
-        # literal-keyed dict both deduplicates and gives the sort keys.
-        by_literal = dict(zip(map(format_predication, self.members), self.members))
+        # literal-keyed dict both deduplicates and gives the sort keys.  The
+        # members are read once, so any iterable will do.
+        members = tuple(self.members)
+        by_literal = dict(zip(map(format_predication, members), members))
         canonical = tuple(map(by_literal.__getitem__, sorted(by_literal)))
         if canonical != self.members:
             object.__setattr__(self, "members", canonical)
 
     @classmethod
     def from_iterable(cls, preds: Iterable[Predication]) -> "PredicationSet":
-        return cls(tuple(preds))
+        return cls(preds)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -1,6 +1,9 @@
+import ast
 import dataclasses
+import importlib
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from predsim import (
     parse_predications,
     write_predications_file,
 )
-from predsim._arrays import equal_spans
+from predsim._input import equal_spans
 from predsim.corpus import _literal_keys
 
 
@@ -123,6 +126,17 @@ class TestPredicationsFile:
         with pytest.raises(LoadError) as raised:
             parse_predications(["d0\ta\tr\tc\n", "\n", line], source="p.tsv")
         assert str(raised.value) == f"p.tsv: line 3: {problem}"
+
+    @pytest.mark.parametrize("line", [b"d1\ta\tr\tc\n", None, 7])
+    def test_line_that_is_not_a_str_names_its_line(self, line):
+        with pytest.raises(LoadError) as raised:
+            parse_predications(["d0\ta\tr\tc\n", "\n", line], source="p.tsv")
+        assert str(raised.value) == (
+            f"p.tsv: line 3: line must be a string, got {type(line).__name__}"
+        )
+        # An earlier bad line of the same block is reported first.
+        with pytest.raises(LoadError, match=r"^p.tsv: line 1: expected 4 fields, got 2$"):
+            parse_predications(["d0\ta\n", line], source="p.tsv")
 
     def test_bad_identifier_fails_where_it_first_occurs(self):
         lines = ["d0\ta\tr\tc\n", "d1\ta\tr\tc\n", "d1\ta\tr\tb|x\n", "d1\tb\tr\tc\n",
@@ -439,6 +453,15 @@ class TestGoldStandard:
         with pytest.raises(LoadError, match=r"^g: line 1: empty related id$"):
             parse_gold(["s1\t\t1\n"], source="g")
 
+    @pytest.mark.parametrize("line", [b"s1\td2\t1\n", None, 7])
+    def test_parse_line_that_is_not_a_str_names_its_line(self, line):
+        with pytest.raises(LoadError) as raised:
+            parse_gold(["s1\td2\t1\n", line], source="g")
+        assert str(raised.value) == f"g: line 2: line must be a string, got {type(line).__name__}"
+        # An earlier bad line is reported first.
+        with pytest.raises(LoadError, match=r"^g: line 1: expected 3 fields, got 2$"):
+            parse_gold(["s1\td2\n", line], source="g")
+
     def test_load_file(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("s1\td2\t1\ns2\td1\t1\n", encoding="utf-8")
@@ -494,3 +517,93 @@ class TestGoldStandard:
         path.write_text("\ufeffs1\td2\t1\n", encoding="utf-8")
         assert load_gold_file(path).seeds() == ("s1",)
 
+
+def _tree(name):
+    module = importlib.import_module(f"predsim.{name}")
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
+def _function(name, function):
+    """The ``def`` of ``function`` in module ``predsim.{name}``."""
+    return next(
+        node for node in ast.walk(_tree(name))
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+
+
+def _used(tree):
+    """The names, attributes, imported names and string constants in
+    ``tree``, docstrings aside."""
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                used.add(node.value)
+    return used
+
+
+def _holds_line_text(constants):
+    """Whether a string holds a character of the line format's syntax."""
+    return any(set(text) & set("\t\n\r#\ufeff") for text in constants)
+
+
+# What reading or writing line text takes: the block layout, the
+# splitting and joining of fields and lines, and the reading rules.
+_TEXT_WORK = {
+    "equal_spans", "_decode", "data", "delimiters", "re", "_SURROGATE", "_is_data",
+    "join", "split", "splitlines", "strip", "lstrip", "rstrip", "startswith", "isascii",
+    "encode", "decode", "search",
+}
+
+
+class TestTextBoundary:
+    """``_input`` alone knows the line format: it reads, tokenizes, groups,
+    decodes and writes lines.  ``corpus`` sees names and numbers only,
+    ``_arrays`` holds integer-key helpers only, and one splitter parses
+    both forms of a predication literal."""
+
+    def test_corpus_handles_no_line_text(self):
+        used = _used(_tree("corpus"))
+        assert not used & _TEXT_WORK, used & _TEXT_WORK
+        assert not _holds_line_text(used)
+        assert "block_fields" in used
+
+    def test_arrays_reads_no_bytes(self):
+        used = _used(_tree("_arrays"))
+        assert not used & {"bytes", "frombuffer", "tobytes", "uint8", "<u8", "decode",
+                           "equal_spans", "_LOW_BYTES"}
+        assert importlib.import_module("predsim._input").equal_spans is equal_spans
+
+    def test_writer_keeps_no_reading_rule(self):
+        used = _used(_function("corpus", "write_predications_file"))
+        assert "write_file" in used
+        assert not used & (_TEXT_WORK | {"write_bytes", "write_text", "open"})
+        assert not _holds_line_text(used)
+        # The one writer checks lines by the readers' own rules.
+        assert {"_is_data", "_SURROGATE"} <= _used(_function("_input", "write_file"))
+
+    def test_one_splitter_parses_both_literal_forms(self):
+        splitters = {
+            node.name for node in ast.walk(_tree("predication"))
+            if isinstance(node, ast.FunctionDef) and "split" in _used(node)
+        }
+        assert len(splitters) == 1, splitters
+        for parser in ("parse_predication", "parse_pattern"):
+            assert splitters <= _used(_function("predication", parser))
+
+    def test_hierarchy_and_gold_lines_are_read_a_record_at_a_time(self):
+        for module, parser in (("ontology", "parse_hierarchy"), ("corpus", "parse_gold")):
+            used = _used(_function(module, parser))
+            assert "line_records" in used
+            assert not used & {"line_blocks", "block_fields"}

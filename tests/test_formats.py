@@ -1,7 +1,7 @@
 """Property tests for the three file formats.
 
 Round trips: a corpus written by ``write_predications_file`` reloads to an
-equal corpus.  Adversarial lines: text built from CRLF and LF endings, a
+equal corpus, and a formatted predication or pattern literal parses back.  Adversarial lines: text built from CRLF and LF endings, a
 byte-order mark, ``#`` comments, blank lines and identifiers holding a
 tab, ``|``, ``\\r`` or ``?`` must either load to the records that the
 format's rules below give, or raise ``LoadError`` naming the line where
@@ -19,11 +19,17 @@ from hypothesis import strategies as st
 from predsim import (
     Corpus,
     LoadError,
+    Predication,
+    PredicationPattern,
+    format_pattern,
+    format_predication,
     load_gold_file,
     load_hierarchy_file,
     load_predications_file,
     parse_gold,
     parse_hierarchy,
+    parse_pattern,
+    parse_predication,
     parse_predications,
     write_predications_file,
 )
@@ -385,3 +391,59 @@ def test_bad_byte_in_a_comment(tmp_path):
     with pytest.raises(LoadError) as raised:
         load_hierarchy_file(path)
     assert str(raised.value) == f"{path}: line 2: not valid UTF-8"
+
+
+# -- predication and pattern literals --------------------------------------------
+
+LITERAL_SLOTS = ("subject", "relation", "object")
+
+
+def literal_problem(text, wildcards):
+    """The first problem the literal syntax finds in ``text``, or None."""
+    fields = text.split("|")
+    if len(fields) != 3:
+        return f"expected 3 fields, got {len(fields)}"
+    for field, slot in zip(fields, LITERAL_SLOTS):
+        if field == "?":
+            if not wildcards:
+                return f"wildcard {slot} not allowed here"
+        elif field == "":
+            return f"empty {slot}"
+        elif set(field) & set("\t\n\r"):
+            return f"{slot} contains a forbidden character"
+    return None
+
+
+# Slots that fail their check, or, holding "|", change the field count.
+LITERAL_FIELDS = st.one_of(
+    IDENTIFIERS, st.sampled_from(["?", "", "a\tb", "\r", "\n", "a|b", "|", " ", "#"])
+)
+
+
+@SETTINGS
+@given(st.lists(LITERAL_FIELDS, min_size=1, max_size=4))
+def test_literals_follow_the_literal_syntax(fields):
+    text = "|".join(fields)
+    for kind, parse, wildcards in (
+        ("predication", parse_predication, False), ("pattern", parse_pattern, True)
+    ):
+        problem = literal_problem(text, wildcards)
+        if problem is None and kind == "pattern" and text == "?|?|?":
+            problem = "pattern must bind at least one slot"  # the pattern's own rule
+        elif problem is not None:
+            problem = f"{kind} literal {text!r}: {problem}"
+        try:
+            parsed = parse(text)
+        except LoadError as err:
+            assert str(err) == problem
+            continue
+        assert problem is None
+        slots = [None if field == "?" else field for field in text.split("|")]
+        if kind == "predication":
+            # No slot is a wildcard here, and both parsers read the same slots.
+            assert parsed == Predication(*slots)
+            assert format_predication(parsed) == text
+            assert parse_pattern(text) == PredicationPattern(*slots)
+        else:
+            assert parsed == PredicationPattern(*slots)
+            assert format_pattern(parsed) == text

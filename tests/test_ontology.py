@@ -138,6 +138,15 @@ class TestLoading:
         with pytest.raises(LoadError, match="line 2: expected 2 fields, got 3"):
             parse_hierarchy(["A\tR\n", "B\tR\tX\n"])
 
+    @pytest.mark.parametrize("line", [b"B\tR\n", None, 7])
+    def test_line_that_is_not_a_str_names_its_line(self, line):
+        with pytest.raises(LoadError) as raised:
+            parse_hierarchy(["A\tR\n", "# c\n", line], source="h")
+        assert str(raised.value) == f"h: line 3: line must be a string, got {type(line).__name__}"
+        # An earlier bad line is reported first.
+        with pytest.raises(LoadError, match=r"^h: line 1: expected 2 fields, got 1$"):
+            parse_hierarchy(["A\n", line], source="h")
+
     def test_parse_crlf_tolerated(self):
         h = parse_hierarchy(["A\tR\r\n"])
         assert h.edges == {("A", "R")}
@@ -255,6 +264,16 @@ class TestSimilarity:
 
     def test_unknown_vs_known(self, concept_h):
         assert concept_h.similarity("ghost", "C1") == 0.0
+
+    @pytest.mark.parametrize("name", [1, np.int64(1), 1.0, True])
+    def test_name_outside_the_hierarchy_equals_only_itself(self, name):
+        # "b" is node number 1; a name that is not a node must not meet it.
+        h = Hierarchy([("a", "b")])
+        assert h._numbers["b"] == 1
+        for other in ("a", "b", "ghost", 2):
+            assert h.similarity(name, other) == h.similarity(other, name) == 0.0
+        assert h.similarity(name, name) == 1.0
+        assert h.similarity(name, 1) == 1.0  # an equal name
 
     def test_relation_siblings(self, relation_h):
         assert relation_h.similarity("TREATS", "PREVENTS") == 0.5

@@ -145,6 +145,10 @@ class TestPredicationSet:
         a = Predication("s1", "r", "o")
         b = Predication("s0", "r", "o")
         assert PredicationSet((a, b)).members == (b, a)
+        # Any iterable, a generator included, is read once.
+        assert PredicationSet(p for p in (a, b)).members == (b, a)
+        assert PredicationSet(iter([a, b, a])).members == (b, a)
+        assert PredicationSet([a, b]).members == (b, a)
 
 
 def _components(s_sim, r_sim, o_sim):
