@@ -1,8 +1,8 @@
 """Input checks shared by the loaders and the query surfaces: one
 identifier validator, one count check and its text reader, and the one
-owner of the line format, with its two readers, the reader for in-memory
-records, one file opener and one writer.  Every predsim warning goes
-through :func:`warn`.
+owner of the line format, with its two readers, the interner of a block's
+fields, the reader for in-memory records, one file opener and one writer.
+Every predsim warning goes through :func:`warn`.
 
 A line's break (``\\n`` or ``\\r\\n``) is stripped; a blank line, or one
 whose first non-blank character is ``#``, is skipped; every other line is
@@ -13,9 +13,14 @@ rule runs in Python only on the lines whose first byte may begin a blank
 line or a comment, and the block hands on the byte spans of its fields.
 :func:`block_fields` numbers the fields of one table among their
 distinct values (:func:`equal_spans`) and decodes each distinct value
-once, so that the corpus loader makes no Python object per field and
-sees no byte of the text.  A block with a line break inside a line, or a
-data line of another field count, is left to :func:`line_records`.
+once, and :func:`intern_fields` looks each one up in a loader's table and
+gathers the block's codes, so that the corpus and hierarchy loaders make
+no Python object per field and see no byte of the text.  It checks a
+block's new names in one pass, by the rules of :func:`check_identifier`
+that a field of a tokenized block can fail, and enters them only once
+all of them pass.  A block with a line break inside a line, or a data
+line of another field count, is left to :func:`line_records`, and so is
+one that a loader refuses.
 :func:`write_file` writes rows of fields as lines, and refuses by the
 same rules any line that would not read back.
 
@@ -34,7 +39,7 @@ import re
 import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -252,7 +257,9 @@ def _tokenize(block: LineBlock, n_fields: int) -> LineBlock:
     if not ((tabs[:, 0] > before).all() and (tabs[:, -1] < ends).all()):
         return block
     delimiters = np.column_stack((before, tabs, ends))
-    return block._replace(data=data, delimiters=delimiters)
+    # Not block._replace: it builds a temporary tuple of ten slots, one more
+    # allocation a block that counts towards the next garbage collection.
+    return LineBlock(block.first, lines, data, delimiters)
 
 
 def block_fields(block: LineBlock, places: list[int]) -> tuple[np.ndarray, list[str]] | None:
@@ -338,6 +345,45 @@ def equal_spans(
     numbers = np.empty(count, dtype=np.int64)
     numbers[order] = by_first[runs]
     return numbers, np.sort(firsts)
+
+
+def intern_fields(
+    fields: Sequence[tuple[dict[str, int], np.ndarray, list[str], bool]],
+) -> list[np.ndarray] | None:
+    """The code of each field of a block in its table, new names entered;
+    or None, every table as it stood, if a new name fails its check.
+
+    Each item is a table, which numbers its names from 0 in the order they
+    entered it, the numbers and distinct names that :func:`block_fields`
+    gives for that table's fields, and whether they fill predication
+    slots, as :func:`check_identifier`'s ``literal``.  Each distinct name
+    is looked up once; the new ones are checked in one pass, and enter
+    their tables, in the order they first occur, only once those of every
+    table pass.  The codes come back in the order of the numbers.
+    """
+    found = []
+    for table, numbers, names, literal in fields:
+        codes = np.fromiter(map(table.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+        new = list(compress(names, (codes < 0).tolist()))
+        if not _all_pass(new, literal):
+            return None
+        found.append((table, numbers, codes, new))
+    gathered = []
+    for table, numbers, codes, new in found:
+        added = range(len(table), len(table) + len(new))
+        codes[codes < 0] = added
+        table.update(zip(new, added))
+        gathered.append(codes[numbers])
+    return gathered
+
+
+def _all_pass(names: list[str], literal: bool) -> bool:
+    """Whether :func:`check_identifier` passes every one of the names,
+    fields of a tokenized block: these hold no tab and no line break, so
+    only an empty name fails, or, in a slot, a ``|`` or the wildcard."""
+    if "" in names:
+        return False
+    return not literal or (WILDCARD not in names and "|" not in "".join(names))
 
 
 def _decode(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:

@@ -15,9 +15,10 @@ the error names the first bad record and field.  ``_input`` alone knows
 the line format's text and bytes: a predications file is read a block of
 lines at a time (``_input.line_blocks``), ``_input.block_fields`` gives
 each block's fields of one table as numbers among their distinct values,
-with those values decoded, and each distinct identifier of a block is
-looked up and, if new, checked once; a block's new identifiers enter the
-tables only once all of them pass.  The per-record loop,
+with those values decoded, and ``_input.intern_fields``, which the
+hierarchy loader shares, looks up each distinct identifier of a block
+once and checks the new ones in one pass; a block's new identifiers enter
+the tables only once all of them pass.  The per-record loop,
 :meth:`_Tables.add_records`, is the only path of ``Corpus(records)``, and
 reads any block that the block path refuses (a failed check, a line break
 inside a line, a wrong field count, two names of one key), from the
@@ -46,7 +47,6 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +57,7 @@ from ._input import (
     block_fields,
     check_count,
     check_identifier,
+    intern_fields,
     line_blocks,
     line_records,
     read_count,
@@ -371,35 +372,26 @@ class _Tables:
         ``_input.block_fields`` refuses it or a new identifier fails its
         check, change nothing and return False.
 
-        Each distinct field of a table is looked up and, if new, checked
-        once per block, and the block's codes are gathered from them in
-        numpy.
+        ``_input.intern_fields`` looks up each distinct field of a table
+        and checks the new ones once per block, and the block's codes are
+        gathered from them in numpy.
         """
-        found = []
-        for table, slots, literal in (
+        tables = (
             (self.docs, [0], False),
             (self.concepts, [1, 3], True),  # subject before object
             (self.relations, [2], True),
-        ):
-            fields = block_fields(block, slots)
-            if fields is None:
+        )
+        fields = []
+        for table, slots, literal in tables:
+            found = block_fields(block, slots)
+            if found is None:
                 return False
-            numbers, names = fields
-            codes = np.fromiter(map(table.get, names, repeat(-1)), dtype=np.int64, count=len(names))
-            new = list(compress(names, (codes < 0).tolist()))
-            del fields, names
-            try:
-                for name in new:
-                    check_identifier(name, "identifier", literal=literal)
-            except LoadError:
-                return False
-            found.append((table, slots, numbers, codes, new))
-        for table, slots, numbers, codes, new in found:
-            # The new names, in the order they first occur, take the next codes.
-            added = range(len(table), len(table) + len(new))
-            codes[codes < 0] = added
-            table.update(zip(new, added))
-            codes = codes[numbers].reshape(-1, len(slots))
+            fields.append((table, *found, literal))
+        gathered = intern_fields(fields)
+        if gathered is None:
+            return False
+        for (_, slots, _), codes in zip(tables, gathered):
+            codes = codes.reshape(-1, len(slots))
             for k, column in enumerate(slots):
                 self.columns[column].frombytes(np.ascontiguousarray(codes[:, k]).view(np.uint8))
         return True

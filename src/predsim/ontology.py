@@ -16,6 +16,17 @@ high for identifiers deep in the hierarchy and makes sim(x, x) = 1 even
 for identifiers the hierarchy has never seen (their ancestor set is just
 {x}).  Values always fall in [0, 1].
 
+A hierarchy file is read as a predications file is: a block of lines at
+a time, through ``_input.line_blocks`` and ``_input.block_fields``, each
+line's parent before its child, so that nodes are first met in the order
+of a reader of one line at a time; ``_input.intern_fields`` looks up each
+distinct name of a block once and checks the new ones in one pass.  A
+block that holds a self-loop, whose new names fail their check or that
+``block_fields`` refuses is read by the per-record loop, the only path of
+``Hierarchy(edges)``, from the node table as it stood before that block:
+so every error, its line number and its message are the per-record
+loop's.
+
 Hierarchies number their nodes once, by ascending height, hold one name
 table, one flat parent store and each node's height, and nothing else
 that changes after construction.  Heights come from peeling the leaves a
@@ -60,7 +71,17 @@ from pathlib import Path
 import numpy as np
 
 from ._arrays import grouped, key_dtype, ranks, segment_offsets, sorted_distinct, spans
-from ._input import check_identifier, line_records, read_file, tuple_records, warn
+from ._input import (
+    LineBlock,
+    block_fields,
+    check_identifier,
+    intern_fields,
+    line_blocks,
+    line_records,
+    read_file,
+    tuple_records,
+    warn,
+)
 from .errors import LoadError
 
 
@@ -73,8 +94,9 @@ class Hierarchy:
     checked once, where it first occurs, as the corpus loader does; one
     that fails never enters the node table, so the error names the first
     bad record.  Errors read ``"{source}: record N: {problem}"``;
-    :func:`parse_hierarchy` builds through the same :meth:`_fill` and
-    names the line instead.
+    :func:`parse_hierarchy` reads blocks of lines, falls back on the same
+    per-record loop, :meth:`_Edges.add_records`, builds through the same
+    :meth:`_fill` and names the line instead.
 
     Node ``n`` is ``_names[n]``, and ``_numbers`` maps each name back to
     its number; ``nodes``, ``len``, ``in`` and ``repr`` read these.  Its
@@ -99,37 +121,11 @@ class Hierarchy:
     """
 
     def __init__(self, edges: Iterable[Sequence[str]], source: str = "<memory>"):
-        self._fill(tuple_records(edges, 2, source), source, "record")
+        self._fill(_Edges.of_records(edges, source), source)
 
-    def _fill(
-        self, numbered: Iterable[tuple[int, Sequence[str]]], source: str, unit: str
-    ) -> None:
-        """Build every attribute from numbered (child, parent) records."""
-        numbers: dict[str, int] = {}  # every node, numbered as first met
-        children, parents = array("q"), array("q")
-        add_child, add_parent = children.append, parents.append
-        for number, (child, parent) in numbered:
-            try:
-                c = numbers.get(child)
-                p = numbers.get(parent)
-            except TypeError:  # an unhashable identifier, which no check passes
-                c = p = None
-            if c is None or p is None or c == p:
-                try:
-                    if c is None:
-                        check_identifier(child, "child identifier")
-                    if p is None:
-                        check_identifier(parent, "parent identifier")
-                    if child == parent:
-                        raise LoadError(f"self-loop edge {child!r} -> {parent!r}")
-                except LoadError as err:
-                    raise LoadError(f"{source}: {unit} {number}: {err}") from None
-                if p is None:
-                    p = numbers[parent] = len(numbers)
-                if c is None:
-                    c = numbers[child] = len(numbers)
-            add_child(c)
-            add_parent(p)
+    def _fill(self, edges: _Edges, source: str) -> None:
+        """Build every attribute from the node table and edge columns."""
+        numbers, children, parents = edges.numbers, edges.children, edges.parents
         self.source = source
         # The distinct keys child * size + parent, ascending, hold each
         # node's parents as one ascending run; duplicate edges go.
@@ -346,6 +342,92 @@ class Hierarchy:
         return shared / (len(anc_a) + len(anc_b) - shared)
 
 
+class _Edges:
+    """The node table and the (child, parent) node-number columns that a
+    hierarchy load fills, a record or a block of lines at a time.
+
+    The table numbers each node from 0 as first met, taking a record's
+    parent before its child, and takes a name only once it passes its
+    check; a self-loop enters nothing.
+    """
+
+    def __init__(self) -> None:
+        self.numbers: dict[str, int] = {}
+        self.children, self.parents = array("q"), array("q")
+
+    @classmethod
+    def of_records(cls, edges: Iterable[Sequence[str]], source: str) -> _Edges:
+        """The edges of in-memory records, read a record at a time."""
+        found = cls()
+        found.add_records(tuple_records(edges, 2, source), source, "record")
+        return found
+
+    @classmethod
+    def of_lines(cls, lines: Iterable[str], source: str) -> _Edges:
+        """The edges of hierarchy lines, read a block at a time; a block
+        that the block path refuses is read a record at a time, from the
+        table as it stood before it, so its error is the per-record one."""
+        found = cls()
+        for block in line_blocks(lines, 2):
+            if not found.add_block(block):
+                found.add_records(line_records(block.lines, 2, source, block.first), source, "line")
+        return found
+
+    def add_records(
+        self, numbered: Iterable[tuple[int, Sequence[str]]], source: str, unit: str
+    ) -> None:
+        """Add numbered (child, parent) records, one at a time; the first
+        that fails a check names its number."""
+        numbers = self.numbers
+        add_child, add_parent = self.children.append, self.parents.append
+        for number, (child, parent) in numbered:
+            try:
+                c = numbers.get(child)
+                p = numbers.get(parent)
+            except TypeError:  # an unhashable identifier, which no check passes
+                c = p = None
+            if c is None or p is None or c == p:
+                try:
+                    if c is None:
+                        check_identifier(child, "child identifier")
+                    if p is None:
+                        check_identifier(parent, "parent identifier")
+                    if child == parent:
+                        raise LoadError(f"self-loop edge {child!r} -> {parent!r}")
+                except LoadError as err:
+                    raise LoadError(f"{source}: {unit} {number}: {err}") from None
+                if p is None:
+                    p = numbers[parent] = len(numbers)
+                if c is None:
+                    c = numbers[child] = len(numbers)
+            add_child(c)
+            add_parent(p)
+
+    def add_block(self, block: LineBlock) -> bool:
+        """Add a tokenized block of lines whole and return True; or, if
+        ``_input.block_fields`` refuses it, a line is a self-loop or a new
+        name fails its check, change nothing and return False.
+
+        ``_input.intern_fields`` looks up each distinct name of the block
+        and checks the new ones once, and the block's codes are gathered
+        from them in numpy.
+        """
+        fields = block_fields(block, [1, 0])  # parent before child
+        if fields is None:
+            return False
+        numbers, names = fields
+        pairs = numbers.reshape(-1, 2)
+        if (pairs[:, 0] == pairs[:, 1]).any():
+            return False
+        gathered = intern_fields([(self.numbers, numbers, names, False)])
+        if gathered is None:
+            return False
+        codes = gathered[0].reshape(-1, 2)
+        self.parents.frombytes(np.ascontiguousarray(codes[:, 0]).view(np.uint8))
+        self.children.frombytes(np.ascontiguousarray(codes[:, 1]).view(np.uint8))
+        return True
+
+
 class _Vocabulary:
     """The identifiers of one hierarchy that a corpus uses, interned, and
     their self-inclusive ancestor sets: the engine's only copy of them.
@@ -523,7 +605,7 @@ def _heights(starts: np.ndarray, parent: np.ndarray, size: int) -> np.ndarray:
 def parse_hierarchy(lines: Iterable[str], source: str = "<memory>") -> Hierarchy:
     """Parse ``child<TAB>parent`` lines; ``#`` comments and blanks ignored."""
     hierarchy = Hierarchy.__new__(Hierarchy)
-    hierarchy._fill(line_records(lines, 2, source), source, "line")
+    hierarchy._fill(_Edges.of_lines(lines, source), source)
     return hierarchy
 
 

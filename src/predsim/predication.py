@@ -135,7 +135,8 @@ def parse_pattern(text: str) -> PredicationPattern:
 @dataclass(frozen=True)
 class PredicationSet:
     """Deduplicated predications in canonical (literal-sorted) order, built
-    from any iterable of them."""
+    from any iterable of them.  A member that is not a :class:`Predication`
+    fails with a :class:`LoadError` naming its place, from 1, and its type."""
 
     members: tuple[Predication, ...]
 
@@ -144,6 +145,12 @@ class PredicationSet:
         # literal-keyed dict both deduplicates and gives the sort keys.  The
         # members are read once, so any iterable will do.
         members = tuple(self.members)
+        for place, member in enumerate(members, start=1):
+            if not isinstance(member, Predication):
+                raise LoadError(
+                    f"predication set: member {place}: "
+                    f"expected a Predication, got {type(member).__name__}"
+                )
         by_literal = dict(zip(map(format_predication, members), members))
         canonical = tuple(map(by_literal.__getitem__, sorted(by_literal)))
         if canonical != self.members:

@@ -7,9 +7,10 @@ from predsim import Corpus, Hierarchy, Predication, retrieval
 
 # Tier-1 draws a fixed 150 examples per property test.  HYPOTHESIS_PROFILE=ci
 # draws 2,000, for the CI steps that rerun the file-format and literal
-# properties of tests/test_formats.py, whose line blocks, comment runs and
-# recurring names need many draws to meet, on the newest numpy and at the
-# dependency floor, and the sorted-key properties of tests/test_arrays.py.
+# properties of tests/test_formats.py, whose line blocks of predication
+# and hierarchy files, comment runs and recurring names need many draws
+# to meet, on the newest numpy and at the dependency floor, and the
+# sorted-key properties of tests/test_arrays.py.
 settings.register_profile("tier1", max_examples=150)
 settings.register_profile("ci", max_examples=2000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))

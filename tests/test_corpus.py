@@ -569,9 +569,10 @@ _TEXT_WORK = {
 
 class TestTextBoundary:
     """``_input`` alone knows the line format: it reads, tokenizes, groups,
-    decodes and writes lines.  ``corpus`` sees names and numbers only,
-    ``_arrays`` holds integer-key helpers only, and one splitter parses
-    both forms of a predication literal."""
+    decodes and writes lines, and interns a block's names.  ``corpus`` and
+    ``ontology`` see names and numbers only, ``_arrays`` holds integer-key
+    helpers only, and one splitter parses both forms of a predication
+    literal."""
 
     def test_corpus_handles_no_line_text(self):
         used = _used(_tree("corpus"))
@@ -602,8 +603,28 @@ class TestTextBoundary:
         for parser in ("parse_predication", "parse_pattern"):
             assert splitters <= _used(_function("predication", parser))
 
-    def test_hierarchy_and_gold_lines_are_read_a_record_at_a_time(self):
-        for module, parser in (("ontology", "parse_hierarchy"), ("corpus", "parse_gold")):
-            used = _used(_function(module, parser))
-            assert "line_records" in used
-            assert not used & {"line_blocks", "block_fields"}
+    def test_gold_lines_are_read_a_record_at_a_time(self):
+        used = _used(_function("corpus", "parse_gold"))
+        assert "line_records" in used
+        assert not used & {"line_blocks", "block_fields"}
+
+    def test_hierarchy_lines_are_read_a_block_at_a_time(self):
+        # Blocks, with the per-record loop for a block the block path refuses.
+        assert {"line_blocks", "add_block", "line_records", "add_records"} <= _used(
+            _function("ontology", "of_lines")
+        )
+        assert "of_lines" in _used(_function("ontology", "parse_hierarchy"))
+
+    def test_ontology_handles_no_line_text(self):
+        used = _used(_tree("ontology"))
+        # Its one join spells a warning's sample of names; a join by a tab
+        # or a line break would hold line text.
+        assert used & _TEXT_WORK <= {"join"}, used & _TEXT_WORK
+        assert not _holds_line_text(used)
+        assert "block_fields" in used
+
+    def test_one_interner_checks_a_block_s_new_names_at_once(self):
+        for module in ("corpus", "ontology"):
+            used = _used(_function(module, "add_block"))
+            assert "intern_fields" in used
+            assert "check_identifier" not in used

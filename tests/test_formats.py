@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from predsim import (
     Corpus,
+    Hierarchy,
     LoadError,
     Predication,
     PredicationPattern,
@@ -186,10 +187,10 @@ def record_lines(n_fields):
 def test_adversarial_lines_follow_the_format_rules(name, tmp_path, monkeypatch):
     n_fields, rules, parse, load_file, view = FORMATS[name]
     path = tmp_path / f"{name}.tsv"
-    # The predications reader tokenizes blocks of lines.  Blocks of one and
-    # two lines split runs of comments, put a bad line in a later block than
-    # a good one and make names recur across blocks.
-    block_sizes = (1, 2, _input.BLOCK_LINES) if name == "predications" else (None,)
+    # The predications and hierarchy readers tokenize blocks of lines.
+    # Blocks of one and two lines split runs of comments, put a bad line in
+    # a later block than a good one and make names recur across blocks.
+    block_sizes = (1, 2, _input.BLOCK_LINES) if name != "gold" else (None,)
 
     @SETTINGS
     @given(record_lines(n_fields), st.booleans())
@@ -303,6 +304,75 @@ def test_block_path_equals_record_path(monkeypatch, records, size):
         assert from_lines == from_records
     else:
         same_corpus(from_lines, from_records)
+
+
+def warned(build, *args):
+    """:func:`built`, and the text of each warning raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = built(build, *args)
+    return result, [str(warning.message) for warning in caught]
+
+
+def same_hierarchy(a, b):
+    assert a._names == b._names
+    assert list(a._numbers.items()) == list(b._numbers.items())
+    assert a._parent_starts == b._parent_starts and a._parent_nodes == b._parent_nodes
+    assert a._height.dtype == b._height.dtype and a._height.tolist() == b._height.tolist()
+    assert (a.edge_count, a.source) == (b.edge_count, b.source)
+
+
+# A few short names recur, so that edges repeat, close cycles and loop on
+# themselves.
+EDGE_NAMES = st.one_of(NAMES, st.sampled_from(["a", "b", "c"]))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(EDGE_NAMES, EDGE_NAMES), max_size=12), st.sampled_from([1, 3, None]))
+def test_hierarchy_block_path_equals_record_path(monkeypatch, edges, size):
+    edges = [edge for edge in edges if list(data_lines(["\t".join(edge)]))]
+    lines = ["\t".join(edge) + "\n" for edge in edges]
+    with monkeypatch.context() as patch:
+        if size is not None:
+            patch.setattr(_input, "BLOCK_LINES", size)
+        from_lines, lines_warned = warned(parse_hierarchy, lines, "s")
+    from_records, records_warned = warned(Hierarchy, edges, "s")
+    assert lines_warned == records_warned
+    if isinstance(from_records, str):
+        assert from_lines == from_records
+    else:
+        same_hierarchy(from_lines, from_records)
+
+
+# A new name that fails its check, in each table and slot.  A block's
+# fields hold no tab or line break, so these are the failures left.
+BAD_RECORDS = {
+    "predications": [
+        ("", "s", "r", "o"), ("d", "", "r", "o"), ("d", "s", "", "o"), ("d", "s", "r", ""),
+        ("d", "s|", "r", "o"), ("d", "s", "|", "o"), ("d", "s", "r", "a|o"),
+        ("d", "?", "r", "o"), ("d", "s", "?", "o"), ("d", "s", "r", "?"),
+    ],
+    "hierarchy": [("", "p"), ("c", ""), ("x", "x")],
+}
+
+
+@pytest.mark.parametrize(
+    "name, bad", [(name, bad) for name, records in BAD_RECORDS.items() for bad in records]
+)
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_bad_new_name_in_a_full_block(name, bad, at):
+    size = _input.BLOCK_LINES
+    if name == "predications":
+        parse, build = parse_predications, Corpus
+        records = [(f"d{k % 7}", f"s{k}", "r", f"o{k % 11}") for k in range(size)]
+    else:
+        parse, build = parse_hierarchy, Hierarchy
+        records = [(f"c{k}", f"p{k % 13}") for k in range(size)]
+    place = {"first": 0, "middle": size // 2, "last": size - 1}[at]
+    records[place] = bad
+    message = built(parse, ["\t".join(record) + "\n" for record in records], "s")
+    assert message == built(build, records, "s")
+    assert message.startswith(f"s: record {place + 1}: ")
 
 
 @pytest.mark.parametrize("size", [1, 3, None])

@@ -150,6 +150,18 @@ class TestPredicationSet:
         assert PredicationSet(iter([a, b, a])).members == (b, a)
         assert PredicationSet([a, b]).members == (b, a)
 
+    @pytest.mark.parametrize(
+        "members, place, kind",
+        [([("a", "r", "b")], 1, "tuple"), ("abc", 1, "str"), ([None], 1, "NoneType"),
+         ([Predication("a", "r", "b"), None], 2, "NoneType")],
+    )
+    def test_member_that_is_not_a_predication_is_named(self, members, place, kind):
+        with pytest.raises(LoadError) as raised:
+            PredicationSet(members)
+        assert str(raised.value) == (
+            f"predication set: member {place}: expected a Predication, got {kind}"
+        )
+
 
 def _components(s_sim, r_sim, o_sim):
     """Stub sources pinning the three slot similarities of (p1, p2)."""
