@@ -21,6 +21,17 @@ that a field of a tokenized block can fail, and enters them only once
 all of them pass.  A block with a line break inside a line, or a data
 line of another field count, is left to :func:`line_records`, and so is
 one that a loader refuses.
+
+:func:`read_file`, the one file opener, reads a file once, in text
+mode, so that the text layer drops a leading byte-order mark, reads each
+``\\r\\n`` or lone ``\\r`` as ``\\n`` and escapes a byte that is not UTF-8
+to a lone surrogate.  It reads ``_CHUNK_CHARS`` characters at a time,
+encodes each chunk once, and :func:`line_blocks` takes the
+``BLOCK_LINES``-line blocks cut from those bytes, so a file's line
+becomes a ``str`` only in a block that is refused, or in a gold file,
+which :func:`line_records` reads.  A chunk is searched for a surrogate
+only if it is not ASCII; the lines before the first one's line are read
+as usual, and then the file fails, naming that line.
 :func:`write_file` writes rows of fields as lines, and refuses by the
 same rules any line that would not read back.
 
@@ -41,7 +52,7 @@ import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple, TextIO, TypeVar
 
 import numpy as np
 
@@ -161,11 +172,12 @@ class LineBlock(NamedTuple):
     ``data[delimiters[i, j] + 1:delimiters[i, j + 1]]``.  Both are None
     when a line holds a line break before its end, a data line has
     another number of fields or no line is a data line:
-    :func:`line_records` then reads ``lines``.
+    :func:`line_records` then reads ``lines``, which a block of a file
+    decodes from its bytes only then.
     """
 
     first: int
-    lines: list[str]
+    lines: Iterable[str]
     data: bytes | None = None
     delimiters: np.ndarray | None = None
 
@@ -175,6 +187,13 @@ class LineBlock(NamedTuple):
 # this is the largest that keeps a load's traced peak within 1.9 times
 # what the corpus holds.
 BLOCK_LINES = 1 << 11
+
+# The characters that read_file reads at once.  Chosen by measurement
+# (BENCH_text_chunks.json).
+_CHUNK_CHARS = 1 << 16
+
+# The bytes after a block's text that equal_spans reads its words into.
+_PAD = bytes(7)
 
 # The first bytes that may begin a blank line or a comment: the ASCII
 # characters str.isspace takes, "#", and any byte of a longer UTF-8
@@ -188,11 +207,16 @@ _MAY_SKIP[0x80:] = True
 def line_blocks(lines: Iterable[str], n_fields: int) -> Iterator[LineBlock]:
     """The lines, ``BLOCK_LINES`` at a time, each block tokenized.
 
-    If reading fails part-way through a block, the lines read so far come
-    first as a block of their own, untokenized, then the error: so a
-    reader that checks records in order meets what it would have met
-    reading a line at a time.
+    The lines of a file that :func:`read_file` opened come as the UTF-8
+    blocks it cuts.  If reading lines given otherwise fails part-way
+    through a block, the lines read so far come first as a block of their
+    own, untokenized, then the error: so a reader that checks records in
+    order meets what it would have met reading a line at a time.
     """
+    if isinstance(lines, _FileLines):
+        for first, data, ends in lines.blocks():
+            yield _tokenize(first, _decoded(data), data, ends, n_fields)
+        return
     lines = iter(lines)
     first = 1
     while True:
@@ -205,7 +229,7 @@ def line_blocks(lines: Iterable[str], n_fields: int) -> Iterator[LineBlock]:
             raise
         if not block:
             return
-        yield _tokenize(LineBlock(first, block), n_fields)
+        yield _encoded(first, block, n_fields)
         first += len(block)
 
 
@@ -223,28 +247,49 @@ def _joined(lines: list[str]) -> str:
     return "\n".join(map(str.rstrip, lines, repeat("\r\n"))) + "\n"
 
 
-def _tokenize(block: LineBlock, n_fields: int) -> LineBlock:
-    """The block with the spans of its data lines' fields, if it has them."""
-    lines = block.lines
+def _encoded(first: int, lines: list[str], n_fields: int) -> LineBlock:
+    """A block of lines given in memory, tokenized if every line is a
+    ``str`` that holds no line break before its end."""
     try:
         text = _joined(lines)
     except TypeError:  # a line that is not a str, which line_records reports
-        return block
+        return LineBlock(first, lines)
     if "\r" in text:
-        return block
-    data = text.encode("utf-8", "surrogatepass") + bytes(7)
+        return LineBlock(first, lines)
+    data = text.encode("utf-8", "surrogatepass") + _PAD
     del text
-    buffer = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buffer == 0x0A)
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0x0A)
     if len(ends) != len(lines):  # a line break inside a line
-        return block
+        return LineBlock(first, lines)
+    return _tokenize(first, lines, data, ends, n_fields)
+
+
+def _decoded(data: bytes) -> Iterator[str]:
+    """The lines of a block of a file, each without its break, decoded
+    from the block's ``data`` once asked for."""
+    lines = data[:-len(_PAD)].decode("utf-8").split("\n")
+    lines.pop()  # the empty text after the last break
+    yield from lines
+
+
+def _tokenize(
+    first: int, lines: Iterable[str], data: bytes, ends: np.ndarray, n_fields: int
+) -> LineBlock:
+    """The block of ``lines`` with the spans of its data lines' fields, if
+    it has them: ``data`` is the lines in UTF-8, each ended by ``\\n``, and
+    7 bytes more, and ``ends`` are the places of those breaks."""
+    buffer = np.frombuffer(data, dtype=np.uint8)
     before = np.concatenate(([-1], ends[:-1]))  # the break before each line
     tabs = np.flatnonzero(buffer == 0x09)
-    # A line with its break is blank or a comment when it is without it.
-    maybe = np.flatnonzero(_MAY_SKIP[buffer[before + 1]]).tolist()
-    skipped = [i for i in maybe if not _is_data(lines[i])]
+    # A line is blank or a comment only if its first byte may begin one.
+    maybe = np.flatnonzero(_MAY_SKIP[buffer[before + 1]])
+    spans = zip(maybe.tolist(), (before[maybe] + 1).tolist(), ends[maybe].tolist())
+    skipped = [
+        i for i, start, end in spans
+        if not _is_data(data[start:end].decode("utf-8", "surrogatepass"))
+    ]
     if skipped:
-        kept = np.ones(len(lines), dtype=bool)
+        kept = np.ones(len(ends), dtype=bool)
         kept[skipped] = False
         tabs = tabs[kept[np.searchsorted(ends, tabs)]]
         before, ends = before[kept], ends[kept]
@@ -252,14 +297,11 @@ def _tokenize(block: LineBlock, n_fields: int) -> LineBlock:
     # of that many tabs lies within the k-th data line, for every k.  A
     # block without a data line is left to line_records too.
     if not len(before) or len(tabs) != (n_fields - 1) * len(before):
-        return block
+        return LineBlock(first, lines)
     tabs = tabs.reshape(len(before), n_fields - 1)
     if not ((tabs[:, 0] > before).all() and (tabs[:, -1] < ends).all()):
-        return block
-    delimiters = np.column_stack((before, tabs, ends))
-    # Not block._replace: it builds a temporary tuple of ten slots, one more
-    # allocation a block that counts towards the next garbage collection.
-    return LineBlock(block.first, lines, data, delimiters)
+        return LineBlock(first, lines)
+    return LineBlock(first, lines, data, np.column_stack((before, tabs, ends)))
 
 
 def block_fields(block: LineBlock, places: list[int]) -> tuple[np.ndarray, list[str]] | None:
@@ -421,25 +463,85 @@ def tuple_records(
         yield number, record
 
 
+class _FileLines:
+    """The lines of a text file that :func:`read_file` opened, read
+    ``_CHUNK_CHARS`` characters at a time: :func:`line_blocks` takes them
+    as the UTF-8 blocks of :meth:`blocks`, and iterating gives each line
+    as a ``str``, without its break."""
+
+    def __init__(self, handle: TextIO, source: str) -> None:
+        self.handle, self.source = handle, source
+
+    def __iter__(self) -> Iterator[str]:
+        for _, data, _ in self.blocks():
+            yield from _decoded(data)
+
+    def blocks(self) -> Iterator[tuple[int, bytes, np.ndarray]]:
+        """Each block of ``BLOCK_LINES`` lines, the last of fewer: its first
+        line's number, its lines in UTF-8, each ended by ``\\n``, and 7
+        bytes more, and the places of those breaks.
+
+        Each chunk is encoded and its breaks found once; the chunks read
+        since the last block are joined once they hold a block's lines, and
+        the blocks are cut from their join.  The text layer decodes a byte
+        that is not UTF-8 to a lone surrogate, which valid UTF-8 never
+        decodes to: the lines before that byte's line come first, then the
+        error, which names that line.
+        """
+        first = 1
+        pieces: list[bytes] = []  # the text after the last block, encoded
+        breaks: list[np.ndarray] = []  # the places of its breaks in their join
+        size = count = 0
+        final = False
+        while not final:
+            text = self.handle.read(_CHUNK_CHARS)
+            # isascii is O(1), and ASCII text holds no surrogate.
+            bad = None if text.isascii() else _SURROGATE(text)
+            final = bad is not None or not text
+            if bad is not None:  # the lines that end before it
+                text = text[:bad.start()]
+            elif not text and pieces and not pieces[-1].endswith(b"\n"):
+                text = "\n"  # after a last line without a break
+            if text:
+                data = text.encode("utf-8")
+                del text  # not held while the blocks are read
+                pieces.append(data)
+                breaks.append(np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0x0A) + size)
+                size += len(data)
+                count += len(breaks[-1])
+            if count >= BLOCK_LINES or final and count:
+                data, ends = b"".join(pieces), np.concatenate(breaks)
+                pieces.clear()
+                breaks.clear()
+                blocked = count if final else count - count % BLOCK_LINES
+                start = 0
+                for k in range(0, blocked, BLOCK_LINES):
+                    block = ends[k:k + BLOCK_LINES]
+                    stop = int(block[-1]) + 1
+                    yield first, data[start:stop] + _PAD, block - start
+                    first += len(block)
+                    start = stop
+                if start < size:
+                    pieces.append(data[start:])
+                    breaks.append(ends[blocked:] - start)
+                size -= start
+                count -= blocked
+        if bad is not None:
+            raise LoadError(f"{self.source}: line {first}: not valid UTF-8")
+
+
 def read_file(path: str | Path, parse: Callable[[Iterable[str], str], T]) -> T:
     """``parse(lines, source)`` over the lines of the UTF-8 file at
-    ``path``, a leading byte-order mark dropped; the source is the path
-    as :class:`~pathlib.Path` spells it.
+    ``path``, a leading byte-order mark dropped and each ``\\r\\n`` or lone
+    ``\\r`` read as ``\\n``; the source is the path as
+    :class:`~pathlib.Path` spells it.
 
-    A file that is not UTF-8 is read again with each bad byte escaped to
-    a lone surrogate, which no valid UTF-8 decodes to, and the error
-    names the first line that holds one."""
+    The file is read once, a chunk at a time (:class:`_FileLines`), each
+    bad byte escaped to a lone surrogate; a file that is not UTF-8 fails
+    at the first line that holds one, once the lines before it are read."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return parse(handle, str(path))
-    except UnicodeDecodeError:
-        pass
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if _SURROGATE(line):
-                raise LoadError(f"{path}: line {lineno}: not valid UTF-8")
-    raise LoadError(f"{path}: not valid UTF-8")
+        return parse(_FileLines(handle, str(path)), str(path))
 
 
 def write_file(path: str | Path, rows: Iterable[Iterable[str]]) -> None:

@@ -13,7 +13,9 @@ of a record in document, subject, relation, object order; an identifier
 that fails never enters a table, so every occurrence of it is checked and
 the error names the first bad record and field.  ``_input`` alone knows
 the line format's text and bytes: a predications file is read a block of
-lines at a time (``_input.line_blocks``), ``_input.block_fields`` gives
+lines at a time (``_input.line_blocks``), cut by ``_input.read_file``
+from the UTF-8 of the chunks of text it reads, so no line becomes a
+``str`` unless its block is refused; ``_input.block_fields`` gives
 each block's fields of one table as numbers among their distinct values,
 with those values decoded, and ``_input.intern_fields``, which the
 hierarchy loader shares, looks up each distinct identifier of a block
@@ -37,7 +39,8 @@ through the same :meth:`Corpus._fill` as the loader, so a document exists
 only through a record and none is empty.  ``write_predications_file``
 hands its rows of fields to ``_input.write_file``, which holds the
 reader's rules for what reads back.  :class:`GoldStandard` is built a
-record at a time, files too, and is the read-only mapping from seed to
+record at a time, files too, from the lines that ``_input.read_file``
+decodes from the same chunks, and is the read-only mapping from seed to
 ranked ids.
 """
 
@@ -430,8 +433,8 @@ class GoldStandard(Mapping):
     ``GoldStandard(records, source)`` numbers its (seed, related id, rank)
     records from 1 and checks them as the loader checks lines; the rank is
     an ``int``, or anything else :func:`operator.index` takes but a
-    ``bool``.  Errors read ``"{source}: record N: {problem}"``, and an
-    empty input fails.
+    ``bool``.  A seed lists each rank and each related id once.  Errors
+    read ``"{source}: record N: {problem}"``, and an empty input fails.
     """
 
     def __init__(self, records: Iterable[Sequence], source: str = "<memory>"):
@@ -443,6 +446,7 @@ class GoldStandard(Mapping):
         """Group numbered (seed, related, rank) records, of which there
         must be at least one, by seed; ``read_rank`` reads each rank."""
         by_seed: dict[str, dict[int, str]] = {}
+        pairs: set[tuple[str, str]] = set()  # (seed, related id)
         for number, (seed, related, rank) in numbered:
             try:
                 rank = read_rank(rank, "rank")
@@ -453,9 +457,12 @@ class GoldStandard(Mapping):
                 ranks = by_seed.setdefault(seed, {})
                 if rank in ranks:
                     raise LoadError(f"duplicate rank {rank} for seed {seed!r}")
+                if (seed, related) in pairs:
+                    raise LoadError(f"duplicate related id {related!r} for seed {seed!r}")
             except ValueError as err:  # LoadError is a ValueError
                 raise LoadError(f"{source}: {unit} {number}: {err}") from None
             ranks[rank] = related
+            pairs.add((seed, related))
         if not by_seed:
             raise LoadError(f"{source}: no gold records")
         self._related: dict[str, tuple[str, ...]] = {

@@ -17,7 +17,8 @@ for identifiers the hierarchy has never seen (their ancestor set is just
 {x}).  Values always fall in [0, 1].
 
 A hierarchy file is read as a predications file is: a block of lines at
-a time, through ``_input.line_blocks`` and ``_input.block_fields``, each
+a time, cut by ``_input.read_file`` from the UTF-8 of the chunks of text
+it reads, through ``_input.line_blocks`` and ``_input.block_fields``, each
 line's parent before its child, so that nodes are first met in the order
 of a reader of one line at a time; ``_input.intern_fields`` looks up each
 distinct name of a block once and checks the new ones in one pass.  A

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -7,9 +8,9 @@ from predsim import Corpus, Hierarchy, Predication, retrieval
 
 # Tier-1 draws a fixed 150 examples per property test.  HYPOTHESIS_PROFILE=ci
 # draws 2,000, for the CI steps that rerun the file-format and literal
-# properties of tests/test_formats.py, whose line blocks of predication
-# and hierarchy files, comment runs and recurring names need many draws
-# to meet, on the newest numpy and at the dependency floor, and the
+# properties of tests/test_formats.py, whose line blocks, chunk
+# boundaries, comment runs and recurring names need many draws to meet,
+# on the newest numpy and at the dependency floor, and the
 # sorted-key properties of tests/test_arrays.py.
 settings.register_profile("tier1", max_examples=150)
 settings.register_profile("ci", max_examples=2000)
@@ -80,6 +81,21 @@ def stub_sim(table: dict, default: float = 0.0):
         return table.get((a, b), table.get((b, a), default))
 
     return sim
+
+
+def traced(load, source):
+    """What ``load(source)`` holds and its traced peak, both in bytes, and
+    what it returns; numpy's first calls allocate caches, so it runs once
+    untraced first."""
+    load(source)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load(source)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held - start, peak - start, loaded
 
 
 def triple(s: str, r: str, o: str) -> Predication:

@@ -25,6 +25,8 @@ from predsim import (
 from predsim._input import equal_spans
 from predsim.corpus import _literal_keys
 
+from conftest import traced
+
 
 class TestCorpusLoading:
     def test_grouping(self):
@@ -285,6 +287,19 @@ class TestMemberOrder:
         assert one == Corpus([("d", "C1!", "R", "C"), ("d", "C1", "R", "C10")])
 
 
+def _peak_corpus_lines():
+    """22,000 predication lines over 2,000 documents, a tenth of them
+    duplicates to drop."""
+    rng = np.random.default_rng(21)
+    n = 20_000
+    columns = (
+        rng.integers(0, 2_000, n), rng.zipf(1.3, n) % 3_000,
+        rng.integers(0, 30, n), rng.zipf(1.3, n) % 3_000,
+    )
+    lines = [f"d{d}\tc{s}\tr{r}\tc{o}\n" for d, s, r, o in zip(*(c.tolist() for c in columns))]
+    return lines + lines[::10]
+
+
 class TestCorpusColumns:
     def test_corpus_is_a_read_only_mapping(self, small_corpus):
         assert list(small_corpus) == list(small_corpus.doc_ids())
@@ -347,27 +362,25 @@ class TestCorpusColumns:
         # With np.unique numbering the triples and a full-size temporary
         # per slot, it was about 1.8 times (with a doc-id dict held);
         # holding every column to the end of the load, about 2.8 times.
-        rng = np.random.default_rng(21)
-        n = 20_000
-        columns = (
-            rng.integers(0, 2_000, n), rng.zipf(1.3, n) % 3_000,
-            rng.integers(0, 30, n), rng.zipf(1.3, n) % 3_000,
-        )
-        lines = [f"d{d}\tc{s}\tr{r}\tc{o}\n" for d, s, r, o in zip(*(c.tolist() for c in columns))]
-        lines += lines[::10]  # duplicates to drop
-        parse_predications(lines)  # numpy's first calls allocate caches
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            corpus = parse_predications(lines)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - start < 1.9 * (held - start), (peak - start, held - start)
+        lines = _peak_corpus_lines()
+        held, peak, corpus = traced(parse_predications, lines)
+        assert peak < 1.9 * held, (peak, held)
         # The slot columns decoded from the literal keys are the records'.
         want = sorted(set(tuple(line[:-1].split("\t")) for line in lines))
         got = sorted((d, p.subject, p.relation, p.object) for d in corpus for p in corpus[d])
         assert got == want
+
+    def test_file_load_peak_stays_near_what_the_corpus_holds(self, tmp_path):
+        # The same corpus read from its 364 kB file: about 1.89 times, since
+        # the reader holds 64 KiB of text at a time and the blocks cut from
+        # it.  A reader that reads the whole text at once peaks at about 2.26
+        # times, and one that holds its lines through the load at about 3.4.
+        lines = _peak_corpus_lines()
+        path = tmp_path / "corpus.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        held, peak, corpus = traced(load_predications_file, path)
+        assert peak < 2.05 * held, (peak, held)
+        assert corpus == parse_predications(lines)
 
     def test_columns_are_read_only(self, small_corpus):
         for column in (small_corpus.subjects, small_corpus.relations, small_corpus.objects,
@@ -426,6 +439,16 @@ class TestGoldStandard:
     def test_duplicate_rank_rejected(self):
         with pytest.raises(LoadError, match="duplicate rank"):
             GoldStandard([("d1", "d2", 1), ("d1", "d3", 1)])
+
+    def test_duplicate_related_id_rejected(self):
+        # One related id twice under one seed, at two ranks; another seed
+        # may list it too.
+        message = r"^g: line 3: duplicate related id 'z' for seed 's'$"
+        with pytest.raises(LoadError, match=message):
+            parse_gold(["s\tz\t1\n", "t\tz\t1\n", "s\tz\t2\n", "s\td\t3\n"], source="g")
+        with pytest.raises(LoadError, match=r"^<memory>: record 2: duplicate related id 'z'"):
+            GoldStandard([("s", "z", 1), ("s", "z", 2)])
+        assert GoldStandard([("s", "z", 1), ("t", "z", 1)]) == {"s": ("z",), "t": ("z",)}
 
     def test_nonpositive_rank_rejected(self):
         with pytest.raises(LoadError, match="positive"):

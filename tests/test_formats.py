@@ -1,14 +1,16 @@
 """Property tests for the three file formats.
 
 Round trips: a corpus written by ``write_predications_file`` reloads to an
-equal corpus, and a formatted predication or pattern literal parses back.  Adversarial lines: text built from CRLF and LF endings, a
-byte-order mark, ``#`` comments, blank lines and identifiers holding a
-tab, ``|``, ``\\r`` or ``?`` must either load to the records that the
-format's rules below give, or raise ``LoadError`` naming the line where
-those rules first fail.  The rules are written out here independently of
-the loaders.
+equal corpus, and a formatted predication or pattern literal parses back.
+Adversarial lines: text built from CRLF and LF endings, a byte-order
+mark, ``#`` comments, blank lines, identifiers holding a tab, ``|``,
+``\\r`` or ``?`` and, in a file, a byte that is not UTF-8 must either
+load to the records that the format's rules below give, or raise
+``LoadError`` naming the line where those rules first fail.  The rules
+are written out here independently of the loaders.
 """
 
+import gc
 import re
 import warnings
 
@@ -102,7 +104,7 @@ def gold_rules(lines):
         ranks = ranked.setdefault(seed, {})
         if not (_plain_id(seed) and _plain_id(related)) or rank < 1 or seed == related:
             raise Rejected(lineno)
-        if rank in ranks:
+        if rank in ranks or related in ranks.values():
             raise Rejected(lineno)
         ranks[rank] = related
     if not ranked:
@@ -183,31 +185,58 @@ def record_lines(n_fields):
 # -- tests ---------------------------------------------------------------------
 
 
+# A byte that is not UTF-8, as the text layer escapes it.
+BAD_CHARACTER = re.compile("[\udc80-\udcff]")
+
+
+def expected_from_file(rules, data):
+    """What the rules give for the lines of a file's bytes, or the first
+    line holding a byte that is not UTF-8 if no line before it is rejected.
+    One leading BOM is dropped and a lone \\r ends a line, as in any text
+    file read with universal newlines."""
+    text = data.decode("utf-8-sig", "surrogateescape")
+    lines = [part + "\n" for part in re.split(r"\r\n|\r|\n", text)]
+    bad = next((k for k, line in enumerate(lines, 1) if BAD_CHARACTER.search(line)), None)
+    if bad is None:
+        return expected(rules, lines)
+    found = expected(rules, lines[:bad - 1])
+    return found if found[0] == "rejected" and found[1] is not None else ("rejected", bad)
+
+
 @pytest.mark.parametrize("name", sorted(FORMATS))
 def test_adversarial_lines_follow_the_format_rules(name, tmp_path, monkeypatch):
     n_fields, rules, parse, load_file, view = FORMATS[name]
     path = tmp_path / f"{name}.tsv"
-    # The predications and hierarchy readers tokenize blocks of lines.
-    # Blocks of one and two lines split runs of comments, put a bad line in
-    # a later block than a good one and make names recur across blocks.
-    block_sizes = (1, 2, _input.BLOCK_LINES) if name != "gold" else (None,)
+    # The readers tokenize blocks of lines; a file is read a chunk of
+    # characters at a time and cut into blocks.  Blocks of one and two lines
+    # split runs of comments, put a bad line in a later block than a good one
+    # and make names recur across blocks.  Chunks of a few characters put a
+    # \r\n, a BOM, a character of several bytes, a comment run and a byte
+    # that is not UTF-8 across reads.
+    block_sizes = (1, 2, _input.BLOCK_LINES)
+    chunk_sizes = (1, 2, 3, 7, _input._CHUNK_CHARS)
 
     @SETTINGS
-    @given(record_lines(n_fields), st.booleans())
-    def check(lines, bom):
+    @given(record_lines(n_fields), st.booleans(), st.booleans(),
+           st.one_of(st.none(), st.none(), st.integers(0, 1 << 12)))
+    def check(lines, bom, open_end, bad_at):
+        if open_end and lines:  # the last line without its break
+            lines[-1] = lines[-1].rstrip("\r\n")
         text = ("\ufeff" if bom else "") + "".join(lines)
-        path.write_bytes(text.encode("utf-8"))
-        parts = re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff"))
-        file_lines = [part + "\n" for part in parts]
+        data = text.encode("utf-8")
+        if bad_at is not None:  # a byte that starts no UTF-8 sequence
+            bad_at %= len(data) + 1
+            data = data[:bad_at] + b"\xff" + data[bad_at:]
+        path.write_bytes(data)
+        from_file = expected_from_file(rules, data)
         for size in block_sizes:
             with monkeypatch.context() as patch:
-                if size is not None:
-                    patch.setattr(_input, "BLOCK_LINES", size)
+                patch.setattr(_input, "BLOCK_LINES", size)
                 # Given as lines, every character stays where it is, a BOM too.
                 assert outcome(parse, lines, view) == expected(rules, lines)
-                # Read from a file, one leading BOM is dropped and a lone \r
-                # ends a line, as in any text file read with universal newlines.
-                assert outcome(load_file, path, view) == expected(rules, file_lines)
+                for chunk in chunk_sizes:
+                    patch.setattr(_input, "_CHUNK_CHARS", chunk)
+                    assert outcome(load_file, path, view) == from_file, (size, chunk)
 
     check()
 
@@ -375,6 +404,35 @@ def test_bad_new_name_in_a_full_block(name, bad, at):
     assert message.startswith(f"s: record {place + 1}: ")
 
 
+@pytest.mark.parametrize("name", ["predications", "hierarchy"])
+def test_file_lines_become_no_str(name, tmp_path, monkeypatch):
+    # A file's blocks are cut from the UTF-8 of its chunks of text: no line
+    # is joined, and a block's lines are decoded only if the block path
+    # refuses it, which it does not here.  CRLF endings, a BOM, comments
+    # and characters of several bytes cross the blocks and the chunks.
+    n_fields, _, parse, load_file, view = FORMATS[name]
+    lines = [
+        "\t".join(f"caf\u00e9{k}-{j}" for j in range(n_fields)) + ("\r\n" if k % 3 else "\n")
+        for k in range(5_000)
+    ]
+    lines[::700] = ["# a comment\n"] * len(lines[::700])
+    path = tmp_path / f"{name}.tsv"
+    path.write_bytes(("\ufeff" + "".join(lines)).encode("utf-8"))
+    want = view(parse(lines))
+
+    def joined(lines):
+        raise AssertionError("lines joined")
+
+    def decoded(data):  # a generator, as the reader's is: it fails once read
+        raise AssertionError("a block's lines decoded")
+        yield
+
+    monkeypatch.setattr(_input, "_joined", joined)
+    monkeypatch.setattr(_input, "_decoded", decoded)
+    monkeypatch.setattr(_input, "_CHUNK_CHARS", 1_000)
+    assert view(load_file(path)) == want
+
+
 @pytest.mark.parametrize("size", [1, 3, None])
 def test_line_break_inside_a_line_given_in_memory(monkeypatch, size):
     if size is not None:
@@ -452,6 +510,20 @@ def test_bad_line_before_a_bad_byte_in_the_same_block(tmp_path):
     assert str(raised.value) == (
         f"{path}: line 5: predication: subject may not be the reserved token '?'"
     )
+
+
+@pytest.mark.parametrize("name", sorted(GOOD_LINES))
+@pytest.mark.parametrize("bad", [b"\xff", b"\t"])  # a bad byte, a field too many
+def test_error_part_way_through_a_file_leaves_it_closed(name, bad, tmp_path):
+    # The error comes at line 2,999 of 3,000, where the reader has raised
+    # or is left suspended; a file left open warns when it is collected.
+    path = _bad_file(tmp_path / f"{name}.tsv", name, 3000, 2999, bad)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(LoadError, match=r": line 2999: "):
+            GOOD_LINES[name][0](path)
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_bad_byte_in_a_comment(tmp_path):

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from collections.abc import Collection
 
@@ -18,6 +17,7 @@ from predsim import (
 from predsim import ontology
 from predsim._arrays import segment_offsets
 
+from conftest import traced
 from oracles import closure_ancestor_sets, make_identifier_sim, random_cyclic_graph, random_dag
 
 
@@ -173,23 +173,34 @@ class TestLoadMemory:
         # (depth 11), against what the loaded hierarchy holds: about 1.77
         # times, since the name table is renumbered in place.  Building a
         # second name-to-number dict beside the first, it was about 2.2.
-        rng = np.random.default_rng(22)
-        lines = []
-        for child in range(1, 6_000):
-            picks = rng.integers(child // 3, max(child // 3 + 1, child // 2), int(rng.integers(1, 4)))
-            lines += [f"n{child}\tn{parent}\n" for parent in set(picks.tolist())]
-        lines += lines[::10]  # duplicate edges to drop
-        parse_hierarchy(lines)  # numpy's first calls allocate caches
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            hierarchy = parse_hierarchy(lines)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        lines = _peak_hierarchy_lines()
+        held, peak, hierarchy = traced(parse_hierarchy, lines)
         assert len(hierarchy) == 6_000 and int(hierarchy._height.max()) < 12
-        assert peak - start < 2.1 * (held - start), (peak - start, held - start)
+        assert peak < 2.1 * held, (peak, held)
         assert hierarchy.edges == {tuple(line[:-1].split("\t")) for line in lines}
+
+    def test_file_load_peak_stays_near_what_the_hierarchy_holds(self, tmp_path):
+        # The same hierarchy read from its 149 kB file: about 1.71 times, as
+        # given in memory, since the load peaks once the edges are read.  A
+        # reader that holds the file's lines through the load peaks at about
+        # 2.64 times.
+        lines = _peak_hierarchy_lines()
+        path = tmp_path / "concepts.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        held, peak, hierarchy = traced(load_hierarchy_file, path)
+        assert peak < 2.0 * held, (peak, held)
+        assert hierarchy.edges == {tuple(line[:-1].split("\t")) for line in lines}
+
+
+def _peak_hierarchy_lines():
+    """The edge lines of a shallow polyhierarchy of 6,000 nodes, a tenth
+    of them duplicates to drop."""
+    rng = np.random.default_rng(22)
+    lines = []
+    for child in range(1, 6_000):
+        picks = rng.integers(child // 3, max(child // 3 + 1, child // 2), int(rng.integers(1, 4)))
+        lines += [f"n{child}\tn{parent}\n" for parent in set(picks.tolist())]
+    return lines + lines[::10]
 
 
 class TestAncestors:
