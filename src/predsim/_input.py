@@ -1,39 +1,51 @@
 """Input checks shared by the loaders and the query surfaces: one
 identifier validator, one count check and its text reader, and the one
-owner of the line format, with its two readers, the interner of a block's
-fields, the reader for in-memory records, one file opener and one writer.
-Every predsim warning goes through :func:`warn`.
+owner of the line format, with its block-reader driver, its record
+reader, the reader for in-memory records, one file opener and one
+writer.  Every predsim warning goes through :func:`warn`.
 
 A line's break (``\\n`` or ``\\r\\n``) is stripped; a blank line, or one
 whose first non-blank character is ``#``, is skipped; every other line is
 a data line of tab-separated fields.  :func:`line_records` applies this
-rule a line at a time.  :func:`line_blocks` applies it to up to
-``BLOCK_LINES`` lines at once: numpy finds their breaks and tabs, the
-rule runs in Python only on the lines whose first byte may begin a blank
-line or a comment, and the block hands on the byte spans of its fields.
-:func:`block_fields` numbers the fields of one table among their
-distinct values (:func:`equal_spans`) and decodes each distinct value
-once, and :func:`intern_fields` looks each one up in a loader's table and
-gathers the block's codes, so that the corpus and hierarchy loaders make
-no Python object per field and see no byte of the text.  It checks a
-block's new names in one pass, by the rules of :func:`check_identifier`
-that a field of a tokenized block can fail, and enters them only once
-all of them pass.  A block with a line break inside a line, or a data
-line of another field count, is left to :func:`line_records`, and so is
-one that a loader refuses.
+rule a line at a time.
+
+:func:`read_blocks` is the one driver of the corpus and hierarchy
+loaders.  It takes up to ``BLOCK_LINES`` lines at a time
+(:func:`line_blocks`), tokenizes each block, where numpy finds the breaks
+and tabs and the rule runs in Python only on the lines whose first byte
+may begin a blank line or a comment, and hands the block to its tables'
+``add_block``.  There :func:`block_fields` numbers the fields of one
+table among their distinct values (:func:`equal_spans`) and decodes each
+distinct value once, and :func:`intern_fields` looks each one up in its
+table and gathers the block's codes, so that the loaders make no Python
+object per field and see no byte of the text.  It checks a block's new
+names in one pass, by the rules of :func:`check_identifier` that a field
+of a tokenized block can fail, and enters them only once all of them
+pass.
+
+Each step that finds a block cannot be read whole raises
+:class:`Refused` where it finds so, before any table is written: a line
+given in memory that is not a ``str`` or holds a line break before its
+end, no data line, a data line of another field count, two different
+fields of one key, a new name that fails its check, or a loader's own
+refusal, such as a hierarchy's self-loop.  The driver alone catches it,
+and hands that block's lines to the tables' ``add_records`` through
+:func:`line_records`, so that every error, its line number and its
+message are those of a reader of one line at a time.
+:func:`read_records` hands in-memory records to the same ``add_records``
+through :func:`tuple_records`.
 
 :func:`read_file`, the one file opener, reads a file once, in text
 mode, so that the text layer drops a leading byte-order mark, reads each
 ``\\r\\n`` or lone ``\\r`` as ``\\n`` and escapes a byte that is not UTF-8
 to a lone surrogate.  It reads ``_CHUNK_CHARS`` characters at a time,
-encodes each chunk once, and :func:`line_blocks` takes the
-``BLOCK_LINES``-line blocks cut from those bytes, so a file's line
-becomes a ``str`` only in a block that is refused, or in a gold file,
-which :func:`line_records` reads.  A chunk is searched for a surrogate
-only if it is not ASCII; the lines before the first one's line are read
-as usual, and then the file fails, naming that line.
-:func:`write_file` writes rows of fields as lines, and refuses by the
-same rules any line that would not read back.
+encodes each chunk once, and cuts the blocks of ``BLOCK_LINES`` lines
+from those bytes, so a file's line becomes a ``str`` only in a block
+that is refused, or in a gold file, which :func:`line_records` reads.  A
+chunk is searched for a surrogate only if it is not ASCII; the lines
+before the first one's line are read as usual, and then the file fails,
+naming that line.  :func:`write_file` writes rows of fields as lines,
+and refuses by the same rules any line that would not read back.
 
 The record readers yield ``(number, fields)`` pairs, counting from 1, and
 raise the only errors they can locate themselves, a line that is not a
@@ -49,7 +61,7 @@ import os
 import re
 import sys
 import warnings
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set, Sized
 from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import NamedTuple, TextIO, TypeVar
@@ -163,26 +175,26 @@ def line_records(
 
 
 class LineBlock(NamedTuple):
-    """Up to ``BLOCK_LINES`` lines, the first numbered ``first``, and the
-    byte spans of their data lines' fields in ``data``: the lines, each
-    break replaced by ``\\n``, in UTF-8 with lone surrogates passed
-    through, and 7 bytes more.  Row ``i`` of ``delimiters`` holds the
-    place of the break before data line ``i`` (-1 before the first line),
-    of its tabs and of its break, so field ``j`` of the line is
-    ``data[delimiters[i, j] + 1:delimiters[i, j + 1]]``.  Both are None
-    when a line holds a line break before its end, a data line has
-    another number of fields or no line is a data line:
-    :func:`line_records` then reads ``lines``, which a block of a file
-    decodes from its bytes only then.
-    """
+    """Up to ``BLOCK_LINES`` lines, the first numbered ``first``.  A block
+    of a file holds its bytes too: ``data``, the lines in UTF-8, each
+    ended by ``\\n``, and 7 bytes more, and ``ends``, the places of those
+    breaks; its ``lines`` are decoded from ``data`` only if read.  A block
+    of lines given in memory holds its list of lines only, and is encoded
+    when it is tokenized."""
 
     first: int
     lines: Iterable[str]
     data: bytes | None = None
-    delimiters: np.ndarray | None = None
+    ends: np.ndarray | None = None
 
 
-# The lines that line_blocks reads and tokenizes at once.  Chosen by
+class Refused(Exception):
+    """The block path cannot read a block whole.  It is raised where that
+    is found, before any table is written, and only :func:`read_blocks`
+    catches it: the block is then read a record at a time."""
+
+
+# The lines that read_blocks reads and tokenizes at once.  Chosen by
 # measurement (BENCH_block_loader.json): larger blocks load faster, and
 # this is the largest that keeps a load's traced peak within 1.9 times
 # what the corpus holds.
@@ -204,18 +216,47 @@ _MAY_SKIP[[*range(0x09, 0x0E), *range(0x1C, 0x21), ord("#")]] = True
 _MAY_SKIP[0x80:] = True
 
 
-def line_blocks(lines: Iterable[str], n_fields: int) -> Iterator[LineBlock]:
-    """The lines, ``BLOCK_LINES`` at a time, each block tokenized.
+def read_blocks(lines: Iterable[str], n_fields: int, source: str, tables: T) -> T:
+    """Fill ``tables`` from lines of ``n_fields`` tab-separated fields, a
+    block at a time, and return them.
 
-    The lines of a file that :func:`read_file` opened come as the UTF-8
-    blocks it cuts.  If reading lines given otherwise fails part-way
+    Each block is tokenized and handed to ``tables.add_block``.  A block
+    that is :class:`Refused` on the way, which leaves the tables as they
+    stood before it, is handed to ``tables.add_records`` as numbered
+    records instead: so every error, its line number and its message are
+    those of a reader of one line at a time.
+    """
+    for block in line_blocks(lines):
+        try:
+            tables.add_block(_tokenize(block, n_fields))
+            continue
+        except Refused:
+            pass
+        # Read outside the handler, so that no error raised here has the
+        # refusal as its context.
+        numbered = line_records(block.lines, n_fields, source, block.first)
+        tables.add_records(numbered, source, "line")
+    return tables
+
+
+def read_records(records: Iterable[Sequence], n_fields: int, source: str, tables: T) -> T:
+    """Fill ``tables`` from in-memory records of ``n_fields`` fields, a
+    record at a time (:func:`tuple_records`), and return them."""
+    tables.add_records(tuple_records(records, n_fields, source), source, "record")
+    return tables
+
+
+def line_blocks(lines: Iterable[str]) -> Iterator[LineBlock]:
+    """The lines, ``BLOCK_LINES`` at a time.
+
+    The lines of a file that :func:`read_file` opened come as the blocks
+    of UTF-8 it cuts.  If reading lines given otherwise fails part-way
     through a block, the lines read so far come first as a block of their
-    own, untokenized, then the error: so a reader that checks records in
-    order meets what it would have met reading a line at a time.
+    own, then the error: so a reader that checks records in order meets
+    what it would have met reading a line at a time.
     """
     if isinstance(lines, _FileLines):
-        for first, data, ends in lines.blocks():
-            yield _tokenize(first, _decoded(data), data, ends, n_fields)
+        yield from lines.blocks()
         return
     lines = iter(lines)
     first = 1
@@ -229,7 +270,7 @@ def line_blocks(lines: Iterable[str], n_fields: int) -> Iterator[LineBlock]:
             raise
         if not block:
             return
-        yield _encoded(first, block, n_fields)
+        yield LineBlock(first, block)
         first += len(block)
 
 
@@ -247,21 +288,22 @@ def _joined(lines: list[str]) -> str:
     return "\n".join(map(str.rstrip, lines, repeat("\r\n"))) + "\n"
 
 
-def _encoded(first: int, lines: list[str], n_fields: int) -> LineBlock:
-    """A block of lines given in memory, tokenized if every line is a
-    ``str`` that holds no line break before its end."""
+def _encoded(lines: list[str]) -> tuple[bytes, np.ndarray]:
+    """Lines given in memory as a block of a file holds them, its ``data``
+    and ``ends``; :class:`Refused` if a line is not a ``str`` or holds a
+    line break before its end."""
     try:
         text = _joined(lines)
     except TypeError:  # a line that is not a str, which line_records reports
-        return LineBlock(first, lines)
+        raise Refused from None
     if "\r" in text:
-        return LineBlock(first, lines)
+        raise Refused
     data = text.encode("utf-8", "surrogatepass") + _PAD
     del text
     ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0x0A)
     if len(ends) != len(lines):  # a line break inside a line
-        return LineBlock(first, lines)
-    return _tokenize(first, lines, data, ends, n_fields)
+        raise Refused
+    return data, ends
 
 
 def _decoded(data: bytes) -> Iterator[str]:
@@ -272,12 +314,21 @@ def _decoded(data: bytes) -> Iterator[str]:
     yield from lines
 
 
-def _tokenize(
-    first: int, lines: Iterable[str], data: bytes, ends: np.ndarray, n_fields: int
-) -> LineBlock:
-    """The block of ``lines`` with the spans of its data lines' fields, if
-    it has them: ``data`` is the lines in UTF-8, each ended by ``\\n``, and
-    7 bytes more, and ``ends`` are the places of those breaks."""
+def _tokenize(block: LineBlock, n_fields: int) -> tuple[bytes, np.ndarray]:
+    """The block's ``data`` and the byte spans of its data lines' fields,
+    as ``delimiters``; :class:`Refused` if it has no data line or a data
+    line of another field count, or its lines given in memory cannot be
+    encoded as a file's are.
+
+    Row ``i`` of ``delimiters`` holds the place of the break before data
+    line ``i`` (-1 before the first line), of its tabs and of its break,
+    so field ``j`` of the line is
+    ``data[delimiters[i, j] + 1:delimiters[i, j + 1]]``.
+    """
+    if block.data is None:
+        data, ends = _encoded(block.lines)
+    else:
+        data, ends = block.data, block.ends
     buffer = np.frombuffer(data, dtype=np.uint8)
     before = np.concatenate(([-1], ends[:-1]))  # the break before each line
     tabs = np.flatnonzero(buffer == 0x09)
@@ -294,33 +345,31 @@ def _tokenize(
         tabs = tabs[kept[np.searchsorted(ends, tabs)]]
         before, ends = before[kept], ends[kept]
     # Each data line holds n_fields - 1 tabs if and only if the k-th run
-    # of that many tabs lies within the k-th data line, for every k.  A
-    # block without a data line is left to line_records too.
+    # of that many tabs lies within the k-th data line, for every k.
     if not len(before) or len(tabs) != (n_fields - 1) * len(before):
-        return LineBlock(first, lines)
+        raise Refused
     tabs = tabs.reshape(len(before), n_fields - 1)
     if not ((tabs[:, 0] > before).all() and (tabs[:, -1] < ends).all()):
-        return LineBlock(first, lines)
-    return LineBlock(first, lines, data, np.column_stack((before, tabs, ends)))
+        raise Refused
+    return data, np.column_stack((before, tabs, ends))
 
 
-def block_fields(block: LineBlock, places: list[int]) -> tuple[np.ndarray, list[str]] | None:
-    """The fields at ``places`` of each data line of a tokenized block,
-    line by line and place by place, as each one's number among their
-    distinct values, numbered in the order in which each first occurs,
-    and those values decoded; or None if the block must be read a record
-    at a time, because it has no field spans or two different fields
-    share a key of :func:`equal_spans`."""
-    if block.delimiters is None:
-        return None
-    starts = block.delimiters[:, places].ravel()
+def block_fields(
+    block: tuple[bytes, np.ndarray], places: list[int]
+) -> tuple[np.ndarray, list[str]]:
+    """The fields at ``places`` of each data line of a tokenized block, as
+    each one's number among their distinct values, and those values
+    decoded.  The values are numbered in the order in which each first
+    occurs, line by line and place by place, and the numbers come back as
+    one row per place; :class:`Refused` if two different fields share a
+    key of :func:`equal_spans`."""
+    data, delimiters = block
+    starts = delimiters[:, places].ravel()
     starts += 1
-    ends = block.delimiters[:, [place + 1 for place in places]].ravel()
-    grouped = equal_spans(block.data, starts, ends)
-    if grouped is None:
-        return None
-    numbers, firsts = grouped
-    return numbers, _decode(block.data, starts[firsts], ends[firsts])
+    ends = delimiters[:, [place + 1 for place in places]].ravel()
+    numbers, firsts = equal_spans(data, starts, ends)
+    names = _decode(data, starts[firsts], ends[firsts])
+    return numbers.reshape(-1, len(places)).T.copy(), names  # each row contiguous
 
 
 # _LOW_BYTES[r] keeps the first r bytes of a little-endian 8-byte word.
@@ -329,7 +378,7 @@ _LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 def equal_spans(
     data: bytes, starts: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Number the byte strings ``data[starts[i]:ends[i]]``, of which there
     is at least one, equal ones alike, in the order in which each first
     occurs; and the place of each number's first span.
@@ -340,8 +389,8 @@ def equal_spans(
     of at most 8 bytes is its one word, whatever NUL bytes it holds.  A
     longer span is keyed by its length and its words, each times an odd
     constant of its place, summed modulo 2**64; spans of equal keys are
-    then compared word by word, and None is returned if two different
-    spans share a key.
+    then compared word by word, and :class:`Refused` is raised if two
+    different spans share a key.
     """
     count = len(starts)
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
@@ -375,11 +424,11 @@ def equal_spans(
         like = np.empty(count, dtype=np.int64)
         like[order] = first
         if (lengths[like] != lengths).any():
-            return None
+            raise Refused
         shift = np.repeat(offsets[like] - offsets, sizes)
         shift += np.arange(total)
         if (values[shift] != values).any():
-            return None
+            raise Refused
     firsts = np.minimum.reduceat(order, np.flatnonzero(heads))
     by_first = ranks(np.argsort(firsts))
     runs = np.cumsum(heads)
@@ -391,9 +440,10 @@ def equal_spans(
 
 def intern_fields(
     fields: Sequence[tuple[dict[str, int], np.ndarray, list[str], bool]],
-) -> list[np.ndarray] | None:
+) -> list[np.ndarray]:
     """The code of each field of a block in its table, new names entered;
-    or None, every table as it stood, if a new name fails its check.
+    :class:`Refused`, every table as it stood, if a new name fails its
+    check.
 
     Each item is a table, which numbers its names from 0 in the order they
     entered it, the numbers and distinct names that :func:`block_fields`
@@ -401,14 +451,17 @@ def intern_fields(
     slots, as :func:`check_identifier`'s ``literal``.  Each distinct name
     is looked up once; the new ones are checked in one pass, and enter
     their tables, in the order they first occur, only once those of every
-    table pass.  The codes come back in the order of the numbers.
+    table pass.  The codes come back in the shape of the numbers.
     """
     found = []
     for table, numbers, names, literal in fields:
         codes = np.fromiter(map(table.get, names, repeat(-1)), dtype=np.int64, count=len(names))
         new = list(compress(names, (codes < 0).tolist()))
-        if not _all_pass(new, literal):
-            return None
+        # A field of a tokenized block holds no tab and no line break, so
+        # check_identifier fails only an empty name, or, in a slot, one
+        # that holds a "|" or is the wildcard.
+        if "" in new or literal and (WILDCARD in new or "|" in "".join(new)):
+            raise Refused
         found.append((table, numbers, codes, new))
     gathered = []
     for table, numbers, codes, new in found:
@@ -417,15 +470,6 @@ def intern_fields(
         table.update(zip(new, added))
         gathered.append(codes[numbers])
     return gathered
-
-
-def _all_pass(names: list[str], literal: bool) -> bool:
-    """Whether :func:`check_identifier` passes every one of the names,
-    fields of a tokenized block: these hold no tab and no line break, so
-    only an empty name fails, or, in a slot, a ``|`` or the wildcard."""
-    if "" in names:
-        return False
-    return not literal or (WILDCARD not in names and "|" not in "".join(names))
 
 
 def _decode(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
@@ -449,15 +493,14 @@ def tuple_records(
 
     A string is refused whatever its length: its characters would be the
     fields, and a mapping passed for records iterates its string keys.  A
-    record without a length is refused by its type name.
+    set or a mapping is refused by its type name, since its order is not
+    the fields' order, and so is a record without a length.
     """
     for number, record in enumerate(records, start=1):
         if isinstance(record, str):
             raise LoadError(f"{source}: record {number}: expected {n_fields} fields, got a string")
-        try:
-            size = len(record)
-        except TypeError:
-            size = type(record).__name__
+        ordered = isinstance(record, Sized) and not isinstance(record, (Set, Mapping))
+        size = len(record) if ordered else type(record).__name__
         if size != n_fields:
             raise LoadError(f"{source}: record {number}: expected {n_fields} fields, got {size}")
         yield number, record
@@ -466,20 +509,19 @@ def tuple_records(
 class _FileLines:
     """The lines of a text file that :func:`read_file` opened, read
     ``_CHUNK_CHARS`` characters at a time: :func:`line_blocks` takes them
-    as the UTF-8 blocks of :meth:`blocks`, and iterating gives each line
+    as the blocks of UTF-8 of :meth:`blocks`, and iterating gives each line
     as a ``str``, without its break."""
 
     def __init__(self, handle: TextIO, source: str) -> None:
         self.handle, self.source = handle, source
 
     def __iter__(self) -> Iterator[str]:
-        for _, data, _ in self.blocks():
-            yield from _decoded(data)
+        for block in self.blocks():
+            yield from block.lines
 
-    def blocks(self) -> Iterator[tuple[int, bytes, np.ndarray]]:
-        """Each block of ``BLOCK_LINES`` lines, the last of fewer: its first
-        line's number, its lines in UTF-8, each ended by ``\\n``, and 7
-        bytes more, and the places of those breaks.
+    def blocks(self) -> Iterator[LineBlock]:
+        """Each block of ``BLOCK_LINES`` lines, the last of fewer, with its
+        ``data`` and ``ends``.
 
         Each chunk is encoded and its breaks found once; the chunks read
         since the last block are joined once they hold a block's lines, and
@@ -518,7 +560,8 @@ class _FileLines:
                 for k in range(0, blocked, BLOCK_LINES):
                     block = ends[k:k + BLOCK_LINES]
                     stop = int(block[-1]) + 1
-                    yield first, data[start:stop] + _PAD, block - start
+                    cut = data[start:stop] + _PAD
+                    yield LineBlock(first, _decoded(cut), cut, block - start)
                     first += len(block)
                     start = stop
                 if start < size:

@@ -12,20 +12,21 @@ each distinct identifier once, where it first occurs, taking the fields
 of a record in document, subject, relation, object order; an identifier
 that fails never enters a table, so every occurrence of it is checked and
 the error names the first bad record and field.  ``_input`` alone knows
-the line format's text and bytes: a predications file is read a block of
-lines at a time (``_input.line_blocks``), cut by ``_input.read_file``
-from the UTF-8 of the chunks of text it reads, so no line becomes a
-``str`` unless its block is refused; ``_input.block_fields`` gives
-each block's fields of one table as numbers among their distinct values,
-with those values decoded, and ``_input.intern_fields``, which the
-hierarchy loader shares, looks up each distinct identifier of a block
-once and checks the new ones in one pass; a block's new identifiers enter
-the tables only once all of them pass.  The per-record loop,
-:meth:`_Tables.add_records`, is the only path of ``Corpus(records)``, and
-reads any block that the block path refuses (a failed check, a line break
-inside a line, a wrong field count, two names of one key), from the
-tables as they stood before that block: so every error, its line number
-and its message are the per-record loop's.  Duplicates are dropped by
+the line format's text and bytes, and its one driver,
+``_input.read_blocks``, reads a predications file or list of lines a
+block of lines at a time, cut by ``_input.read_file`` from the UTF-8 of
+the chunks of text it reads, so no line becomes a ``str`` unless its
+block is refused.  It hands each tokenized block to
+:meth:`_Tables.add_block`: ``_input.block_fields`` gives the block's
+fields of one table as numbers among their distinct values, with those
+values decoded, and ``_input.intern_fields``, which the hierarchy loader
+shares, looks up each distinct identifier of a block once and checks the
+new ones in one pass; a block's new identifiers enter the tables only
+once all of them pass.  A step that cannot read a block whole raises
+``_input.Refused`` before any table is written, and the driver hands
+that block to the per-record loop, :meth:`_Tables.add_records`, which is
+also the only path of ``Corpus(records)``: so every error, its line
+number and its message are the per-record loop's.  Duplicates are dropped by
 their integer codes, and each document's members are ordered by literal
 from sort ranks of their identifiers, without formatting a literal.  The
 literal-order number of each distinct predication is kept as a column, so
@@ -56,15 +57,15 @@ import numpy as np
 
 from ._arrays import grouped, ranks, run_heads, sorted_distinct
 from ._input import (
-    LineBlock,
     block_fields,
     check_count,
     check_identifier,
     intern_fields,
-    line_blocks,
     line_records,
+    read_blocks,
     read_count,
     read_file,
+    read_records,
     tuple_records,
     write_file,
 )
@@ -158,7 +159,7 @@ class Corpus(Mapping):
     """
 
     def __init__(self, records: Iterable[Sequence[str]], source: str = "<memory>"):
-        self._fill(_Tables.of_records(records, source), source)
+        self._fill(read_records(records, 4, source, _Tables()), source)
 
     def _fill(self, tables: _Tables, source: str) -> None:
         """Build every attribute from the interned tables and code columns
@@ -313,25 +314,6 @@ class _Tables:
         self.relations: dict[str, int] = {}
         self.columns = array("q"), array("q"), array("q"), array("q")
 
-    @classmethod
-    def of_records(cls, records: Iterable[Sequence[str]], source: str) -> _Tables:
-        """The tables of in-memory records, read a record at a time."""
-        tables = cls()
-        tables.add_records(tuple_records(records, 4, source), source, "record")
-        return tables
-
-    @classmethod
-    def of_lines(cls, lines: Iterable[str], source: str) -> _Tables:
-        """The tables of predication lines, read a block at a time; a block
-        that the block path refuses is read a record at a time, from the
-        tables as they stood before it, so its error is the per-record one."""
-        tables = cls()
-        for block in line_blocks(lines, 4):
-            if not tables.add_block(block):
-                numbered = line_records(block.lines, 4, source, block.first)
-                tables.add_records(numbered, source, "line")
-        return tables
-
     def add_records(
         self, numbered: Iterator[tuple[int, Sequence[str]]], source: str, unit: str
     ) -> None:
@@ -370,40 +352,31 @@ class _Tables:
             add_relation(r)
             add_object(o)
 
-    def add_block(self, block: LineBlock) -> bool:
-        """Intern a tokenized block of lines whole and return True; or, if
-        ``_input.block_fields`` refuses it or a new identifier fails its
-        check, change nothing and return False.
+    def add_block(self, block: tuple[bytes, np.ndarray]) -> None:
+        """Intern a tokenized block of lines whole; ``_input.Refused``, and
+        nothing changed, if a step of the block path refuses it.
 
         ``_input.intern_fields`` looks up each distinct field of a table
         and checks the new ones once per block, and the block's codes are
-        gathered from them in numpy.
+        gathered from them in numpy, one row per column.
         """
         tables = (
             (self.docs, [0], False),
             (self.concepts, [1, 3], True),  # subject before object
             (self.relations, [2], True),
         )
-        fields = []
-        for table, slots, literal in tables:
-            found = block_fields(block, slots)
-            if found is None:
-                return False
-            fields.append((table, *found, literal))
-        gathered = intern_fields(fields)
-        if gathered is None:
-            return False
-        for (_, slots, _), codes in zip(tables, gathered):
-            codes = codes.reshape(-1, len(slots))
-            for k, column in enumerate(slots):
-                self.columns[column].frombytes(np.ascontiguousarray(codes[:, k]).view(np.uint8))
-        return True
+        fields = [
+            (table, *block_fields(block, slots), literal) for table, slots, literal in tables
+        ]
+        for (_, slots, _), rows in zip(tables, intern_fields(fields)):
+            for column, codes in zip(slots, rows):
+                self.columns[column].frombytes(codes.view(np.uint8))
 
 
 def parse_predications(lines: Iterable[str], source: str = "<memory>") -> Corpus:
     """Parse ``doc<TAB>subject<TAB>relation<TAB>object`` lines."""
     corpus = Corpus.__new__(Corpus)
-    corpus._fill(_Tables.of_lines(lines, source), source)
+    corpus._fill(read_blocks(lines, 4, source, _Tables()), source)
     return corpus
 
 

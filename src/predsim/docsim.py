@@ -42,6 +42,8 @@ class SimConfig:
     pair_threshold: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.weights, SimWeights):
+            raise TypeError(f"weights must be SimWeights, got {type(self.weights).__name__}")
         if not 0.0 <= self.pair_threshold <= 1.0:
             raise ValueError(
                 f"pair_threshold must be in [0, 1], got {self.pair_threshold!r}"

@@ -16,17 +16,19 @@ high for identifiers deep in the hierarchy and makes sim(x, x) = 1 even
 for identifiers the hierarchy has never seen (their ancestor set is just
 {x}).  Values always fall in [0, 1].
 
-A hierarchy file is read as a predications file is: a block of lines at
-a time, cut by ``_input.read_file`` from the UTF-8 of the chunks of text
-it reads, through ``_input.line_blocks`` and ``_input.block_fields``, each
-line's parent before its child, so that nodes are first met in the order
-of a reader of one line at a time; ``_input.intern_fields`` looks up each
-distinct name of a block once and checks the new ones in one pass.  A
-block that holds a self-loop, whose new names fail their check or that
-``block_fields`` refuses is read by the per-record loop, the only path of
-``Hierarchy(edges)``, from the node table as it stood before that block:
-so every error, its line number and its message are the per-record
-loop's.
+A hierarchy file, or list of lines, is read as a predications file is,
+by the one driver ``_input.read_blocks``: a block of lines at a time, cut
+by ``_input.read_file`` from the UTF-8 of the chunks of text it reads.
+:meth:`_Edges.add_block` takes each block's fields through
+``_input.block_fields``, each line's parent before its child, so that
+nodes are first met in the order of a reader of one line at a time, and
+``_input.intern_fields`` looks up each distinct name of a block once and
+checks the new ones in one pass.  A block that holds a self-loop raises
+``_input.Refused`` there, as the shared steps do for a new name that
+fails its check or a block they cannot read whole, before the node table
+is written; the driver then hands the block to the per-record loop,
+:meth:`_Edges.add_records`, the only path of ``Hierarchy(edges)``: so
+every error, its line number and its message are the per-record loop's.
 
 Hierarchies number their nodes once, by ascending height, hold one name
 table, one flat parent store and each node's height, and nothing else
@@ -73,14 +75,13 @@ import numpy as np
 
 from ._arrays import grouped, key_dtype, ranks, segment_offsets, sorted_distinct, spans
 from ._input import (
-    LineBlock,
+    Refused,
     block_fields,
     check_identifier,
     intern_fields,
-    line_blocks,
-    line_records,
+    read_blocks,
     read_file,
-    tuple_records,
+    read_records,
     warn,
 )
 from .errors import LoadError
@@ -122,7 +123,7 @@ class Hierarchy:
     """
 
     def __init__(self, edges: Iterable[Sequence[str]], source: str = "<memory>"):
-        self._fill(_Edges.of_records(edges, source), source)
+        self._fill(read_records(edges, 2, source, _Edges()), source)
 
     def _fill(self, edges: _Edges, source: str) -> None:
         """Build every attribute from the node table and edge columns."""
@@ -356,24 +357,6 @@ class _Edges:
         self.numbers: dict[str, int] = {}
         self.children, self.parents = array("q"), array("q")
 
-    @classmethod
-    def of_records(cls, edges: Iterable[Sequence[str]], source: str) -> _Edges:
-        """The edges of in-memory records, read a record at a time."""
-        found = cls()
-        found.add_records(tuple_records(edges, 2, source), source, "record")
-        return found
-
-    @classmethod
-    def of_lines(cls, lines: Iterable[str], source: str) -> _Edges:
-        """The edges of hierarchy lines, read a block at a time; a block
-        that the block path refuses is read a record at a time, from the
-        table as it stood before it, so its error is the per-record one."""
-        found = cls()
-        for block in line_blocks(lines, 2):
-            if not found.add_block(block):
-                found.add_records(line_records(block.lines, 2, source, block.first), source, "line")
-        return found
-
     def add_records(
         self, numbered: Iterable[tuple[int, Sequence[str]]], source: str, unit: str
     ) -> None:
@@ -404,29 +387,21 @@ class _Edges:
             add_child(c)
             add_parent(p)
 
-    def add_block(self, block: LineBlock) -> bool:
-        """Add a tokenized block of lines whole and return True; or, if
-        ``_input.block_fields`` refuses it, a line is a self-loop or a new
-        name fails its check, change nothing and return False.
+    def add_block(self, block: tuple[bytes, np.ndarray]) -> None:
+        """Add a tokenized block of lines whole; ``_input.Refused``, and
+        nothing changed, if a line is a self-loop or a step of the block
+        path refuses the block.
 
         ``_input.intern_fields`` looks up each distinct name of the block
         and checks the new ones once, and the block's codes are gathered
-        from them in numpy.
+        from them in numpy, one row per column.
         """
-        fields = block_fields(block, [1, 0])  # parent before child
-        if fields is None:
-            return False
-        numbers, names = fields
-        pairs = numbers.reshape(-1, 2)
-        if (pairs[:, 0] == pairs[:, 1]).any():
-            return False
-        gathered = intern_fields([(self.numbers, numbers, names, False)])
-        if gathered is None:
-            return False
-        codes = gathered[0].reshape(-1, 2)
-        self.parents.frombytes(np.ascontiguousarray(codes[:, 0]).view(np.uint8))
-        self.children.frombytes(np.ascontiguousarray(codes[:, 1]).view(np.uint8))
-        return True
+        numbers, names = block_fields(block, [1, 0])  # parent before child
+        if (numbers[0] == numbers[1]).any():  # a self-loop
+            raise Refused
+        parents, children = intern_fields([(self.numbers, numbers, names, False)])[0]
+        self.parents.frombytes(parents.view(np.uint8))
+        self.children.frombytes(children.view(np.uint8))
 
 
 class _Vocabulary:
@@ -606,7 +581,7 @@ def _heights(starts: np.ndarray, parent: np.ndarray, size: int) -> np.ndarray:
 def parse_hierarchy(lines: Iterable[str], source: str = "<memory>") -> Hierarchy:
     """Parse ``child<TAB>parent`` lines; ``#`` comments and blanks ignored."""
     hierarchy = Hierarchy.__new__(Hierarchy)
-    hierarchy._fill(_Edges.of_lines(lines, source), source)
+    hierarchy._fill(read_blocks(lines, 2, source, _Edges()), source)
     return hierarchy
 
 

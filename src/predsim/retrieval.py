@@ -93,7 +93,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np

@@ -72,12 +72,17 @@ def test_non_string_identifier_rejected(builder, kind):
         (lambda: Hierarchy([5]), 2, "int"),
         (lambda: Corpus([5]), 4, "int"),
         (lambda: GoldStandard([None]), 3, "NoneType"),
+        (lambda: Hierarchy([{"x", "y"}]), 2, "set"),
+        (lambda: Corpus([{"d1", "a", "r", "b"}]), 4, "set"),
+        (lambda: GoldStandard([{"s": 0, "d": 0, 1: 0}]), 3, "dict"),
     ],
-    ids=["Hierarchy", "Corpus", "GoldStandard", "Hierarchy-int", "Corpus-int", "GoldStandard-None"],
+    ids=["Hierarchy", "Corpus", "GoldStandard", "Hierarchy-int", "Corpus-int", "GoldStandard-None",
+         "Hierarchy-set", "Corpus-set", "GoldStandard-dict"],
 )
 def test_string_record_rejected(build, n_fields, got):
     # each string has as many characters as a record has fields; a record
-    # without a length is named by its type
+    # without a length is named by its type, and so is a set or a mapping
+    # of the right length, whose order is not the fields' order
     with pytest.raises(LoadError) as caught:
         build()
     assert str(caught.value) == f"<memory>: record 1: expected {n_fields} fields, got {got}"

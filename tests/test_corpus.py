@@ -22,7 +22,7 @@ from predsim import (
     parse_predications,
     write_predications_file,
 )
-from predsim._input import equal_spans
+from predsim._input import Refused, equal_spans
 from predsim.corpus import _literal_keys
 
 from conftest import traced
@@ -90,7 +90,8 @@ class TestCorpusLoading:
         # and the block is read a record at a time.
         first, second = "aaaaaaaab", "daaaaaaaa"
         data = f"{first}\t{second}\n".encode() + bytes(7)
-        assert equal_spans(data, np.array([0, 10]), np.array([9, 19])) is None
+        with pytest.raises(Refused):
+            equal_spans(data, np.array([0, 10]), np.array([9, 19]))
         records = [("d1", first, "r", second), ("d2", second, "r", first), ("d1", "a", "r", "b")]
         corpus = parse_predications(["\t".join(record) + "\n" for record in records])
         assert corpus.concept_names == (first, second, "a", "b")
@@ -632,11 +633,13 @@ class TestTextBoundary:
         assert not used & {"line_blocks", "block_fields"}
 
     def test_hierarchy_lines_are_read_a_block_at_a_time(self):
-        # Blocks, with the per-record loop for a block the block path refuses.
-        assert {"line_blocks", "add_block", "line_records", "add_records"} <= _used(
-            _function("ontology", "of_lines")
+        # One driver reads blocks, with the per-record loop for a block the
+        # block path refuses, for both loaders of lines.
+        assert {"line_blocks", "add_block", "Refused", "line_records", "add_records"} <= _used(
+            _function("_input", "read_blocks")
         )
-        assert "of_lines" in _used(_function("ontology", "parse_hierarchy"))
+        for module, parser in (("ontology", "parse_hierarchy"), ("corpus", "parse_predications")):
+            assert "read_blocks" in _used(_function(module, parser))
 
     def test_ontology_handles_no_line_text(self):
         used = _used(_tree("ontology"))

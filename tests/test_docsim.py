@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(pair_threshold=tau)
 
+    @pytest.mark.parametrize("weights, kind", [(None, "NoneType"), ((1.0, 1.0, 1.0), "tuple")])
+    def test_weights_must_be_sim_weights(self, weights, kind):
+        # rejected when built, not at the first ranking call
+        with pytest.raises(TypeError, match=rf"^weights must be SimWeights, got {kind}$"):
+            SimConfig(weights=weights)
+
 
 class TestSetSimilarity:
     def test_self_similarity_is_one(self, concept_h, relation_h):

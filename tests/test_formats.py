@@ -373,8 +373,9 @@ def test_hierarchy_block_path_equals_record_path(monkeypatch, edges, size):
         same_hierarchy(from_lines, from_records)
 
 
-# A new name that fails its check, in each table and slot.  A block's
-# fields hold no tab or line break, so these are the failures left.
+# Every place where the block path refuses a block.  A new name that
+# fails its check, in each table and slot: a block's fields hold no tab or
+# line break, so these are the failures left.  A self-loop is the last.
 BAD_RECORDS = {
     "predications": [
         ("", "s", "r", "o"), ("d", "", "r", "o"), ("d", "s", "", "o"), ("d", "s", "r", ""),
@@ -383,25 +384,131 @@ BAD_RECORDS = {
     ],
     "hierarchy": [("", "p"), ("c", ""), ("x", "x")],
 }
+# The other refusals, each as the line put in a block, apart from a block
+# of comments and blanks only, and lines that fail to be read part-way
+# through a block.  Two names longer than 8 bytes share a block key (see
+# test_names_of_equal_block_keys_load_as_records).  The cases after the
+# field count are lines given in memory only: in a file, a \r ends a line.
+REFUSED_LINES = {
+    "predications": {
+        "equal-keys": "d\taaaaaaaab\tr\tdaaaaaaaa\n",
+        "field-count": "d\ts\tr\n",
+        "not-str": None,
+        "cr-in-field": "d\ts\rt\tr\to\n",
+        "cr-in-comment": "# a\rb\n",
+        "break-in-comment": "# a\nd\ts\tr\to\n",
+    },
+    "hierarchy": {
+        "equal-keys": "aaaaaaaab\tdaaaaaaaa\n",
+        "field-count": "c\tp\tq\n",
+        "not-str": b"c\tp\n",
+        "cr-in-field": "c\rx\tp\n",
+        "cr-in-comment": "# a\rb\n",
+        "break-in-comment": "# a\nc\tp\n",
+    },
+}
+FROM_FILES = {"comment-block", "equal-keys", "field-count"}
+REFUSALS = [
+    pytest.param(name, bad, id=f"{name}-bad{k}")
+    for k, (name, bad) in enumerate(
+        (name, bad) for name, records in BAD_RECORDS.items() for bad in records
+    )
+] + [
+    pytest.param(name, case, id=f"{name}-{case}")
+    for name in REFUSED_LINES
+    for case in ["comment-block", *REFUSED_LINES[name], "read-fails"]
+]
+# The test's blocks: three of this many lines.
+SMALL_BLOCK = 5
+# A block of comments and blanks only, some with as many tabs as a data line.
+COMMENT_BLOCK = ["# c\tc\tc\n", "\n", "  # c\n", "\t\t\t\n", "#\n"]
 
 
-@pytest.mark.parametrize(
-    "name, bad", [(name, bad) for name, records in BAD_RECORDS.items() for bad in records]
-)
+def _read(read, arg):
+    """The corpus or hierarchy, or the error's type and text, and the text
+    of each warning.  Refused is not caught: it must not escape a load,
+    not even as the context of its error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(arg)
+        except (LoadError, OSError) as err:
+            result = type(err).__name__, str(err)
+            while err is not None:
+                assert not isinstance(err, _input.Refused)
+                err = err.__context__
+    return result, [str(warning.message) for warning in caught]
+
+
+def _failing_read(lines, at):
+    yield from lines[:at]
+    raise OSError("read failed")
+
+
+@pytest.mark.parametrize("name, bad", REFUSALS)
 @pytest.mark.parametrize("at", ["first", "middle", "last"])
-def test_bad_new_name_in_a_full_block(name, bad, at):
-    size = _input.BLOCK_LINES
+def test_bad_new_name_in_a_full_block(name, bad, at, tmp_path, monkeypatch):
+    # Each refusal in the first, a middle and the last of three blocks,
+    # read from lines and from a file, gives what the per-record loop
+    # gives for every block: the same corpus or hierarchy, or the same
+    # error at the same line, and the same warnings.
+    size = SMALL_BLOCK
     if name == "predications":
-        parse, build = parse_predications, Corpus
-        records = [(f"d{k % 7}", f"s{k}", "r", f"o{k % 11}") for k in range(size)]
+        parse, load_file, build = parse_predications, load_predications_file, Corpus
+        records = [(f"d{k % 3}", f"s{k % 4}", "r", f"o{k}") for k in range(3 * size)]
+        same = same_corpus
     else:
-        parse, build = parse_hierarchy, Hierarchy
-        records = [(f"c{k}", f"p{k % 13}") for k in range(size)]
-    place = {"first": 0, "middle": size // 2, "last": size - 1}[at]
-    records[place] = bad
-    message = built(parse, ["\t".join(record) + "\n" for record in records], "s")
-    assert message == built(build, records, "s")
-    assert message.startswith(f"s: record {place + 1}: ")
+        parse, load_file, build = parse_hierarchy, load_hierarchy_file, Hierarchy
+        records = [(f"c{k}", f"p{k % 4}") for k in range(3 * size)]
+        records[3] = ("p0", "c0")  # a cycle, which warns
+        same = same_hierarchy
+    block = {"first": 0, "middle": 1, "last": 2}[at]
+    place = block * size + {"first": 0, "middle": size // 2, "last": size - 1}[at]
+    lines = ["\t".join(record) + "\n" for record in records]
+    if isinstance(bad, tuple):
+        records[place] = bad
+        lines[place] = "\t".join(bad) + "\n"
+    elif bad == "comment-block":
+        lines[block * size:(block + 1) * size] = COMMENT_BLOCK
+    elif bad != "read-fails":
+        lines[place] = REFUSED_LINES[name][bad]
+    path = tmp_path / "input.tsv"
+    inputs = {"lines": lambda: lines}
+    if bad == "read-fails":
+        inputs = {"lines": lambda: _failing_read(lines, place)}
+    elif isinstance(bad, tuple) or bad in FROM_FILES:
+        path.write_text("".join(lines), encoding="utf-8")
+        inputs["file"] = lambda: path
+    read_as_records = []
+    record_reader = _input.line_records
+
+    def line_records(lines, n_fields, source, first=1):
+        read_as_records.append(first)
+        return record_reader(lines, n_fields, source, first)
+
+    def refuse(block, n_fields):
+        raise _input.Refused
+
+    for kind, given in inputs.items():
+        read = parse if kind == "lines" else load_file
+        with monkeypatch.context() as patch:
+            patch.setattr(_input, "BLOCK_LINES", size)
+            patch.setattr(_input, "line_records", line_records)
+            read_as_records.clear()
+            result, warned = _read(read, given())
+            if bad != "read-fails":  # a block cut short is read whole if it can be
+                assert read_as_records == [block * size + 1], kind
+            patch.setattr(_input, "_tokenize", refuse)
+            want, want_warned = _read(read, given())
+        assert warned == want_warned, kind
+        if isinstance(want, tuple):
+            assert result == want, kind
+        else:
+            same(result, want)
+    if isinstance(bad, tuple):  # and the records themselves, read one at a time
+        message = built(parse, lines, "s")
+        assert message == built(build, records, "s")
+        assert message.startswith(f"s: record {place + 1}: ")
 
 
 @pytest.mark.parametrize("name", ["predications", "hierarchy"])
