@@ -22,9 +22,11 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
 
     numpy 2 serves a plain ``np.unique`` of integers from a hash table,
     which on 10**5 int64 keys is about 20 times slower than this sort.
+    The heads are taken by ``np.compress``, which reads a dense mask of
+    unpredictable bits several times faster than boolean indexing.
     """
     values = np.sort(values)
-    return values[run_heads(values)]
+    return np.compress(run_heads(values), values)
 
 
 def run_heads(values: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Input checks shared by the loaders and the query surfaces: one
 identifier validator, one count check and its text reader, and the one
-owner of the line format, with its block-reader driver, its record
-reader, the reader for in-memory records, one file opener and one
-writer.  Every predsim warning goes through :func:`warn`.
+owner of the line format, with its driver of lines, its block reader of
+files, its record reader, the reader for in-memory records, one file
+opener and one writer.  Every predsim warning goes through :func:`warn`.
 
 A line's break (``\\n`` or ``\\r\\n``) is stripped; a blank line, or one
 whose first non-blank character is ``#``, is skipped; every other line is
@@ -10,26 +10,28 @@ a data line of tab-separated fields.  :func:`line_records` applies this
 rule a line at a time.
 
 :func:`read_blocks` is the one driver of the corpus and hierarchy
-loaders.  It takes up to ``BLOCK_LINES`` lines at a time
-(:func:`line_blocks`), tokenizes each block, where numpy finds the breaks
-and tabs and the rule runs in Python only on the lines whose first byte
-may begin a blank line or a comment, and hands the block to its tables'
-``add_block``.  There :func:`block_fields` numbers the fields of one
-table among their distinct values (:func:`equal_spans`) and decodes each
-distinct value once, and :func:`intern_fields` looks each one up in its
-table and gathers the block's codes, so that the loaders make no Python
-object per field and see no byte of the text.  It checks a block's new
-names in one pass, by the rules of :func:`check_identifier` that a field
-of a tokenized block can fail, and enters them only once all of them
-pass.
+loaders.  Lines given in memory go straight to their tables'
+``add_records`` through :func:`line_records`, the per-record loop that
+is also the only path of ``Corpus(records)`` and ``Hierarchy(edges)``.
+The lines of a file come ``BLOCK_LINES`` at a time, as the blocks of
+UTF-8 that :func:`read_file` cuts; the driver tokenizes each block, where
+numpy finds the breaks and tabs and the rule runs in Python only on the
+lines whose first byte may begin a blank line or a comment, and hands
+the block to its tables' ``add_block``.  There :func:`block_fields`
+numbers the fields of one table among their distinct values
+(:func:`equal_spans`) and decodes each distinct value once, and
+:func:`intern_fields` looks each one up in its table and gathers the
+block's codes, so that the loaders make no Python object per field and
+see no byte of the text.  It checks a block's new names in one pass, by
+the rules of :func:`check_identifier` that a field of a tokenized block
+can fail, and enters them only once all of them pass.
 
 Each step that finds a block cannot be read whole raises
-:class:`Refused` where it finds so, before any table is written: a line
-given in memory that is not a ``str`` or holds a line break before its
-end, no data line, a data line of another field count, two different
-fields of one key, a new name that fails its check, or a loader's own
-refusal, such as a hierarchy's self-loop.  The driver alone catches it,
-and hands that block's lines to the tables' ``add_records`` through
+:class:`Refused` where it finds so, before any table is written: no data
+line, a data line of another field count, two different fields of one
+key, a new name that fails its check, or a loader's own refusal, such as
+a hierarchy's self-loop.  The driver alone catches it, and hands that
+block's lines to the tables' ``add_records`` through
 :func:`line_records`, so that every error, its line number and its
 message are those of a reader of one line at a time.
 :func:`read_records` hands in-memory records to the same ``add_records``
@@ -62,7 +64,7 @@ import re
 import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set, Sized
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import NamedTuple, TextIO, TypeVar
 
@@ -175,23 +177,22 @@ def line_records(
 
 
 class LineBlock(NamedTuple):
-    """Up to ``BLOCK_LINES`` lines, the first numbered ``first``.  A block
-    of a file holds its bytes too: ``data``, the lines in UTF-8, each
-    ended by ``\\n``, and 7 bytes more, and ``ends``, the places of those
-    breaks; its ``lines`` are decoded from ``data`` only if read.  A block
-    of lines given in memory holds its list of lines only, and is encoded
-    when it is tokenized."""
+    """Up to ``BLOCK_LINES`` lines of a file, the first numbered
+    ``first``: ``data``, the lines in UTF-8, each ended by ``\\n``, and 7
+    bytes more, and ``ends``, the places of those breaks.  Its ``lines``
+    are decoded from ``data`` only if read."""
 
     first: int
     lines: Iterable[str]
-    data: bytes | None = None
-    ends: np.ndarray | None = None
+    data: bytes
+    ends: np.ndarray
 
 
 class Refused(Exception):
-    """The block path cannot read a block whole.  It is raised where that
-    is found, before any table is written, and only :func:`read_blocks`
-    catches it: the block is then read a record at a time."""
+    """The block path cannot read a block of a file whole.  It is raised
+    where that is found, before any table is written, and only
+    :func:`read_blocks` catches it: the block is then read a record at a
+    time."""
 
 
 # The lines that read_blocks reads and tokenizes at once.  Chosen by
@@ -217,16 +218,22 @@ _MAY_SKIP[0x80:] = True
 
 
 def read_blocks(lines: Iterable[str], n_fields: int, source: str, tables: T) -> T:
-    """Fill ``tables`` from lines of ``n_fields`` tab-separated fields, a
-    block at a time, and return them.
+    """Fill ``tables`` from lines of ``n_fields`` tab-separated fields, and
+    return them.
 
-    Each block is tokenized and handed to ``tables.add_block``.  A block
-    that is :class:`Refused` on the way, which leaves the tables as they
-    stood before it, is handed to ``tables.add_records`` as numbered
-    records instead: so every error, its line number and its message are
-    those of a reader of one line at a time.
+    The lines of a file that :func:`read_file` opened come as the blocks
+    of UTF-8 it cuts (:meth:`_FileLines.blocks`).  Each block is tokenized
+    and handed to ``tables.add_block``; a block that is :class:`Refused`
+    on the way, which leaves the tables as they stood before it, is handed
+    to ``tables.add_records`` as numbered records instead.  Lines given
+    otherwise are all handed to ``tables.add_records``, a line at a time.
+    So every error, its line number and its message are those of a reader
+    of one line at a time.
     """
-    for block in line_blocks(lines):
+    if not isinstance(lines, _FileLines):
+        tables.add_records(line_records(lines, n_fields, source), source, "line")
+        return tables
+    for block in lines.blocks():
         try:
             tables.add_block(_tokenize(block, n_fields))
             continue
@@ -246,66 +253,6 @@ def read_records(records: Iterable[Sequence], n_fields: int, source: str, tables
     return tables
 
 
-def line_blocks(lines: Iterable[str]) -> Iterator[LineBlock]:
-    """The lines, ``BLOCK_LINES`` at a time.
-
-    The lines of a file that :func:`read_file` opened come as the blocks
-    of UTF-8 it cuts.  If reading lines given otherwise fails part-way
-    through a block, the lines read so far come first as a block of their
-    own, then the error: so a reader that checks records in order meets
-    what it would have met reading a line at a time.
-    """
-    if isinstance(lines, _FileLines):
-        yield from lines.blocks()
-        return
-    lines = iter(lines)
-    first = 1
-    while True:
-        block: list[str] = []
-        try:
-            block.extend(islice(lines, BLOCK_LINES))
-        except Exception:
-            if block:
-                yield LineBlock(first, block)
-            raise
-        if not block:
-            return
-        yield LineBlock(first, block)
-        first += len(block)
-
-
-_LAST = operator.itemgetter(-1)
-
-
-def _joined(lines: list[str]) -> str:
-    """The lines, each with its break stripped and a ``\\n`` put after it."""
-    text = "".join(lines)
-    try:
-        if "\r" not in text and "".join(map(_LAST, lines)) == "\n" * len(lines):
-            return text
-    except IndexError:  # an empty line
-        pass
-    return "\n".join(map(str.rstrip, lines, repeat("\r\n"))) + "\n"
-
-
-def _encoded(lines: list[str]) -> tuple[bytes, np.ndarray]:
-    """Lines given in memory as a block of a file holds them, its ``data``
-    and ``ends``; :class:`Refused` if a line is not a ``str`` or holds a
-    line break before its end."""
-    try:
-        text = _joined(lines)
-    except TypeError:  # a line that is not a str, which line_records reports
-        raise Refused from None
-    if "\r" in text:
-        raise Refused
-    data = text.encode("utf-8", "surrogatepass") + _PAD
-    del text
-    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0x0A)
-    if len(ends) != len(lines):  # a line break inside a line
-        raise Refused
-    return data, ends
-
-
 def _decoded(data: bytes) -> Iterator[str]:
     """The lines of a block of a file, each without its break, decoded
     from the block's ``data`` once asked for."""
@@ -317,18 +264,14 @@ def _decoded(data: bytes) -> Iterator[str]:
 def _tokenize(block: LineBlock, n_fields: int) -> tuple[bytes, np.ndarray]:
     """The block's ``data`` and the byte spans of its data lines' fields,
     as ``delimiters``; :class:`Refused` if it has no data line or a data
-    line of another field count, or its lines given in memory cannot be
-    encoded as a file's are.
+    line of another field count.
 
     Row ``i`` of ``delimiters`` holds the place of the break before data
     line ``i`` (-1 before the first line), of its tabs and of its break,
     so field ``j`` of the line is
     ``data[delimiters[i, j] + 1:delimiters[i, j + 1]]``.
     """
-    if block.data is None:
-        data, ends = _encoded(block.lines)
-    else:
-        data, ends = block.data, block.ends
+    data, ends = block.data, block.ends
     buffer = np.frombuffer(data, dtype=np.uint8)
     before = np.concatenate(([-1], ends[:-1]))  # the break before each line
     tabs = np.flatnonzero(buffer == 0x09)
@@ -337,7 +280,7 @@ def _tokenize(block: LineBlock, n_fields: int) -> tuple[bytes, np.ndarray]:
     spans = zip(maybe.tolist(), (before[maybe] + 1).tolist(), ends[maybe].tolist())
     skipped = [
         i for i, start, end in spans
-        if not _is_data(data[start:end].decode("utf-8", "surrogatepass"))
+        if not _is_data(data[start:end].decode("utf-8"))
     ]
     if skipped:
         kept = np.ones(len(ends), dtype=bool)
@@ -383,14 +326,13 @@ def equal_spans(
     is at least one, equal ones alike, in the order in which each first
     occurs; and the place of each number's first span.
 
-    ``data`` is UTF-8, possibly with encoded surrogates, followed by 7
-    bytes more.  Each span is read as 8-byte words, the last padded past
-    the span's end with 0xFF, a byte that such text never holds: so a span
-    of at most 8 bytes is its one word, whatever NUL bytes it holds.  A
-    longer span is keyed by its length and its words, each times an odd
-    constant of its place, summed modulo 2**64; spans of equal keys are
-    then compared word by word, and :class:`Refused` is raised if two
-    different spans share a key.
+    ``data`` is UTF-8 followed by 7 bytes more.  Each span is read as
+    8-byte words, the last padded past the span's end with 0xFF, a byte
+    that UTF-8 never holds: so a span of at most 8 bytes is its one word,
+    whatever NUL bytes it holds.  A longer span is keyed by its length and
+    its words, each times an odd constant of its place, summed modulo
+    2**64; spans of equal keys are then compared word by word, and
+    :class:`Refused` is raised if two different spans share a key.
     """
     count = len(starts)
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
@@ -481,7 +423,7 @@ def _decode(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
         np.arange(stops[-1]) + np.repeat(starts - stops + sizes, sizes)
     ]
     gathered[stops - 1] = 0x09
-    names = gathered.tobytes().decode("utf-8", "surrogatepass").split("\t")
+    names = gathered.tobytes().decode("utf-8").split("\t")
     names.pop()
     return names
 
@@ -508,7 +450,7 @@ def tuple_records(
 
 class _FileLines:
     """The lines of a text file that :func:`read_file` opened, read
-    ``_CHUNK_CHARS`` characters at a time: :func:`line_blocks` takes them
+    ``_CHUNK_CHARS`` characters at a time: :func:`read_blocks` takes them
     as the blocks of UTF-8 of :meth:`blocks`, and iterating gives each line
     as a ``str``, without its break."""
 

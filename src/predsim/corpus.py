@@ -13,26 +13,27 @@ of a record in document, subject, relation, object order; an identifier
 that fails never enters a table, so every occurrence of it is checked and
 the error names the first bad record and field.  ``_input`` alone knows
 the line format's text and bytes, and its one driver,
-``_input.read_blocks``, reads a predications file or list of lines a
-block of lines at a time, cut by ``_input.read_file`` from the UTF-8 of
-the chunks of text it reads, so no line becomes a ``str`` unless its
-block is refused.  It hands each tokenized block to
-:meth:`_Tables.add_block`: ``_input.block_fields`` gives the block's
-fields of one table as numbers among their distinct values, with those
-values decoded, and ``_input.intern_fields``, which the hierarchy loader
-shares, looks up each distinct identifier of a block once and checks the
-new ones in one pass; a block's new identifiers enter the tables only
-once all of them pass.  A step that cannot read a block whole raises
-``_input.Refused`` before any table is written, and the driver hands
-that block to the per-record loop, :meth:`_Tables.add_records`, which is
-also the only path of ``Corpus(records)``: so every error, its line
-number and its message are the per-record loop's.  Duplicates are dropped by
-their integer codes, and each document's members are ordered by literal
-from sort ranks of their identifiers, without formatting a literal.  The
-literal-order number of each distinct predication is kept as a column, so
-this module alone decides predication identity and order.  The load frees
-each temporary after its last reader and computes in place where it can,
-so its peak stays within about twice what the corpus holds.  ``Corpus``
+``_input.read_blocks``, reads a predications file a block of lines at a
+time, cut by ``_input.read_file`` from the UTF-8 of the chunks of text it
+reads, so no line becomes a ``str`` unless its block is refused.  It
+hands each tokenized block to :meth:`_Tables.add_block`:
+``_input.block_fields`` gives the block's fields of one table as numbers
+among their distinct values, with those values decoded, and
+``_input.intern_fields``, which the hierarchy loader shares, looks up
+each distinct identifier of a block once and checks the new ones in one
+pass; a block's new identifiers enter the tables only once all of them
+pass.  A step that cannot read a block whole raises ``_input.Refused``
+before any table is written, and the driver hands that block to the
+per-record loop, :meth:`_Tables.add_records`, which is also the only
+path of ``Corpus(records)`` and of lines given in memory: so every
+error, its line number and its message are the per-record loop's.
+Duplicates are dropped by their integer codes, and each document's
+members are ordered by literal from sort ranks of their identifiers,
+without formatting a literal.  The literal-order number of each
+distinct predication is kept as a column, so this module alone decides
+predication identity and order.  The load frees each temporary after its
+last reader and computes in place where it can, so its peak stays within
+about twice what the corpus holds.  ``Corpus``
 is itself the read-only mapping from document id to predication set:
 ``corpus[doc_id]`` builds a :class:`PredicationSet` on each access.
 ``Corpus(records)`` takes the same records the file holds and builds
@@ -111,11 +112,13 @@ def _literal_keys(
     """
     if len(concept_names) ** 2 * len(relation_names) > np.iinfo(np.int64).max:
         raise OverflowError("too many distinct identifiers for an int64 sort key")
-    orders = (
-        _literal_order(concept_names, "|"),
-        _literal_order(relation_names, "|"),
-        _literal_order(concept_names, ""),
-    )
+    piped = _literal_order(concept_names, "|")
+    # The plain order differs from the piped one only where one name is a
+    # prefix of another, so sorting the piped order by plain name, which
+    # timsort does in near-linear time on nearly sorted input, is cheaper
+    # than a second sort from scratch.
+    plain = sorted(piped.tolist(), key=list(concept_names).__getitem__)
+    orders = (piped, _literal_order(relation_names, "|"), np.array(plain, dtype=np.int64))
     for order, codes in zip(orders, (subjects, relations, objects)):
         np.take(ranks(order), codes, out=codes)
     key = subjects

@@ -16,9 +16,9 @@ high for identifiers deep in the hierarchy and makes sim(x, x) = 1 even
 for identifiers the hierarchy has never seen (their ancestor set is just
 {x}).  Values always fall in [0, 1].
 
-A hierarchy file, or list of lines, is read as a predications file is,
-by the one driver ``_input.read_blocks``: a block of lines at a time, cut
-by ``_input.read_file`` from the UTF-8 of the chunks of text it reads.
+A hierarchy file is read as a predications file is, by the one driver
+``_input.read_blocks``: a block of lines at a time, cut by
+``_input.read_file`` from the UTF-8 of the chunks of text it reads.
 :meth:`_Edges.add_block` takes each block's fields through
 ``_input.block_fields``, each line's parent before its child, so that
 nodes are first met in the order of a reader of one line at a time, and
@@ -27,8 +27,9 @@ checks the new ones in one pass.  A block that holds a self-loop raises
 ``_input.Refused`` there, as the shared steps do for a new name that
 fails its check or a block they cannot read whole, before the node table
 is written; the driver then hands the block to the per-record loop,
-:meth:`_Edges.add_records`, the only path of ``Hierarchy(edges)``: so
-every error, its line number and its message are the per-record loop's.
+:meth:`_Edges.add_records`, the only path of ``Hierarchy(edges)`` and of
+lines given in memory: so every error, its line number and its message
+are the per-record loop's.
 
 Hierarchies number their nodes once, by ascending height, hold one name
 table, one flat parent store and each node's height, and nothing else

@@ -178,8 +178,9 @@ def _select(lo: np.ndarray, hi: np.ndarray, top: int) -> np.ndarray:
     sample = lo[:: math.isqrt(len(lo))]
     if len(sample) > top:
         floor = np.partition(sample, len(sample) - top)[len(sample) - top]
-        # A copy of its own, so it is partitioned in place.
-        lo = lo[lo >= floor]
+        # A copy of its own, so it is partitioned in place; np.compress
+        # reads a dense mask faster than boolean indexing.
+        lo = np.compress(lo >= floor, lo)
         lo.partition(len(lo) - top)
     else:
         lo = np.partition(lo, len(lo) - top)
@@ -250,10 +251,13 @@ def _threshold(terms: np.ndarray, total: float, tau: float) -> None:
     weight total, then zero those below the pair threshold ``tau``.
 
     Terms are never negative, so a ``tau`` at or below 0 zeroes none: the
-    threshold is then the identity, and its pass is skipped."""
+    threshold is then the identity, and its pass is skipped.  Otherwise
+    each term is multiplied by whether it reaches ``tau``: every term is
+    finite and not -0.0, so that is the term or 0.0 exactly, and faster
+    than a masked write."""
     terms /= total
     if tau > 0:
-        np.putmask(terms, terms < tau, 0.0)
+        np.multiply(terms, terms >= tau, out=terms)
 
 
 def _ranked(
@@ -298,7 +302,11 @@ def _numbered(ranking: list[tuple[str, float]]) -> list[RankedDocument]:
 
 
 class RetrievalEngine:
-    """Similarity scoring and ranking over immutable inputs."""
+    """Similarity scoring and ranking over immutable inputs.
+
+    The constructor raises ``TypeError``, naming the argument, for a
+    hierarchy that is not a :class:`Hierarchy` or a ``config`` that is
+    neither None nor a :class:`SimConfig`."""
 
     def __init__(
         self,
@@ -306,9 +314,18 @@ class RetrievalEngine:
         relation_hierarchy: Hierarchy,
         config: SimConfig | None = None,
     ):
+        if config is None:
+            config = SimConfig()
+        for name, value, kind in (
+            ("concept_hierarchy", concept_hierarchy, Hierarchy),
+            ("relation_hierarchy", relation_hierarchy, Hierarchy),
+            ("config", config, SimConfig),
+        ):
+            if not isinstance(value, kind):
+                raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
         self.concepts = concept_hierarchy
         self.relations = relation_hierarchy
-        self.config = config if config is not None else SimConfig()
+        self.config = config
         self._index: _Index | None = None
         self._lock = threading.Lock()
 

@@ -633,11 +633,11 @@ class TestTextBoundary:
         assert not used & {"line_blocks", "block_fields"}
 
     def test_hierarchy_lines_are_read_a_block_at_a_time(self):
-        # One driver reads blocks, with the per-record loop for a block the
-        # block path refuses, for both loaders of lines.
-        assert {"line_blocks", "add_block", "Refused", "line_records", "add_records"} <= _used(
-            _function("_input", "read_blocks")
-        )
+        # One driver reads a file's blocks, with the per-record loop for a
+        # block the block path refuses and for lines given in memory, for
+        # both loaders of lines.
+        assert {"_FileLines", "blocks", "add_block", "Refused", "line_records",
+                "add_records"} <= _used(_function("_input", "read_blocks"))
         for module, parser in (("ontology", "parse_hierarchy"), ("corpus", "parse_predications")):
             assert "read_blocks" in _used(_function(module, parser))
 

@@ -373,6 +373,57 @@ def test_hierarchy_block_path_equals_record_path(monkeypatch, edges, size):
         same_hierarchy(from_lines, from_records)
 
 
+SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def written(records, path):
+    """The records that are data lines and that a UTF-8 file holds as
+    given, each written to ``path`` as a line.  A name holding a lone
+    surrogate, which UTF-8 cannot encode, is left out, and so is a first
+    field that begins with the byte-order mark the file reader drops."""
+    kept = [
+        record for record in records
+        if list(data_lines(["\t".join(record)]))
+        and not SURROGATE.search("".join(record)) and not record[0].startswith("\ufeff")
+    ]
+    path.write_bytes("".join("\t".join(record) + "\n" for record in kept).encode("utf-8"))
+    return kept
+
+
+# The block path reads files only, so the same records are read from one.
+@SETTINGS
+@given(st.lists(st.tuples(NAMES, NAMES, NAMES, NAMES), max_size=12), st.sampled_from([1, 3, None]))
+def test_file_block_path_equals_record_path(tmp_path, monkeypatch, records, size):
+    path = tmp_path / "predications.tsv"
+    records = written(records, path)
+    with monkeypatch.context() as patch:
+        if size is not None:
+            patch.setattr(_input, "BLOCK_LINES", size)
+        from_file = built(load_predications_file, path)
+    from_records = built(Corpus, records, str(path))
+    if isinstance(from_records, str):
+        assert from_file == from_records
+    else:
+        same_corpus(from_file, from_records)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(EDGE_NAMES, EDGE_NAMES), max_size=12), st.sampled_from([1, 3, None]))
+def test_hierarchy_file_block_path_equals_record_path(tmp_path, monkeypatch, edges, size):
+    path = tmp_path / "hierarchy.tsv"
+    edges = written(edges, path)
+    with monkeypatch.context() as patch:
+        if size is not None:
+            patch.setattr(_input, "BLOCK_LINES", size)
+        from_file, file_warned = warned(load_hierarchy_file, path)
+    from_records, records_warned = warned(Hierarchy, edges, str(path))
+    assert file_warned == records_warned
+    if isinstance(from_records, str):
+        assert from_file == from_records
+    else:
+        same_hierarchy(from_file, from_records)
+
+
 # Every place where the block path refuses a block.  A new name that
 # fails its check, in each table and slot: a block's fields hold no tab or
 # line break, so these are the failures left.  A self-loop is the last.
@@ -388,7 +439,8 @@ BAD_RECORDS = {
 # of comments and blanks only, and lines that fail to be read part-way
 # through a block.  Two names longer than 8 bytes share a block key (see
 # test_names_of_equal_block_keys_load_as_records).  The cases after the
-# field count are lines given in memory only: in a file, a \r ends a line.
+# field count are lines given in memory only, which the per-record loop
+# reads: in a file, a \r ends a line.
 REFUSED_LINES = {
     "predications": {
         "equal-keys": "d\taaaaaaaab\tr\tdaaaaaaaa\n",
@@ -496,7 +548,9 @@ def test_bad_new_name_in_a_full_block(name, bad, at, tmp_path, monkeypatch):
             patch.setattr(_input, "line_records", line_records)
             read_as_records.clear()
             result, warned = _read(read, given())
-            if bad != "read-fails":  # a block cut short is read whole if it can be
+            if kind == "lines":  # lines given in memory are read in one record pass
+                assert read_as_records == [1]
+            else:
                 assert read_as_records == [block * size + 1], kind
             patch.setattr(_input, "_tokenize", refuse)
             want, want_warned = _read(read, given())
@@ -527,17 +581,41 @@ def test_file_lines_become_no_str(name, tmp_path, monkeypatch):
     path.write_bytes(("\ufeff" + "".join(lines)).encode("utf-8"))
     want = view(parse(lines))
 
-    def joined(lines):
-        raise AssertionError("lines joined")
-
     def decoded(data):  # a generator, as the reader's is: it fails once read
         raise AssertionError("a block's lines decoded")
         yield
 
-    monkeypatch.setattr(_input, "_joined", joined)
     monkeypatch.setattr(_input, "_decoded", decoded)
     monkeypatch.setattr(_input, "_CHUNK_CHARS", 1_000)
     assert view(load_file(path)) == want
+
+
+@pytest.mark.parametrize("name", ["predications", "hierarchy"])
+def test_only_files_are_tokenized(name, tmp_path, monkeypatch):
+    # Lines given in memory go straight to the per-record loop; the lines
+    # of a file holding the same text are tokenized, a block at a time.
+    n_fields, _, parse, load_file, view = FORMATS[name]
+    lines = ["\t".join(f"n{k}-{j}" for j in range(n_fields)) + "\n" for k in range(10)]
+    path = tmp_path / f"{name}.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    tokenize = _input._tokenize
+    tokenized = []
+
+    def refuse(block, n_fields):
+        raise AssertionError("lines given in memory tokenized")
+
+    def counted(block, n_fields):
+        tokenized.append(block.first)
+        return tokenize(block, n_fields)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_input, "_tokenize", refuse)
+        want = view(parse(lines))
+    assert len(want) == len(lines)
+    monkeypatch.setattr(_input, "BLOCK_LINES", 4)
+    monkeypatch.setattr(_input, "_tokenize", counted)
+    assert view(load_file(path)) == want
+    assert tokenized == [1, 5, 9]
 
 
 @pytest.mark.parametrize("size", [1, 3, None])

@@ -31,6 +31,23 @@ def engine(concept_h, relation_h):
     return RetrievalEngine(concept_h, relation_h)
 
 
+class TestConstructor:
+    # Each argument is checked when the engine is built, not at the first
+    # ranking call.
+    def test_concept_hierarchy_must_be_a_hierarchy(self, relation_h):
+        with pytest.raises(TypeError, match=r"^concept_hierarchy must be Hierarchy, got NoneType$"):
+            RetrievalEngine(None, relation_h)
+
+    def test_relation_hierarchy_must_be_a_hierarchy(self, concept_h):
+        with pytest.raises(TypeError, match=r"^relation_hierarchy must be Hierarchy, got list$"):
+            RetrievalEngine(concept_h, [("a", "b")])
+
+    def test_config_must_be_a_sim_config_or_none(self, concept_h, relation_h):
+        with pytest.raises(TypeError, match=r"^config must be SimConfig, got str$"):
+            RetrievalEngine(concept_h, relation_h, "x")
+        assert RetrievalEngine(concept_h, relation_h, None).config == SimConfig()
+
+
 def ranking_corpus():
     # against seed {(C1 TREATS OA)}:
     #   docA identical                        -> 1.0
