@@ -17,23 +17,29 @@ The lines of a file come ``BLOCK_LINES`` at a time, as the blocks of
 UTF-8 that :func:`read_file` cuts; the driver tokenizes each block, where
 numpy finds the breaks and tabs and the rule runs in Python only on the
 lines whose first byte may begin a blank line or a comment, and hands
-the block to its tables' ``add_block``.  There :func:`block_fields`
-numbers the fields of one table among their distinct values
-(:func:`equal_spans`) and decodes each distinct value once, and
-:func:`intern_fields` looks each one up in its table and gathers the
-block's codes, so that the loaders make no Python object per field and
-see no byte of the text.  It checks a block's new names in one pass, by
-the rules of :func:`check_identifier` that a field of a tokenized block
-can fail, and enters them only once all of them pass.
+the block to its tables' ``add_block``.  There :func:`intern_fields`,
+once per table, numbers the table's fields among their distinct values
+(:func:`equal_spans`), decodes each distinct value once, looks it up in
+the table and gathers the block's codes, so that the loaders make no
+Python object per field and see no byte of the text.  It checks the
+table's new names in one pass, by the rules of :func:`check_identifier`
+that a field of a tokenized block can fail, and enters them only once
+all of them pass.
 
 Each step that finds a block cannot be read whole raises
-:class:`Refused` where it finds so, before any table is written: no data
-line, a data line of another field count, two different fields of one
-key, a new name that fails its check, or a loader's own refusal, such as
-a hierarchy's self-loop.  The driver alone catches it, and hands that
-block's lines to the tables' ``add_records`` through
-:func:`line_records`, so that every error, its line number and its
-message are those of a reader of one line at a time.
+:class:`Refused` where it finds so: no data line, a data line of another
+field count, two different fields of one key, a new name that fails its
+check, or a loader's own refusal, such as a hierarchy's self-loop.  The
+driver alone catches it, and hands that block's lines to the tables'
+``add_records`` through :func:`line_records`.  Each table keeps one rule
+by itself: it holds only names that passed their check, numbered in the
+order a reader of one line at a time first meets them, and the code
+columns grow only once the whole block has been read.  So a block
+refused once some tables hold its new names reads the same through the
+per-record loop: those names are what the loop would enter, in its
+order, and where the refusal is a bad new name or a self-loop, the loop
+ends the load at that line with its own error.  Every error, its line
+number and its message are those of a reader of one line at a time.
 :func:`read_records` hands in-memory records to the same ``add_records``
 through :func:`tuple_records`.
 
@@ -179,18 +185,16 @@ def line_records(
 class LineBlock(NamedTuple):
     """Up to ``BLOCK_LINES`` lines of a file, the first numbered
     ``first``: ``data``, the lines in UTF-8, each ended by ``\\n``, and 7
-    bytes more, and ``ends``, the places of those breaks.  Its ``lines``
-    are decoded from ``data`` only if read."""
+    bytes more, and ``ends``, the places of those breaks."""
 
     first: int
-    lines: Iterable[str]
     data: bytes
     ends: np.ndarray
 
 
 class Refused(Exception):
     """The block path cannot read a block of a file whole.  It is raised
-    where that is found, before any table is written, and only
+    where that is found, before the block's codes are added, and only
     :func:`read_blocks` catches it: the block is then read a record at a
     time."""
 
@@ -224,11 +228,13 @@ def read_blocks(lines: Iterable[str], n_fields: int, source: str, tables: T) -> 
     The lines of a file that :func:`read_file` opened come as the blocks
     of UTF-8 it cuts (:meth:`_FileLines.blocks`).  Each block is tokenized
     and handed to ``tables.add_block``; a block that is :class:`Refused`
-    on the way, which leaves the tables as they stood before it, is handed
-    to ``tables.add_records`` as numbered records instead.  Lines given
-    otherwise are all handed to ``tables.add_records``, a line at a time.
-    So every error, its line number and its message are those of a reader
-    of one line at a time.
+    on the way is handed to ``tables.add_records`` as numbered records
+    instead.  Lines given otherwise are all handed to
+    ``tables.add_records``, a line at a time.  Each table holds only names
+    that passed their check, numbered as a reader of one line at a time
+    first meets them, and the code columns grow only once a block has
+    been read whole; so every error, its line number and its message are
+    those of a reader of one line at a time.
     """
     if not isinstance(lines, _FileLines):
         tables.add_records(line_records(lines, n_fields, source), source, "line")
@@ -241,7 +247,7 @@ def read_blocks(lines: Iterable[str], n_fields: int, source: str, tables: T) -> 
             pass
         # Read outside the handler, so that no error raised here has the
         # refusal as its context.
-        numbered = line_records(block.lines, n_fields, source, block.first)
+        numbered = line_records(_lines(block.data), n_fields, source, block.first)
         tables.add_records(numbered, source, "line")
     return tables
 
@@ -253,12 +259,11 @@ def read_records(records: Iterable[Sequence], n_fields: int, source: str, tables
     return tables
 
 
-def _decoded(data: bytes) -> Iterator[str]:
-    """The lines of a block of a file, each without its break, decoded
-    from the block's ``data`` once asked for."""
+def _lines(data: bytes) -> list[str]:
+    """The lines of a block of a file, each without its break."""
     lines = data[:-len(_PAD)].decode("utf-8").split("\n")
     lines.pop()  # the empty text after the last break
-    yield from lines
+    return lines
 
 
 def _tokenize(block: LineBlock, n_fields: int) -> tuple[bytes, np.ndarray]:
@@ -295,24 +300,6 @@ def _tokenize(block: LineBlock, n_fields: int) -> tuple[bytes, np.ndarray]:
     if not ((tabs[:, 0] > before).all() and (tabs[:, -1] < ends).all()):
         raise Refused
     return data, np.column_stack((before, tabs, ends))
-
-
-def block_fields(
-    block: tuple[bytes, np.ndarray], places: list[int]
-) -> tuple[np.ndarray, list[str]]:
-    """The fields at ``places`` of each data line of a tokenized block, as
-    each one's number among their distinct values, and those values
-    decoded.  The values are numbered in the order in which each first
-    occurs, line by line and place by place, and the numbers come back as
-    one row per place; :class:`Refused` if two different fields share a
-    key of :func:`equal_spans`."""
-    data, delimiters = block
-    starts = delimiters[:, places].ravel()
-    starts += 1
-    ends = delimiters[:, [place + 1 for place in places]].ravel()
-    numbers, firsts = equal_spans(data, starts, ends)
-    names = _decode(data, starts[firsts], ends[firsts])
-    return numbers.reshape(-1, len(places)).T.copy(), names  # each row contiguous
 
 
 # _LOW_BYTES[r] keeps the first r bytes of a little-endian 8-byte word.
@@ -381,37 +368,39 @@ def equal_spans(
 
 
 def intern_fields(
-    fields: Sequence[tuple[dict[str, int], np.ndarray, list[str], bool]],
-) -> list[np.ndarray]:
-    """The code of each field of a block in its table, new names entered;
-    :class:`Refused`, every table as it stood, if a new name fails its
-    check.
+    block: tuple[bytes, np.ndarray], places: list[int], table: dict[str, int], literal: bool
+) -> np.ndarray:
+    """The code in ``table`` of the fields at ``places`` of each data line
+    of a tokenized block, one contiguous row per place, new names entered;
+    :class:`Refused`, the table as it stood, if two different fields share
+    a key of :func:`equal_spans` or a new name fails its check.
 
-    Each item is a table, which numbers its names from 0 in the order they
-    entered it, the numbers and distinct names that :func:`block_fields`
-    gives for that table's fields, and whether they fill predication
-    slots, as :func:`check_identifier`'s ``literal``.  Each distinct name
-    is looked up once; the new ones are checked in one pass, and enter
-    their tables, in the order they first occur, only once those of every
-    table pass.  The codes come back in the shape of the numbers.
+    ``table`` numbers its names from 0 in the order they entered it, and
+    ``literal`` says whether they fill predication slots, as
+    :func:`check_identifier`'s.  The fields are numbered among their
+    distinct values, line by line and place by place, and each distinct
+    value is decoded and looked up once; the new ones are checked in one
+    pass, and enter the table in the order they first occur.
     """
-    found = []
-    for table, numbers, names, literal in fields:
-        codes = np.fromiter(map(table.get, names, repeat(-1)), dtype=np.int64, count=len(names))
-        new = list(compress(names, (codes < 0).tolist()))
-        # A field of a tokenized block holds no tab and no line break, so
-        # check_identifier fails only an empty name, or, in a slot, one
-        # that holds a "|" or is the wildcard.
-        if "" in new or literal and (WILDCARD in new or "|" in "".join(new)):
-            raise Refused
-        found.append((table, numbers, codes, new))
-    gathered = []
-    for table, numbers, codes, new in found:
-        added = range(len(table), len(table) + len(new))
-        codes[codes < 0] = added
-        table.update(zip(new, added))
-        gathered.append(codes[numbers])
-    return gathered
+    data, delimiters = block
+    starts = delimiters[:, places].ravel()
+    starts += 1
+    ends = delimiters[:, [place + 1 for place in places]].ravel()
+    numbers, firsts = equal_spans(data, starts, ends)
+    names = _decode(data, starts[firsts], ends[firsts])
+    del starts, ends, firsts
+    numbers = numbers.reshape(-1, len(places)).T.copy()  # each row contiguous
+    codes = np.fromiter(map(table.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+    new = list(compress(names, (codes < 0).tolist()))
+    # A field of a tokenized block holds no tab and no line break, so
+    # check_identifier fails only an empty name, or, in a slot, one that
+    # holds a "|" or is the wildcard.
+    if "" in new or literal and (WILDCARD in new or "|" in "".join(new)):
+        raise Refused
+    added = range(len(table), len(table) + len(new))
+    codes[codes < 0] = added
+    table.update(zip(new, added))
+    return codes[numbers]
 
 
 def _decode(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
@@ -451,15 +440,15 @@ def tuple_records(
 class _FileLines:
     """The lines of a text file that :func:`read_file` opened, read
     ``_CHUNK_CHARS`` characters at a time: :func:`read_blocks` takes them
-    as the blocks of UTF-8 of :meth:`blocks`, and iterating gives each line
-    as a ``str``, without its break."""
+    as the blocks of UTF-8 of :meth:`blocks`, and iterating decodes each
+    block's lines (:func:`_lines`), each a ``str`` without its break."""
 
     def __init__(self, handle: TextIO, source: str) -> None:
         self.handle, self.source = handle, source
 
     def __iter__(self) -> Iterator[str]:
         for block in self.blocks():
-            yield from block.lines
+            yield from _lines(block.data)
 
     def blocks(self) -> Iterator[LineBlock]:
         """Each block of ``BLOCK_LINES`` lines, the last of fewer, with its
@@ -503,7 +492,7 @@ class _FileLines:
                     block = ends[k:k + BLOCK_LINES]
                     stop = int(block[-1]) + 1
                     cut = data[start:stop] + _PAD
-                    yield LineBlock(first, _decoded(cut), cut, block - start)
+                    yield LineBlock(first, cut, block - start)
                     first += len(block)
                     start = stop
                 if start < size:

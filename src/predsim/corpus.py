@@ -16,17 +16,19 @@ the line format's text and bytes, and its one driver,
 ``_input.read_blocks``, reads a predications file a block of lines at a
 time, cut by ``_input.read_file`` from the UTF-8 of the chunks of text it
 reads, so no line becomes a ``str`` unless its block is refused.  It
-hands each tokenized block to :meth:`_Tables.add_block`:
-``_input.block_fields`` gives the block's fields of one table as numbers
-among their distinct values, with those values decoded, and
-``_input.intern_fields``, which the hierarchy loader shares, looks up
-each distinct identifier of a block once and checks the new ones in one
-pass; a block's new identifiers enter the tables only once all of them
-pass.  A step that cannot read a block whole raises ``_input.Refused``
-before any table is written, and the driver hands that block to the
-per-record loop, :meth:`_Tables.add_records`, which is also the only
-path of ``Corpus(records)`` and of lines given in memory: so every
-error, its line number and its message are the per-record loop's.
+hands each tokenized block to :meth:`_Tables.add_block`, which calls
+``_input.intern_fields``, shared with the hierarchy loader, once per
+table: it looks up each distinct identifier of the table's fields once
+and checks the new ones in one pass, and they enter the table only once
+all of them pass.  The code columns grow once every table is done.  A
+step that cannot read a block whole raises ``_input.Refused``, and the
+driver hands that block to the per-record loop,
+:meth:`_Tables.add_records`, which is also the only path of
+``Corpus(records)`` and of lines given in memory.  The tables written
+before the refusal hold names that loop enters, in its order, and a
+refusal after them is a bad new name, on which the loop ends the load
+at that line, or two names of one key, which it reads; so every error,
+its line number and its message are the per-record loop's.
 Duplicates are dropped by their integer codes, and each document's
 members are ordered by literal from sort ranks of their identifiers,
 without formatting a literal.  The literal-order number of each
@@ -58,7 +60,6 @@ import numpy as np
 
 from ._arrays import grouped, ranks, run_heads, sorted_distinct
 from ._input import (
-    block_fields,
     check_count,
     check_identifier,
     intern_fields,
@@ -356,24 +357,18 @@ class _Tables:
             add_object(o)
 
     def add_block(self, block: tuple[bytes, np.ndarray]) -> None:
-        """Intern a tokenized block of lines whole; ``_input.Refused``, and
-        nothing changed, if a step of the block path refuses it.
+        """Intern a tokenized block of lines whole; ``_input.Refused`` if a
+        step of the block path refuses it, the columns unchanged.
 
-        ``_input.intern_fields`` looks up each distinct field of a table
-        and checks the new ones once per block, and the block's codes are
-        gathered from them in numpy, one row per column.
+        ``_input.intern_fields`` interns the block's fields one table at a
+        time, in document, concept, relation order, and gives their codes,
+        one row per slot; the columns take them once all three are done.
         """
-        tables = (
-            (self.docs, [0], False),
-            (self.concepts, [1, 3], True),  # subject before object
-            (self.relations, [2], True),
-        )
-        fields = [
-            (table, *block_fields(block, slots), literal) for table, slots, literal in tables
-        ]
-        for (_, slots, _), rows in zip(tables, intern_fields(fields)):
-            for column, codes in zip(slots, rows):
-                self.columns[column].frombytes(codes.view(np.uint8))
+        docs = intern_fields(block, [0], self.docs, False)
+        concepts = intern_fields(block, [1, 3], self.concepts, True)  # subject before object
+        relations = intern_fields(block, [2], self.relations, True)
+        for column, codes in zip(self.columns, (docs[0], concepts[0], relations[0], concepts[1])):
+            column.frombytes(codes.view(np.uint8))
 
 
 def parse_predications(lines: Iterable[str], source: str = "<memory>") -> Corpus:

@@ -19,16 +19,17 @@ for identifiers the hierarchy has never seen (their ancestor set is just
 A hierarchy file is read as a predications file is, by the one driver
 ``_input.read_blocks``: a block of lines at a time, cut by
 ``_input.read_file`` from the UTF-8 of the chunks of text it reads.
-:meth:`_Edges.add_block` takes each block's fields through
-``_input.block_fields``, each line's parent before its child, so that
-nodes are first met in the order of a reader of one line at a time, and
-``_input.intern_fields`` looks up each distinct name of a block once and
-checks the new ones in one pass.  A block that holds a self-loop raises
-``_input.Refused`` there, as the shared steps do for a new name that
-fails its check or a block they cannot read whole, before the node table
-is written; the driver then hands the block to the per-record loop,
-:meth:`_Edges.add_records`, the only path of ``Hierarchy(edges)`` and of
-lines given in memory: so every error, its line number and its message
+:meth:`_Edges.add_block` interns each block's fields through
+``_input.intern_fields``, each line's parent before its child, so that
+nodes are first met in the order of a reader of one line at a time: it
+looks up each distinct name of a block once and checks the new ones in
+one pass.  A block that holds a self-loop raises ``_input.Refused``
+there, once its codes are known, as the shared steps do for a new name
+that fails its check or a block they cannot read whole; the driver then
+hands the block to the per-record loop, :meth:`_Edges.add_records`, the
+only path of ``Hierarchy(edges)`` and of lines given in memory.  The
+edge columns grow only for a block read whole, and a self-loop ends that
+loop's load at its line, so every error, its line number and its message
 are the per-record loop's.
 
 Hierarchies number their nodes once, by ascending height, hold one name
@@ -77,7 +78,6 @@ import numpy as np
 from ._arrays import grouped, key_dtype, ranks, segment_offsets, sorted_distinct, spans
 from ._input import (
     Refused,
-    block_fields,
     check_identifier,
     intern_fields,
     read_blocks,
@@ -351,7 +351,7 @@ class _Edges:
 
     The table numbers each node from 0 as first met, taking a record's
     parent before its child, and takes a name only once it passes its
-    check; a self-loop enters nothing.
+    check; a self-loop ends the load.
     """
 
     def __init__(self) -> None:
@@ -389,18 +389,17 @@ class _Edges:
             add_parent(p)
 
     def add_block(self, block: tuple[bytes, np.ndarray]) -> None:
-        """Add a tokenized block of lines whole; ``_input.Refused``, and
-        nothing changed, if a line is a self-loop or a step of the block
+        """Add a tokenized block of lines whole; ``_input.Refused``, the
+        columns unchanged, if a line is a self-loop or a step of the block
         path refuses the block.
 
         ``_input.intern_fields`` looks up each distinct name of the block
-        and checks the new ones once, and the block's codes are gathered
-        from them in numpy, one row per column.
+        and checks the new ones once, and gives the block's codes, one row
+        per column.
         """
-        numbers, names = block_fields(block, [1, 0])  # parent before child
-        if (numbers[0] == numbers[1]).any():  # a self-loop
+        parents, children = intern_fields(block, [1, 0], self.numbers, False)  # parent first
+        if (parents == children).any():  # a self-loop
             raise Refused
-        parents, children = intern_fields([(self.numbers, numbers, names, False)])[0]
         self.parents.frombytes(parents.view(np.uint8))
         self.children.frombytes(children.view(np.uint8))
 

@@ -23,7 +23,7 @@ from predsim import (
     write_predications_file,
 )
 from predsim._input import Refused, equal_spans
-from predsim.corpus import _literal_keys
+from predsim.corpus import _literal_keys, _Tables
 
 from conftest import traced
 
@@ -82,20 +82,59 @@ class TestCorpusLoading:
         with pytest.raises(LoadError, match=r"^<memory>: record 1: empty document id$"):
             Corpus([("", "a", "r", "b")])
 
-    def test_names_of_equal_block_keys_load_as_records(self):
+    def test_names_of_equal_block_keys_load_as_records(self, tmp_path):
         # The block reader keys a name longer than 8 bytes by a sum of its
         # words times odd constants of their places, G and 3G, modulo 2**64.
         # Here the first words differ by +3 and the second by -1, so the two
         # names share a key; the check word by word finds them different,
-        # and the block is read a record at a time.
+        # and the file's block is read a record at a time.
         first, second = "aaaaaaaab", "daaaaaaaa"
         data = f"{first}\t{second}\n".encode() + bytes(7)
         with pytest.raises(Refused):
             equal_spans(data, np.array([0, 10]), np.array([9, 19]))
         records = [("d1", first, "r", second), ("d2", second, "r", first), ("d1", "a", "r", "b")]
-        corpus = parse_predications(["\t".join(record) + "\n" for record in records])
+        path = tmp_path / "predications.tsv"
+        path.write_text("".join("\t".join(record) + "\n" for record in records), encoding="utf-8")
+        corpus = load_predications_file(path)
         assert corpus.concept_names == (first, second, "a", "b")
         assert corpus == Corpus(records)
+
+    @pytest.mark.parametrize("last, problem", [
+        (("d9", "c9", "r", "?"), "predication: object may not be the reserved token '?'"),
+        (("d9", "aaaaaaaab", "r", "daaaaaaaa"), None),  # names of one block key
+    ], ids=["bad-concept", "equal-keys"])
+    def test_a_refused_block_keeps_the_tables_it_wrote(self, last, problem, tmp_path, monkeypatch):
+        # A table holds only names that passed their check, numbered as a
+        # reader of one line at a time first meets them.  So the concept
+        # table refuses the file's one block after the document table took
+        # its new ids, and the per-record loop, which reads the block then,
+        # enters those ids again as the same codes; the concept table holds
+        # none of the block's names.
+        records = [(f"d{k % 3}", f"c{k}", "r", f"c{k + 1}") for k in range(5)] + [last]
+        path = tmp_path / "predications.tsv"
+        path.write_text("".join("\t".join(record) + "\n" for record in records), encoding="utf-8")
+        if problem is None:
+            want = Corpus(records)
+        else:
+            with pytest.raises(LoadError) as raised:
+                Corpus(records, str(path))
+            assert str(raised.value) == f"{path}: record 6: {problem}"
+        tables_met = []
+        add_records = _Tables.add_records
+
+        def spy(tables, *args):
+            tables_met.append((dict(tables.docs), dict(tables.concepts), dict(tables.relations)))
+            return add_records(tables, *args)
+
+        monkeypatch.setattr(_Tables, "add_records", spy)
+        if problem is None:
+            corpus = load_predications_file(path)
+            assert corpus == want and corpus.concept_names == want.concept_names
+        else:
+            with pytest.raises(LoadError) as raised:
+                load_predications_file(path)
+            assert str(raised.value) == f"{path}: line 6: {problem}"
+        assert tables_met == [({"d0": 0, "d1": 1, "d2": 2, "d9": 3}, {}, {})]
 
 
 class TestPredicationsFile:
@@ -602,7 +641,7 @@ class TestTextBoundary:
         used = _used(_tree("corpus"))
         assert not used & _TEXT_WORK, used & _TEXT_WORK
         assert not _holds_line_text(used)
-        assert "block_fields" in used
+        assert "intern_fields" in used
 
     def test_arrays_reads_no_bytes(self):
         used = _used(_tree("_arrays"))
@@ -647,7 +686,7 @@ class TestTextBoundary:
         # or a line break would hold line text.
         assert used & _TEXT_WORK <= {"join"}, used & _TEXT_WORK
         assert not _holds_line_text(used)
-        assert "block_fields" in used
+        assert "intern_fields" in used
 
     def test_one_interner_checks_a_block_s_new_names_at_once(self):
         for module in ("corpus", "ontology"):

@@ -318,23 +318,6 @@ def built(build, *args):
         return str(err).replace(": line ", ": record ", 1)
 
 
-@SETTINGS
-@given(st.lists(st.tuples(NAMES, NAMES, NAMES, NAMES), max_size=12), st.sampled_from([1, 3, None]))
-def test_block_path_equals_record_path(monkeypatch, records, size):
-    # Records whose line reads as blank or a comment are not data lines.
-    records = [r for r in records if list(data_lines(["\t".join(r)]))]
-    lines = ["\t".join(record) + "\n" for record in records]
-    with monkeypatch.context() as patch:
-        if size is not None:
-            patch.setattr(_input, "BLOCK_LINES", size)
-        from_lines = built(parse_predications, lines, "s")
-    from_records = built(Corpus, records, "s")
-    if isinstance(from_records, str):
-        assert from_lines == from_records
-    else:
-        same_corpus(from_lines, from_records)
-
-
 def warned(build, *args):
     """:func:`built`, and the text of each warning raised."""
     with warnings.catch_warnings(record=True) as caught:
@@ -356,23 +339,6 @@ def same_hierarchy(a, b):
 EDGE_NAMES = st.one_of(NAMES, st.sampled_from(["a", "b", "c"]))
 
 
-@SETTINGS
-@given(st.lists(st.tuples(EDGE_NAMES, EDGE_NAMES), max_size=12), st.sampled_from([1, 3, None]))
-def test_hierarchy_block_path_equals_record_path(monkeypatch, edges, size):
-    edges = [edge for edge in edges if list(data_lines(["\t".join(edge)]))]
-    lines = ["\t".join(edge) + "\n" for edge in edges]
-    with monkeypatch.context() as patch:
-        if size is not None:
-            patch.setattr(_input, "BLOCK_LINES", size)
-        from_lines, lines_warned = warned(parse_hierarchy, lines, "s")
-    from_records, records_warned = warned(Hierarchy, edges, "s")
-    assert lines_warned == records_warned
-    if isinstance(from_records, str):
-        assert from_lines == from_records
-    else:
-        same_hierarchy(from_lines, from_records)
-
-
 SURROGATE = re.compile("[\ud800-\udfff]")
 
 
@@ -390,7 +356,40 @@ def written(records, path):
     return kept
 
 
-# The block path reads files only, so the same records are read from one.
+def same_load(got, want, same):
+    """Both are the same error message, or ``same`` holds of them."""
+    if isinstance(want, str):
+        assert got == want
+    else:
+        same(got, want)
+
+
+# The records read one at a time against the same records as lines given
+# in memory, which keep every drawn name, lone surrogates included.  Lines
+# given in memory go to the per-record loop, not the block path; the file
+# tests below read the same records in blocks.
+@SETTINGS
+@given(st.lists(st.tuples(NAMES, NAMES, NAMES, NAMES), max_size=12))
+def test_block_path_equals_record_path(records):
+    # Records whose line reads as blank or a comment are not data lines.
+    records = [r for r in records if list(data_lines(["\t".join(r)]))]
+    lines = ["\t".join(record) + "\n" for record in records]
+    same_load(built(parse_predications, lines, "s"), built(Corpus, records, "s"), same_corpus)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(EDGE_NAMES, EDGE_NAMES), max_size=12))
+def test_hierarchy_block_path_equals_record_path(edges):
+    edges = [edge for edge in edges if list(data_lines(["\t".join(edge)]))]
+    lines = ["\t".join(edge) + "\n" for edge in edges]
+    from_lines, lines_warned = warned(parse_hierarchy, lines, "s")
+    from_records, records_warned = warned(Hierarchy, edges, "s")
+    assert lines_warned == records_warned
+    same_load(from_lines, from_records, same_hierarchy)
+
+
+# The same records as a file, which the block path reads in blocks of 1,
+# 3 or BLOCK_LINES lines.  The file keeps the names written() admits.
 @SETTINGS
 @given(st.lists(st.tuples(NAMES, NAMES, NAMES, NAMES), max_size=12), st.sampled_from([1, 3, None]))
 def test_file_block_path_equals_record_path(tmp_path, monkeypatch, records, size):
@@ -400,11 +399,7 @@ def test_file_block_path_equals_record_path(tmp_path, monkeypatch, records, size
         if size is not None:
             patch.setattr(_input, "BLOCK_LINES", size)
         from_file = built(load_predications_file, path)
-    from_records = built(Corpus, records, str(path))
-    if isinstance(from_records, str):
-        assert from_file == from_records
-    else:
-        same_corpus(from_file, from_records)
+    same_load(from_file, built(Corpus, records, str(path)), same_corpus)
 
 
 @SETTINGS
@@ -418,10 +413,7 @@ def test_hierarchy_file_block_path_equals_record_path(tmp_path, monkeypatch, edg
         from_file, file_warned = warned(load_hierarchy_file, path)
     from_records, records_warned = warned(Hierarchy, edges, str(path))
     assert file_warned == records_warned
-    if isinstance(from_records, str):
-        assert from_file == from_records
-    else:
-        same_hierarchy(from_file, from_records)
+    same_load(from_file, from_records, same_hierarchy)
 
 
 # Every place where the block path refuses a block.  A new name that
@@ -581,11 +573,10 @@ def test_file_lines_become_no_str(name, tmp_path, monkeypatch):
     path.write_bytes(("\ufeff" + "".join(lines)).encode("utf-8"))
     want = view(parse(lines))
 
-    def decoded(data):  # a generator, as the reader's is: it fails once read
+    def lines_of(data):
         raise AssertionError("a block's lines decoded")
-        yield
 
-    monkeypatch.setattr(_input, "_decoded", decoded)
+    monkeypatch.setattr(_input, "_lines", lines_of)
     monkeypatch.setattr(_input, "_CHUNK_CHARS", 1_000)
     assert view(load_file(path)) == want
 
@@ -618,6 +609,8 @@ def test_only_files_are_tokenized(name, tmp_path, monkeypatch):
     assert tokenized == [1, 5, 9]
 
 
+# Lines given in memory are never cut into blocks, so BLOCK_LINES changes
+# nothing here.
 @pytest.mark.parametrize("size", [1, 3, None])
 def test_line_break_inside_a_line_given_in_memory(monkeypatch, size):
     if size is not None:
