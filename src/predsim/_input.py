@@ -114,21 +114,16 @@ def check_identifier(
     """
     if not isinstance(value, str):
         problem = f"{what} must be a string, got {type(value).__name__}"
-    elif literal:
-        if value and value != WILDCARD and _FORBIDDEN_IN_LITERAL(value) is None:
-            return
-        if not value:
-            problem = f"empty {what}"
-        elif value == WILDCARD:
-            problem = f"{what} may not be the reserved token {WILDCARD!r}"
-        else:
-            problem = f"{what} contains a forbidden character"
-    elif value and _TAB_OR_NEWLINE(value) is None:
-        return
     elif not value:
         problem = f"empty {what}"
-    else:
+    elif literal and value == WILDCARD:
+        problem = f"{what} may not be the reserved token {WILDCARD!r}"
+    elif literal and _FORBIDDEN_IN_LITERAL(value):
+        problem = f"{what} contains a forbidden character"
+    elif not literal and _TAB_OR_NEWLINE(value):
         problem = f"{what} contains tab or newline"
+    else:
+        return
     raise LoadError(problem if where is None else f"{where}: {problem}")
 
 

@@ -80,25 +80,26 @@ class EvalReport:
     skipped_seeds: tuple[str, ...]
 
     def to_csv(self) -> str:
-        lines = ["n,precision,recall,f_measure"]
-        for n in self.n_values:
-            m = self.macro[n]
-            lines.append(f"{n},{m.precision:.4f},{m.recall:.4f},{m.f_measure:.4f}")
-        return "\n".join(lines) + "\n"
+        """One row per cutoff of the macro averages."""
+        return _csv(["n"], (((n,), self.macro[n]) for n in self.n_values))
 
     def per_seed_csv(self) -> str:
         """One row per seed and cutoff; a seed id holding ``,`` or ``"``
         is quoted, so that a CSV reader reads it back as written."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["seed", "n", "precision", "recall", "f_measure"])
-        for seed in self.per_seed:
-            for n in self.n_values:
-                m = self.per_seed[seed][n]
-                writer.writerow(
-                    [seed, n, f"{m.precision:.4f}", f"{m.recall:.4f}", f"{m.f_measure:.4f}"]
-                )
-        return out.getvalue()
+        rows = (((seed, n), by_n[n]) for seed, by_n in self.per_seed.items() for n in self.n_values)
+        return _csv(["seed", "n"], rows)
+
+
+def _csv(keys: list[str], rows: Iterable[tuple[tuple, Metrics]]) -> str:
+    """CSV text: a header of the ``keys`` columns and the metric names, then
+    per ``(key values, metrics)`` row its key values and each metric to 4
+    decimals.  A value holding ``,`` or ``"`` is quoted; numbers never are."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([*keys, *Metrics._fields])
+    for key, metrics in rows:
+        writer.writerow([*key, *(f"{value:.4f}" for value in metrics)])
+    return out.getvalue()
 
 
 def run_eval(
@@ -145,14 +146,12 @@ def run_eval(
         per_seed[seed] = MappingProxyType(by_n)
     if not per_seed:
         raise ValueError("no evaluable seeds: every seed's relevant set was empty")
-    macro = {}
+    # Each field's per-seed values, in seed order, summed exactly.
     count = len(per_seed)
-    for n in cutoffs:
-        macro[n] = Metrics(
-            math.fsum(m[n].precision for m in per_seed.values()) / count,
-            math.fsum(m[n].recall for m in per_seed.values()) / count,
-            math.fsum(m[n].f_measure for m in per_seed.values()) / count,
-        )
+    macro = {
+        n: Metrics(*(math.fsum(field) / count for field in zip(*(m[n] for m in per_seed.values()))))
+        for n in cutoffs
+    }
     return EvalReport(
         n_values=cutoffs,
         per_seed=MappingProxyType(per_seed),

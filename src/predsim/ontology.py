@@ -335,9 +335,9 @@ class Hierarchy:
         return frozenset((node,) if nodes is None else map(self._names.__getitem__, nodes))
 
     def similarity(self, a: str, b: str) -> float:
-        """Jaccard overlap of the two self-inclusive ancestor sets; a name
-        that is not a node, of any type, is its own set of one: 1.0 against
-        an equal name and 0.0 against anything else."""
+        """Jaccard overlap of the two self-inclusive ancestor sets; a
+        hashable name that is not a node, of any type, is its own set of
+        one: 1.0 against an equal name and 0.0 against anything else."""
         anc_a, anc_b = self._node_sets([a, b])
         if anc_a is None or anc_b is None:
             return 1.0 if a == b else 0.0

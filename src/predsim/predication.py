@@ -152,9 +152,7 @@ class PredicationSet:
                     f"expected a Predication, got {type(member).__name__}"
                 )
         by_literal = dict(zip(map(format_predication, members), members))
-        canonical = tuple(map(by_literal.__getitem__, sorted(by_literal)))
-        if canonical != self.members:
-            object.__setattr__(self, "members", canonical)
+        object.__setattr__(self, "members", tuple(map(by_literal.__getitem__, sorted(by_literal))))
 
     @classmethod
     def from_iterable(cls, preds: Iterable[Predication]) -> "PredicationSet":

@@ -79,7 +79,8 @@ terms.  ``related_predications`` selects the same way, with its exact
 scores as both bounds.  The ``n``-th largest lower bound is found
 without partitioning every document: the ``n``-th largest of a strided
 sample of about the square root of their number is at most it, so only
-the lower bounds at or above that value are partitioned.
+the lower bounds at or above that value are partitioned: all of them
+when the sample holds ``n`` values or fewer.
 
 Each returned score is built from the same IEEE operations, in the same
 order, as the scalar cascade (``Hierarchy.similarity``,
@@ -168,22 +169,22 @@ def _select(lo: np.ndarray, hi: np.ndarray, top: int) -> np.ndarray:
     tie-break.
 
     ``bar`` is the ``top``-th largest of the values at or above ``floor``,
-    the ``top``-th largest of a subset of ``lo``: a subset's never exceeds
-    the whole array's, so those values hold the ``top`` largest.  The
-    subset, every ``isqrt(len(lo))``-th value, is used when it holds more
-    than ``top``; the positions returned are those a partition of all of
-    ``lo`` gives.
+    the ``top``-th largest of a sample of ``lo``, every
+    ``isqrt(len(lo))``-th value: a subset's never exceeds the whole
+    array's, so those values hold the ``top`` largest.  A sample of
+    ``top`` values or fewer has no ``top``-th largest, and ``floor`` is
+    then ``-inf``, which keeps every value.  Either way the positions
+    returned are those a partition of all of ``lo`` gives.
     """
     top = min(top, len(lo))
     sample = lo[:: math.isqrt(len(lo))]
+    floor = -math.inf
     if len(sample) > top:
         floor = np.partition(sample, len(sample) - top)[len(sample) - top]
-        # A copy of its own, so it is partitioned in place; np.compress
-        # reads a dense mask faster than boolean indexing.
-        lo = np.compress(lo >= floor, lo)
-        lo.partition(len(lo) - top)
-    else:
-        lo = np.partition(lo, len(lo) - top)
+    # A copy of its own, so it is partitioned in place; np.compress reads a
+    # dense mask faster than boolean indexing.
+    lo = np.compress(lo >= floor, lo)
+    lo.partition(len(lo) - top)
     bar = lo[len(lo) - top]
     return np.flatnonzero(hi >= bar)
 
@@ -301,12 +302,21 @@ def _numbered(ranking: list[tuple[str, float]]) -> list[RankedDocument]:
     return [RankedDocument(doc, score, rank) for rank, (doc, score) in enumerate(ranking, start=1)]
 
 
+def _check_type(name: str, value: object, kind: type) -> None:
+    """Raise ``TypeError``, naming the argument, unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+
+
 class RetrievalEngine:
     """Similarity scoring and ranking over immutable inputs.
 
     The constructor raises ``TypeError``, naming the argument, for a
     hierarchy that is not a :class:`Hierarchy` or a ``config`` that is
-    neither None nor a :class:`SimConfig`."""
+    neither None nor a :class:`SimConfig`; each ranking call does the same
+    for a ``corpus`` that is not a :class:`Corpus`, a ``query`` that is not
+    a :class:`PredicationSet` and a ``pattern`` that is not a
+    :class:`PredicationPattern`."""
 
     def __init__(
         self,
@@ -316,13 +326,9 @@ class RetrievalEngine:
     ):
         if config is None:
             config = SimConfig()
-        for name, value, kind in (
-            ("concept_hierarchy", concept_hierarchy, Hierarchy),
-            ("relation_hierarchy", relation_hierarchy, Hierarchy),
-            ("config", config, SimConfig),
-        ):
-            if not isinstance(value, kind):
-                raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+        _check_type("concept_hierarchy", concept_hierarchy, Hierarchy)
+        _check_type("relation_hierarchy", relation_hierarchy, Hierarchy)
+        _check_type("config", config, SimConfig)
         self.concepts = concept_hierarchy
         self.relations = relation_hierarchy
         self.config = config
@@ -380,28 +386,23 @@ class RetrievalEngine:
         per_member = 2 * len(index.concept_vocab.names) + len(index.relation_vocab.names)
         chunk = min(n, max(1, TILE_ELEMENTS // per_member))
         runs = _runs(offsets, chunk)
+        # best_in_doc[j, d]: best weighted slot sum of query member j in
+        # document d; best_of_pred[i]: best of corpus predication i over the
+        # query.  Both are divided by the weight total only once their
+        # maxima are complete, which gives the same maxima because rounding
+        # is monotone.  The maxima compare the sums' int64 bit patterns,
+        # which order finite doubles with a clear sign bit as their values
+        # do.  Every sum has one: one weight is positive, so one of its
+        # addends is +0.0 or more, and such a sum is never -0.0; and
+        # best_of_pred starts at +0.0, whose bit pattern is 0: it is the
+        # index's position buffer, zeroed here on every call.
+        best_in_doc = np.empty((n, len(corpus)))
+        best_of_pred = index.positions
+        best_of_pred.fill(0.0)
+        doc_bits, pred_bits = best_in_doc.view(np.int64), best_of_pred.view(np.int64)
         for lo in range(0, n, chunk):
             hi = lo + chunk
             slots = self._weighted_slots(index, subjects[lo:hi], relations[lo:hi], objects[lo:hi])
-            if lo == 0:
-                # Allocated once the first chunk's rows exist, so that a
-                # seed's first rows, which build the index's sets by id,
-                # are not built on top of them.
-                # best_in_doc[j, d]: best weighted slot sum of query member
-                # j in document d; best_of_pred[i]: best of corpus
-                # predication i over the query.  Both are divided by the
-                # weight total only once their maxima are complete, which
-                # gives the same maxima because rounding is monotone.  The
-                # maxima compare the sums' int64 bit patterns, which order
-                # finite doubles with a clear sign bit as their values do.
-                # Every sum has one: one weight is positive, so one of its
-                # addends is +0.0 or more, and such a sum is never -0.0; and
-                # best_of_pred starts at +0.0, whose bit pattern is 0: it is
-                # the index's position buffer, zeroed here on every call.
-                best_in_doc = np.empty((n, len(corpus)))
-                best_of_pred = index.positions
-                best_of_pred.fill(0.0)
-                doc_bits, pred_bits = best_in_doc.view(np.int64), best_of_pred.view(np.int64)
             for (d0, d1, p0, p1, _), r0, tile, spare in _tiles(index, runs, slots):
                 tile, best = tile.view(np.int64), pred_bits[p0:p1]
                 in_doc = doc_bits[lo + r0:lo + r0 + len(tile), d0:d1]
@@ -435,6 +436,7 @@ class RetrievalEngine:
         """Rank all other documents against the seed's predication set: the
         ``top_n + 1`` best documents, the seed left out, are the ``top_n``
         best others, in the same order."""
+        _check_type("corpus", corpus, Corpus)
         try:
             d = corpus.doc_number(seed)
         except KeyError:
@@ -450,6 +452,8 @@ class RetrievalEngine:
         self, corpus: Corpus, query: PredicationSet, top_n: int
     ) -> list[RankedDocument]:
         """Rank every document against an ad-hoc predication set."""
+        _check_type("corpus", corpus, Corpus)
+        _check_type("query", query, PredicationSet)
         if len(query) == 0:
             raise EmptySetError("query predication set is empty")
         top_n = check_count(top_n, "top_n")
@@ -470,6 +474,8 @@ class RetrievalEngine:
         similarities summed in subject, relation, object order over the
         sum of their weights.
         """
+        _check_type("corpus", corpus, Corpus)
+        _check_type("pattern", pattern, PredicationPattern)
         top_k = check_count(top_k, "top_k")
         weights = self.config.weights
         denominator = bound_weight(pattern, weights)

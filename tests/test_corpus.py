@@ -1,6 +1,8 @@
 import ast
 import dataclasses
+import functools
 import importlib
+import pkgutil
 import random
 import tracemalloc
 from pathlib import Path
@@ -621,6 +623,22 @@ def _holds_line_text(constants):
     return any(set(text) & set("\t\n\r#\ufeff") for text in constants)
 
 
+@functools.cache
+def _package_used():
+    """``_used`` over every module of ``src/predsim``."""
+    package = importlib.import_module("predsim")
+    return frozenset().union(*(_used(_tree(m.name)) for m in pkgutil.iter_modules(package.__path__)))
+
+
+def _uses_none(used, names):
+    """Assert that ``used`` holds none of ``names``.  Each name must first
+    still occur somewhere in ``src/predsim``, or be a method of ``str``, so
+    that the check cannot go dead when the package renames or deletes one."""
+    gone = {name for name in names - _package_used() if not hasattr(str, name)}
+    assert not gone, f"no longer used in src/predsim: {gone}"
+    assert not used & names, used & names
+
+
 # What reading or writing line text takes: the block layout, the
 # splitting and joining of fields and lines, and the reading rules.
 _TEXT_WORK = {
@@ -639,20 +657,20 @@ class TestTextBoundary:
 
     def test_corpus_handles_no_line_text(self):
         used = _used(_tree("corpus"))
-        assert not used & _TEXT_WORK, used & _TEXT_WORK
+        _uses_none(used, _TEXT_WORK)
         assert not _holds_line_text(used)
         assert "intern_fields" in used
 
     def test_arrays_reads_no_bytes(self):
         used = _used(_tree("_arrays"))
-        assert not used & {"bytes", "frombuffer", "tobytes", "uint8", "<u8", "decode",
-                           "equal_spans", "_LOW_BYTES"}
+        _uses_none(used, {"bytes", "frombuffer", "tobytes", "uint8", "<u8", "decode",
+                          "equal_spans", "_LOW_BYTES"})
         assert importlib.import_module("predsim._input").equal_spans is equal_spans
 
     def test_writer_keeps_no_reading_rule(self):
         used = _used(_function("corpus", "write_predications_file"))
         assert "write_file" in used
-        assert not used & (_TEXT_WORK | {"write_bytes", "write_text", "open"})
+        _uses_none(used, _TEXT_WORK | {"write_bytes", "write_text", "open"})
         assert not _holds_line_text(used)
         # The one writer checks lines by the readers' own rules.
         assert {"_is_data", "_SURROGATE"} <= _used(_function("_input", "write_file"))
@@ -669,7 +687,7 @@ class TestTextBoundary:
     def test_gold_lines_are_read_a_record_at_a_time(self):
         used = _used(_function("corpus", "parse_gold"))
         assert "line_records" in used
-        assert not used & {"line_blocks", "block_fields"}
+        _uses_none(used, {"read_blocks", "add_block", "intern_fields"})
 
     def test_hierarchy_lines_are_read_a_block_at_a_time(self):
         # One driver reads a file's blocks, with the per-record loop for a
@@ -684,7 +702,7 @@ class TestTextBoundary:
         used = _used(_tree("ontology"))
         # Its one join spells a warning's sample of names; a join by a tab
         # or a line break would hold line text.
-        assert used & _TEXT_WORK <= {"join"}, used & _TEXT_WORK
+        _uses_none(used, _TEXT_WORK - {"join"})
         assert not _holds_line_text(used)
         assert "intern_fields" in used
 
@@ -692,4 +710,4 @@ class TestTextBoundary:
         for module in ("corpus", "ontology"):
             used = _used(_function(module, "add_block"))
             assert "intern_fields" in used
-            assert "check_identifier" not in used
+            _uses_none(used, {"check_identifier"})

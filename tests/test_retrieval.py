@@ -48,6 +48,34 @@ class TestConstructor:
         assert RetrievalEngine(concept_h, relation_h, None).config == SimConfig()
 
 
+class TestRankingArguments:
+    # Each ranking call checks its arguments' types as the constructor
+    # does, before it reads any of them.
+    def test_related_documents_corpus_must_be_a_corpus(self, engine):
+        with pytest.raises(TypeError, match=r"^corpus must be Corpus, got str$"):
+            engine.related_documents("x", "d1", 1)
+
+    def test_query_documents_corpus_must_be_a_corpus(self, engine, small_corpus):
+        with pytest.raises(TypeError, match=r"^corpus must be Corpus, got NoneType$"):
+            engine.query_documents(None, small_corpus["d1"], 1)
+
+    def test_query_must_be_a_predication_set(self, engine, small_corpus):
+        with pytest.raises(TypeError, match=r"^query must be PredicationSet, got list$"):
+            engine.query_documents(small_corpus, [Predication("C1", "TREATS", "OA")], 1)
+
+    def test_related_predications_corpus_must_be_a_corpus(self, engine):
+        pattern = PredicationPattern(None, "TREATS", "OA")
+        with pytest.raises(TypeError, match=r"^corpus must be Corpus, got dict$"):
+            engine.related_predications({}, pattern, 1)
+
+    def test_pattern_must_be_a_predication_pattern(self, engine, small_corpus):
+        with pytest.raises(TypeError, match=r"^pattern must be PredicationPattern, got str$"):
+            engine.related_predications(small_corpus, "a|r|?", 1)
+        # A fully bound pattern is a PredicationPattern too, not a Predication.
+        with pytest.raises(TypeError, match=r"^pattern must be PredicationPattern, got Predication$"):
+            engine.related_predications(small_corpus, Predication("C1", "TREATS", "OA"), 1)
+
+
 def ranking_corpus():
     # against seed {(C1 TREATS OA)}:
     #   docA identical                        -> 1.0
