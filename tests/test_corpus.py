@@ -87,19 +87,30 @@ class TestCorpusLoading:
     def test_names_of_equal_block_keys_load_as_records(self, tmp_path):
         # The block reader keys a name longer than 8 bytes by a sum of its
         # words times odd constants of their places, G and 3G, modulo 2**64.
-        # Here the first words differ by +3 and the second by -1, so the two
-        # names share a key; the check word by word finds them different,
-        # and the file's block is read a record at a time.
+        # In the first case the first words differ by +3 and the second by
+        # -1, so the two names share a key; the check word by word finds
+        # them different.  In the second, B = A + C shares A's key, and B's
+        # words are A's followed by C's, the span after A: only the check of
+        # lengths finds them different.  Either way the file's block is read
+        # a record at a time.
         first, second = "aaaaaaaab", "daaaaaaaa"
-        data = f"{first}\t{second}\n".encode() + bytes(7)
-        with pytest.raises(Refused):
-            equal_spans(data, np.array([0, 10]), np.array([9, 19]))
-        records = [("d1", first, "r", second), ("d2", second, "r", first), ("d1", "a", "r", "b")]
-        path = tmp_path / "predications.tsv"
-        path.write_text("".join("\t".join(record) + "\n" for record in records), encoding="utf-8")
-        corpus = load_predications_file(path)
-        assert corpus.concept_names == (first, second, "a", "b")
-        assert corpus == Corpus(records)
+        a, c = "L5Uv(+g.Qm)c=&-Z", "~SCR~yi{VYLD(m{J"
+        cases = [
+            ([first, second],
+             [("d1", first, "r", second), ("d2", second, "r", first), ("d1", "a", "r", "b")],
+             (first, second, "a", "b")),
+            ([a, c, a + c], [("d1", a, "r", c), ("d2", a + c, "r", c)], (a, c, a + c)),
+        ]
+        for names, records, concept_names in cases:
+            data = "\t".join(names).encode() + b"\n" + bytes(7)
+            ends = np.cumsum([len(name) + 1 for name in names]) - 1
+            with pytest.raises(Refused):
+                equal_spans(data, ends - [len(name) for name in names], ends)
+            path = tmp_path / "predications.tsv"
+            path.write_text("".join("\t".join(record) + "\n" for record in records), encoding="utf-8")
+            corpus = load_predications_file(path)
+            assert corpus.concept_names == concept_names
+            assert corpus == Corpus(records)
 
     @pytest.mark.parametrize("last, problem", [
         (("d9", "c9", "r", "?"), "predication: object may not be the reserved token '?'"),

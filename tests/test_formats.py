@@ -370,7 +370,7 @@ def same_load(got, want, same):
 # tests below read the same records in blocks.
 @SETTINGS
 @given(st.lists(st.tuples(NAMES, NAMES, NAMES, NAMES), max_size=12))
-def test_block_path_equals_record_path(records):
+def test_lines_given_in_memory_equal_records(records):
     # Records whose line reads as blank or a comment are not data lines.
     records = [r for r in records if list(data_lines(["\t".join(r)]))]
     lines = ["\t".join(record) + "\n" for record in records]
@@ -379,7 +379,7 @@ def test_block_path_equals_record_path(records):
 
 @SETTINGS
 @given(st.lists(st.tuples(EDGE_NAMES, EDGE_NAMES), max_size=12))
-def test_hierarchy_block_path_equals_record_path(edges):
+def test_hierarchy_lines_given_in_memory_equal_edges(edges):
     edges = [edge for edge in edges if list(data_lines(["\t".join(edge)]))]
     lines = ["\t".join(edge) + "\n" for edge in edges]
     from_lines, lines_warned = warned(parse_hierarchy, lines, "s")
@@ -609,12 +609,8 @@ def test_only_files_are_tokenized(name, tmp_path, monkeypatch):
     assert tokenized == [1, 5, 9]
 
 
-# Lines given in memory are never cut into blocks, so BLOCK_LINES changes
-# nothing here.
-@pytest.mark.parametrize("size", [1, 3, None])
-def test_line_break_inside_a_line_given_in_memory(monkeypatch, size):
-    if size is not None:
-        monkeypatch.setattr(_input, "BLOCK_LINES", size)
+# Lines given in memory are never cut into blocks.
+def test_line_break_inside_a_line_given_in_memory():
     # Inside a comment it is part of the comment.
     corpus = parse_predications(["d\ta\tr\tb\n", "# note\nd\tx\tr\ty\n", "d\ta\tr\tc\n"])
     same_corpus(corpus, Corpus([("d", "a", "r", "b"), ("d", "a", "r", "c")]))

@@ -800,6 +800,20 @@ class TestSelectionHelper:
         assert naive[0] < naive[1]  # but both fsum to 0.6
         self._check(*case)
 
+    def test_naive_sum_of_many_terms_overshoots(self):
+        # Document 0's query side is 0.5 and then 200 terms of 3/4 ulp, each
+        # of which the naive sum rounds up to a whole ulp: 0.5 + 200 ulp,
+        # against its exact 0.5 + 150 ulp, below document 1's 0.5 + 151 ulp.
+        # Only a bound that grows with the 202 terms keeps document 1.
+        ulp = 2.0**-53
+        pred_terms = np.zeros(2)
+        query_terms = np.zeros((201, 2))
+        query_terms[0] = [0.5, 0.5 + 151 * ulp]
+        query_terms[1:, 0] = 0.75 * ulp
+        naive = query_terms.sum(axis=0)
+        assert naive[0] > naive[1]
+        self._check(pred_terms, query_terms, np.arange(3))
+
     def test_permutations_of_one_multiset(self):
         rng = np.random.default_rng(3)
         for values in self.MULTISETS:
