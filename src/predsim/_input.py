@@ -1,8 +1,9 @@
-"""Input checks shared by the loaders and the query surfaces: one
-identifier validator, one count check and its text reader, and the one
-owner of the line format, with its driver of lines, its block reader of
-files, its record reader, the reader for in-memory records, one file
-opener and one writer.  Every predsim warning goes through :func:`warn`.
+"""Input checks shared by the loaders and the query surfaces: one type
+check, one identifier validator, one count check and its text reader,
+and the one owner of the line format, with its driver of lines, its
+block reader of files, its record reader, the reader for in-memory
+records, one file opener and one writer.  Every predsim warning goes
+through :func:`warn`.
 
 A line's break (``\\n`` or ``\\r\\n``) is stripped; a blank line, or one
 whose first non-blank character is ``#``, is skipped; every other line is
@@ -57,9 +58,10 @@ and refuses by the same rules any line that would not read back.
 
 The record readers yield ``(number, fields)`` pairs, counting from 1, and
 raise the only errors they can locate themselves, a line that is not a
-``str`` and a wrong field count.  A caller that rejects a record builds
-the ``"{source}: line N"`` (or ``record N``) prefix then, from the number,
-so the valid path formats no location text.
+``str``, a wrong field count and one string given as the lines.  A
+caller that rejects a record builds the ``"{source}: line N"`` (or
+``record N``) prefix then, from the number, so the valid path formats no
+location text.
 """
 
 from __future__ import annotations
@@ -99,6 +101,12 @@ def warn(message: str) -> None:
         frame = frame.f_back
         level += 1
     warnings.warn(message, stacklevel=level)
+
+
+def check_type(name: str, value: object, kind: type) -> None:
+    """Raise ``TypeError``, naming the argument, unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
 
 
 def check_identifier(
@@ -160,7 +168,11 @@ def line_records(
     lines: Iterable[str], n_fields: int, source: str, first: int = 1
 ) -> Iterator[tuple[int, list[str]]]:
     """Tab-separated fields of each data line, with its line number, the
-    first line numbered ``first``."""
+    first line numbered ``first``.  One string given as the lines is
+    refused, as :func:`tuple_records` refuses a string record: its
+    characters would be the lines."""
+    if isinstance(lines, (str, bytes, bytearray)):
+        raise LoadError(f"{source}: expected an iterable of lines, got {type(lines).__name__}")
     for lineno, raw in enumerate(lines, start=first):
         try:
             line = raw.rstrip("\r\n")

@@ -23,8 +23,10 @@ scalar definition of the document score; the columnar kernel in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
+from ._input import check_type
 from .errors import EmptySetError
 from .predication import (
     PredicationSet,
@@ -42,8 +44,8 @@ class SimConfig:
     pair_threshold: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.weights, SimWeights):
-            raise TypeError(f"weights must be SimWeights, got {type(self.weights).__name__}")
+        check_type("weights", self.weights, SimWeights)
+        check_type("pair_threshold", self.pair_threshold, numbers.Real)
         if not 0.0 <= self.pair_threshold <= 1.0:
             raise ValueError(
                 f"pair_threshold must be in [0, 1], got {self.pair_threshold!r}"

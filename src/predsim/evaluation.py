@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
-from ._input import check_count, warn
+from ._input import check_count, check_type, warn
 from .corpus import Corpus, GoldStandard
 from .errors import UnknownDocumentError
 from .retrieval import RetrievalEngine
@@ -108,7 +108,13 @@ def run_eval(
     gold: GoldStandard,
     n_values: Iterable[int],
 ) -> EvalReport:
-    """Sweep precision/recall/F over the gold standard at each cutoff."""
+    """Sweep precision/recall/F over the gold standard at each cutoff.
+
+    Raises ``TypeError``, naming the argument, for an ``engine``,
+    ``corpus`` or ``gold`` of another type, before reading any of them."""
+    check_type("engine", engine, RetrievalEngine)
+    check_type("corpus", corpus, Corpus)
+    check_type("gold", gold, GoldStandard)
     cutoffs = tuple(sorted({check_count(n, "cutoff in n_values") for n in n_values}))
     if not cutoffs:
         raise ValueError("n_values must contain at least one cutoff")

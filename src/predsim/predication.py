@@ -30,10 +30,11 @@ the literal.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from ._input import WILDCARD, check_identifier
+from ._input import WILDCARD, check_identifier, check_type
 from .errors import LoadError
 
 SimilarityFn = Callable[[str, str], float]
@@ -78,8 +79,8 @@ class PredicationPattern:
 
 @dataclass(frozen=True)
 class SimWeights:
-    """Finite, non-negative slot weights; the weights' sum must be finite
-    and positive."""
+    """Real, finite, non-negative slot weights; the weights' sum must be
+    finite and positive."""
 
     ws: float = 1.0
     wr: float = 1.0
@@ -87,6 +88,7 @@ class SimWeights:
 
     def __post_init__(self):
         for name, value in (("ws", self.ws), ("wr", self.wr), ("wo", self.wo)):
+            check_type(f"weight {name}", value, numbers.Real)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"weight {name} must be finite and >= 0, got {value!r}")
         if not 0 < self.total < math.inf:
@@ -110,6 +112,7 @@ def _literal_slots(text: str, kind: str, wildcards: bool) -> list[str | None]:
     """The three slots of a ``subject|relation|object`` literal, each
     checked in that order, a wildcard ``?`` read as None if ``wildcards``
     and refused otherwise; every error names the literal as a ``kind``."""
+    check_type(f"{kind} literal", text, str)
     fields = text.split("|")
     where = f"{kind} literal {text!r}"
     if len(fields) != 3:

@@ -99,7 +99,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._input import check_count
+from ._input import check_count, check_type
 from .corpus import Corpus
 from .docsim import SimConfig
 from .errors import EmptySetError, UnknownDocumentError
@@ -302,12 +302,6 @@ def _numbered(ranking: list[tuple[str, float]]) -> list[RankedDocument]:
     return [RankedDocument(doc, score, rank) for rank, (doc, score) in enumerate(ranking, start=1)]
 
 
-def _check_type(name: str, value: object, kind: type) -> None:
-    """Raise ``TypeError``, naming the argument, unless ``value`` is a ``kind``."""
-    if not isinstance(value, kind):
-        raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
-
-
 class RetrievalEngine:
     """Similarity scoring and ranking over immutable inputs.
 
@@ -326,9 +320,9 @@ class RetrievalEngine:
     ):
         if config is None:
             config = SimConfig()
-        _check_type("concept_hierarchy", concept_hierarchy, Hierarchy)
-        _check_type("relation_hierarchy", relation_hierarchy, Hierarchy)
-        _check_type("config", config, SimConfig)
+        check_type("concept_hierarchy", concept_hierarchy, Hierarchy)
+        check_type("relation_hierarchy", relation_hierarchy, Hierarchy)
+        check_type("config", config, SimConfig)
         self.concepts = concept_hierarchy
         self.relations = relation_hierarchy
         self.config = config
@@ -436,7 +430,7 @@ class RetrievalEngine:
         """Rank all other documents against the seed's predication set: the
         ``top_n + 1`` best documents, the seed left out, are the ``top_n``
         best others, in the same order."""
-        _check_type("corpus", corpus, Corpus)
+        check_type("corpus", corpus, Corpus)
         try:
             d = corpus.doc_number(seed)
         except KeyError:
@@ -452,8 +446,8 @@ class RetrievalEngine:
         self, corpus: Corpus, query: PredicationSet, top_n: int
     ) -> list[RankedDocument]:
         """Rank every document against an ad-hoc predication set."""
-        _check_type("corpus", corpus, Corpus)
-        _check_type("query", query, PredicationSet)
+        check_type("corpus", corpus, Corpus)
+        check_type("query", query, PredicationSet)
         if len(query) == 0:
             raise EmptySetError("query predication set is empty")
         top_n = check_count(top_n, "top_n")
@@ -474,8 +468,8 @@ class RetrievalEngine:
         similarities summed in subject, relation, object order over the
         sum of their weights.
         """
-        _check_type("corpus", corpus, Corpus)
-        _check_type("pattern", pattern, PredicationPattern)
+        check_type("corpus", corpus, Corpus)
+        check_type("pattern", pattern, PredicationPattern)
         top_k = check_count(top_k, "top_k")
         weights = self.config.weights
         denominator = bound_weight(pattern, weights)

@@ -7,11 +7,12 @@ from hypothesis import settings
 from predsim import Corpus, Hierarchy, Predication, retrieval
 
 # Tier-1 draws a fixed 150 examples per property test.  HYPOTHESIS_PROFILE=ci
-# draws 2,000, for the CI steps that rerun the file-format and literal
-# properties of tests/test_formats.py, whose line blocks, chunk
-# boundaries, comment runs and recurring names need many draws to meet,
-# on the newest numpy and at the dependency floor, and the
-# sorted-key properties of tests/test_arrays.py.
+# draws 2,000, in CI's one run of the whole suite on every leg, so that
+# the file-format and literal properties of tests/test_formats.py, whose
+# line blocks, chunk boundaries, comment runs and recurring names need
+# many draws to meet, and the sorted-key properties of
+# tests/test_arrays.py reach rare draws.  The profile sets the example
+# count only: both files set deadline=None themselves.
 settings.register_profile("tier1", max_examples=150)
 settings.register_profile("ci", max_examples=2000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))

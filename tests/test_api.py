@@ -16,6 +16,11 @@ from predsim import (
     Predication,
     PredicationPattern,
     RetrievalEngine,
+    parse_gold,
+    parse_hierarchy,
+    parse_pattern,
+    parse_predication,
+    parse_predications,
     precision_at,
     recall_at,
     run_eval,
@@ -64,6 +69,16 @@ def test_non_string_identifier_rejected(builder, kind):
 
 
 @pytest.mark.parametrize(
+    "parse, kind", [(parse_predication, "predication"), (parse_pattern, "pattern")]
+)
+@pytest.mark.parametrize("value", VALUES.values(), ids=VALUES)
+def test_non_string_literal_rejected(parse, kind, value):
+    with pytest.raises(TypeError) as caught:
+        parse(value)
+    assert str(caught.value) == f"{kind} literal must be str, got {type(value).__name__}"
+
+
+@pytest.mark.parametrize(
     "build, n_fields, got",
     [
         (lambda: Hierarchy(["AB"]), 2, "a string"),
@@ -86,6 +101,22 @@ def test_string_record_rejected(build, n_fields, got):
     with pytest.raises(LoadError) as caught:
         build()
     assert str(caught.value) == f"<memory>: record 1: expected {n_fields} fields, got {got}"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse_predications, "d1\ta\tr\tb\n"), (parse_hierarchy, "a\tb\n"), (parse_gold, "s\td\t1\n")],
+    ids=["parse_predications", "parse_hierarchy", "parse_gold"],
+)
+@pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+def test_string_lines_rejected(parse, text, encode):
+    # one string given as the lines is refused whole, not read as lines of
+    # one character or one byte each
+    lines = encode(text)
+    with pytest.raises(LoadError) as caught:
+        parse(lines)
+    got = type(lines).__name__
+    assert str(caught.value) == f"<memory>: expected an iterable of lines, got {got}"
 
 
 PATTERN = PredicationPattern(None, "TREATS", "OA")

@@ -55,6 +55,15 @@ class TestConfig:
         with pytest.raises(TypeError, match=rf"^weights must be SimWeights, got {kind}$"):
             SimConfig(weights=weights)
 
+    @pytest.mark.parametrize("tau, kind", [("0.5", "str"), (None, "NoneType")])
+    def test_threshold_must_be_a_number(self, tau, kind):
+        with pytest.raises(TypeError, match=rf"^pair_threshold must be Real, got {kind}$"):
+            SimConfig(pair_threshold=tau)
+
+    @pytest.mark.parametrize("tau", [True, np.float32(0.5), np.int64(1)])
+    def test_threshold_bool_and_numpy_scalars_allowed(self, tau):
+        assert SimConfig(pair_threshold=tau).pair_threshold == tau
+
 
 class TestSetSimilarity:
     def test_self_similarity_is_one(self, concept_h, relation_h):

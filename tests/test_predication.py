@@ -131,6 +131,16 @@ class TestWeights:
         with pytest.raises(ValueError, match="weight sum must be finite and positive, got inf"):
             SimWeights(1e308, 1e308, 1e308)
 
+    @pytest.mark.parametrize(
+        "args, name, kind", [(("1", 1, 1), "ws", "str"), ((1, None, 1), "wr", "NoneType")]
+    )
+    def test_weight_must_be_a_number(self, args, name, kind):
+        with pytest.raises(TypeError, match=rf"^weight {name} must be Real, got {kind}$"):
+            SimWeights(*args)
+
+    def test_bool_and_numpy_scalars_allowed(self):
+        assert SimWeights(True, np.int64(2), np.float32(0.5)).total == 3.5
+
 
 class TestPredicationSet:
     def test_dedup_and_canonical_order(self):

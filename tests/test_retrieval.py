@@ -4,6 +4,7 @@ import pytest
 from predsim import (
     Corpus,
     EmptySetError,
+    GoldStandard,
     Hierarchy,
     Predication,
     PredicationPattern,
@@ -14,6 +15,7 @@ from predsim import (
     SimWeights,
     UnknownDocumentError,
     format_predication,
+    run_eval,
 )
 
 from conftest import each_kernel_size
@@ -74,6 +76,25 @@ class TestRankingArguments:
         # A fully bound pattern is a PredicationPattern too, not a Predication.
         with pytest.raises(TypeError, match=r"^pattern must be PredicationPattern, got Predication$"):
             engine.related_predications(small_corpus, Predication("C1", "TREATS", "OA"), 1)
+
+
+class TestEvalArguments:
+    # run_eval checks its engine, corpus and gold types as the ranking calls
+    # do, before it reads any of them.
+    GOLD = GoldStandard([("d1", "d2", 1)])
+
+    def test_engine_must_be_a_retrieval_engine(self, small_corpus):
+        with pytest.raises(TypeError, match=r"^engine must be RetrievalEngine, got str$"):
+            run_eval("x", small_corpus, self.GOLD, [1])
+
+    def test_corpus_must_be_a_corpus(self, engine):
+        # ``in`` on a string tests for a substring, not a document
+        with pytest.raises(TypeError, match=r"^corpus must be Corpus, got str$"):
+            run_eval(engine, "c", self.GOLD, [1])
+
+    def test_gold_must_be_a_gold_standard(self, engine, small_corpus):
+        with pytest.raises(TypeError, match=r"^gold must be GoldStandard, got dict$"):
+            run_eval(engine, small_corpus, {"d1": ("d2",)}, [1])
 
 
 def ranking_corpus():
