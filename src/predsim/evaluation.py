@@ -37,13 +37,30 @@ class Metrics(NamedTuple):
     f_measure: float
 
 
+def _check_ids(retrieved: Sequence[str], relevant: Collection[str]) -> None:
+    """Refuse a ``retrieved`` or ``relevant`` given as one string, whose
+    characters or substrings would be matched as ids, and a ``retrieved``
+    that repeats an id, which would count it twice."""
+    for name, ids in (("retrieved", retrieved), ("relevant", relevant)):
+        if isinstance(ids, (str, bytes, bytearray)):
+            raise TypeError(f"{name} must be a collection of document ids, got {type(ids).__name__}")
+    seen = set()
+    for doc in retrieved:
+        if doc in seen:
+            raise ValueError(f"retrieved repeats document id {doc!r}")
+        seen.add(doc)
+
+
 def precision_at(retrieved: Sequence[str], relevant: Collection[str], n: int) -> float:
     """Fraction of the top-n retrieved documents that are relevant.
 
-    ``retrieved`` must already be deduplicated.  When fewer than n
-    documents were retrieved, the actual count is the denominator; zero
-    retrieved documents give 0 with a warning.
+    When fewer than n documents were retrieved, the actual count is the
+    denominator; zero retrieved documents give 0 with a warning.  Raises
+    ``TypeError``, naming the argument, for a ``retrieved`` or
+    ``relevant`` given as one string, and ``ValueError``, naming the id,
+    for a ``retrieved`` that repeats one.
     """
+    _check_ids(retrieved, relevant)
     n = check_count(n, "n")
     top = retrieved[:n]
     if not top:
@@ -54,7 +71,9 @@ def precision_at(retrieved: Sequence[str], relevant: Collection[str], n: int) ->
 
 
 def recall_at(retrieved: Sequence[str], relevant: Collection[str], n: int) -> float:
-    """Fraction of the relevant documents found in the top-n retrieved."""
+    """Fraction of the relevant documents found in the top-n retrieved.
+    Refuses ``retrieved`` and ``relevant`` as :func:`precision_at` does."""
+    _check_ids(retrieved, relevant)
     n = check_count(n, "n")
     if not relevant:
         raise ValueError("recall requires a non-empty relevant set")

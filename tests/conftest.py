@@ -1,9 +1,15 @@
+import ast
+import contextlib
+import functools
 import os
 import tracemalloc
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
 
+import predsim
 from predsim import Corpus, Hierarchy, Predication, retrieval
 
 # Tier-1 draws a fixed 150 examples per property test.  HYPOTHESIS_PROFILE=ci
@@ -84,19 +90,102 @@ def stub_sim(table: dict, default: float = 0.0):
     return sim
 
 
-def traced(load, source):
-    """What ``load(source)`` holds and its traced peak, both in bytes, and
-    what it returns; numpy's first calls allocate caches, so it runs once
-    untraced first."""
-    load(source)
+@contextlib.contextmanager
+def traced_memory():
+    """Trace allocations for the block, and yield a reader of the bytes
+    held and the traced peak since entry.  It is the suite's one
+    ``tracemalloc`` session: a caller that measures a load or a call runs
+    it once untraced first, since numpy's first calls allocate caches."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        loaded = load(source)
-        held, peak = tracemalloc.get_traced_memory()
+
+        def memory():
+            held, peak = tracemalloc.get_traced_memory()
+            return held - start, peak - start
+
+        yield memory
     finally:
         tracemalloc.stop()
-    return held - start, peak - start, loaded
+
+
+class Source(NamedTuple):
+    """What the code of a module, or of one ``def`` in it, reads and
+    defines, as :func:`read_source` finds it."""
+
+    names: frozenset  # every name it reads or binds
+    loaded: frozenset  # the names it reads
+    attributes: frozenset
+    imports: tuple  # (from module, or None for ``import``; name; bound name; line)
+    strings: frozenset  # its string constants, docstrings included
+    text: frozenset  # its string constants, docstrings aside
+    defined: tuple  # (name, line) of each top-level def, class or assigned name
+    exported: frozenset  # what its ``__all__`` exports
+    functions: tuple  # (name, Source) of each def inside it, in walk order
+    classes: frozenset  # the name of each class inside it
+
+    @property
+    def used(self):
+        """Its names, attributes, the parts of the names it imports and
+        its string constants, docstrings aside."""
+        parts = {part for _, name, _, _ in self.imports for part in name.split(".")}
+        return self.names | self.attributes | parts | self.text
+
+
+def _source(code):
+    """The :class:`Source` of one parsed module or ``def``."""
+    nodes = list(ast.walk(code))
+    docstrings = {
+        id(node.body[0].value) for node in nodes
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    names = [node for node in nodes if isinstance(node, ast.Name)]
+    strings = [
+        node for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    imports = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            imports += [(None, alias.name, alias.asname or alias.name.split(".")[0], node.lineno)
+                        for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports += [(node.module or "", alias.name, alias.asname or alias.name, node.lineno)
+                        for alias in node.names]
+    defined, exported = [], set()
+    for node in code.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.lineno))
+        elif isinstance(node, ast.Assign):
+            targets = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            defined.extend((target, node.lineno) for target in targets)
+            if "__all__" in targets:
+                exported.update(ast.literal_eval(node.value))
+    return Source(
+        names=frozenset(node.id for node in names),
+        loaded=frozenset(node.id for node in names if isinstance(node.ctx, ast.Load)),
+        attributes=frozenset(node.attr for node in nodes if isinstance(node, ast.Attribute)),
+        imports=tuple(imports),
+        strings=frozenset(node.value for node in strings),
+        text=frozenset(node.value for node in strings if id(node) not in docstrings),
+        defined=tuple(defined),
+        exported=frozenset(exported),
+        functions=tuple(
+            (node.name, _source(node)) for node in nodes[1:] if isinstance(node, ast.FunctionDef)
+        ),
+        classes=frozenset(node.name for node in nodes[1:] if isinstance(node, ast.ClassDef)),
+    )
+
+
+@functools.cache
+def read_source(module, function=None):
+    """The :class:`Source` of ``predsim``'s module ``module`` (``"corpus"``,
+    ``"__init__"``), or of the first ``def`` named ``function`` in it.  It
+    is the suite's one reader of source code."""
+    if function is not None:
+        return next(found for name, found in read_source(module).functions if name == function)
+    path = Path(predsim.__file__).parent / f"{module}.py"
+    return _source(ast.parse(path.read_text(encoding="utf-8")))
 
 
 def triple(s: str, r: str, o: str) -> Predication:

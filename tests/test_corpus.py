@@ -1,15 +1,12 @@
-import ast
 import dataclasses
-import functools
 import importlib
 import pkgutil
 import random
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import predsim
 from predsim import (
     Corpus,
     CorpusStats,
@@ -27,7 +24,7 @@ from predsim import (
 from predsim._input import Refused, equal_spans
 from predsim.corpus import _literal_keys, _Tables
 
-from conftest import traced
+from conftest import read_source, traced_memory
 
 
 class TestCorpusLoading:
@@ -416,7 +413,10 @@ class TestCorpusColumns:
         # per slot, it was about 1.8 times (with a doc-id dict held);
         # holding every column to the end of the load, about 2.8 times.
         lines = _peak_corpus_lines()
-        held, peak, corpus = traced(parse_predications, lines)
+        parse_predications(lines)  # numpy's first calls allocate caches
+        with traced_memory() as memory:
+            corpus = parse_predications(lines)
+            held, peak = memory()
         assert peak < 1.9 * held, (peak, held)
         # The slot columns decoded from the literal keys are the records'.
         want = sorted(set(tuple(line[:-1].split("\t")) for line in lines))
@@ -431,7 +431,10 @@ class TestCorpusColumns:
         lines = _peak_corpus_lines()
         path = tmp_path / "corpus.tsv"
         path.write_text("".join(lines), encoding="utf-8")
-        held, peak, corpus = traced(load_predications_file, path)
+        load_predications_file(path)
+        with traced_memory() as memory:
+            corpus = load_predications_file(path)
+            held, peak = memory()
         assert peak < 2.05 * held, (peak, held)
         assert corpus == parse_predications(lines)
 
@@ -466,13 +469,10 @@ class TestCorpusColumns:
         # 2**32 concepts square to 2**64 keys; the guard raises before any
         # rank table is built.
         empty = np.empty(0, dtype=np.int64)
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             with pytest.raises(OverflowError, match="int64 sort key"):
                 _literal_keys(range(2**32), range(1), empty, empty, empty)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            peak = memory()[1]
         assert peak < 64 * 1024
 
 
@@ -594,58 +594,18 @@ class TestGoldStandard:
         assert load_gold_file(path).seeds() == ("s1",)
 
 
-def _tree(name):
-    module = importlib.import_module(f"predsim.{name}")
-    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
-
-
-def _function(name, function):
-    """The ``def`` of ``function`` in module ``predsim.{name}``."""
-    return next(
-        node for node in ast.walk(_tree(name))
-        if isinstance(node, ast.FunctionDef) and node.name == function
-    )
-
-
-def _used(tree):
-    """The names, attributes, imported names and string constants in
-    ``tree``, docstrings aside."""
-    docstrings = {
-        id(node.body[0].value) for node in ast.walk(tree)
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
-        and node.body and isinstance(node.body[0], ast.Expr)
-    }
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.alias):
-            used.update(node.name.split("."))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if id(node) not in docstrings:
-                used.add(node.value)
-    return used
-
-
 def _holds_line_text(constants):
     """Whether a string holds a character of the line format's syntax."""
     return any(set(text) & set("\t\n\r#\ufeff") for text in constants)
-
-
-@functools.cache
-def _package_used():
-    """``_used`` over every module of ``src/predsim``."""
-    package = importlib.import_module("predsim")
-    return frozenset().union(*(_used(_tree(m.name)) for m in pkgutil.iter_modules(package.__path__)))
 
 
 def _uses_none(used, names):
     """Assert that ``used`` holds none of ``names``.  Each name must first
     still occur somewhere in ``src/predsim``, or be a method of ``str``, so
     that the check cannot go dead when the package renames or deletes one."""
-    gone = {name for name in names - _package_used() if not hasattr(str, name)}
+    modules = pkgutil.iter_modules(predsim.__path__)
+    package = frozenset().union(*(read_source(module.name).used for module in modules))
+    gone = {name for name in names - package if not hasattr(str, name)}
     assert not gone, f"no longer used in src/predsim: {gone}"
     assert not used & names, used & names
 
@@ -667,36 +627,36 @@ class TestTextBoundary:
     literal."""
 
     def test_corpus_handles_no_line_text(self):
-        used = _used(_tree("corpus"))
+        used = read_source("corpus").used
         _uses_none(used, _TEXT_WORK)
         assert not _holds_line_text(used)
         assert "intern_fields" in used
 
     def test_arrays_reads_no_bytes(self):
-        used = _used(_tree("_arrays"))
+        used = read_source("_arrays").used
         _uses_none(used, {"bytes", "frombuffer", "tobytes", "uint8", "<u8", "decode",
                           "equal_spans", "_LOW_BYTES"})
         assert importlib.import_module("predsim._input").equal_spans is equal_spans
 
     def test_writer_keeps_no_reading_rule(self):
-        used = _used(_function("corpus", "write_predications_file"))
+        used = read_source("corpus", "write_predications_file").used
         assert "write_file" in used
         _uses_none(used, _TEXT_WORK | {"write_bytes", "write_text", "open"})
         assert not _holds_line_text(used)
         # The one writer checks lines by the readers' own rules.
-        assert {"_is_data", "_SURROGATE"} <= _used(_function("_input", "write_file"))
+        assert {"_is_data", "_SURROGATE"} <= read_source("_input", "write_file").used
 
     def test_one_splitter_parses_both_literal_forms(self):
         splitters = {
-            node.name for node in ast.walk(_tree("predication"))
-            if isinstance(node, ast.FunctionDef) and "split" in _used(node)
+            name for name, function in read_source("predication").functions
+            if "split" in function.used
         }
         assert len(splitters) == 1, splitters
         for parser in ("parse_predication", "parse_pattern"):
-            assert splitters <= _used(_function("predication", parser))
+            assert splitters <= read_source("predication", parser).used
 
     def test_gold_lines_are_read_a_record_at_a_time(self):
-        used = _used(_function("corpus", "parse_gold"))
+        used = read_source("corpus", "parse_gold").used
         assert "line_records" in used
         _uses_none(used, {"read_blocks", "add_block", "intern_fields"})
 
@@ -705,12 +665,12 @@ class TestTextBoundary:
         # block the block path refuses and for lines given in memory, for
         # both loaders of lines.
         assert {"_FileLines", "blocks", "add_block", "Refused", "line_records",
-                "add_records"} <= _used(_function("_input", "read_blocks"))
+                "add_records"} <= read_source("_input", "read_blocks").used
         for module, parser in (("ontology", "parse_hierarchy"), ("corpus", "parse_predications")):
-            assert "read_blocks" in _used(_function(module, parser))
+            assert "read_blocks" in read_source(module, parser).used
 
     def test_ontology_handles_no_line_text(self):
-        used = _used(_tree("ontology"))
+        used = read_source("ontology").used
         # Its one join spells a warning's sample of names; a join by a tab
         # or a line break would hold line text.
         _uses_none(used, _TEXT_WORK - {"join"})
@@ -719,6 +679,6 @@ class TestTextBoundary:
 
     def test_one_interner_checks_a_block_s_new_names_at_once(self):
         for module in ("corpus", "ontology"):
-            used = _used(_function(module, "add_block"))
+            used = read_source(module, "add_block").used
             assert "intern_fields" in used
             _uses_none(used, {"check_identifier"})

@@ -71,6 +71,39 @@ class TestRecall:
             recall_at(["a"], set(), 1)
 
 
+class TestIdArguments:
+    """``retrieved`` and ``relevant`` are collections of whole document
+    ids: one string is refused, since its characters would be scored as
+    ids or its substrings matched, and so is a ``retrieved`` that repeats
+    an id, which would be counted twice."""
+
+    @pytest.mark.parametrize("metric", [precision_at, recall_at])
+    @pytest.mark.parametrize("ids", ["d1d2", b"d1d2", bytearray(b"d1d2")], ids=type)
+    def test_retrieved_as_one_string_is_refused(self, metric, ids):
+        kind = type(ids).__name__
+        with pytest.raises(
+            TypeError, match=rf"^retrieved must be a collection of document ids, got {kind}$"
+        ):
+            metric(ids, {"d"}, 2)
+
+    @pytest.mark.parametrize("metric", [precision_at, recall_at])
+    @pytest.mark.parametrize("ids", ["abc", b"abc", bytearray(b"abc")], ids=type)
+    def test_relevant_as_one_string_is_refused(self, metric, ids):
+        kind = type(ids).__name__
+        with pytest.raises(
+            TypeError, match=rf"^relevant must be a collection of document ids, got {kind}$"
+        ):
+            metric(["a"], ids, 1)
+
+    @pytest.mark.parametrize("metric", [precision_at, recall_at])
+    def test_repeated_retrieved_id_is_refused(self, metric):
+        with pytest.raises(ValueError, match=r"^retrieved repeats document id 'd'$"):
+            metric(["d", "d"], {"d"}, 2)
+        # Past the cutoff too: a repeat anywhere means the ranking is wrong.
+        with pytest.raises(ValueError, match=r"^retrieved repeats document id 'a'$"):
+            metric(["a", "b", "a"], {"a"}, 1)
+
+
 class TestFMeasure:
     def test_worked_value(self):
         assert f_measure(0.6, 0.3) == 0.4

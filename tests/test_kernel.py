@@ -29,19 +29,16 @@ and list each one's documents in id order.  The selection ``_select``
 must equal its first, plainer implementation, kept here as a reference.
 """
 
-import ast
 import functools
 import gc
 import math
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 import weakref
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +61,7 @@ from predsim import (
 
 from predsim._arrays import segment_offsets
 
-from conftest import each_kernel_size
+from conftest import each_kernel_size, read_source, traced_memory
 from oracles import random_corpus, random_cyclic_graph, random_dag
 
 THRESHOLDS = (0.0, 0.2, 0.37, 0.5, 0.9)
@@ -351,12 +348,9 @@ class TestBoundedMemory:
             rows = 8 * members * width
             tiles = 4 * 8 * retrieval.TILE_ELEMENTS
             bound = terms + rows + positions + 16 * 8 * len(corpus) + tiles
-            tracemalloc.start()
-            try:
+            with traced_memory() as memory:
                 call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+                peak = memory()[1]
             assert peak < bound, (members, peak, bound)
 
     def test_chunk_rows_stay_within_a_tile(self, monkeypatch):
@@ -407,17 +401,14 @@ class TestBoundedMemory:
         engine = RetrievalEngine(concepts, relations)
         engine.query_documents(corpus, corpus[corpus.doc_ids()[0]], 1)  # builds the index
         pattern = PredicationPattern("c05", "r1", None)
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             for _ in range(3):
                 found = engine.related_predications(corpus, pattern, 10)
                 assert len(found) == 10
                 del found
                 gc.collect()
-                held = tracemalloc.get_traced_memory()[0]
+                held = memory()[0]
                 assert held < 4096, held
-        finally:
-            tracemalloc.stop()
 
     @staticmethod
     def _steady_calls(engine, corpus, query):
@@ -452,13 +443,9 @@ class TestBoundedMemory:
         calls = self._steady_calls(engine, corpus, query)
         expected = [call() for call, _ in calls]
         for (call, bound), want in zip(calls, expected):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
+            with traced_memory() as memory:
                 found = call()
-                peak = tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+                peak = memory()[1]
             assert found == want
             assert peak < bound, (peak, bound)
 
@@ -473,16 +460,12 @@ class TestBoundedMemory:
             call()
         order = np.random.default_rng(37).integers(0, len(calls), 30).tolist()
         gc.collect()
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as memory:
             for k in order:
                 calls[k]()
                 gc.collect()
-                held = tracemalloc.get_traced_memory()[0] - start
+                held = memory()[0]
                 assert held < 4096, (k, held)
-        finally:
-            tracemalloc.stop()
 
     def test_another_corpus_releases_the_index_buffers(self):
         # A call on another corpus replaces the index, and the old index's
@@ -490,21 +473,17 @@ class TestBoundedMemory:
         (concepts, relations), corpus, query = _wide_case()
         small = Corpus([("d", "c1", "r1", "c2")])
         engine = RetrievalEngine(concepts, relations)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as memory:
             engine.query_documents(corpus, query, 10)
             index = engine._index
             buffers = index.positions.nbytes + 2 * index.tile_buffers(0)[0].nbytes
             assert buffers > 8 * (len(corpus.subjects) + retrieval.TILE_ELEMENTS)
             del index
             gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - start
+            held = memory()[0]
             engine.query_documents(small, query, 10)
             gc.collect()
-            released = held - (tracemalloc.get_traced_memory()[0] - start)
-        finally:
-            tracemalloc.stop()
+            released = held - memory()[0]
         assert engine._index.corpus is small
         assert released > buffers, (released, buffers)
 
@@ -1153,7 +1132,7 @@ class TestIndexSets:
         self._check_star(46_000, 400, np.int32)
 
     def _traced_build(self):
-        """An index built under ``tracemalloc`` on a hierarchy shaped like
+        """An index built under ``traced_memory`` on a hierarchy shaped like
         the benchmark's, and the bytes its build allocated at the peak and
         still held at the end."""
         rng = np.random.default_rng(13)
@@ -1161,15 +1140,11 @@ class TestIndexSets:
         names = sorted(layered.nodes)
         names = [names[int(k)] for k in rng.permutation(3000)[:1500]]
         ontology._Vocabulary(layered, names)  # numpy's first calls allocate caches
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as memory:
             vocab = ontology._Vocabulary(layered, names)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            held, peak = memory()
         assert len(vocab.holders) > 20 * len(names)
-        return vocab, peak - start, held - start
+        return vocab, peak, held
 
     def test_build_allocates_few_bytes_per_pair(self):
         # The traced allocation peak of an index build, per (node, id)
@@ -1220,10 +1195,6 @@ class TestIndexBoundary:
     ``retrieval`` reaches the hierarchy through ``_Vocabulary`` only, and
     ``ontology`` knows nothing of the kernel's tiles."""
 
-    @staticmethod
-    def _tree(module):
-        return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
-
     def test_retrieval_uses_no_private_member_of_a_hierarchy(self):
         hierarchy = Hierarchy([("a", "b")])
         private = {
@@ -1231,38 +1202,27 @@ class TestIndexBoundary:
             if name.startswith("_") and not name.endswith("__")
         }
         assert {"_holder_keys", "_node_sets", "_walk", "_numbers"} <= private
-        used, imported = set(), set()
-        for node in ast.walk(self._tree(retrieval)):
-            if isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
-            elif isinstance(node, ast.alias):
-                imported.add(node.name)
+        source = read_source("retrieval")
+        used = source.attributes | source.strings
+        imported = {name for _, name, _, _ in source.imports}
         assert not (used | imported) & private, (used | imported) & private
         # The index's array forms and key widths are ontology's to choose.
         assert not {"array", "key_dtype"} & imported
 
     def test_ontology_knows_nothing_of_retrieval(self):
-        for node in ast.walk(self._tree(ontology)):
-            if isinstance(node, ast.ImportFrom):
-                assert "retrieval" not in (node.module or "")
-                assert all(alias.name != "retrieval" for alias in node.names)
-            elif isinstance(node, ast.Import):
-                assert all("retrieval" not in alias.name for alias in node.names)
-            elif isinstance(node, ast.Name):
-                assert node.id != "TILE_ELEMENTS"
-            elif isinstance(node, ast.Attribute):
-                assert node.attr != "TILE_ELEMENTS"
+        source = read_source("ontology")
+        for module, name, _, _ in source.imports:
+            # ``import`` names its module; ``from`` names it apart.
+            assert "retrieval" not in (name if module is None else module)
+            assert name != "retrieval"
+        assert "TILE_ELEMENTS" not in source.names | source.attributes
 
     def test_similarity_rows_are_defined_in_ontology(self):
         rows = ontology._Vocabulary.similarity_rows
         assert rows.__module__ == ontology.__name__
         assert rows.__qualname__ == "_Vocabulary.similarity_rows"
-        defined = {
-            node.name for node in ast.walk(self._tree(retrieval))
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        }
+        source = read_source("retrieval")
+        defined = {name for name, _ in source.functions} | source.classes
         assert not {"similarity_rows", "_Vocabulary"} & defined
 
 
@@ -1542,12 +1502,8 @@ class TestFindAtScale:
         bound = 1.25 * (8 * codes + 2 * 8 * retrieval.TILE_ELEMENTS)
         for pattern in (PredicationPattern("c03", "r1", "c07"), PredicationPattern(None, None, "c11")):
             expected = engine.related_predications(corpus, pattern, 10)
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
+            with traced_memory() as memory:
                 found = engine.related_predications(corpus, pattern, 10)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+                peak = memory()[1]
             assert found == expected
-            assert peak - start < bound, (peak - start, bound)
+            assert peak < bound, (peak, bound)

@@ -17,7 +17,7 @@ from predsim import (
 from predsim import ontology
 from predsim._arrays import segment_offsets
 
-from conftest import traced
+from conftest import traced_memory
 from oracles import closure_ancestor_sets, make_identifier_sim, random_cyclic_graph, random_dag
 
 
@@ -174,7 +174,10 @@ class TestLoadMemory:
         # times, since the name table is renumbered in place.  Building a
         # second name-to-number dict beside the first, it was about 2.2.
         lines = _peak_hierarchy_lines()
-        held, peak, hierarchy = traced(parse_hierarchy, lines)
+        parse_hierarchy(lines)  # numpy's first calls allocate caches
+        with traced_memory() as memory:
+            hierarchy = parse_hierarchy(lines)
+            held, peak = memory()
         assert len(hierarchy) == 6_000 and int(hierarchy._height.max()) < 12
         assert peak < 2.1 * held, (peak, held)
         assert hierarchy.edges == {tuple(line[:-1].split("\t")) for line in lines}
@@ -187,7 +190,10 @@ class TestLoadMemory:
         lines = _peak_hierarchy_lines()
         path = tmp_path / "concepts.tsv"
         path.write_text("".join(lines), encoding="utf-8")
-        held, peak, hierarchy = traced(load_hierarchy_file, path)
+        load_hierarchy_file(path)
+        with traced_memory() as memory:
+            hierarchy = load_hierarchy_file(path)
+            held, peak = memory()
         assert peak < 2.0 * held, (peak, held)
         assert hierarchy.edges == {tuple(line[:-1].split("\t")) for line in lines}
 
