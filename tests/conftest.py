@@ -2,7 +2,10 @@ import ast
 import contextlib
 import functools
 import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -10,7 +13,12 @@ import pytest
 from hypothesis import settings
 
 import predsim
-from predsim import Corpus, Hierarchy, Predication, retrieval
+from predsim import Corpus, Hierarchy, RetrievalEngine, retrieval
+from predsim.cli import main
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+PACKAGE = Path(predsim.__file__).parent
 
 # Tier-1 draws a fixed 150 examples per property test.  HYPOTHESIS_PROFILE=ci
 # draws 2,000, in CI's one run of the whole suite on every leg, so that
@@ -79,6 +87,82 @@ def small_corpus():
     )
 
 
+@pytest.fixture
+def engine(concept_h, relation_h):
+    return RetrievalEngine(concept_h, relation_h)
+
+
+@pytest.fixture
+def cli(capsys):
+    """Run ``predsim.cli.main`` on a list of arguments; return its exit
+    code and what it wrote to stdout and to stderr."""
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return run
+
+
+def run_python(*args):
+    """Run ``python *args`` in a child of this interpreter, from the
+    repository root with ``src`` first on its path, and return the
+    finished process, its output read as UTF-8.  The child runs under
+    this interpreter's dev mode, default-encoding warnings and ``-W``
+    options, so CI's conditions reach it too."""
+    flags = ["-X", "dev"] if sys.flags.dev_mode else []
+    if sys.flags.warn_default_encoding:
+        flags += ["-X", "warn_default_encoding"]
+    flags += [f"-W{option}" for option in sys.warnoptions]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, *args], cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, encoding="utf-8", timeout=120,
+    )
+
+
+def quiet(load):
+    """``load``, taking one argument, with the warning a cycle raises
+    ignored: the caller means the cycle."""
+
+    def run(arg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return load(arg)
+
+    return run
+
+
+def spy(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call runs as before and is
+    recorded, and return the list of ``(args, result)`` of the calls in
+    order; a method's ``args`` begin with its instance.  The list holds
+    the arguments, so a wrapper that must not keep them stays hand-written."""
+    original = getattr(owner, name)
+    calls = []
+
+    def recorded(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+@contextlib.contextmanager
+def fast_switching():
+    """Make threads switch as often as the interpreter lets them, for the
+    block."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def stub_sim(table: dict, default: float = 0.0):
     """Similarity source backed by an unordered pair table; identity is 1."""
 
@@ -115,6 +199,7 @@ class Source(NamedTuple):
 
     names: frozenset  # every name it reads or binds
     loaded: frozenset  # the names it reads
+    parameters: frozenset  # the parameter names of each def inside it
     attributes: frozenset
     imports: tuple  # (from module, or None for ``import``; name; bound name; line)
     strings: frozenset  # its string constants, docstrings included
@@ -164,6 +249,7 @@ def _source(code):
     return Source(
         names=frozenset(node.id for node in names),
         loaded=frozenset(node.id for node in names if isinstance(node.ctx, ast.Load)),
+        parameters=frozenset(node.arg for node in nodes if isinstance(node, ast.arg)),
         attributes=frozenset(node.attr for node in nodes if isinstance(node, ast.Attribute)),
         imports=tuple(imports),
         strings=frozenset(node.value for node in strings),
@@ -178,22 +264,19 @@ def _source(code):
 
 
 @functools.cache
-def read_source(module, function=None):
+def read_source(module, function=None, folder=PACKAGE):
     """The :class:`Source` of ``predsim``'s module ``module`` (``"corpus"``,
-    ``"__init__"``), or of the first ``def`` named ``function`` in it.  It
-    is the suite's one reader of source code."""
+    ``"__init__"``), or of the test module of that name with ``folder``
+    ``TESTS``, or of the first ``def`` named ``function`` in it.  It is
+    the suite's one reader of source code."""
     if function is not None:
-        return next(found for name, found in read_source(module).functions if name == function)
-    path = Path(predsim.__file__).parent / f"{module}.py"
-    return _source(ast.parse(path.read_text(encoding="utf-8")))
+        return next(found for name, found in read_source(module, folder=folder).functions
+                    if name == function)
+    return _source(ast.parse((folder / f"{module}.py").read_text(encoding="utf-8")))
 
 
-def triple(s: str, r: str, o: str) -> Predication:
-    return Predication(s, r, o)
-
-
-# Kernel sizes that move the member chunk and tile boundaries, as
-# overrides of the ``retrieval`` constant that bounds both.  On the small
+# Tile sizes, in elements, that move the member chunk and tile
+# boundaries: ``retrieval.TILE_ELEMENTS`` bounds both.  On the small
 # random cases a member's Jaccard rows are mostly wider than these, so
 # most chunks hold one member: tiles of 1 element give each document a
 # tile of its own, for queries and for ``find`` alike; tiles of 3
@@ -201,17 +284,13 @@ def triple(s: str, r: str, o: str) -> Predication:
 # tile a tile of its own; tiles of 16 elements hold several documents.
 # Chunks and tiles of several members are checked at the default size and
 # by ``test_chunk_rows_stay_within_a_tile``.
-KERNEL_SIZES = (
-    {"TILE_ELEMENTS": 1},
-    {"TILE_ELEMENTS": 3},
-    {"TILE_ELEMENTS": 16},
-)
+KERNEL_SIZES = (1, 3, 16)
 
 
 def each_kernel_size(monkeypatch):
-    """Yield each entry of ``KERNEL_SIZES`` with the constants set to it."""
-    for sizes in KERNEL_SIZES:
+    """Yield each of ``KERNEL_SIZES`` with ``retrieval.TILE_ELEMENTS`` set
+    to it."""
+    for tile in KERNEL_SIZES:
         with monkeypatch.context() as patch:
-            for name, value in sizes.items():
-                patch.setattr(retrieval, name, value)
-            yield sizes
+            patch.setattr(retrieval, "TILE_ELEMENTS", tile)
+            yield tile

@@ -6,15 +6,14 @@ that alters even one byte fails here, on every Python and numpy the suite
 runs on.
 """
 
-from pathlib import Path
-
 import pytest
 
-from predsim.cli import EXIT_OK, main
+from predsim.cli import EXIT_OK
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, TESTS
+
 DATA = ROOT / "demos" / "data"
-GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN = TESTS / "golden"
 
 FILES = [
     "--concepts", str(DATA / "concepts.tsv"),
@@ -31,9 +30,8 @@ COMMANDS = {
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_stdout_matches_golden_file(name, capsys):
+def test_stdout_matches_golden_file(name, cli):
     command, *options = COMMANDS[name]
-    code = main([command, *FILES, *options])
-    out, err = capsys.readouterr()
+    code, out, err = cli([command, *FILES, *options])
     assert code == EXIT_OK, err
     assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()

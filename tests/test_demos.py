@@ -1,13 +1,9 @@
 """Every demo script runs to completion and prints something."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,13 +13,6 @@ def test_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=[path.name for path in DEMOS])
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    done = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env,
-        capture_output=True, encoding="utf-8", timeout=120,
-    )
+    done = run_python(str(script))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()

@@ -16,11 +16,6 @@ from predsim import (
 )
 
 
-@pytest.fixture
-def engine(concept_h, relation_h):
-    return RetrievalEngine(concept_h, relation_h)
-
-
 def flat_corpus(doc_ids):
     """Docs with mutually unknown concepts: all similarities are 0, so
     retrieval order degenerates to ascending doc id."""

@@ -38,6 +38,8 @@ from predsim import (
 )
 from predsim import _input
 
+from conftest import quiet, spy
+
 # The example budget comes from the loaded profile (tests/conftest.py).
 SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -120,15 +122,6 @@ def corpus_records(corpus):
         doc: {(p.subject, p.relation, p.object) for p in corpus[doc]}
         for doc in corpus.doc_ids()
     }
-
-
-def quiet(load):
-    def run(arg):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # cycles are allowed
-            return load(arg)
-
-    return run
 
 
 FORMATS = {
@@ -589,24 +582,18 @@ def test_only_files_are_tokenized(name, tmp_path, monkeypatch):
     lines = ["\t".join(f"n{k}-{j}" for j in range(n_fields)) + "\n" for k in range(10)]
     path = tmp_path / f"{name}.tsv"
     path.write_text("".join(lines), encoding="utf-8")
-    tokenize = _input._tokenize
-    tokenized = []
 
     def refuse(block, n_fields):
         raise AssertionError("lines given in memory tokenized")
-
-    def counted(block, n_fields):
-        tokenized.append(block.first)
-        return tokenize(block, n_fields)
 
     with monkeypatch.context() as patch:
         patch.setattr(_input, "_tokenize", refuse)
         want = view(parse(lines))
     assert len(want) == len(lines)
     monkeypatch.setattr(_input, "BLOCK_LINES", 4)
-    monkeypatch.setattr(_input, "_tokenize", counted)
+    tokenized = spy(monkeypatch, _input, "_tokenize")
     assert view(load_file(path)) == want
-    assert tokenized == [1, 5, 9]
+    assert [block.first for (block, _), _ in tokenized] == [1, 5, 9]
 
 
 # Lines given in memory are never cut into blocks.

@@ -32,10 +32,8 @@ must equal its first, plainer implementation, kept here as a reference.
 import functools
 import gc
 import math
-import sys
 import threading
 import time
-import warnings
 import weakref
 from array import array
 from concurrent.futures import ThreadPoolExecutor
@@ -61,7 +59,7 @@ from predsim import (
 
 from predsim._arrays import segment_offsets
 
-from conftest import each_kernel_size, read_source, traced_memory
+from conftest import each_kernel_size, fast_switching, quiet, read_source, spy, traced_memory
 from oracles import random_corpus, random_cyclic_graph, random_dag
 
 THRESHOLDS = (0.0, 0.2, 0.37, 0.5, 0.9)
@@ -115,63 +113,34 @@ def _random_pattern(rng, concepts, relations) -> PredicationPattern:
     return PredicationPattern(*slots)
 
 
-def _assert_ranked(results, key):
-    assert [r.rank for r in results] == list(range(1, len(results) + 1))
-    assert [(-r.score, key(r)) for r in results] == sorted(
-        (-r.score, key(r)) for r in results
-    )
-
-
 def _check_case(engine, corpus, concepts, relations, rng):
-    """Check every score of one engine against the scalar path; return them."""
+    """Check every score of one engine against the scalar path, each seed
+    and three random queries, then four random patterns; return the
+    rankings."""
     seen = []
     everything = len(corpus) + 1
     concept_sim, relation_sim = engine.concepts.similarity, engine.relations.similarity
-    for seed in corpus.doc_ids():
-        results = engine.related_documents(corpus, seed, everything)
+    queries = [(seed, corpus[seed]) for seed in corpus.doc_ids()]
+    queries += [(None, _random_query(rng, concepts, relations)) for _ in range(3)]
+    for seed, query in queries:
+        if seed is None:
+            results = engine.query_documents(corpus, query, everything)
+        else:
+            results = engine.related_documents(corpus, seed, everything)
         assert {r.doc_id for r in results} == set(corpus.doc_ids()) - {seed}
-        _assert_ranked(results, lambda r: r.doc_id)
-        for r in results:
-            assert type(r.score) is float
-            assert r.score == set_similarity(
-                corpus[r.doc_id], corpus[seed], engine.config, concept_sim, relation_sim
-            )
-        seen.append(results)
-    for _ in range(3):
-        query = _random_query(rng, concepts, relations)
-        results = engine.query_documents(corpus, query, everything)
-        assert {r.doc_id for r in results} == set(corpus.doc_ids())
-        _assert_ranked(results, lambda r: r.doc_id)
+        assert [r.rank for r in results] == list(range(1, len(results) + 1))
+        assert [(-r.score, r.doc_id) for r in results] == sorted(
+            (-r.score, r.doc_id) for r in results
+        )
         for r in results:
             assert type(r.score) is float
             assert r.score == set_similarity(
                 corpus[r.doc_id], query, engine.config, concept_sim, relation_sim
             )
         seen.append(results)
-    weights = engine.config.weights
-    distinct = {p for d in corpus.doc_ids() for p in corpus[d]}
-    for _ in range(4):
-        pattern = _random_pattern(rng, concepts, relations)
-        try:
-            want = {
-                p: pattern_similarity(pattern, p, weights, concept_sim, relation_sim)
-                for p in distinct
-            }
-        except ValueError:  # every bound slot has zero weight
-            with pytest.raises(ValueError, match="zero weight"):
-                engine.related_predications(corpus, pattern, 1)
-            continue
-        results = engine.related_predications(corpus, pattern, len(distinct) + 1)
-        assert {r.predication for r in results} == distinct
-        _assert_ranked(results, lambda r: format_predication(r.predication))
-        for r in results:
-            assert type(r.score) is float
-            assert r.score == want[r.predication]
-            assert list(r.documents) == [
-                d for d in corpus.doc_ids() if r.predication in corpus[d]
-            ]
-        seen.append(results)
-    return seen
+    distinct = len({p for d in corpus.doc_ids() for p in corpus[d]})
+    patterns = [_random_pattern(rng, concepts, relations) for _ in range(4)]
+    return seen + _check_find(engine, corpus, patterns, (distinct + 1,))[1]
 
 
 class TestKernelExactness:
@@ -241,23 +210,9 @@ class TestBitPatternMaxima:
     WEIGHTS = ((-0.0, -0.0, 1.0), (0.0, 1.0, -0.0), (2.0, -0.0, 0.5))
     PAIR_THRESHOLDS = (-0.0, 0.0, 0.3)
 
-    @staticmethod
-    def _recorded_terms(engine):
-        """A list that gets both arrays of terms of each ``_document_terms``
-        call the engine makes."""
-        terms = []
-        document_terms = engine._document_terms
-
-        def recorded(*args):
-            found = document_terms(*args)
-            terms.extend(found)
-            return found
-
-        engine._document_terms = recorded
-        return terms
-
     def test_negative_zero_weights_and_thresholds(self, monkeypatch):
         rng = np.random.default_rng(31)
+        calls = spy(monkeypatch, RetrievalEngine, "_document_terms")
         for _ in each_kernel_size(monkeypatch):
             for _ in range(5):
                 case, corpus, concepts, relations = _random_case(rng)
@@ -265,8 +220,9 @@ class TestBitPatternMaxima:
                     for tau in self.PAIR_THRESHOLDS:
                         config = SimConfig(SimWeights(*weights), tau)
                         engine = RetrievalEngine(case.concepts, case.relations, config)
-                        terms = self._recorded_terms(engine)
+                        calls.clear()
                         _check_case(engine, corpus, concepts, relations, rng)
+                        terms = [t for _, found in calls for t in found]
                         assert len(terms) == 2 * (len(corpus) + 3)
                         assert not any(np.signbit(t).any() for t in terms)
 
@@ -370,18 +326,12 @@ class TestBoundedMemory:
         )
         expected = [call() for call in calls]
         monkeypatch.setattr(retrieval, "TILE_ELEMENTS", 4096)
-        rows = []
-        similarity_rows = ontology._Vocabulary.similarity_rows
-
-        def recorded(vocab, keys):
-            found = similarity_rows(vocab, keys)
-            rows.append((vocab.hierarchy is concepts, len(keys), found.size))
-            return found
-
-        monkeypatch.setattr(ontology._Vocabulary, "similarity_rows", recorded)
+        recorded = spy(monkeypatch, ontology._Vocabulary, "similarity_rows")
         for call, want in zip(calls, expected):
-            rows.clear()
+            recorded.clear()
             assert call() == want
+            rows = [(vocab.hierarchy is concepts, len(keys), found.size)
+                    for (vocab, keys), found in recorded]
             # Each chunk takes its concept rows, then its relation rows.
             chunks = list(zip(rows[::2], rows[1::2]))
             assert len(chunks) > 1 and len(rows) == 2 * len(chunks)
@@ -590,14 +540,8 @@ class TestHeldBuffers:
         ]
         expected = [call() for call in calls]
         orders = [rng.permutation(len(calls)).tolist() for _ in range(12)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                run = pool.map(lambda order: [(k, calls[k]()) for k in order], orders, timeout=120)
-                found = list(run)
-        finally:
-            sys.setswitchinterval(interval)
+        with fast_switching(), ThreadPoolExecutor(4) as pool:
+            found = list(pool.map(lambda order: [(k, calls[k]()) for k in order], orders, timeout=120))
         for results in found:
             for k, result in results:
                 assert result == expected[k], k
@@ -819,9 +763,7 @@ class TestSimilarityRows:
     and repeated."""
 
     def _check(self, rng, nodes, edges):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # cycles are reported with a warning
-            hierarchy = Hierarchy(edges)
+        hierarchy = quiet(Hierarchy)(edges)
         names = nodes + ["ghost"]  # "ghost" is in the corpus, not the hierarchy
         picked = [_pick(rng, names) for _ in range(int(rng.integers(1, 2 * len(names))))]
         interned = list(dict.fromkeys(picked))  # distinct, as a corpus's identifier table
@@ -851,14 +793,11 @@ class TestSetsById:
     and an interned name that is not a node still scores 1.0 against
     itself."""
 
-    def test_built_by_the_first_seed_only(self, monkeypatch):
-        rng = np.random.default_rng(23)
-        engine, corpus, concepts, relations = _random_case(rng)
-        engine.query_documents(corpus, _random_query(rng, concepts, relations), 3)
-        engine.related_predications(corpus, PredicationPattern(concepts[0], None, None), 3)
-        index = engine._index
-        vocabs = index.concept_vocab, index.relation_vocab
-        assert [vocab._id_sets for vocab in vocabs] == [None, None]
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """The vocabularies whose sets by id are built, in build order.
+        Not a ``spy``: a read of ``id_sets`` is recorded only when it
+        builds, and a vocabulary only, not the sets."""
         builds = []
         take = ontology._Vocabulary.id_sets.fget
 
@@ -868,6 +807,17 @@ class TestSetsById:
             return take(vocab)
 
         monkeypatch.setattr(ontology._Vocabulary, "id_sets", property(counted))
+        return builds
+
+    def test_built_by_the_first_seed_only(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        engine, corpus, concepts, relations = _random_case(rng)
+        engine.query_documents(corpus, _random_query(rng, concepts, relations), 3)
+        engine.related_predications(corpus, PredicationPattern(concepts[0], None, None), 3)
+        index = engine._index
+        vocabs = index.concept_vocab, index.relation_vocab
+        assert [vocab._id_sets for vocab in vocabs] == [None, None]
+        builds = self._count_builds(monkeypatch)
         seed = corpus.doc_ids()[0]
         first = engine.related_documents(corpus, seed, 5)
         assert builds == list(vocabs)
@@ -916,15 +866,7 @@ class TestSetsById:
         seeds = corpus.doc_ids()[::60]
         alone = RetrievalEngine(concepts, relations)
         expected = [alone.related_documents(corpus, seed, 10) for seed in seeds]
-        builds = []
-        take = ontology._Vocabulary.id_sets.fget
-
-        def counted(vocab):
-            if vocab._id_sets is None:
-                builds.append(vocab)
-            return take(vocab)
-
-        monkeypatch.setattr(ontology._Vocabulary, "id_sets", property(counted))
+        builds = self._count_builds(monkeypatch)
         indexes = []
         build = retrieval._Index.__init__
 
@@ -935,9 +877,7 @@ class TestSetsById:
 
         monkeypatch.setattr(retrieval._Index, "__init__", slow_build)
         chunks = [seeds[k::4] for k in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        with fast_switching():
             for _ in range(6):  # each round on a fresh engine
                 builds.clear()
                 indexes.clear()
@@ -955,8 +895,6 @@ class TestSetsById:
                 assert indexes == [index]
                 assert index.concept_vocab in builds and index.relation_vocab in builds
                 assert len({id(vocab) for vocab in builds}) == len(builds)
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestIndexSets:
@@ -1005,9 +943,7 @@ class TestIndexSets:
             # "below0" hangs from a cycle member; two more nodes go above it
             member = next(parent for child, parent in edges if child == "below0")
             above = [(member, "above0"), ("above0", "above1")]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # cycles are reported with a warning
-                hierarchy = Hierarchy(edges + above)
+            hierarchy = quiet(Hierarchy)(edges + above)
             names = self._names(rng, nodes + ["above0", "above1"])
             self._check(hierarchy, names + [n for n in ("below1", "above1") if n not in names])
 
@@ -1015,24 +951,7 @@ class TestIndexSets:
         n = 5000
         edges = [(f"n{i}", f"n{i + 1}") for i in range(n - 1)]
         edges += [(f"n{n - 1}", "c0"), ("c0", "c1"), ("c1", "c2"), ("c2", "c0")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            hierarchy = Hierarchy(edges)
-        self._check(hierarchy, ["n0", f"n{n // 2}", f"n{n - 1}", "c1", "ghost"])
-
-    @staticmethod
-    def _count_walks(monkeypatch):
-        """The node names of each :meth:`Hierarchy._walk` call, sorted."""
-        walk = Hierarchy._walk
-        calls = []
-
-        def counted(self, nodes):
-            nodes = list(nodes)
-            calls.append(sorted(self._names[n] for n in nodes))
-            return walk(self, nodes)
-
-        monkeypatch.setattr(Hierarchy, "_walk", counted)
-        return calls
+        self._check(quiet(Hierarchy)(edges), ["n0", f"n{n // 2}", f"n{n - 1}", "c1", "ghost"])
 
     @staticmethod
     def _layered_dag(rng, n_nodes, depth):
@@ -1054,7 +973,11 @@ class TestIndexSets:
         return edges
 
     def test_index_walks_by_the_closing_rule(self, monkeypatch):
-        calls = self._count_walks(monkeypatch)
+        calls = spy(monkeypatch, Hierarchy, "_walk")
+
+        def walked():  # the node names of each walk, sorted
+            return [sorted(h._names[n] for n in nodes) for (h, nodes), _ in calls]
+
         # x0 hangs from the chain q1 -> ... -> q8 and x1..x8 from the root r,
         # so the highest finite height is 8 (q8).  Eight names at height 0,
         # with nine heights left, are fewer: they are walked at once.
@@ -1062,20 +985,18 @@ class TestIndexSets:
         edges += [(f"x{i}", "r") for i in range(1, 9)]
         hierarchy = Hierarchy(edges)
         ontology._Vocabulary(hierarchy, [f"x{i}" for i in range(8)])
-        assert calls == [[f"x{i}" for i in range(8)]]
+        assert walked() == [[f"x{i}" for i in range(8)]]
         # Nine are not.  Heights 0 and 1 are passed over; then the one pair
         # left, at q2, is walked with seven heights left.
         calls.clear()
         ontology._Vocabulary(hierarchy, [f"x{i}" for i in range(9)])
-        assert calls == [["q2"]]
+        assert walked() == [["q2"]]
         # No pass over heights closes a cycle: the pairs that reach it are
         # walked, whatever their number.
         calls.clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cyclic = Hierarchy([("a", "b"), ("b", "c"), ("c", "b"), ("d", "c")])
+        cyclic = quiet(Hierarchy)([("a", "b"), ("b", "c"), ("c", "b"), ("d", "c")])
         ontology._Vocabulary(cyclic, ["a", "d", "x"])
-        assert calls == [["b", "c"]]
+        assert walked() == [["b", "c"]]
         # A layered hierarchy as deep as the benchmark's, with half of its
         # nodes interned, and the random hierarchies of the kernel tests,
         # are closed by the pass alone.
@@ -1172,14 +1093,7 @@ class TestIndexSets:
     def test_deep_chain_visits_at_most_one_height(self, monkeypatch):
         # The pass deduplicates the keys of each height it visits with one
         # sorted_distinct call, and the walk that closes it makes two.
-        calls = []
-        distinct = ontology.sorted_distinct
-
-        def counted(keys):
-            calls.append(len(keys))
-            return distinct(keys)
-
-        monkeypatch.setattr(ontology, "sorted_distinct", counted)
+        calls = spy(monkeypatch, ontology, "sorted_distinct")
         n = 50_000
         chain = Hierarchy([(f"n{i}", f"n{i + 1}") for i in range(n - 1)])
         calls.clear()  # building the hierarchy deduplicates its edges
@@ -1359,7 +1273,8 @@ def _large_corpus(rng, documents=900, records=4500):
 def _check_find(engine, corpus, patterns, ks):
     """Each top ``k`` of each pattern is the scalar ``pattern_similarity``
     ranking, ties in literal order, each predication with the ids of the
-    documents holding it, ascending.  Return the last pattern's scores.
+    documents holding it, ascending, and each score a plain ``float``.
+    Return the last pattern's scores and every ranking.
 
     A pattern whose bound slots all have zero weight must raise instead."""
     distinct = {}  # predication -> the ids of the documents holding it
@@ -1368,7 +1283,7 @@ def _check_find(engine, corpus, patterns, ks):
             distinct.setdefault(p, []).append(d)
     concept_sim = functools.cache(engine.concepts.similarity)
     relation_sim = functools.cache(engine.relations.similarity)
-    scores = {}
+    scores, seen = {}, []
     for pattern in patterns:
         try:
             scores = {
@@ -1384,9 +1299,11 @@ def _check_find(engine, corpus, patterns, ks):
             found = engine.related_predications(corpus, pattern, k)
             assert [r.predication for r in found] == want[:k], (pattern, k)
             assert [r.score for r in found] == [scores[p] for p in want[:k]]
+            assert all(type(r.score) is float for r in found)
             assert [r.rank for r in found] == list(range(1, len(want[:k]) + 1))
             assert [list(r.documents) for r in found] == [distinct[p] for p in want[:k]]
-    return scores
+            seen.append(found)
+    return scores, seen
 
 
 class TestFindAtScale:
@@ -1418,7 +1335,7 @@ class TestFindAtScale:
         distinct = len({p for d in corpus.doc_ids() for p in corpus[d]})
         # the sample holds more than the largest k
         assert distinct // math.isqrt(distinct) > 50
-        scores = _check_find(engine, corpus, self.PATTERNS, (1, 2, 10, 50))
+        scores, _ = _check_find(engine, corpus, self.PATTERNS, (1, 2, 10, 50))
         assert set(scores.values()) == {0.0}  # the last pattern's: literal order
 
     def test_every_kernel_size(self, monkeypatch):
@@ -1445,14 +1362,14 @@ class TestFindAtScale:
             distinct = len({p for d in corpus.doc_ids() for p in corpus[d]})
             patterns = [_random_pattern(rng, concepts, relations) for _ in range(3)]
             ks = (1, 2, 3, distinct, distinct + 1, distinct + 7)
-            scores = _check_find(engine, corpus, [*patterns, unknown], ks)
+            scores, _ = _check_find(engine, corpus, [*patterns, unknown], ks)
             assert set(scores.values()) == {0.0}
         (concepts, relations), corpus = _large_corpus(rng)
         engine = RetrievalEngine(concepts, relations)
         corpus = _with_copies(rng, corpus)
         distinct = len({p for d in corpus.doc_ids() for p in corpus[d]})
         patterns = [PredicationPattern("c12", "r3", None), unknown]
-        scores = _check_find(engine, corpus, patterns, (1, 10, 50, distinct + 1))
+        scores, _ = _check_find(engine, corpus, patterns, (1, 10, 50, distinct + 1))
         assert set(scores.values()) == {0.0}
 
     def test_copies_fill_the_best_positions(self):

@@ -9,8 +9,11 @@ document id or by literal.  Each relation then changes how the same
 input reaches the loaders, and every ranking must come out the same:
 the same ids, bit-identical scores and the same order.  No oracle is
 needed, so the relations check the file readers, the index and the
-kernel together on inputs far larger than the oracle tests'."""
+kernel together on inputs far larger than the oracle tests'.  One more
+relation needs no second input: a seed's score for another is the other
+seed's score for it."""
 
+import itertools
 import random
 
 import pytest
@@ -81,6 +84,16 @@ def _shuffled(*files):
     return [rng.sample(lines, len(lines)) for lines in files]
 
 
+def _crlf(*files):
+    """The same lines ended by ``\\r\\n``."""
+    return [[line.replace("\n", "\r\n") for line in lines] for lines in files]
+
+
+def _twice(*files):
+    """Each file written out twice, one copy after the other."""
+    return [lines + lines for lines in files]
+
+
 def _load(tmp_path, files):
     """The hierarchies and corpus read from ``files`` written to ``tmp_path``."""
     paths = [tmp_path / f"{name}.tsv" for name in ("concepts", "relations", "corpus")]
@@ -141,3 +154,32 @@ def test_blocks_of_seven_lines(tmp_path, monkeypatch, expected):
 def test_concept_ids_over_one_word(tmp_path, expected):
     assert len(PREFIX.encode()) == 16
     assert _rankings(*_load(tmp_path, _prefixed(*_lines())), prefix=PREFIX) == expected
+
+
+def test_crlf_line_ends(tmp_path, expected):
+    assert _rankings(*_load(tmp_path, _crlf(*_lines()))) == expected
+
+
+def test_every_line_written_twice(tmp_path, expected):
+    assert _rankings(*_load(tmp_path, _twice(*_lines()))) == expected
+
+
+def test_unreached_chain_of_concepts(tmp_path, expected):
+    # Forty nodes above no corpus identifier, four times as tall as the
+    # hierarchy they join.
+    concepts, relations, corpus = _lines()
+    chain = [f"z{k}\tz{k + 1}\n" for k in range(40)]
+    loaded = _load(tmp_path, [concepts + chain, relations, corpus])
+    assert len(loaded[0]) == sum(LEVELS) + 41
+    assert _rankings(*loaded) == expected
+
+
+def test_seed_scores_are_symmetric(tmp_path):
+    concepts, relations, corpus = _load(tmp_path, _lines())
+    engine = RetrievalEngine(concepts, relations)
+    scores = {
+        seed: {r.doc_id: r.score for r in engine.related_documents(corpus, seed, len(corpus))}
+        for seed in SEEDS
+    }
+    for a, b in itertools.combinations(SEEDS, 2):
+        assert scores[a][b] == scores[b][a] > 0, (a, b)

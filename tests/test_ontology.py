@@ -1,4 +1,3 @@
-import warnings
 from collections.abc import Collection
 
 import numpy as np
@@ -17,7 +16,7 @@ from predsim import (
 from predsim import ontology
 from predsim._arrays import segment_offsets
 
-from conftest import traced_memory
+from conftest import quiet, spy, traced_memory
 from oracles import closure_ancestor_sets, make_identifier_sim, random_cyclic_graph, random_dag
 
 
@@ -51,12 +50,9 @@ class TestLoading:
         # Heights: a, d 0; b 1; c 2; x, y (a cycle) and z (above it) the
         # sentinel.  Within a height, nodes keep the order first met, a
         # record's parent before its child.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            h = Hierarchy(
-                [("x", "y"), ("y", "x"), ("y", "z"),
-                 ("a", "b"), ("b", "c"), ("d", "c"), ("d", "x")]
-            )
+        h = quiet(Hierarchy)(
+            [("x", "y"), ("y", "x"), ("y", "z"), ("a", "b"), ("b", "c"), ("d", "c"), ("d", "x")]
+        )
         assert h._names == ["a", "d", "b", "c", "y", "x", "z"]
         assert h._numbers == {name: n for n, name in enumerate(h._names)}
         assert h._height.tolist() == [0, 0, 1, 2, 7, 7, 7]
@@ -107,9 +103,7 @@ class TestLoading:
             for _ in range(50):
                 _, edges = make(rng)
                 lines = [f"{child}\t{parent}\n" for child, parent in edges]
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # cycles are reported with a warning
-                    built = [Hierarchy(edges), parse_hierarchy(lines)]
+                built = [quiet(Hierarchy)(edges), quiet(parse_hierarchy)(lines)]
                 expected_nodes = {n for edge in edges for n in edge}
                 for h in built:
                     assert h.nodes == expected_nodes
@@ -424,14 +418,7 @@ class TestHeights:
     def test_deep_chain_peels_at_most_one_level_in_numpy(self, monkeypatch):
         # Each level peeled in numpy gathers its nodes' arcs with one spans
         # call; a chain's one leaf is fewer nodes than the levels above it.
-        calls = []
-        spans = ontology.spans
-
-        def counted(*args):
-            calls.append(len(args[1]))
-            return spans(*args)
-
-        monkeypatch.setattr(ontology, "spans", counted)
+        calls = spy(monkeypatch, ontology, "spans")
         n = 50_000
         chain = Hierarchy([(f"n{i}", f"n{i + 1}") for i in range(n - 1)])
         assert len(calls) <= 1
@@ -461,9 +448,7 @@ class TestOracleEquivalence:
         for _ in range(200):
             nodes, edges = random_cyclic_graph(rng)
             expected = closure_ancestor_sets(nodes, edges)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                h = Hierarchy(edges)
+            h = quiet(Hierarchy)(edges)
             for k in rng.permutation(len(nodes)):
                 assert h.ancestors(nodes[k]) == expected[nodes[k]]
             order = [nodes[k] for k in rng.permutation(len(nodes))]

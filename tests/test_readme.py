@@ -1,15 +1,12 @@
 """Every ``python`` code block of README.md runs to completion and prints
 something, so the quick start keeps up with the API."""
 
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, run_python
+
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
 
 
@@ -19,13 +16,6 @@ def test_blocks_found():
 
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_block_runs(code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env,
-        capture_output=True, encoding="utf-8", timeout=120,
-    )
+    done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()

@@ -18,7 +18,7 @@ from predsim import (
     run_eval,
 )
 
-from conftest import each_kernel_size
+from conftest import each_kernel_size, spy
 from oracles import (
     make_identifier_sim,
     make_triple_sim,
@@ -26,11 +26,6 @@ from oracles import (
     random_dag,
     related_docs_bruteforce,
 )
-
-
-@pytest.fixture
-def engine(concept_h, relation_h):
-    return RetrievalEngine(concept_h, relation_h)
 
 
 class TestConstructor:
@@ -296,14 +291,7 @@ class TestDeterminismAndTransparency:
     ):
         engine = RetrievalEngine(concept_h, relation_h)
         expected = {seed: engine.related_documents(small_corpus, seed, 10) for seed in small_corpus}
-        calls = []
-        walk = Hierarchy._node_sets
-
-        def counted(self, names):
-            calls.append(names)
-            return walk(self, names)
-
-        monkeypatch.setattr(Hierarchy, "_node_sets", counted)
+        calls = spy(monkeypatch, Hierarchy, "_node_sets")
         for seed in small_corpus:
             assert engine.related_documents(small_corpus, seed, 10) == expected[seed]
         assert calls == []
@@ -311,7 +299,7 @@ class TestDeterminismAndTransparency:
         # whether or not the corpus tables hold them
         query = PredicationSet.from_iterable([Predication("Z", "TREATS", "OA")])
         engine.query_documents(small_corpus, query, 10)
-        assert calls == [["Z", "OA"], ["TREATS"]]
+        assert [names for (_, names), _ in calls] == [["Z", "OA"], ["TREATS"]]
 
 
 class TestOracleEquivalence:
